@@ -4,8 +4,10 @@ Every paper table/figure has one benchmark module.  Each benchmark runs the
 corresponding experiment harness once (pytest-benchmark ``pedantic`` mode with
 a single round — a design-space exploration is far too expensive to repeat),
 prints the reproduced rows/series to stdout, and writes the raw result as JSON
-next to this file (``benchmarks/results/``) so EXPERIMENTS.md can be updated
-from the artifacts.
+to the ``results_dir`` fixture.  That is a temporary directory unless
+``REPRO_BENCH_WRITE=1`` is set, in which case the committed files in
+``benchmarks/results/`` are refreshed; their timing fields change on every
+run, so an ordinary test run must not rewrite them.
 
 Select the experiment scale with ``--repro-scale {smoke,small,medium}``
 (default: ``small``).
@@ -47,10 +49,16 @@ def scale(request):
 
 
 @pytest.fixture(scope="session")
-def results_dir():
-    """Directory where benchmark artifacts (JSON results) are written."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
+def results_dir(tmp_path_factory):
+    """Directory where benchmark artifacts (JSON results) are written.
+
+    ``benchmarks/results/`` under ``REPRO_BENCH_WRITE=1``, otherwise a fresh
+    temporary directory.
+    """
+    if os.environ.get("REPRO_BENCH_WRITE") == "1":
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+        return RESULTS_DIR
+    return tmp_path_factory.mktemp("results")
 
 
 @pytest.fixture(scope="session")

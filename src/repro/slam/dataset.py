@@ -5,13 +5,15 @@ ground-truth pose, converting ray lengths to z-depth, sampling the procedural
 intensity at the hit points, and corrupting the result with the Kinect noise
 model.  Rendered frames are cached on the dataset object so that the many
 configuration evaluations of a design-space exploration re-use the same
-frames; only the per-configuration preprocessing differs.
+frames.  Products derived from a frame that do not depend on the evaluated
+configuration (KinectFusion's filtered depth pyramid) are memoized next to
+the frames with :meth:`SyntheticRGBDDataset.derived`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, TypeVar
 
 import numpy as np
 
@@ -21,6 +23,8 @@ from repro.slam.scene import Scene, make_living_room_scene
 from repro.slam.se3 import rotate_vectors, transform_points
 from repro.slam.trajectory import Trajectory, make_living_room_trajectory
 from repro.utils.rng import derive_seed
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -91,7 +95,19 @@ class SyntheticRGBDDataset:
         self.seed = int(seed)
         self.max_render_depth = float(max_render_depth)
         self._cache: Dict[int, RGBDFrame] = {}
+        self._derived: Dict[Hashable, Any] = {}
         self._ray_dirs_cam = camera.ray_directions()
+
+    # The derived-product memo stays out of pickles, so an evaluator shipped to
+    # a worker process or socket peer costs what it did before the memo.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_derived"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derived = {}
 
     # -- sequence protocol ------------------------------------------------------
     def __len__(self) -> int:
@@ -118,9 +134,26 @@ class SyntheticRGBDDataset:
         for i in range(len(self)):
             self.frame(i)
 
+    def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """Memoized ``compute()``: a product derived from this dataset's frames.
+
+        For per-frame preprocessing that every configuration evaluation
+        repeats identically.  ``key`` must name the product and everything it
+        depends on (frame index, parameters).  The memo is emptied by
+        :meth:`clear_cache` and is not pickled.  Callers must not mutate a
+        returned product: the next evaluation receives the same object.
+        Threads racing on a missing key may each compute it, but
+        ``setdefault`` hands all of them the one product that was stored.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            return self._derived.setdefault(key, compute())
+
     def clear_cache(self) -> None:
-        """Drop all cached frames (frees memory)."""
+        """Drop all cached frames and derived products (frees memory)."""
         self._cache.clear()
+        self._derived.clear()
 
     def ground_truth(self) -> Trajectory:
         """The ground-truth trajectory."""

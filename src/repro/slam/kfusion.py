@@ -171,6 +171,11 @@ class KinectFusion:
     def _preprocess(self, depth: np.ndarray, camera: CameraIntrinsics) -> Tuple[List[np.ndarray], List[CameraIntrinsics]]:
         """Filter the depth map and build the pyramid (finest level first).
 
+        Only ``bilateral_radius`` of the configuration enters here, so
+        :meth:`run` computes this once per dataset frame and radius and shares
+        the result, read-only, across every configuration evaluated on that
+        dataset (see :meth:`SyntheticRGBDDataset.derived`).
+
         The compute-size-ratio resize is *not* applied to the simulated image:
         the simulation already runs at a reduced resolution, so a further
         divide-by-8 would leave too few pixels to constrain a 6-DoF pose — a
@@ -183,6 +188,8 @@ class KinectFusion:
         cfg = self.config
         filtered = bilateral_filter(depth, radius=cfg.bilateral_radius)
         pyramid = depth_pyramid(filtered, levels=3)
+        for level in pyramid:
+            level.flags.writeable = False
         cams = [camera]
         for _ in range(1, len(pyramid)):
             cams.append(cams[-1].scaled(2))
@@ -226,7 +233,10 @@ class KinectFusion:
         prev_pose = pose.copy()
         for i in range(total):
             frame = dataset.frame(i)
-            pyramid, cams = self._preprocess(frame.depth, dataset.camera)
+            pyramid, cams = dataset.derived(
+                ("kfusion-pyramid", i, cfg.bilateral_radius),
+                lambda: self._preprocess(frame.depth, dataset.camera),
+            )
             stats = FrameStats(index=i, n_pixels=nominal_pixels)
 
             # KFusion initializes tracking from the previous pose estimate (no

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,12 +54,21 @@ class Plane(SdfPrimitive):
         self.offset = float(offset)
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.normal - self.offset
+        return _plane_sdf(np.asarray(points, dtype=np.float64), self.normal, self.offset)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         return np.broadcast_to(self.normal, pts.shape).copy()
+
+
+def _plane_sdf(pts: np.ndarray, normal: np.ndarray, offset: Union[float, np.ndarray]) -> np.ndarray:
+    """Plane SDF ``n . p - d``; ``normal[..., :]``/``offset`` broadcast against the points.
+
+    Written as elementwise products rather than a matrix product, so one
+    plane and a stack of planes give the same bits whatever BLAS kernel a
+    matrix product would pick.
+    """
+    return pts[..., 0] * normal[..., 0] + pts[..., 1] * normal[..., 1] + pts[..., 2] * normal[..., 2] - offset
 
 
 class Sphere(SdfPrimitive):
@@ -94,27 +103,35 @@ class Box(SdfPrimitive):
             raise ValueError("half extents must be positive")
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        q = np.abs(pts - self.center) - self.half_extents
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
-        inside = np.minimum(np.max(q, axis=-1), 0.0)
-        return outside + inside
+        return _box_sdf(np.asarray(points, dtype=np.float64), self.center, self.half_extents)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        local = pts - self.center
-        q = np.abs(local) - self.half_extents
-        sign = np.where(local >= 0, 1.0, -1.0)
-        outside_vec = np.maximum(q, 0.0) * sign
-        outside_norm = np.linalg.norm(outside_vec, axis=-1, keepdims=True)
-        grad_out = outside_vec / np.maximum(outside_norm, _EPS)
-        # Inside: gradient points along the axis of smallest penetration.
-        axis = np.argmax(q, axis=-1)
-        grad_in = np.zeros_like(pts)
-        idx = np.indices(axis.shape)
-        grad_in[(*idx, axis)] = np.take_along_axis(sign, axis[..., None], axis=-1)[..., 0]
-        inside_mask = (outside_norm[..., 0] < _EPS)[..., None]
-        return np.where(inside_mask, grad_in, grad_out)
+        return _box_gradient(np.asarray(points, dtype=np.float64), self.center, self.half_extents)
+
+
+def _box_sdf(pts: np.ndarray, center: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
+    """Box SDF; ``center``/``half_extents`` broadcast against ``(..., 3)`` points."""
+    q = np.abs(pts - center) - half_extents
+    outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
+    inside = np.minimum(np.max(q, axis=-1), 0.0)
+    return outside + inside
+
+
+def _box_gradient(pts: np.ndarray, center: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
+    """Box SDF gradient; ``center``/``half_extents`` broadcast like :func:`_box_sdf`."""
+    local = pts - center
+    q = np.abs(local) - half_extents
+    sign = np.where(local >= 0, 1.0, -1.0)
+    outside_vec = np.maximum(q, 0.0) * sign
+    outside_norm = np.linalg.norm(outside_vec, axis=-1, keepdims=True)
+    grad_out = outside_vec / np.maximum(outside_norm, _EPS)
+    # Inside: gradient points along the axis of smallest penetration.
+    axis = np.argmax(q, axis=-1)
+    grad_in = np.zeros_like(local)
+    idx = np.indices(axis.shape)
+    grad_in[(*idx, axis)] = np.take_along_axis(sign, axis[..., None], axis=-1)[..., 0]
+    inside_mask = (outside_norm[..., 0] < _EPS)[..., None]
+    return np.where(inside_mask, grad_in, grad_out)
 
 
 class Cylinder(SdfPrimitive):
@@ -153,11 +170,28 @@ def _numerical_gradient(fn, points: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return grad / np.maximum(norm, _EPS)
 
 
+#: Packed primitive types of :class:`Scene`.
+_PLANE, _BOX, _OTHER = 0, 1, 2
+
+
+def _flatten(points: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """``(..., 3)`` points as an ``(N, 3)`` array, plus the leading shape."""
+    pts = np.asarray(points, dtype=np.float64)
+    return pts.reshape(-1, 3), pts.shape[:-1]
+
+
 class Scene:
     """Union of SDF primitives with a procedural intensity (albedo) function.
 
     The scene SDF is the pointwise minimum over primitives; gradients and
-    intensities are taken from the primitive realizing the minimum.
+    intensities are taken from the primitive realizing the minimum (the first
+    one on ties).
+
+    The union is evaluated packed by primitive type: planes as one normal
+    matrix, boxes as stacked centre/half-extent arrays, and every other
+    primitive through its own :meth:`~SdfPrimitive.sdf`/``gradient``.  Each
+    packed type runs the same elementwise operations as its primitive class,
+    so the results are bit-identical to evaluating the primitives one by one.
     """
 
     def __init__(self, primitives: Sequence[SdfPrimitive], name: str = "scene") -> None:
@@ -165,27 +199,69 @@ class Scene:
             raise ValueError("a scene needs at least one primitive")
         self.primitives: List[SdfPrimitive] = list(primitives)
         self.name = name
+        self._pack()
+
+    def _pack(self) -> None:
+        prims = self.primitives
+        kinds = [_PLANE if type(p) is Plane else _BOX if type(p) is Box else _OTHER for p in prims]
+        self._kind = np.array(kinds, dtype=np.int8)
+        self._plane_rows = np.flatnonzero(self._kind == _PLANE)
+        self._box_rows = np.flatnonzero(self._kind == _BOX)
+        self._other_rows = [int(i) for i in np.flatnonzero(self._kind == _OTHER)]
+        self._plane_normals = np.array([prims[i].normal for i in self._plane_rows]).reshape(-1, 3)
+        self._plane_offsets = np.array([prims[i].offset for i in self._plane_rows])
+        self._box_centers = np.array([prims[i].center for i in self._box_rows]).reshape(-1, 3)
+        self._box_half_extents = np.array([prims[i].half_extents for i in self._box_rows]).reshape(-1, 3)
+        # Primitive index -> row of its type's parameter arrays.
+        self._slot = np.zeros(len(prims), dtype=np.intp)
+        self._slot[self._plane_rows] = np.arange(self._plane_rows.size)
+        self._slot[self._box_rows] = np.arange(self._box_rows.size)
+        self._albedo = np.array([p.albedo for p in prims])
+        self._texture_scale = np.array([p.texture_scale for p in prims])
+
+    # The packed arrays are derived from the primitives: they are rebuilt on
+    # unpickling rather than shipped with every pickled dataset.
+    def __getstate__(self) -> dict:
+        return {"primitives": self.primitives, "name": self.name}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._pack()
+
+    def _values(self, pts: np.ndarray) -> np.ndarray:
+        """``(n_primitives, N)`` SDF values of ``(N, 3)`` points, rows in primitive order."""
+        values = np.empty((len(self.primitives), pts.shape[0]))
+        values[self._plane_rows] = _plane_sdf(pts, self._plane_normals[:, None, :], self._plane_offsets[:, None])
+        values[self._box_rows] = _box_sdf(pts, self._box_centers[:, None, :], self._box_half_extents[:, None, :])
+        for row in self._other_rows:
+            values[row] = self.primitives[row].sdf(pts)
+        return values
 
     # -- SDF queries -----------------------------------------------------------
     def sdf(self, points: np.ndarray) -> np.ndarray:
         """Signed distance of the union at ``(..., 3)`` points."""
-        pts = np.asarray(points, dtype=np.float64)
-        values = np.stack([p.sdf(pts) for p in self.primitives], axis=0)
-        return values.min(axis=0)
+        pts, shape = _flatten(points)
+        return self._values(pts).min(axis=0).reshape(shape)
 
     def sdf_and_gradient(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Signed distance and (unit) gradient of the union."""
-        pts = np.asarray(points, dtype=np.float64)
-        values = np.stack([p.sdf(pts) for p in self.primitives], axis=0)
+        pts, shape = _flatten(points)
+        values = self._values(pts)
         winner = values.argmin(axis=0)
-        dist = np.take_along_axis(values, winner[None, ...], axis=0)[0]
+        dist = np.take_along_axis(values, winner[None, :], axis=0)[0]
+        kind, slot = self._kind[winner], self._slot[winner]
         grad = np.zeros_like(pts)
-        for i, prim in enumerate(self.primitives):
-            mask = winner == i
-            if not np.any(mask):
-                continue
-            grad[mask] = prim.gradient(pts[mask])
-        return dist, grad
+        planes = kind == _PLANE
+        grad[planes] = self._plane_normals[slot[planes]]
+        boxes = kind == _BOX
+        if np.any(boxes):
+            b = slot[boxes]
+            grad[boxes] = _box_gradient(pts[boxes], self._box_centers[b], self._box_half_extents[b])
+        for row in self._other_rows:
+            mask = winner == row
+            if np.any(mask):
+                grad[mask] = self.primitives[row].gradient(pts[mask])
+        return dist.reshape(shape), grad.reshape(*shape, 3)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         """Unit gradient (outward surface normal on the surface)."""
@@ -203,23 +279,15 @@ class Scene:
         texture, giving the photometric term of ElasticFusion useful gradients
         everywhere (the real living-room dataset is similarly textured).
         """
-        pts = np.asarray(points, dtype=np.float64)
-        values = np.stack([p.sdf(pts) for p in self.primitives], axis=0)
-        winner = values.argmin(axis=0)
-        out = np.zeros(pts.shape[:-1], dtype=np.float64)
-        for i, prim in enumerate(self.primitives):
-            mask = winner == i
-            if not np.any(mask):
-                continue
-            local = pts[mask]
-            s = prim.texture_scale
-            tex = (
-                0.5
-                + 0.25 * np.sin(s * local[..., 0]) * np.cos(s * local[..., 2])
-                + 0.15 * np.sin(0.7 * s * local[..., 1] + 1.3)
-            )
-            out[mask] = np.clip(prim.albedo * tex, 0.0, 1.0)
-        return out
+        pts, shape = _flatten(points)
+        winner = self._values(pts).argmin(axis=0)
+        s = self._texture_scale[winner]
+        tex = (
+            0.5
+            + 0.25 * np.sin(s * pts[:, 0]) * np.cos(s * pts[:, 2])
+            + 0.15 * np.sin(0.7 * s * pts[:, 1] + 1.3)
+        )
+        return np.clip(self._albedo[winner] * tex, 0.0, 1.0).reshape(shape)
 
     # -- ray casting ------------------------------------------------------------
     def raycast(

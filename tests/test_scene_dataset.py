@@ -1,10 +1,19 @@
 """Tests for analytic scenes, trajectories, the noise model and the dataset."""
 
+import pickle
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.devices.catalog import get_device
+from repro.slam import kfusion
 from repro.slam.dataset import make_icl_nuim_like_dataset
+from repro.slam.filters import bilateral_filter
+from repro.slam.kfusion import KFusionConfig, KinectFusion
 from repro.slam.noise import NOISELESS, KinectNoiseModel
 from repro.slam.scene import Box, Cylinder, Plane, Scene, Sphere, make_living_room_scene, make_office_scene
 from repro.slam.trajectory import (
@@ -12,6 +21,8 @@ from repro.slam.trajectory import (
     make_orbit_trajectory,
     make_static_trajectory,
 )
+from repro.slambench.parameters import kfusion_design_space
+from repro.slambench.runner import SlamBenchRunner
 
 
 class TestPrimitives:
@@ -207,3 +218,186 @@ class TestDataset:
     def test_index_out_of_range(self, tiny_dataset):
         with pytest.raises(IndexError):
             tiny_dataset.frame(len(tiny_dataset))
+
+
+def _reference_union(scene, points):
+    """The union evaluated primitive by primitive: ``(sdf, dist, grad, intensity)``."""
+    pts = np.asarray(points, dtype=np.float64)
+    values = np.stack([p.sdf(pts) for p in scene.primitives], axis=0)
+    winner = values.argmin(axis=0)
+    dist = np.take_along_axis(values, winner[None, ...], axis=0)[0]
+    grad = np.zeros_like(pts)
+    intensity = np.zeros(pts.shape[:-1])
+    for i, prim in enumerate(scene.primitives):
+        mask = winner == i
+        if not np.any(mask):
+            continue
+        grad[mask] = prim.gradient(pts[mask])
+        local = pts[mask]
+        s = prim.texture_scale
+        tex = (
+            0.5
+            + 0.25 * np.sin(s * local[..., 0]) * np.cos(s * local[..., 2])
+            + 0.15 * np.sin(0.7 * s * local[..., 1] + 1.3)
+        )
+        intensity[mask] = np.clip(prim.albedo * tex, 0.0, 1.0)
+    return values.min(axis=0), dist, grad, intensity
+
+
+def _box_surface_points(box, rng, n):
+    """Points on the faces, edges and corners of ``box``."""
+    rows = np.arange(n)
+    signs = rng.choice([-1.0, 1.0], size=(n, 3))
+    faces = rng.uniform(-1.0, 1.0, size=(n, 3))
+    axis = rng.integers(0, 3, n)
+    faces[rows, axis] = signs[rows, axis]
+    edges = signs.copy()
+    free = rng.integers(0, 3, n)
+    edges[rows, free] = rng.uniform(-1.0, 1.0, n)
+    return box.center + np.concatenate([faces, edges, signs]) * box.half_extents
+
+
+def _sphere_only_scene():
+    # Equal spheres mirrored through x = 0: every point on that plane is a tie.
+    return Scene([Sphere((-1.0, 0.0, 0.0), 0.5), Sphere((1.0, 0.0, 0.0), 0.5, albedo=0.4)], name="spheres")
+
+
+def _planes_only_scene():
+    # A unit cube of inward half-spaces plus one oblique plane; the diagonals
+    # x = +-y of the cube are ties between two walls.
+    return Scene(
+        [
+            Plane((1.0, 0.0, 0.0), -1.0),
+            Plane((-1.0, 0.0, 0.0), -1.0, albedo=0.5),
+            Plane((0.0, 1.0, 0.0), -1.0, albedo=0.6),
+            Plane((0.0, -1.0, 0.0), -1.0, albedo=0.8),
+            Plane((1.0, 1.0, 1.0), -1.5, albedo=0.3, texture_scale=3.0),
+        ],
+        name="planes",
+    )
+
+
+_UNION_SCENES = {
+    "living-room": make_living_room_scene,
+    "office": make_office_scene,
+    "spheres": _sphere_only_scene,
+    "planes": _planes_only_scene,
+}
+
+
+def _union_probe_points(scene):
+    """Random points, box faces/edges/corners, and points equidistant from two primitives."""
+    rng = np.random.default_rng(17)
+    parts = [rng.uniform(-3.0, 3.0, size=(200, 3))]
+    parts += [_box_surface_points(p, rng, 20) for p in scene.primitives if isinstance(p, Box)]
+    t = rng.choice([0.125, 0.25, 0.5, 0.75], size=(60, 1))
+    z = rng.uniform(-1.0, 1.0, size=(60, 1))
+    # Room corners of the shipped scenes (wall x = -2.5 against floor/ceiling)
+    # and the ties of the synthetic scenes.
+    parts.append(np.hstack([-2.5 + t, 1.3 - t, z]))
+    parts.append(np.hstack([-1.0 + t, -1.0 + t, z]))
+    parts.append(np.hstack([np.zeros_like(t), t - 0.5, z]))
+    pts = np.concatenate(parts)
+    return pts[: (len(pts) // 12) * 12]
+
+
+class TestPackedUnion:
+    @pytest.mark.parametrize("scene_name", sorted(_UNION_SCENES))
+    @pytest.mark.parametrize("layout", ["points", "image", "single"])
+    def test_bitwise_equal_to_per_primitive_union(self, scene_name, layout):
+        scene = _UNION_SCENES[scene_name]()
+        pts = _union_probe_points(scene)
+        if layout == "image":
+            pts = pts.reshape(12, -1, 3)
+        elif layout == "single":
+            pts = pts[:1]
+        ref_sdf, ref_dist, ref_grad, ref_intensity = _reference_union(scene, pts)
+        dist, grad = scene.sdf_and_gradient(pts)
+        for got, want in [
+            (scene.sdf(pts), ref_sdf),
+            (dist, ref_dist),
+            (grad, ref_grad),
+            (scene.intensity(pts), ref_intensity),
+        ]:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scene_name", ["spheres", "planes"])
+    def test_probe_points_include_ties(self, scene_name):
+        scene = _UNION_SCENES[scene_name]()
+        values = np.sort(np.stack([p.sdf(_union_probe_points(scene)) for p in scene.primitives]), axis=0)
+        assert np.sum(values[0] == values[1]) >= 20
+
+    def test_pickle_roundtrip_keeps_union(self):
+        scene = make_living_room_scene()
+        pts = _union_probe_points(scene)
+        clone = pickle.loads(pickle.dumps(scene))
+        assert clone.sdf(pts).tobytes() == scene.sdf(pts).tobytes()
+        assert clone.sdf_and_gradient(pts)[1].tobytes() == scene.sdf_and_gradient(pts)[1].tobytes()
+
+
+class TestFrameMemo:
+    def test_warm_memo_matches_cold_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kfusion, "bilateral_filter", lambda *a, **k: calls.append(1) or bilateral_filter(*a, **k))
+        dataset = make_icl_nuim_like_dataset(n_frames=6, width=32, height=24, seed=9)
+        config = KFusionConfig(volume_resolution=128, mu=0.05)
+        cold = KinectFusion(config).run(dataset)
+        assert len(calls) == 6
+        warm = KinectFusion(config).run(dataset)
+        assert len(calls) == 6, "the warm run refiltered frames"
+        assert warm.frames == cold.frames
+        assert np.stack(warm.estimated.poses).tobytes() == np.stack(cold.estimated.poses).tobytes()
+        assert warm.ate().per_frame.tobytes() == cold.ate().per_frame.tobytes()
+
+    def test_memo_is_not_pickled(self):
+        dataset = make_icl_nuim_like_dataset(n_frames=4, width=32, height=24, seed=9)
+        dataset.prerender()
+        # Two runners share the dataset: one evaluates, the other's payload is
+        # what a socket or process worker would receive.
+        busy = SlamBenchRunner("kfusion", n_frames=4, dataset=dataset)
+        shipped = SlamBenchRunner("kfusion", n_frames=4, dataset=dataset).evaluation_function(get_device("odroid-xu3"))
+        before = len(pickle.dumps(shipped))
+        space = kfusion_design_space()
+        for config in space.sample(5, np.random.default_rng(0)):
+            busy.evaluate(config, get_device("odroid-xu3"))
+        assert dataset.derived(("kfusion-pyramid", 0, 2), lambda: None) is not None
+        assert len(pickle.dumps(shipped)) == before
+        clone = pickle.loads(pickle.dumps(dataset))
+        assert clone.derived(("kfusion-pyramid", 0, 2), lambda: "fresh") == "fresh"
+
+    def test_racing_threads_share_one_product(self):
+        dataset = make_icl_nuim_like_dataset(n_frames=2, width=24, height=18, seed=1)
+        seen = [[] for _ in range(4)]
+        start = threading.Barrier(len(seen))
+
+        def compute():
+            time.sleep(0)  # let the other threads reach the same missing key
+            return []
+
+        def worker(out):
+            start.wait(timeout=30)
+            for key in range(200):
+                out.append(dataset.derived(key, compute))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(out,)) for out in seen]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(out) == 200 for out in seen)
+        for products in zip(*seen):
+            assert all(p is products[0] for p in products)
+
+    def test_clear_cache_empties_memo(self):
+        dataset = make_icl_nuim_like_dataset(n_frames=2, width=24, height=18, seed=1)
+        assert dataset.derived("product", lambda: 1) == 1
+        assert dataset.derived("product", lambda: 2) == 1
+        dataset.clear_cache()
+        assert dataset.derived("product", lambda: 2) == 2
