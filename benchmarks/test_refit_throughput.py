@@ -1,18 +1,15 @@
 """Throughput benchmark for the iteration-speed layer: refits, not fits.
 
-PR 2 made one histogram fit fast; this benchmark guards the three rungs built
-on top of it.  (1) *Forest-level fitting*: ``grow_forest_hist`` grows all 32
-trees of a forest level-synchronously in one histogram pass — measured
-against the per-tree hist path (same arithmetic, bit-identical forests) on
-the two-32-tree acceptance config.  (2) *Incremental refit*: at iteration
-50+ the active-learning loop appends a handful of rows per round, and
-``fit_incremental`` routes only those rows through the existing trees —
-measured against the full from-scratch refit it replaces.  Results are
-recorded to ``refit_throughput.json`` in the ``results_dir`` fixture
-(``benchmarks/results/`` under ``REPRO_BENCH_WRITE=1``); the committed copy
-in ``benchmarks/results/`` is the regression baseline (each measured speedup
-must stay within 30% of it, a machine-relative ratio that is stable across
-runners).
+Every active-learning iteration regrows both surrogate forests from scratch.
+This benchmark guards the grower that makes that refit fast:
+``grow_forest_hist`` grows all 32 trees of a forest level-synchronously in
+one histogram pass, measured against the per-tree hist path (same
+arithmetic, bit-identical forests) on the two-32-tree acceptance config.
+Results are recorded to ``refit_throughput.json`` in the ``results_dir``
+fixture (``benchmarks/results/`` under ``REPRO_BENCH_WRITE=1``); the
+committed copy in ``benchmarks/results/`` is the regression baseline (each
+measured speedup must stay within 30% of it, a machine-relative ratio that
+is stable across runners).
 """
 
 import json
@@ -31,10 +28,8 @@ from repro.utils.serialization import dump_json
 from repro.utils.tables import format_table
 
 N_TREES = 32
-#: Acceptance guardrails (ISSUE 8): batched forest growth vs per-tree hist,
-#: and incremental refit vs full refit at iteration 50+ with small appends.
+#: Acceptance guardrail: batched forest growth vs per-tree hist.
 MIN_FOREST_SPEEDUP = 2.0
-MIN_INCREMENTAL_SPEEDUP = 5.0
 #: A measured speedup may not regress below this fraction of the committed
 #: baseline's (ratios are machine-relative, so this is runner-stable).
 REGRESSION_FLOOR = 0.7
@@ -114,83 +109,19 @@ def _measure_forest_level(space, objectives, n_train, pool_size, seed):
     }
 
 
-def _measure_incremental(space, objectives, n_base, n_refits, batch, pool_size, seed):
-    """Mean ``fit_incremental`` cost over a run of small appends vs one full
-    refit of the same final history (what it replaces each iteration)."""
-    rng = np.random.default_rng(seed)
-    pool = build_encoded_pool(space, pool_size, rng=rng)
-    n_total = n_base + n_refits * batch
-    X_all, prebinned_all = _training_slice(space, pool, n_total, rng)
-    metrics = _synthetic_metrics(X_all, rng)
-
-    inc = MultiObjectiveSurrogate(
-        space, objectives, n_estimators=N_TREES, refit="incremental", random_state=seed
-    )
-    inc.fit_encoded(
-        X_all[:n_base], metrics[:n_base],
-        bin_mapper=pool.bin_mapper, prebinned=prebinned_all[:n_base],
-    )
-    index = pool.bitset_index
-    inc.predict_encoded(pool.X, pool_index=index)  # warm the leaf cache
-    hits0, misses0 = index.cache_hits, index.cache_misses
-    times = []
-    n = n_base
-    for _ in range(n_refits):
-        n += batch
-        t0 = time.perf_counter()
-        inc.fit_incremental(
-            X_all[:n], metrics[:n],
-            bin_mapper=pool.bin_mapper, prebinned=prebinned_all[:n],
-        )
-        times.append(time.perf_counter() - t0)
-        inc.predict_encoded(pool.X, pool_index=index)
-    t_inc = float(np.mean(times))
-
-    full = MultiObjectiveSurrogate(space, objectives, n_estimators=N_TREES, random_state=seed)
-    t_full = _timed(
-        lambda: full.fit_encoded(
-            X_all[:n], metrics[:n],
-            bin_mapper=pool.bin_mapper, prebinned=prebinned_all[:n],
-        )
-    )
-    # Model-quality sanity: the warm-started surrogate must track the full
-    # refit's predictions over the pool (same data, different trees).
-    probe = pool.X[: min(2000, len(pool))]
-    p_inc, p_full = inc.predict_encoded(probe), full.predict_encoded(probe)
-    corr = min(
-        float(np.corrcoef(p_inc[:, j], p_full[:, j])[0, 1]) for j in range(p_inc.shape[1])
-    )
-    n_tree_planes = 2 * N_TREES * n_refits  # per refit: 2 forests x 32 trees
-    return {
-        "n_train_base": n_base,
-        "n_train_final": n,
-        "append_batch": batch,
-        "n_refits": n_refits,
-        "pool_size": pool_size,
-        "n_trees_per_forest": N_TREES,
-        "n_forests": len(objectives),
-        "incremental_refit_seconds": t_inc,
-        "full_refit_seconds": t_full,
-        "speedup": t_full / t_inc,
-        "prediction_correlation": corr,
-        "leaf_cache_hit_rate": (index.cache_hits - hits0) / n_tree_planes,
-        "leaf_cache_miss_rate": (index.cache_misses - misses0) / n_tree_planes,
-    }
-
-
-def _check_against_baseline(baseline, section, results):
+def _check_against_baseline(baseline, results):
     """Every case present in the committed baseline must keep >=70% of its
-    recorded speedup (CI regression gate for the refit fast paths)."""
+    recorded speedup (CI regression gate for the forest-level grower)."""
     if not baseline:
         return
-    recorded = {r["case"]: r for r in baseline.get(section, [])}
+    recorded = {r["case"]: r for r in baseline.get("forest_level", [])}
     for r in results:
         base = recorded.get(r["case"])
         if base is None:
             continue
         floor = REGRESSION_FLOOR * float(base["speedup"])
         assert r["speedup"] >= floor, (
-            f"{section}/{r['case']}: speedup {r['speedup']:.2f}x regressed below "
+            f"forest_level/{r['case']}: speedup {r['speedup']:.2f}x regressed below "
             f"{floor:.2f}x (70% of the committed {base['speedup']:.2f}x)"
         )
 
@@ -208,24 +139,14 @@ def test_refit_throughput(benchmark, scale, results_dir):
     baseline = json.loads(baseline_path.read_text()) if baseline_path.exists() else None
 
     forest_cases = [("smoke", max(scale.n_random_samples, 60), 2_000)]
-    incr_cases = [("smoke", 150, 5, 5, 2_000)]
     if not smoke:
-        # Acceptance configs: the two-32-tree refit on 300 samples (ISSUE 8 /
-        # fit-throughput acceptance case), and iteration 50+ of a paper-sized
-        # run — 100 bootstrap + 50 iterations x 6 samples, appends of 5.
+        # Acceptance config: the two-32-tree refit on 300 samples (the
+        # fit-throughput acceptance case).
         forest_cases.append(("acceptance", 300, 20_000))
-        incr_cases.append(("acceptance", 400, 10, 5, 20_000))
 
     forest_results = [
         dict(case=name, **_measure_forest_level(space, objectives, n_train, pool_size, seed=29))
         for name, n_train, pool_size in forest_cases
-    ]
-    incr_results = [
-        dict(
-            case=name,
-            **_measure_incremental(space, objectives, n_base, n_refits, batch, pool_size, seed=31),
-        )
-        for name, n_base, n_refits, batch, pool_size in incr_cases
     ]
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
@@ -246,34 +167,10 @@ def test_refit_throughput(benchmark, scale, results_dir):
             title="Forest-level single-pass fitting (2 forests x 32 trees)",
         )
     )
-    print(
-        format_table(
-            [
-                [
-                    r["case"],
-                    f"{r['n_train_base']}+{r['n_refits']}x{r['append_batch']}",
-                    f"{r['full_refit_seconds'] * 1e3:.0f}",
-                    f"{r['incremental_refit_seconds'] * 1e3:.1f}",
-                    f"{r['speedup']:.1f}x",
-                    f"{r['leaf_cache_hit_rate']:.0%}",
-                ]
-                for r in incr_results
-            ],
-            headers=["case", "history", "full ms", "incr ms", "speedup", "cache hits"],
-            title="Incremental refit vs full refit (small appends)",
-        )
-    )
-    dump_json(
-        {"forest_level": forest_results, "incremental": incr_results},
-        results_dir / "refit_throughput.json",
-    )
+    dump_json({"forest_level": forest_results}, results_dir / "refit_throughput.json")
 
-    for r in incr_results:
-        assert r["prediction_correlation"] > 0.9
-    _check_against_baseline(baseline, "forest_level", forest_results)
-    _check_against_baseline(baseline, "incremental", incr_results)
+    _check_against_baseline(baseline, forest_results)
     # Absolute wall-clock guardrails only above smoke scale (shared CI
     # runners are too noisy for them; the ratio gate above still applies).
     if not smoke:
         assert forest_results[-1]["speedup"] >= MIN_FOREST_SPEEDUP
-        assert incr_results[-1]["speedup"] >= MIN_INCREMENTAL_SPEEDUP

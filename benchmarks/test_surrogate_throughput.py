@@ -84,6 +84,7 @@ def _measure(space, objectives, n_train, pool_size, seed):
     index = PoolIndex(X_pool)
 
     def flat_iteration():
+        # Each timed call must run the bitset kernel over every tree.
         surrogate.predict_encoded(X_pool, pool_index=index)
 
     t_encode = _timed(lambda: space.encode(pool))

@@ -125,16 +125,8 @@ class _SurrogateAcquisition(AcquisitionStrategy):
 
     # -- shared steps ------------------------------------------------------------
     def _fit(self, state: "SearchState"):
-        """(Re)fit the surrogate on the history, timed under the "fit" lap.
-
-        With the default ``refit="full"`` a fresh surrogate is grown from
-        scratch every iteration (bit-identical histories).  With
-        ``refit="incremental"`` the previous iteration's surrogate is kept
-        and only the newly appended history rows are routed through it.
-        """
-        prev = state.surrogate
-        incremental = prev is not None and getattr(prev, "refit", "full") == "incremental"
-        surrogate = prev if incremental else state.new_surrogate()
+        """Fit a fresh surrogate on the history, timed under the "fit" lap."""
+        surrogate = state.new_surrogate()
         encoded_pool = state.encoded_pool
         records = state.history.records
         train_configs = [r.config for r in records]
@@ -151,15 +143,7 @@ class _SurrogateAcquisition(AcquisitionStrategy):
                 prebinned = None
         metrics = [r.metrics for r in records]
         with state.timer.lap("fit"):
-            if incremental:
-                surrogate.fit_incremental(
-                    X_train, metrics, bin_mapper=bin_mapper, prebinned=prebinned
-                )
-            else:
-                surrogate.fit_encoded(
-                    X_train, metrics, bin_mapper=bin_mapper, prebinned=prebinned
-                )
-        state.surrogate = surrogate
+            surrogate.fit_encoded(X_train, metrics, bin_mapper=bin_mapper, prebinned=prebinned)
         return surrogate
 
     def _candidate_front(self, state: "SearchState"):

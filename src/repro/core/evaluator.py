@@ -3,9 +3,9 @@
 In the paper every evaluation is a full run of the SLAM pipeline over a video
 sequence on a physical board — the expensive black box.  Here an evaluator
 wraps any callable mapping a configuration to a dictionary of metric values.
-Layers provide caching (identical configurations are never re-run), budget
-accounting, and optional parallel fan-out mirroring how runs are farmed out to
-hardware.
+Layers provide caching (identical configurations are never re-run) and budget
+accounting; parallel fan-out, mirroring how runs are farmed out to hardware,
+lives in :class:`~repro.core.executor.EvaluationExecutor`.
 """
 
 from __future__ import annotations
@@ -141,13 +141,12 @@ class CachedEvaluator(Evaluator):
 class WorkerPoolLifecycle:
     """Shared lazy worker-pool construction + close/context-manager lifecycle.
 
-    Mixed into everything that fans work out over a persistent
-    ``concurrent.futures`` pool (:class:`ParallelEvaluator`, the engine's
-    :class:`~repro.core.executor.EvaluationExecutor`): the pool is created
-    lazily on first use and persists across calls — spinning a pool up and
-    down per batch costs more than a small batch itself.  ``close()`` (or
-    the context-manager protocol) releases the workers; a closed instance
-    refuses further work.
+    Mixed into the engine's :class:`~repro.core.executor.EvaluationExecutor`,
+    which fans work out over a persistent ``concurrent.futures`` pool: the
+    pool is created lazily on first use and persists across calls — spinning
+    a pool up and down per batch costs more than a small batch itself.
+    ``close()`` (or the context-manager protocol) releases the workers; a
+    closed instance refuses further work.
     """
 
     n_workers: int
@@ -156,10 +155,10 @@ class WorkerPoolLifecycle:
     _closed: bool = False
 
     @staticmethod
-    def _validate_pool_args(n_workers: int, backend: str, allow_socket: bool = False) -> None:
+    def _validate_pool_args(n_workers: int, backend: str) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        allowed = ("thread", "process", "socket") if allow_socket else ("thread", "process")
+        allowed = ("thread", "process", "socket")
         if backend not in allowed:
             raise ValueError(f"backend must be one of {allowed!r}")
 
@@ -199,54 +198,6 @@ class WorkerPoolLifecycle:
             pool.shutdown(wait=False)
 
 
-class ParallelEvaluator(WorkerPoolLifecycle, Evaluator):
-    """Evaluator that fans evaluations out over a thread or process pool.
-
-    The SLAM evaluation function is NumPy-heavy and releases the GIL inside
-    vectorized kernels, so the default ``"thread"`` backend already yields
-    useful speedups without requiring the evaluation function to be picklable.
-    Use ``backend="process"`` for pure-Python evaluation functions.
-
-    One worker pool is created lazily on first use and persists across
-    :meth:`evaluate` calls; call :meth:`close` — or use the evaluator as a
-    context manager — to release the workers.
-    """
-
-    def __init__(
-        self,
-        fn: EvaluationFunction,
-        objectives: ObjectiveSet,
-        n_workers: int = 4,
-        backend: str = "thread",
-        max_evaluations: Optional[int] = None,
-    ) -> None:
-        Evaluator.__init__(self, objectives)
-        self._validate_pool_args(n_workers, backend)
-        self._fn = fn
-        self.n_workers = int(n_workers)
-        self.backend = backend
-        self.max_evaluations = max_evaluations
-
-    def evaluate(self, configs: Sequence[Configuration]) -> List[MetricDict]:
-        if self._closed:
-            raise RuntimeError("this ParallelEvaluator has been closed")
-        if self.max_evaluations is not None and self._n_evaluations + len(configs) > self.max_evaluations:
-            raise EvaluationBudgetExceeded(
-                f"evaluating {len(configs)} configurations would exceed the budget of "
-                f"{self.max_evaluations} (already used {self._n_evaluations})"
-            )
-        if not configs:
-            return []
-        if self.n_workers == 1 or len(configs) == 1:
-            results = [self._check_metrics(self._fn(c)) for c in configs]
-            self._n_evaluations += len(configs)
-            return results
-        raw = list(self._get_pool().map(self._fn, configs))
-        results = [self._check_metrics(m) for m in raw]
-        self._n_evaluations += len(configs)
-        return results
-
-
 __all__ = [
     "MetricDict",
     "EvaluationFunction",
@@ -255,5 +206,4 @@ __all__ = [
     "FunctionEvaluator",
     "CachedEvaluator",
     "WorkerPoolLifecycle",
-    "ParallelEvaluator",
 ]

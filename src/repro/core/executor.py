@@ -71,6 +71,10 @@ from repro.core.transport import (
 #: executor gives up with a :class:`~repro.core.faults.WorkerCrash`.
 DEFAULT_WORKER_DEATH_RESUBMITS = 3
 
+#: How long an executor-owned broker waits for its ``workers: "local"``
+#: threads to register (the same deadline each worker has to connect).
+_LOCAL_WORKER_JOIN_S = 30.0
+
 
 def _call_evaluator(evaluator: Evaluator, config: Configuration) -> MetricDict:
     """Evaluate one configuration (module-level so process pools can pickle it)."""
@@ -197,7 +201,7 @@ class EvaluationExecutor(WorkerPoolLifecycle):
                 raise ValueError("objectives are required when wrapping a plain callable")
             self._inner = FunctionEvaluator(evaluator, objectives)
             self.objectives = objectives
-        self._validate_pool_args(n_workers, backend, allow_socket=True)
+        self._validate_pool_args(n_workers, backend)
         if backend != "socket" and (transport is not None or broker is not None):
             raise ValueError("transport/broker are only valid with backend='socket'")
         self.n_workers = int(n_workers)
@@ -335,6 +339,11 @@ class EvaluationExecutor(WorkerPoolLifecycle):
                     if spec.get("workers", "local") == "local"
                     else []
                 )
+                if threads:
+                    # Let the local workers register first, so the first
+                    # batch is spread over all of them and not left to
+                    # whichever one happened to connect first.
+                    broker.wait_for_workers(len(threads), timeout=_LOCAL_WORKER_JOIN_S)
                 self._pool = BrokerPool(broker, threads)
         return self._pool
 

@@ -24,7 +24,9 @@ provides two batched traversal kernels over it:
   composed into leaf indices via bit-plane ORs and a final value-table
   gather.  Work per node is ``pool_bits / 8`` bytes of streaming arithmetic —
   no per-sample random gathers — which is what makes surrogate inference over
-  20k–1.8M-configuration pools hardware-speed.
+  20k–1.8M-configuration pools hardware-speed.  The index holds pool-side
+  state only: every call runs the kernel over every tree of the forest it is
+  given, since each surrogate refit regrows all trees from scratch.
 
 Numerics are bit-identical to traversing each tree separately: both kernels
 resolve every sample to exactly the same leaf (the bitset comparisons reduce
@@ -34,9 +36,7 @@ values, only the batching changes.
 
 from __future__ import annotations
 
-import hashlib
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -50,26 +50,6 @@ DENSE_COLUMN_CARDINALITY = 64
 #: Pool samples per chunk in the bitset kernel.  512-byte bitset rows keep
 #: the whole per-chunk node-bitset matrix cache-resident.
 POOL_CHUNK = 4096
-
-#: Default byte budget of the per-:class:`PoolIndex` leaf-id cache keyed by
-#: tree structural hash (see :meth:`FlatForest.predict_all_indexed`).
-LEAF_CACHE_BUDGET_BYTES = 64 << 20
-
-
-def _tree_structural_hash(n_features: int, feature, threshold, left, right) -> str:
-    """Content hash of one tree's *routing* structure.
-
-    Leaf **values are deliberately excluded**: an incremental refit that only
-    folds new rows into existing leaves changes values but not which leaf a
-    pool sample lands in, so its cached leaf ids stay valid.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.int64(n_features).tobytes())
-    h.update(np.ascontiguousarray(feature, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(threshold, dtype=np.float64).tobytes())
-    h.update(np.ascontiguousarray(left, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(right, dtype=np.int64).tobytes())
-    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -108,9 +88,6 @@ class FlatForest:
     _walk_threshold: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     _levels: Tuple[np.ndarray, ...] = field(repr=False, default=())
     max_depth: int = 0
-    #: Per-tree structural hashes (routing arrays only, values excluded) —
-    #: the keys of the PoolIndex leaf-id cache.
-    tree_hashes: Tuple[str, ...] = ()
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -153,9 +130,6 @@ class FlatForest:
         right = np.concatenate(
             [np.where(p[3] >= 0, p[3] + off, -1) for p, off in zip(per_tree, roots)]
         )
-        hashes = tuple(
-            _tree_structural_hash(int(n_features), p[0], p[1], p[2], p[3]) for p in per_tree
-        )
         leaf = feature < 0
         idx = np.arange(feature.size)
         children = np.empty(2 * feature.size, dtype=np.int64)
@@ -185,7 +159,6 @@ class FlatForest:
             _walk_threshold=walk_threshold,
             _levels=tuple(levels),
             max_depth=len(levels),
-            tree_hashes=hashes,
         )
 
     @staticmethod
@@ -301,11 +274,7 @@ class FlatForest:
 
         Numerically identical to ``predict_all(index.X)`` but evaluated with
         byte-wise bitset arithmetic over the pool index instead of per-sample
-        gathers.  Per-tree leaf-id planes are cached on the index keyed by
-        each tree's structural hash, so after an incremental refit only the
-        trees whose routing actually changed re-run the kernel — and a value
-        -only leaf update re-runs nothing at all (the final value-table
-        gather always uses the current leaf values).
+        gathers.
         """
         if index.n_features != self.n_features:
             raise ValueError(
@@ -342,64 +311,27 @@ class FlatForest:
         local: np.ndarray,
         counts: np.ndarray,
     ) -> np.ndarray:
-        """Per-tree local leaf id of every pool sample: ``(n_trees, n)`` uint32.
-
-        Cached rows (tree structural hash already in ``index``) are copied
-        out of the cache; the bitset kernel runs only over the remaining
-        trees — their levels, roots and leaf bit planes are filtered down to
-        the uncached subset before any per-chunk work.
-        """
+        """Per-tree local leaf id of every pool sample: ``(n_trees, n)`` uint32."""
         n = index.n_samples
         T = self.n_trees
-        hashes = self.tree_hashes if len(self.tree_hashes) == T else self._fallback_hashes()
-        lid = np.empty((T, n), dtype=np.uint32)
-        todo: List[int] = []
-        for t in range(T):
-            cached = index.leaf_cache_get(hashes[t])
-            if cached is not None:
-                lid[t] = cached
-            else:
-                todo.append(t)
-        index.cache_hits += T - len(todo)
-        index.cache_misses += len(todo)
-        if not todo:
-            return lid
-
-        tsel = np.asarray(todo, dtype=np.int64)
-        in_sel = np.zeros(T, dtype=bool)
-        in_sel[tsel] = True
-        Ts = tsel.size
-        row_of_tree = np.full(T, -1, dtype=np.int64)
-        row_of_tree[tsel] = np.arange(Ts)
-
         P, cond = index.condition_rows(self.feature, self.threshold)
         left, right = self.left, self.right
-        # Filter the breadth-first levels to nodes of the selected trees.
-        levels: List[np.ndarray] = []
-        for par in self._levels:
-            par_tree = np.searchsorted(self.roots, par, side="right") - 1
-            par_sel = par[in_sel[par_tree]]
-            if par_sel.size:
-                levels.append(par_sel)
 
-        # Padded (tree-row, slot) gather tables per leaf-id bit plane, built
-        # over the selected trees' leaves only.
-        sel_leaf = in_sel[tree_of]
-        max_leaves_sel = int(counts[tsel].max())
-        n_bits = max(1, int(np.ceil(np.log2(max(max_leaves_sel, 2)))))
+        # Padded (tree, slot) gather tables per leaf-id bit plane.
+        n_bits = max(1, int(np.ceil(np.log2(max(int(counts.max()), 2)))))
         zero_row = self.n_nodes  # sentinel all-zero bitset row
         bit_gather: List[np.ndarray] = []
         for b in range(n_bits):
-            sel = sel_leaf & (((local >> b) & 1) == 1)
-            sub, sub_row = leaves[sel], row_of_tree[tree_of[sel]]
-            cnt = np.bincount(sub_row, minlength=Ts)
-            width = max(1, int(cnt.max()) if cnt.size else 1)
-            mat = np.full((Ts, width), zero_row, dtype=np.int64)
+            sel = ((local >> b) & 1) == 1
+            sub, sub_tree = leaves[sel], tree_of[sel]
+            cnt = np.bincount(sub_tree, minlength=T)
+            mat = np.full((T, max(1, int(cnt.max()))), zero_row, dtype=np.int64)
             pos = np.concatenate(([0], np.cumsum(cnt)))
-            slot = np.arange(sub.size) - pos[sub_row]
-            mat[sub_row, slot] = sub
+            slot = np.arange(sub.size) - pos[sub_tree]
+            mat[sub_tree, slot] = sub
             bit_gather.append(mat)
 
+        lid = np.zeros((T, n), dtype=np.uint32)
         chunk = index.chunk
         for c0 in range(0, n, chunk):
             c1 = min(c0 + chunk, n)
@@ -408,9 +340,9 @@ class FlatForest:
             # Member bitset per node, derived parent → children level by
             # level: left = parent AND condition, right = parent XOR left.
             M = np.empty((self.n_nodes + 1, cb), dtype=np.uint8)
-            M[self.roots[tsel]] = 0xFF
+            M[self.roots] = 0xFF
             M[zero_row] = 0
-            for par in levels:
+            for par in self._levels:
                 pm = M[par]
                 lm = pm & Pc[cond[par]]
                 M[left[par]] = lm
@@ -418,34 +350,11 @@ class FlatForest:
             # Compose per-sample local leaf ids from the leaf-membership
             # bit planes (leaves of one tree are disjoint, so OR-reducing
             # the padded row groups is exact).
-            part = np.zeros((Ts, c1 - c0), dtype=np.uint32)
             for b in range(n_bits):
                 plane = np.bitwise_or.reduce(M[bit_gather[b]], axis=1)
                 bits = np.unpackbits(plane, axis=1)[:, : c1 - c0]
-                part += bits.astype(np.uint32) << b
-            lid[tsel, c0:c1] = part
-
-        for t in todo:
-            index.leaf_cache_put(hashes[t], lid[t].copy())
+                lid[:, c0:c1] += bits.astype(np.uint32) << b
         return lid
-
-    def _fallback_hashes(self) -> Tuple[str, ...]:
-        """Structural hashes for forests built without them (old pickles etc.)."""
-        bounds = np.append(self.roots, self.n_nodes)
-        out = []
-        for t in range(self.n_trees):
-            s, e = int(bounds[t]), int(bounds[t + 1])
-            off = np.where(self.left[s:e] >= 0, s, 0)
-            out.append(
-                _tree_structural_hash(
-                    self.n_features,
-                    self.feature[s:e],
-                    self.threshold[s:e],
-                    self.left[s:e] - off,
-                    np.where(self.right[s:e] >= 0, self.right[s:e] - s, -1),
-                )
-            )
-        return tuple(out)
 
     def predict_indexed(self, index: "PoolIndex") -> np.ndarray:
         """Across-tree mean prediction over a pre-indexed pool."""
@@ -475,7 +384,6 @@ class PoolIndex:
         X: np.ndarray,
         max_dense_cardinality: int = DENSE_COLUMN_CARDINALITY,
         chunk: int = POOL_CHUNK,
-        leaf_cache_budget: int = LEAF_CACHE_BUDGET_BYTES,
     ) -> None:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
@@ -485,15 +393,8 @@ class PoolIndex:
         self.X = X
         self.n_samples, self.n_features = X.shape
         self.chunk = int(chunk)
-        # Leaf-id cache: tree structural hash -> (n_samples,) uint32 local
-        # leaf ids, FIFO-evicted under a byte budget.  Hit/miss counters and
-        # the cumulative kernel wall time feed the per-iteration "bitset"
+        # Cumulative kernel wall time; feeds the per-iteration "bitset"
         # timing counter.
-        self.leaf_cache_budget = int(leaf_cache_budget)
-        self._leaf_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self._leaf_cache_bytes = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.kernel_seconds = 0.0
         n_bytes = (self.n_samples + 7) // 8
         rows: List[np.ndarray] = [np.zeros((1, n_bytes), dtype=np.uint8)]  # all-false row 0
@@ -517,35 +418,6 @@ class PoolIndex:
     def n_bytes(self) -> int:
         """Packed bitset row width in bytes."""
         return (self.n_samples + 7) // 8
-
-    # -- leaf-id cache -------------------------------------------------------
-    def leaf_cache_get(self, key: str) -> Optional[np.ndarray]:
-        """Cached leaf-id plane for a tree structural hash, or ``None``."""
-        return self._leaf_cache.get(key)
-
-    def leaf_cache_put(self, key: str, leaf_ids: np.ndarray) -> None:
-        """Store one tree's leaf-id plane, FIFO-evicting past the byte budget."""
-        nb = int(leaf_ids.nbytes)
-        if nb > self.leaf_cache_budget:
-            return
-        old = self._leaf_cache.pop(key, None)
-        if old is not None:
-            self._leaf_cache_bytes -= int(old.nbytes)
-        while self._leaf_cache and self._leaf_cache_bytes + nb > self.leaf_cache_budget:
-            _, evicted = self._leaf_cache.popitem(last=False)
-            self._leaf_cache_bytes -= int(evicted.nbytes)
-        self._leaf_cache[key] = leaf_ids
-        self._leaf_cache_bytes += nb
-
-    @property
-    def leaf_cache_entries(self) -> int:
-        """Number of cached per-tree leaf-id planes."""
-        return len(self._leaf_cache)
-
-    @property
-    def leaf_cache_bytes(self) -> int:
-        """Bytes currently held by the leaf-id cache."""
-        return self._leaf_cache_bytes
 
     def condition_rows(
         self, feature: np.ndarray, threshold: np.ndarray

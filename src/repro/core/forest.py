@@ -30,14 +30,8 @@ import numpy as np
 
 from repro.core.flat_forest import FlatForest, PoolIndex
 from repro.core.tree import DecisionTreeRegressor, MaxFeatures
-from repro.core.tree_builder import (
-    MAX_BINS,
-    BinMapper,
-    _NodeArrays,
-    grow_forest_hist,
-    grow_tree_hist,
-)
-from repro.utils.rng import RandomState, derive_seed, spawn_generators
+from repro.core.tree_builder import MAX_BINS, BinMapper, grow_forest_hist
+from repro.utils.rng import RandomState, spawn_generators
 
 #: Worst-case per-level histogram scratch (bytes) above which the histogram
 #: path falls back from the single-pass forest grower to per-tree growth.
@@ -57,33 +51,6 @@ def _resolve_n_jobs(n_jobs: Optional[int], n_tasks: int) -> int:
     if n_jobs < 0:
         return max(1, min(os.cpu_count() or 1, n_tasks))
     return max(1, min(int(n_jobs), n_tasks))
-
-
-def _node_depths(na: _NodeArrays) -> np.ndarray:
-    """Per-node depth of a flat node-array tree (root = 0)."""
-    depth = np.zeros(na.feature.size, dtype=np.int64)
-    frontier = np.array([0], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        internal = frontier[na.feature[frontier] >= 0]
-        if internal.size == 0:
-            break
-        level += 1
-        frontier = np.concatenate([na.left[internal], na.right[internal]])
-        depth[frontier] = level
-    return depth
-
-
-def _node_stats(na: _NodeArrays) -> List[np.ndarray]:
-    """Reconstruct per-node (sw, swy, swy2) from stored mean/count/variance.
-
-    Exact for the integer bootstrap weight vectors the forest fits with
-    (``n_samples`` is then the exact weighted count).
-    """
-    sw = na.n_samples.astype(np.float64)
-    swy = na.value * sw
-    swy2 = (na.impurity + na.value * na.value) * sw
-    return [sw, swy, swy2]
 
 
 class RandomForestRegressor:
@@ -149,9 +116,6 @@ class RandomForestRegressor:
         self._y_train: Optional[np.ndarray] = None
         self._n_features: Optional[int] = None
         self._bin_mapper: Optional[BinMapper] = None
-        self._binned_train: Optional[np.ndarray] = None
-        self._weight_vectors: List[Optional[np.ndarray]] = []
-        self._incr: Optional[dict] = None
 
     # -- fitting ---------------------------------------------------------------
     def fit(
@@ -270,9 +234,6 @@ class RandomForestRegressor:
         self._trees = trees
         self._oob_indices = oob_indices
         self._flat = FlatForest.from_trees(trees)
-        self._binned_train = binned if hist else None
-        self._weight_vectors = weight_vectors
-        self._incr = None
         return self
 
     def _forest_grow_fits(self, n: int, d: int, mapper: BinMapper) -> bool:
@@ -281,380 +242,6 @@ class RandomForestRegressor:
         B = int(mapper.n_bins_.max())
         worst = 3 * 8 * self.n_estimators * n * d * B
         return worst <= FOREST_SCRATCH_BUDGET_BYTES
-
-    # -- incremental refit ------------------------------------------------------
-    def fit_incremental(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        *,
-        bin_mapper: Optional[BinMapper] = None,
-        prebinned: Optional[np.ndarray] = None,
-        leaf_refit_fraction: float = 0.5,
-        drift_fraction: float = 0.25,
-    ) -> "RandomForestRegressor":
-        """Refit by routing only the *appended* rows through the fitted trees.
-
-        ``(X, y)`` must extend the previous training set as a prefix (the
-        active-learning loop appends a handful of evaluations per iteration);
-        anything else — not fitted yet, exact splitter, a different mapper,
-        or a rewritten prefix — falls back to a full :meth:`fit`.
-
-        Per tree: appended rows get deterministic Poisson(1) bootstrap
-        weights (online bagging) drawn from a per-tree generator derived from
-        ``random_state``, land in their leaves via one batched flat-forest
-        traversal, and update those leaves' (weight, weight*y, weight*y^2)
-        statistics and values in place.  A leaf whose appended weight is at
-        least ``min_samples_split`` *and* exceeds ``leaf_refit_fraction`` of
-        its total is re-split by growing a subtree over its rows (the default
-        of 0.5 only re-splits leaves whose appended mass rivals what they
-        already held — smaller appends update values and leave routing to the
-        drift rule, keeping most node tables unchanged); a tree whose cumulative appended weight since its last
-        full (re)growth exceeds ``drift_fraction`` of its total — jittered by
-        a per-tree seeded factor in [0.75, 1.25) so trees stagger — is
-        regrown from scratch on a fresh bootstrap.  All subtree growths (and
-        all drift regrowths) across the whole forest are batched into one
-        :func:`~repro.core.tree_builder.grow_forest_hist` call each, so a
-        refit costs a few histogram passes no matter how many leaves moved.
-        Unchanged trees keep identical node tables, which is what the pool
-        index's structural-hash leaf cache keys on.
-
-        Results are deterministic (same seed and same call sequence give the
-        same forest) but *not* identical to a full refit — this is the
-        opt-in fast path behind the surrogate's ``refit="incremental"`` knob.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        prev_X, prev_y = self._X_train, self._y_train
-        if (
-            not self._trees
-            or self.splitter != "hist"
-            or prev_X is None
-            or prev_y is None
-            or self._bin_mapper is None
-            or self._binned_train is None
-            or (bin_mapper is not None and bin_mapper is not self._bin_mapper)
-            or X.ndim != 2
-            or X.shape[1] != self._n_features
-            or X.shape[0] != y.shape[0]
-            or X.shape[0] < prev_X.shape[0]
-            or not np.array_equal(X[: prev_X.shape[0]], prev_X)
-            or not np.array_equal(y[: prev_y.shape[0]], prev_y)
-        ):
-            return self.fit(X, y, bin_mapper=bin_mapper, prebinned=prebinned)
-        n_prev = prev_X.shape[0]
-        n_new = X.shape[0] - n_prev
-        if n_new == 0:
-            return self
-
-        mapper = self._bin_mapper
-        if prebinned is not None:
-            binned_new = np.ascontiguousarray(prebinned[n_prev:], dtype=np.uint8)
-        else:
-            binned_new = mapper.transform(X[n_prev:])
-        binned_all = np.vstack([self._binned_train, binned_new])
-        y_new = y[n_prev:]
-        n_total = X.shape[0]
-        d = X.shape[1]
-        state = self._incr if self._incr is not None else self._init_incremental_state()
-        n_feat_per_split = self._trees[0]._resolve_max_features(d)
-
-        # One batched traversal routes the appended rows through every tree.
-        leaf_new_local = self.flat.apply_all(X[n_prev:]) - self.flat.roots[:, None]
-
-        thresholds = mapper.bin_thresholds_
-        assert thresholds is not None
-        # Phase 1 folds the appended rows into every tree's bookkeeping and
-        # only *plans* structure work: drifted trees queue a full regrowth,
-        # changed leaves queue a subtree regrowth.  Phase 2 then runs each
-        # queue as one batched grow_forest_hist call (every queued subtree is
-        # a "tree" over the shared binned matrix whose weight vector masks
-        # the other leaves' rows to zero — bit-identical to growing it on the
-        # leaf's row subset).
-        nodes_of: dict = {}
-        regrow: List[Tuple[int, np.ndarray, np.ndarray]] = []  # (tree, weights, oob)
-        resplits: List[Tuple[int, int, np.ndarray, int]] = []  # (tree, leaf, weights, seed)
-        for t in range(self.n_estimators):
-            gen = state["gens"][t]
-            if self.bootstrap:
-                w_new = gen.poisson(1.0, n_new).astype(np.float64)
-            else:
-                w_new = np.ones(n_new, dtype=np.float64)
-            leaf_t = np.concatenate([state["leaf_of_row"][t], leaf_new_local[t]])
-            w_t = np.concatenate([state["W"][t], w_new])
-            state["leaf_of_row"][t] = leaf_t
-            state["W"][t] = w_t
-            state["drift_weight"][t] += float(w_new.sum())
-            total_w = float(w_t.sum())
-
-            na = self._trees[t].node_arrays
-            sw, swy, swy2 = state["stats"][t]
-            n_nodes = na.feature.size
-            added = np.bincount(leaf_new_local[t], weights=w_new, minlength=n_nodes)
-            drift_limit = drift_fraction * state["jitter"][t] * total_w
-            if state["drift_weight"][t] > drift_limit:
-                # Structure drift: regrow this tree from scratch on a fresh
-                # bootstrap drawn from its incremental stream.
-                if self.bootstrap and n_total > 1:
-                    draw = gen.integers(0, n_total, size=n_total)
-                    w_full = np.bincount(draw, minlength=n_total).astype(np.float64)
-                    oob = np.flatnonzero(w_full == 0)
-                else:
-                    w_full = np.ones(n_total, dtype=np.float64)
-                    oob = np.empty(0, dtype=np.int64)
-                regrow.append((t, w_full, oob))
-                continue
-
-            # Leaf updates: fold the appended weighted rows into their leaves.
-            dwy = np.bincount(leaf_new_local[t], weights=w_new * y_new, minlength=n_nodes)
-            dwy2 = np.bincount(
-                leaf_new_local[t], weights=w_new * y_new * y_new, minlength=n_nodes
-            )
-            touched = np.flatnonzero(added > 0)
-            sw[touched] += added[touched]
-            swy[touched] += dwy[touched]
-            swy2[touched] += dwy2[touched]
-            nodes_of[t] = self._update_leaf_values(na, touched, sw, swy, swy2)
-
-            # Queue re-splits of leaves whose histogram changed past the
-            # threshold; each draws a seed from its tree's stream so the
-            # batched growth stays deterministic per (seed, call sequence).
-            mean = swy[touched] / sw[touched]
-            sse = swy2[touched] - swy[touched] * mean
-            tol = sw[touched] * (1e-8 + 1e-5 * np.abs(mean)) ** 2
-            refit = (
-                (added[touched] >= self.min_samples_split)
-                & (added[touched] > leaf_refit_fraction * sw[touched])
-                & (sw[touched] >= self.min_samples_split)
-                & (sse > tol)
-            )
-            if self.max_depth is not None:
-                refit &= state["depths"][t][touched] < self.max_depth
-            to_refit = touched[refit]
-            if to_refit.size:
-                seeds = gen.integers(0, 2**63, size=to_refit.size)
-                for leaf, seed in zip(to_refit, seeds):
-                    w_leaf = np.where(leaf_t == leaf, w_t, 0.0)
-                    if np.any(w_leaf > 0):
-                        resplits.append((t, int(leaf), w_leaf, int(seed)))
-            if self.bootstrap:
-                new_oob = n_prev + np.flatnonzero(w_new == 0)
-                self._oob_indices[t] = np.concatenate([self._oob_indices[t], new_oob])
-
-        if regrow:
-            regrown = self._grow_batch(
-                binned_all,
-                thresholds,
-                y,
-                [w for _, w, _ in regrow],
-                [state["gens"][t] for t, _, _ in regrow],
-                self.max_depth,
-                n_feat_per_split,
-                mapper,
-            )
-            for (t, w_full, oob), nodes in zip(regrow, regrown):
-                self._trees[t].adopt_nodes(nodes, d)
-                state["stats"][t] = _node_stats(nodes)
-                state["depths"][t] = _node_depths(nodes)
-                state["leaf_of_row"][t] = DecisionTreeRegressor._apply_nodes(nodes, X)
-                state["W"][t] = w_full
-                state["drift_weight"][t] = 0.0
-                self._oob_indices[t] = oob
-
-        if resplits:
-            if self.max_depth is None:
-                subs = self._grow_batch(
-                    binned_all,
-                    thresholds,
-                    y,
-                    [w for _, _, w, _ in resplits],
-                    [np.random.default_rng(s) for _, _, _, s in resplits],
-                    None,
-                    n_feat_per_split,
-                    mapper,
-                )
-            else:
-                # Depth caps are per-leaf (remaining depth below the leaf),
-                # which the batched grower cannot express; grow one at a time.
-                subs = [
-                    grow_tree_hist(
-                        binned_all,
-                        thresholds,
-                        y,
-                        w_leaf,
-                        max_depth=self.max_depth - int(state["depths"][t][leaf]),
-                        min_samples_split=self.min_samples_split,
-                        min_samples_leaf=self.min_samples_leaf,
-                        min_impurity_decrease=self.min_impurity_decrease,
-                        n_feat_per_split=n_feat_per_split,
-                        rng=np.random.default_rng(seed),
-                    )
-                    for t, leaf, w_leaf, seed in resplits
-                ]
-            for (t, leaf, _, _), sub in zip(resplits, subs):
-                nodes_of[t] = self._splice_subtree(t, leaf, nodes_of[t], state, X, sub)
-
-        # Value-only updates mutate each tree's arrays in place; only trees
-        # whose structure changed (splices swap in fresh arrays) re-adopt.
-        structure_changed = bool(regrow)
-        for t, nodes in nodes_of.items():
-            if nodes is not self._trees[t].node_arrays:
-                self._trees[t].adopt_nodes(nodes, d)
-                structure_changed = True
-
-        self._X_train = X
-        self._y_train = y
-        self._binned_train = binned_all
-        if structure_changed or self._flat is None:
-            self._flat = FlatForest.from_trees(self._trees)
-        else:
-            # Same routing everywhere: refresh leaf values in place and keep
-            # the node table (and its structural hashes) intact.
-            self._flat.value[:] = np.concatenate(
-                [tree.node_arrays.value for tree in self._trees]
-            )
-        self._incr = state
-        return self
-
-    def _grow_batch(
-        self,
-        binned: np.ndarray,
-        thresholds,
-        y: np.ndarray,
-        weights: List[np.ndarray],
-        rngs: List,
-        max_depth: Optional[int],
-        n_feat_per_split: int,
-        mapper: BinMapper,
-    ) -> List[_NodeArrays]:
-        """Grow a batch of (sub)trees, single-pass when scratch fits the budget."""
-        assert mapper.n_bins_ is not None
-        B = int(mapper.n_bins_.max())
-        worst = 3 * 8 * len(weights) * binned.shape[0] * binned.shape[1] * B
-        common = dict(
-            max_depth=max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            min_impurity_decrease=self.min_impurity_decrease,
-            n_feat_per_split=n_feat_per_split,
-        )
-        if worst <= FOREST_SCRATCH_BUDGET_BYTES:
-            return grow_forest_hist(
-                binned, thresholds, y, weights, rngs=rngs, **common
-            )
-        return [
-            grow_tree_hist(binned, thresholds, y, w, rng=r, **common)
-            for w, r in zip(weights, rngs)
-        ]
-
-    def _init_incremental_state(self) -> dict:
-        """Lazily build the per-tree bookkeeping the first incremental call needs."""
-        assert self._X_train is not None
-        n = self._X_train.shape[0]
-        T = self.n_estimators
-        W = [
-            np.ones(n, dtype=np.float64) if wv is None else np.asarray(wv, dtype=np.float64)
-            for wv in (self._weight_vectors or [None] * T)
-        ]
-        stats = [_node_stats(tree.node_arrays) for tree in self._trees]
-        depths = [_node_depths(tree.node_arrays) for tree in self._trees]
-        leaf_global = self.flat.apply_all(self._X_train)
-        leaf_of_row = [leaf_global[t] - int(self.flat.roots[t]) for t in range(T)]
-        base = self.random_state
-        if base is None or isinstance(base, (int, np.integer)):
-            seed: RandomState = derive_seed(base, "incremental-refit")
-        else:  # non-reproducible seeds stay non-reproducible
-            seed = None
-        gens = list(spawn_generators(seed, T))
-        jitter = np.array([0.75 + 0.5 * g.random() for g in gens])
-        return {
-            "gens": gens,
-            "jitter": jitter,
-            "drift_weight": np.zeros(T, dtype=np.float64),
-            "stats": stats,
-            "depths": depths,
-            "leaf_of_row": leaf_of_row,
-            "W": W,
-        }
-
-    @staticmethod
-    def _update_leaf_values(
-        na: _NodeArrays,
-        touched: np.ndarray,
-        sw: np.ndarray,
-        swy: np.ndarray,
-        swy2: np.ndarray,
-    ) -> _NodeArrays:
-        """Recompute value/count/impurity of the touched nodes in place."""
-        mean = swy[touched] / sw[touched]
-        na.value[touched] = mean
-        na.n_samples[touched] = np.round(sw[touched]).astype(np.int64)
-        na.impurity[touched] = np.maximum(swy2[touched] / sw[touched] - mean * mean, 0.0)
-        return na
-
-    def _splice_subtree(
-        self,
-        t: int,
-        leaf: int,
-        na: _NodeArrays,
-        state: dict,
-        X_all: np.ndarray,
-        sub: _NodeArrays,
-    ) -> _NodeArrays:
-        """Replace one leaf with a freshly grown subtree (bookkeeping included)."""
-        if sub.feature.size == 1:  # the refreshed leaf did not split after all
-            return na
-        leaf_t = state["leaf_of_row"][t]
-        w_t = state["W"][t]
-        rows = np.flatnonzero((leaf_t == leaf) & (w_t > 0))
-        depth_l = int(state["depths"][t][leaf])
-        base = na.feature.size
-
-        def remap(ids: np.ndarray) -> np.ndarray:
-            # Sub-tree node 0 replaces the leaf; nodes 1.. append at `base`.
-            return np.where(ids > 0, base + ids - 1, np.where(ids == 0, leaf, -1))
-
-        feature = np.concatenate([na.feature, sub.feature[1:]])
-        threshold = np.concatenate([na.threshold, sub.threshold[1:]])
-        left = np.concatenate([na.left, remap(sub.left[1:])])
-        right = np.concatenate([na.right, remap(sub.right[1:])])
-        value = np.concatenate([na.value, sub.value[1:]])
-        n_samples = np.concatenate([na.n_samples, sub.n_samples[1:]])
-        impurity = np.concatenate([na.impurity, sub.impurity[1:]])
-        feature[leaf] = sub.feature[0]
-        threshold[leaf] = sub.threshold[0]
-        left[leaf] = remap(sub.left[:1])[0]
-        right[leaf] = remap(sub.right[:1])[0]
-        value[leaf] = sub.value[0]
-        n_samples[leaf] = sub.n_samples[0]
-        impurity[leaf] = sub.impurity[0]
-        merged = _NodeArrays(
-            feature=feature,
-            threshold=threshold,
-            left=left,
-            right=right,
-            value=value,
-            n_samples=n_samples,
-            impurity=impurity,
-        )
-        # Extend the bookkeeping: stats, depths, and row->leaf assignments.
-        sub_stats = _node_stats(sub)
-        sw, swy, swy2 = state["stats"][t]
-        for full, part in zip((sw, swy, swy2), sub_stats):
-            part0 = part[0]
-            full[leaf] = part0
-        state["stats"][t] = [
-            np.concatenate([sw, sub_stats[0][1:]]),
-            np.concatenate([swy, sub_stats[1][1:]]),
-            np.concatenate([swy2, sub_stats[2][1:]]),
-        ]
-        sub_depths = _node_depths(sub)
-        state["depths"][t] = np.concatenate(
-            [state["depths"][t], depth_l + sub_depths[1:]]
-        )
-        sub_leaf = DecisionTreeRegressor._apply_nodes(sub, X_all[rows])
-        leaf_t[rows] = np.where(sub_leaf > 0, base + sub_leaf - 1, leaf)
-        return merged
 
     # -- prediction -----------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -73,13 +73,6 @@ class HyperMapper:
     surrogate_kwargs:
         Extra keyword arguments forwarded to
         :class:`~repro.core.surrogate.MultiObjectiveSurrogate`.
-    refit:
-        ``"full"`` (default) regrows the surrogate forests from scratch every
-        iteration — histories are bit-identical to earlier releases.
-        ``"incremental"`` warm-starts each refit from the previous iteration's
-        forests, routing only the newly appended evaluations through them
-        (deterministic, but a different — much faster — trajectory).  An
-        explicit ``surrogate_kwargs["refit"]`` wins over this shorthand.
     acquisition:
         Proposal policy: an
         :class:`~repro.core.acquisition.AcquisitionStrategy` instance or a
@@ -111,7 +104,6 @@ class HyperMapper:
         max_samples_per_iteration: Optional[int] = 300,
         feasible_only: bool = True,
         surrogate_kwargs: Optional[Mapping[str, object]] = None,
-        refit: str = "full",
         sampler: Optional[Sampler] = None,
         seed: RandomState = None,
         *,
@@ -138,11 +130,7 @@ class HyperMapper:
         self.pool_size = pool_size
         self.max_samples_per_iteration = max_samples_per_iteration
         self.feasible_only = bool(feasible_only)
-        if refit not in ("full", "incremental"):
-            raise ValueError(f"refit must be 'full' or 'incremental', got {refit!r}")
         self.surrogate_kwargs = dict(surrogate_kwargs or {})
-        self.surrogate_kwargs.setdefault("refit", refit)
-        self.refit = self.surrogate_kwargs["refit"]
         self.seed = seed
         if acquisition is None:
             self.acquisition: AcquisitionStrategy = PredictedPareto(feasible_only=self.feasible_only)
@@ -236,7 +224,6 @@ def _build_hypermapper(ctx: SearchContext) -> HyperMapper:
         max_samples_per_iteration=spec.get("max_samples_per_iteration", 300),
         feasible_only=feasible_only,
         surrogate_kwargs=spec.get("surrogate"),
-        refit=spec.get("refit", "full"),
         seed=ctx.seed,
         acquisition=_acquisition_from_spec(spec.get("acquisition"), feasible_only),
         overlap_fraction=ctx.overlap_fraction,

@@ -117,14 +117,6 @@ def _expect_number(value: Any, path: str) -> float:
     return float(value)
 
 
-def _expect_choice(value: Any, path: str, choices: Sequence[str]) -> str:
-    if not isinstance(value, str) or value not in choices:
-        raise ScenarioError(
-            path, f"expected one of {', '.join(repr(c) for c in choices)}, got {value!r}"
-        )
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Section validators
 # ---------------------------------------------------------------------------
@@ -259,7 +251,6 @@ _SEARCH_FIELD_VALIDATORS = {
     "pool_size": lambda v, p: None if v is None else _expect_int(v, p, minimum=1),
     "feasible_only": _expect_bool,
     "surrogate": _expect_mapping,
-    "refit": lambda v, p: _expect_choice(v, p, ("full", "incremental")),
     "budget": lambda v, p: _expect_int(v, p, minimum=1),
     "levels": lambda v, p: _expect_int(v, p, minimum=1),
     "n_restarts": lambda v, p: _expect_int(v, p, minimum=1),
@@ -283,7 +274,6 @@ _BUILTIN_SEARCH_KEYS = {
         "pool_size",
         "feasible_only",
         "surrogate",
-        "refit",
     },
     "random": {"algorithm", "budget"},
     "grid": {"algorithm", "budget", "levels"},

@@ -39,13 +39,6 @@ class MultiObjectiveSurrogate:
         orders of magnitude across the KFusion space (Fig. 1 uses a log axis
         for the ICP threshold and the response surface), so fitting
         ``log(runtime)`` stabilizes the forest's variance-based splits.
-    refit:
-        ``"full"`` (default) regrows every forest from scratch on each fit;
-        ``"incremental"`` lets :meth:`fit_incremental` warm-start from the
-        previous forests, routing only appended rows through existing trees.
-        The default keeps optimizer histories bit-identical to earlier
-        releases; incremental mode is deterministic in its own right but
-        follows a different (faster) refit trajectory.
     random_state:
         Base seed; each objective's forest derives its own stream.
     """
@@ -62,12 +55,9 @@ class MultiObjectiveSurrogate:
         splitter: str = "hist",
         max_bins: int = MAX_BINS,
         log_objectives: Sequence[str] = (),
-        refit: str = "full",
         n_jobs: Optional[int] = None,
         random_state: RandomState = None,
     ) -> None:
-        if refit not in ("full", "incremental"):
-            raise ValueError(f"refit must be 'full' or 'incremental', got {refit!r}")
         self.space = space
         self.objectives = objectives
         self.n_estimators = n_estimators
@@ -77,7 +67,6 @@ class MultiObjectiveSurrogate:
         self.bootstrap = bootstrap
         self.splitter = splitter
         self.max_bins = max_bins
-        self.refit = refit
         self.n_jobs = n_jobs
         self.log_objectives = set(log_objectives)
         unknown = self.log_objectives - set(objectives.names)
@@ -137,41 +126,6 @@ class MultiObjectiveSurrogate:
             )
             forest.fit(X, y_fit, bin_mapper=bin_mapper, prebinned=prebinned)
             self._forests[obj.name] = forest
-        return self
-
-    def fit_incremental(
-        self,
-        X: np.ndarray,
-        metrics: Sequence[Mapping[str, float]],
-        *,
-        bin_mapper: Optional[BinMapper] = None,
-        prebinned: Optional[np.ndarray] = None,
-    ) -> "MultiObjectiveSurrogate":
-        """Warm-start refit from pre-encoded features: route only new rows.
-
-        ``X``/``metrics`` hold the *full* training set (previous rows plus the
-        iteration's appended evaluations), exactly as :meth:`fit_encoded`
-        would receive them.  Each per-objective forest delegates to
-        :meth:`RandomForestRegressor.fit_incremental`, which updates leaf
-        statistics for the appended rows, re-splits only leaves whose
-        histograms changed materially, and regrows a tree fully only on
-        structure drift.  Falls back to :meth:`fit_encoded` whenever a forest
-        cannot refit in place (not fitted yet, prefix mismatch, exact
-        splitter, or a changed bin mapper).
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != len(metrics):
-            raise ValueError("X must be (n, n_features) with one row per metric dict")
-        if len(metrics) == 0:
-            raise ValueError("cannot fit a surrogate on zero samples")
-        if not self._forests:
-            return self.fit_encoded(X, metrics, bin_mapper=bin_mapper, prebinned=prebinned)
-        for obj in self.objectives:
-            y = np.array([float(m[obj.name]) for m in metrics], dtype=np.float64)
-            y_fit = self._transform(obj.name, y)
-            self._forests[obj.name].fit_incremental(
-                X, y_fit, bin_mapper=bin_mapper, prebinned=prebinned
-            )
         return self
 
     def fit_history(self, history: History) -> "MultiObjectiveSurrogate":

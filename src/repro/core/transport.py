@@ -448,8 +448,10 @@ class EvaluationBroker:
         thread = threading.Thread(
             target=self._serve_worker, args=(conn,), name=f"broker-worker-{worker_id}", daemon=True
         )
-        self._serve_threads.append(thread)
+        # Started before it is listed: ``shutdown`` joins every listed thread,
+        # and joining one that has not started raises.
         thread.start()
+        self._serve_threads.append(thread)
 
     def _drop_conn(self, conn: _WorkerConn) -> None:
         with self._workers_changed:

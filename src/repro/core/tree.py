@@ -227,9 +227,8 @@ class DecisionTreeRegressor:
         """Adopt externally grown node arrays as this tree's fitted state.
 
         This is how :func:`~repro.core.tree_builder.grow_forest_hist` (which
-        grows all of a forest's trees in one pass) and the forest's
-        incremental refit hand finished node tables back to the per-tree
-        wrapper objects.
+        grows all of a forest's trees in one pass) hands finished node tables
+        back to the per-tree wrapper objects.
         """
         self._n_features = int(n_features)
         self._nodes = nodes

@@ -14,7 +14,10 @@ matter which backend fans the evaluations out:
 * **worker-death recovery** — a worker dying mid-evaluation is recovered
   (resubmission bounded by the :class:`FaultPolicy`, then quarantine),
 * **resume equivalence** — a killed-and-resumed study equals the
-  uninterrupted one.
+  uninterrupted one,
+* **pool lifecycle** — one worker pool serves every batch until ``close()``
+  (or leaving the context manager) releases it; a closed executor refuses
+  work.
 
 ``tests/test_executor_conformance.py`` instantiates the suite for every
 backend in :data:`BACKENDS`; ``test_engine.py`` / ``test_faults.py`` /
@@ -672,6 +675,21 @@ class ExecutorContractSuite:
         ex.close()
         with pytest.raises(RuntimeError):
             ex.submit(space.sample(1, rng=5))
+
+    def test_pool_persists_across_batches_until_close(self, backend):
+        space, objectives = make_space(), make_objectives()
+        configs = space.sample(4, rng=6)
+        expected = [toy_evaluate(c) for c in configs]
+        with make_executor(toy_evaluate, objectives, backend) as ex:
+            assert evaluate_with_deadline(ex, configs[:2]) == expected[:2]
+            pool = ex._pool
+            assert pool is not None
+            assert evaluate_with_deadline(ex, configs[2:]) == expected[2:]
+            assert ex._pool is pool  # reused, not rebuilt
+        # Leaving the context manager closed the executor and released the pool.
+        assert ex._pool is None
+        with pytest.raises(RuntimeError):
+            ex.evaluate(configs[:1])
 
 
 __all__ = [

@@ -10,18 +10,23 @@ Covers the acceptance invariants of the engine refactor:
   evaluators,
 * kill-and-resume from a mid-run checkpoint equals the uninterrupted run,
 * partial-batch budget exhaustion is deterministic and exact,
-* executor mechanics: in-flight dedup, caching, submission-order gather,
-  persistent-pool lifecycle.
+* an executor-owned socket broker has all its local workers before the
+  first batch.
+
+Executor mechanics (in-flight dedup, caching, submission-order gather,
+persistent-pool lifecycle) live in the shared backend-parametrized suite,
+``executor_conformance.ExecutorContractSuite``.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.acquisition import EpsilonGreedy, PredictedPareto, UncertaintyWeighted, make_acquisition
 from repro.core.engine import SearchDriver
-from repro.core.evaluator import CachedEvaluator, FunctionEvaluator, ParallelEvaluator
+from repro.core.evaluator import CachedEvaluator, FunctionEvaluator
 from repro.core.executor import EvaluationExecutor
 from repro.core.history import History
 from repro.core.objectives import Objective, ObjectiveSet
@@ -394,28 +399,31 @@ class TestBudgetAccounting:
             result = search_cls(toy_space, objectives, executor, seed=0).run(24)
             assert len(result.history) <= 9
 
-class TestExecutorMechanics:
-    """Executor mechanics (submission order, dedup, budgets, close) live in
-    the shared backend-parametrized suite now — see
-    ``executor_conformance.ExecutorContractSuite``.  Only the
-    :class:`ParallelEvaluator` pool lifecycle stays here."""
 
-    def test_parallel_evaluator_persistent_pool(self, toy_space, objectives):
-        evaluator = ParallelEvaluator(toy_evaluate, objectives, n_workers=2)
-        configs = toy_space.sample(4, rng=6)
-        evaluator.evaluate(configs)
-        pool_first = evaluator._pool
-        assert pool_first is not None
-        evaluator.evaluate(configs)
-        assert evaluator._pool is pool_first  # reused, not rebuilt
-        evaluator.close()
-        assert evaluator._pool is None
-        with pytest.raises(RuntimeError):
-            evaluator.evaluate(configs)
-        with pytest.raises(RuntimeError):
-            evaluator.evaluate(configs[:1])  # serial path honors close() too
-        with ParallelEvaluator(toy_evaluate, objectives, n_workers=2) as ctx:
-            assert ctx.evaluate(configs[:2]) == [toy_evaluate(c) for c in configs[:2]]
+class TestSocketPoolStartup:
+    """An executor-owned broker's ``workers: "local"`` threads register
+    before the first batch; an external fleet is not waited for."""
+
+    TRANSPORT = {"heartbeat_s": 0.5}
+
+    def test_local_workers_register_before_first_batch(self, toy_space, objectives):
+        configs = toy_space.sample(6, rng=1)
+        with EvaluationExecutor(
+            toy_evaluate, objectives, n_workers=3, backend="socket", transport=self.TRANSPORT
+        ) as ex:
+            assert ex.broker.n_workers_connected == 3
+            assert ex.evaluate(configs) == [toy_evaluate(c) for c in configs]
+            assert len(ex.broker.debug_snapshot()["workers"]) == 3
+
+    def test_external_workers_are_not_waited_for(self, objectives):
+        transport = dict(self.TRANSPORT, workers="external")
+        with EvaluationExecutor(
+            toy_evaluate, objectives, n_workers=2, backend="socket", transport=transport
+        ) as ex:
+            start = time.monotonic()
+            broker = ex.broker
+            assert time.monotonic() - start < 5.0
+            assert broker.n_workers_connected == 0
 
 
 class TestAcquisitionStrategies:

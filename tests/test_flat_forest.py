@@ -251,91 +251,57 @@ class TestBitsetKernel:
             forest.flat.predict_all_indexed(PoolIndex(Xp)), forest.predict_all_trees(Xp)
         )
 
-
-class TestLeafBitsetCache:
-    """Per-tree leaf-id planes are cached by structural hash across refits."""
-
-    def _forest_and_index(self, n_trees=8, seed=0):
+    def _forest_and_index(self, seed):
         from repro.core.flat_forest import PoolIndex
 
         Xp = _discrete_pool(600, 4, seed=seed)
         rng = np.random.default_rng(seed + 1)
         X, y = Xp[:150], rng.integers(0, 64, 150) / 16.0
-        forest = RandomForestRegressor(n_estimators=n_trees, random_state=seed).fit(X, y)
+        forest = RandomForestRegressor(n_estimators=8, random_state=seed).fit(X, y)
         return forest, PoolIndex(Xp), Xp, X, y
 
-    def test_repeat_prediction_hits_cache(self):
-        forest, index, Xp, _, _ = self._forest_and_index()
-        assert index.cache_hits == 0 and index.cache_misses == 0
-        p1 = forest.predict_indexed(index)
-        assert index.cache_misses == forest.n_estimators and index.cache_hits == 0
-        p2 = forest.predict_indexed(index)
-        assert index.cache_hits == forest.n_estimators
-        assert index.cache_misses == forest.n_estimators  # unchanged
-        np.testing.assert_array_equal(p1, p2)
-        np.testing.assert_array_equal(p1, forest.predict(Xp))
-        assert index.kernel_seconds > 0.0
-        assert index.leaf_cache_entries == forest.n_estimators
-        assert index.leaf_cache_bytes > 0
-
-    def test_structure_frozen_incremental_refit_hits_cache(self):
-        """A value-only incremental refit keeps every tree's structure, so the
-        next prediction must be all cache hits — and still exact."""
-        forest, index, Xp, X, y = self._forest_and_index(seed=3)
-        forest.predict_indexed(index)
-        hits0, misses0 = index.cache_hits, index.cache_misses
-        rng = np.random.default_rng(7)
-        Xn = _discrete_pool(6, 4, seed=9)
-        yn = rng.integers(0, 64, 6) / 16.0
-        X2, y2 = np.vstack([X, Xn]), np.concatenate([y, yn])
-        forest.fit_incremental(X2, y2, leaf_refit_fraction=10.0, drift_fraction=1e9)
-        pred = forest.predict_indexed(index)
-        assert index.cache_hits == hits0 + forest.n_estimators
-        assert index.cache_misses == misses0
-        np.testing.assert_array_equal(pred, forest.predict(Xp))
-
-    def test_full_refit_misses_cache(self):
+    def test_index_reused_across_refits_matches_walker(self):
         forest, index, Xp, X, y = self._forest_and_index(seed=5)
-        forest.predict_indexed(index)
-        misses0 = index.cache_misses
-        forest.fit(X, y[::-1].copy())  # genuinely different forest
-        pred = forest.predict_indexed(index)
-        assert index.cache_misses == misses0 + forest.n_estimators
-        np.testing.assert_array_equal(pred, forest.predict(Xp))
+        first = forest.flat.predict_all_indexed(index)
+        np.testing.assert_array_equal(first, forest.predict_all_trees(Xp))
+        forest.fit(X, y[::-1].copy())  # a genuinely different forest
+        second = forest.flat.predict_all_indexed(index)
+        assert not np.array_equal(second, first)
+        np.testing.assert_array_equal(second, forest.predict_all_trees(Xp))
 
-    def test_budget_evicts_oldest_entries(self):
+    def test_repeated_predictions_on_one_index_are_identical(self):
+        forest, index, Xp, _, _ = self._forest_and_index(seed=0)
+        first = forest.flat.predict_all_indexed(index)
+        np.testing.assert_array_equal(forest.flat.predict_all_indexed(index), first)
+        np.testing.assert_array_equal(first, forest.predict_all_trees(Xp))
+
+    def test_one_index_serves_interleaved_forests(self):
+        # Two unrelated forests, each predicted twice on one shared index:
+        # the index holds nothing of a forest between calls.
         from repro.core.flat_forest import PoolIndex
 
-        forest, _, Xp, _, _ = self._forest_and_index()
-        one_plane = 4 * Xp.shape[0]  # uint32 leaf ids per tree
-        index = PoolIndex(Xp, leaf_cache_budget=3 * one_plane)
-        forest.predict_indexed(index)
-        assert index.leaf_cache_entries <= 3
-        assert index.leaf_cache_bytes <= 3 * one_plane
-        # An over-budget single plane is simply not cached.
-        tiny = PoolIndex(Xp, leaf_cache_budget=1)
-        np.testing.assert_array_equal(
-            forest.predict_indexed(tiny), forest.predict(Xp)
-        )
-        assert tiny.leaf_cache_entries == 0
-
-    def test_mixed_cached_and_dirty_trees(self):
-        """Force a partial-miss pass: warm the cache, regrow a strict subset
-        of trees, and check the subset kernel recomputes only those."""
-        forest, index, Xp, X, y = self._forest_and_index(seed=8)
-        forest.predict_indexed(index)
-        hits0, misses0 = index.cache_hits, index.cache_misses
-        # Aggressive drift settings regrow *some* trees and freeze the rest.
+        Xp = _discrete_pool(600, 4, seed=10)
         rng = np.random.default_rng(11)
-        Xn = _discrete_pool(40, 4, seed=12)
-        yn = rng.integers(0, 64, 40) / 16.0
-        X2, y2 = np.vstack([X, Xn]), np.concatenate([y, yn])
-        forest.fit_incremental(X2, y2, leaf_refit_fraction=0.01, drift_fraction=1e9)
-        pred = forest.predict_indexed(index)
-        new_hits = index.cache_hits - hits0
-        new_misses = index.cache_misses - misses0
-        assert new_hits + new_misses == forest.n_estimators
-        np.testing.assert_array_equal(pred, forest.predict(Xp))
+        a = RandomForestRegressor(n_estimators=8, random_state=12).fit(
+            Xp[:150], rng.integers(0, 64, 150) / 16.0
+        )
+        b = RandomForestRegressor(n_estimators=5, min_samples_leaf=3, random_state=13).fit(
+            Xp[200:320], rng.uniform(size=120)
+        )
+        index = PoolIndex(Xp)
+        for forest in (a, b, a, b):
+            np.testing.assert_array_equal(
+                forest.flat.predict_all_indexed(index), forest.predict_all_trees(Xp)
+            )
+
+    def test_kernel_seconds_advance(self):
+        forest, index, _, _, _ = self._forest_and_index(seed=3)
+        assert index.kernel_seconds == 0.0
+        forest.predict_indexed(index)
+        after_one = index.kernel_seconds
+        assert after_one > 0.0
+        forest.predict_indexed(index)
+        assert index.kernel_seconds > after_one
 
 
 class TestFromNodeArraysValidation:

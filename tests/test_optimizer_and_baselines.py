@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.baselines import BanditSearch, EvolutionarySearch, GridSearch, LocalSearch, RandomSearch
-from repro.core.evaluator import (
-    CachedEvaluator,
-    EvaluationBudgetExceeded,
-    FunctionEvaluator,
-    ParallelEvaluator,
-)
+from repro.core.evaluator import CachedEvaluator, EvaluationBudgetExceeded, FunctionEvaluator
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.core.optimizer import HyperMapper
 from repro.core.parameters import BooleanParameter, OrdinalParameter, RealParameter
@@ -75,13 +70,6 @@ class TestEvaluators:
         assert len(calls) == 1
         assert r1[0] == r1[1] == r2[0]
         assert cached.is_cached(config) and cached.cache_size == 1
-
-    def test_parallel_evaluator_matches_serial(self, toy_space, toy_objectives):
-        configs = toy_space.sample(8, rng=2)
-        serial = [toy_evaluate(c) for c in configs]
-        parallel = ParallelEvaluator(toy_evaluate, toy_objectives, n_workers=4).evaluate(configs)
-        for s, p in zip(serial, parallel):
-            assert s == pytest.approx(p)
 
 
 class TestSamplers:
@@ -153,6 +141,26 @@ class TestSurrogate:
         surrogate.fit(configs, metrics)
         pred = surrogate.predict(configs)
         assert np.all(pred[:, 1] > 0)
+
+    @pytest.mark.parametrize("splitter", ["hist", "exact"])
+    def test_refit_on_grown_history_equals_fresh_fit(self, toy_space, toy_objectives, splitter):
+        # Each fit regrows both forests; the pool's one index is shared by
+        # every forest of every fit, as in an active-learning loop.
+        from repro.core.flat_forest import PoolIndex
+
+        configs = toy_space.sample(24, rng=5)
+        metrics = [toy_evaluate(c) for c in configs]
+        X_pool = toy_space.encode(toy_space.enumerate())
+        index = PoolIndex(X_pool)
+        kw = dict(n_estimators=8, splitter=splitter, random_state=5)
+        refitted = MultiObjectiveSurrogate(toy_space, toy_objectives, **kw)
+        refitted.fit(configs[:12], metrics[:12]).predict_with_std_encoded(X_pool, pool_index=index)
+        refitted.fit(configs, metrics)
+        fresh = MultiObjectiveSurrogate(toy_space, toy_objectives, **kw).fit(configs, metrics)
+        mean_r, std_r = refitted.predict_with_std_encoded(X_pool, pool_index=index)
+        mean_f, std_f = fresh.predict_with_std_encoded(X_pool)
+        np.testing.assert_array_equal(mean_r, mean_f)
+        np.testing.assert_array_equal(std_r, std_f)
 
     def test_feature_importances_keys(self, toy_space, toy_objectives):
         configs = toy_space.sample(20, rng=4)

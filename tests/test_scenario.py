@@ -277,12 +277,15 @@ class TestScenarioValidation:
         s = Scenario.from_dict(data)
         assert s.build_space() is None  # explicit space absent; workload supplies it
 
-    def test_typoed_search_knob_rejected_for_builtin_algorithm(self):
+    @pytest.mark.parametrize(
+        "key, value",
+        # A typo'd knob, and the deleted refit option with either old value.
+        [('max_iteration', 99), ('refit', 'full'), ('refit', 'incremental')],
+    )
+    def test_typoed_search_knob_rejected_for_builtin_algorithm(self, key, value):
         with pytest.raises(ScenarioError) as exc:
-            Scenario.from_dict(
-                toy_scenario_dict(search={"algorithm": "hypermapper", "max_iteration": 99})
-            )
-        assert exc.value.path == "/search/max_iteration"
+            Scenario.from_dict(toy_scenario_dict(search={"algorithm": "hypermapper", key: value}))
+        assert exc.value.path == f"/search/{key}"
 
     def test_baseline_budget_required_at_validation(self):
         with pytest.raises(ScenarioError) as exc:

@@ -165,119 +165,29 @@ class TestRandomForest:
         assert np.all(pred >= y.min() - 1e-9) and np.all(pred <= y.max() + 1e-9)
 
 
-def _integer_problem(seed, n=150, d=5):
-    """Integer features + dyadic targets: every leaf statistic is an exact
-    float64 sum, so incremental and full refits can be compared exactly."""
-    rng = np.random.default_rng(seed)
-    X = rng.integers(0, 6, size=(n, d)).astype(np.float64)
-    y = rng.integers(0, 64, size=n) / 16.0
-    return X, y
+class TestRefit:
+    """Every ``fit`` regrows the whole forest: a refitted forest keeps nothing
+    of its previous fit and equals a fresh forest grown on the same data."""
 
-
-class TestIncrementalRefit:
     _FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples", "impurity")
 
-    def _assert_forests_identical(self, a, b):
-        for ta, tb in zip(a.trees, b.trees):
+    @pytest.mark.parametrize("change", ["append", "shrink", "replace"])
+    def test_refit_equals_fresh_fit(self, change):
+        X, y = _toy_regression(n=150, seed=1, noise=0.3)
+        if change == "append":
+            Xn, yn = _toy_regression(n=12, seed=2, noise=0.3)
+            X2, y2 = np.vstack([X, Xn]), np.concatenate([y, yn])
+        elif change == "shrink":
+            X2, y2 = X[:60], y[:60]
+        else:
+            X2, y2 = _toy_regression(n=150, seed=3, noise=0.3)
+        refitted = RandomForestRegressor(n_estimators=6, random_state=4).fit(X, y).fit(X2, y2)
+        fresh = RandomForestRegressor(n_estimators=6, random_state=4).fit(X2, y2)
+        for tr, tf in zip(refitted.trees, fresh.trees):
             for name in self._FIELDS:
                 np.testing.assert_array_equal(
-                    getattr(ta.node_arrays, name), getattr(tb.node_arrays, name), err_msg=name
+                    getattr(tr.node_arrays, name), getattr(tf.node_arrays, name), err_msg=name
                 )
-
-    def test_unfitted_forest_falls_back_to_full_fit(self):
-        X, y = _integer_problem(0)
-        inc = RandomForestRegressor(n_estimators=6, random_state=1)
-        inc.fit_incremental(X, y)
-        full = RandomForestRegressor(n_estimators=6, random_state=1).fit(X, y)
-        self._assert_forests_identical(inc, full)
-
-    def test_rewritten_prefix_falls_back_to_full_fit(self):
-        X, y = _integer_problem(2)
-        inc = RandomForestRegressor(n_estimators=6, random_state=3).fit(X, y)
-        X2, y2 = _integer_problem(4)  # entirely different data, same shape
-        inc.fit_incremental(X2, y2)
-        full = RandomForestRegressor(n_estimators=6, random_state=3).fit(X2, y2)
-        self._assert_forests_identical(inc, full)
-
-    def test_shrinking_history_falls_back_to_full_fit(self):
-        X, y = _integer_problem(5)
-        inc = RandomForestRegressor(n_estimators=4, random_state=6).fit(X, y)
-        inc.fit_incremental(X[:50], y[:50])
-        full = RandomForestRegressor(n_estimators=4, random_state=6).fit(X[:50], y[:50])
-        self._assert_forests_identical(inc, full)
-
-    def test_duplicated_rows_match_full_refit_exactly(self):
-        """Appending an exact copy of the training set doubles every leaf
-        weight without changing any mean or split gain, so a (re-split- and
-        drift-frozen) incremental refit agrees with a full refit: identical
-        structure everywhere, identical statistics on the leaves (the fast
-        path leaves *internal* node statistics stale by design), identical
-        predictions bit-for-bit."""
-        X, y = _integer_problem(7, n=120)
-        X2, y2 = np.vstack([X, X]), np.concatenate([y, y])
-        kwargs = dict(
-            n_estimators=6, bootstrap=False, max_features=None,
-            min_samples_leaf=1, min_samples_split=2, random_state=8,
-        )
-        inc = RandomForestRegressor(**kwargs).fit(X, y)
-        inc.fit_incremental(X2, y2, leaf_refit_fraction=1.5, drift_fraction=1e9)
-        full = RandomForestRegressor(**kwargs).fit(X2, y2)
-        for ti, tf in zip(inc.trees, full.trees):
-            na_i, na_f = ti.node_arrays, tf.node_arrays
-            for name in ("feature", "threshold", "left", "right"):
-                np.testing.assert_array_equal(
-                    getattr(na_i, name), getattr(na_f, name), err_msg=name
-                )
-            leaves = na_f.feature == -1
-            for name in ("value", "n_samples", "impurity"):
-                np.testing.assert_array_equal(
-                    getattr(na_i, name)[leaves], getattr(na_f, name)[leaves], err_msg=name
-                )
-        np.testing.assert_array_equal(inc.predict(X2), full.predict(X2))
-
-    def test_leaf_values_are_exact_means_after_frozen_append(self):
-        """With unit weights and structure frozen, every refitted leaf value
-        must equal the exact mean of all training rows routed to it."""
-        X, y = _integer_problem(9, n=140)
-        Xn, yn = _integer_problem(10, n=10)
-        X2, y2 = np.vstack([X, Xn]), np.concatenate([y, yn])
-        forest = RandomForestRegressor(
-            n_estimators=5, bootstrap=False, random_state=11
-        ).fit(X, y)
-        structure_before = [t.node_arrays.feature.copy() for t in forest.trees]
-        forest.fit_incremental(X2, y2, leaf_refit_fraction=10.0, drift_fraction=1e9)
-        for tree, feat_before in zip(forest.trees, structure_before):
-            na = tree.node_arrays
-            np.testing.assert_array_equal(na.feature, feat_before)  # frozen
-            leaf_of_row = DecisionTreeRegressor._apply_nodes(na, X2)
-            for leaf in np.flatnonzero(na.feature == -1):
-                rows = leaf_of_row == leaf
-                if np.any(rows):
-                    assert na.value[leaf] == np.mean(y2[rows])
-                    assert na.n_samples[leaf] == int(rows.sum())
-
-    def test_incremental_is_deterministic(self):
-        X, y = _integer_problem(12)
-        Xn, yn = _integer_problem(13, n=8)
-        X2, y2 = np.vstack([X, Xn]), np.concatenate([y, yn])
-        runs = []
-        for _ in range(2):
-            f = RandomForestRegressor(n_estimators=8, random_state=14).fit(X, y)
-            f.fit_incremental(X2, y2)
-            runs.append(f)
-        self._assert_forests_identical(runs[0], runs[1])
-
-    def test_repeated_appends_keep_predicting_sensibly(self):
-        X, y = _integer_problem(15, n=100)
-        forest = RandomForestRegressor(n_estimators=8, random_state=16).fit(X, y)
-        rng = np.random.default_rng(17)
-        for _ in range(6):
-            Xn = rng.integers(0, 6, size=(5, X.shape[1])).astype(np.float64)
-            yn = rng.integers(0, 64, size=5) / 16.0
-            X, y = np.vstack([X, Xn]), np.concatenate([y, yn])
-            forest.fit_incremental(X, y)
-        pred = forest.predict(X)
-        assert pred.shape == (X.shape[0],)
-        assert y.min() <= pred.min() and pred.max() <= y.max()
-        # The flat forest was refreshed along the way.
-        np.testing.assert_array_equal(forest.flat.predict_all(X).mean(axis=0), forest.predict(X))
+        np.testing.assert_array_equal(refitted.flat.predict_all(X2), fresh.flat.predict_all(X2))
+        np.testing.assert_array_equal(refitted.predict_with_std(X2), fresh.predict_with_std(X2))
+        assert refitted.oob_error() == fresh.oob_error()
