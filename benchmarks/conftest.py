@@ -21,9 +21,12 @@ from pathlib import Path
 
 import pytest
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+# ``src`` for the package; ``tests`` for the reference implementations in
+# ``tests/oracles.py`` that the fit benchmarks time as their baselines.
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for _path in (os.path.join(_ROOT, "tests"), os.path.join(_ROOT, "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from repro.experiments import MEDIUM, SMALL, SMOKE  # noqa: E402
 

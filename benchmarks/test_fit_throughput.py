@@ -4,7 +4,8 @@ PR 1 moved surrogate inference onto the flat-forest kernels, which left tree
 *fitting* as the hot path of every active-learning iteration (both forests
 are refitted from scratch each round).  This benchmark measures the
 model-side cost of one refit — two 32-tree forests on the evaluated history —
-for the exact sort-based splitter (the seed path) against the
+for the exact sort-based splitter (the seed path, kept in ``tests/oracles.py``
+and fitted with the surrogate's seeds and bootstrap draws) against the
 histogram-binned frontier-batched engine fed by the pool's cached
 quantization, plus the columnar enumeration+encoding throughput of the
 paper's 1.8M-configuration crowd-scale KFusion space.  Results are recorded
@@ -17,12 +18,14 @@ import time
 
 import numpy as np
 
+from oracles import exact_forest, predict_trees_reference
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.core.parameters import BooleanParameter, CategoricalParameter, OrdinalParameter
 from repro.core.sampling import build_encoded_pool
 from repro.core.space import Configuration, DesignSpace
 from repro.core.surrogate import MultiObjectiveSurrogate
 from repro.slambench.parameters import kfusion_design_space
+from repro.utils.rng import derive_seed
 from repro.utils.serialization import dump_json
 from repro.utils.tables import format_table
 
@@ -68,14 +71,31 @@ def _measure_fit(space, objectives, n_train, pool_size, seed):
     X_train = pool.rows_for(space, train)
     metrics = _synthetic_metrics(X_train, rng)
 
-    exact = MultiObjectiveSurrogate(
-        space, objectives, n_estimators=N_TREES, splitter="exact", random_state=seed
-    )
-    hist = MultiObjectiveSurrogate(
-        space, objectives, n_estimators=N_TREES, splitter="hist", random_state=seed
-    )
+    hist = MultiObjectiveSurrogate(space, objectives, n_estimators=N_TREES, random_state=seed)
+    exact = {}
+
+    def fit_exact():
+        # Each objective's forest with the surrogate's hyper-parameters and
+        # seed, so every exact tree sees its hist twin's bootstrap resample.
+        for obj in objectives:
+            exact[obj.name] = exact_forest(
+                X_train,
+                [m[obj.name] for m in metrics],
+                n_estimators=hist.n_estimators,
+                max_depth=hist.max_depth,
+                min_samples_leaf=hist.min_samples_leaf,
+                max_features=hist.max_features,
+                bootstrap=hist.bootstrap,
+                random_state=derive_seed(seed, obj.name),
+            )
+
+    def predict_exact(X):
+        return np.column_stack(
+            [predict_trees_reference(exact[obj.name], X).mean(axis=0) for obj in objectives]
+        )
+
     prebinned = pool.binned_rows_for(space, train)
-    t_exact = _timed(lambda: exact.fit_encoded(X_train, metrics))
+    t_exact = _timed(fit_exact)
     t_hist = _timed(
         lambda: hist.fit_encoded(
             X_train, metrics, bin_mapper=pool.bin_mapper, prebinned=prebinned
@@ -88,8 +108,8 @@ def _measure_fit(space, objectives, n_train, pool_size, seed):
     X_hold = pool.X[holdout_idx]
     hold_metrics = _synthetic_metrics(X_hold, np.random.default_rng(seed + 1))
     r2 = {}
-    for name, surrogate in (("exact", exact), ("hist", hist)):
-        pred = surrogate.predict_encoded(X_hold)
+    for name, predict in (("exact", predict_exact), ("hist", hist.predict_encoded)):
+        pred = predict(X_hold)
         for j, obj in enumerate(objectives):
             truth = np.array([m[obj.name] for m in hold_metrics])
             ss_res = float(np.sum((truth - pred[:, j]) ** 2))

@@ -3,8 +3,10 @@
 Every active-learning iteration regrows both surrogate forests from scratch.
 This benchmark guards the grower that makes that refit fast:
 ``grow_forest_hist`` grows all 32 trees of a forest level-synchronously in
-one histogram pass, measured against the per-tree hist path (same
-arithmetic, bit-identical forests) on the two-32-tree acceptance config.
+one histogram pass, measured against growing the same trees one at a time
+with the per-tree hist oracle of ``tests/oracles.py`` (same arithmetic,
+same seeds and bootstrap draws, bit-identical forests) on the two-32-tree
+acceptance config.
 Results are recorded to ``refit_throughput.json`` in the ``results_dir``
 fixture (``benchmarks/results/`` under ``REPRO_BENCH_WRITE=1``); the
 committed copy in ``benchmarks/results/`` is the regression baseline (each
@@ -18,12 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-import repro.core.forest as forest_mod
+from oracles import per_tree_hist_forest
+from repro.core.flat_forest import FlatForest
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.core.parameters import BooleanParameter, CategoricalParameter, OrdinalParameter
 from repro.core.sampling import build_encoded_pool
 from repro.core.space import DesignSpace
 from repro.core.surrogate import MultiObjectiveSurrogate
+from repro.utils.rng import derive_seed
 from repro.utils.serialization import dump_json
 from repro.utils.tables import format_table
 
@@ -72,31 +76,44 @@ def _training_slice(space, pool, n, rng):
 
 
 def _measure_forest_level(space, objectives, n_train, pool_size, seed):
-    """Batched ``grow_forest_hist`` vs the per-tree hist path, same refit."""
+    """Batched ``grow_forest_hist`` vs the per-tree hist oracle, same refit."""
     rng = np.random.default_rng(seed)
     pool = build_encoded_pool(space, pool_size, rng=rng)
     X_train, prebinned = _training_slice(space, pool, n_train, rng)
     metrics = _synthetic_metrics(X_train, rng)
 
-    def fit(surrogate):
-        surrogate.fit_encoded(
+    batched = MultiObjectiveSurrogate(space, objectives, n_estimators=N_TREES, random_state=seed)
+    per_tree = {}
+
+    def fit_per_tree():
+        # Each objective's forest with the surrogate's hyper-parameters and
+        # seed, grown one tree at a time on the same binned rows.
+        for obj in objectives:
+            nodes = per_tree_hist_forest(
+                prebinned,
+                pool.bin_mapper.bin_thresholds_,
+                np.array([m[obj.name] for m in metrics]),
+                n_estimators=batched.n_estimators,
+                random_state=derive_seed(seed, obj.name),
+                bootstrap=batched.bootstrap,
+                max_features=batched.max_features,
+                max_depth=batched.max_depth,
+                min_samples_leaf=batched.min_samples_leaf,
+            )
+            per_tree[obj.name] = FlatForest.from_node_arrays(nodes, X_train.shape[1])
+
+    t_batched = _timed(
+        lambda: batched.fit_encoded(
             X_train, metrics, bin_mapper=pool.bin_mapper, prebinned=prebinned
         )
-
-    batched = MultiObjectiveSurrogate(space, objectives, n_estimators=N_TREES, random_state=seed)
-    per_tree = MultiObjectiveSurrogate(space, objectives, n_estimators=N_TREES, random_state=seed)
-    t_batched = _timed(lambda: fit(batched))
-    saved = forest_mod.FOREST_SCRATCH_BUDGET_BYTES
-    forest_mod.FOREST_SCRATCH_BUDGET_BYTES = 0  # force the per-tree fallback
-    try:
-        t_per_tree = _timed(lambda: fit(per_tree))
-    finally:
-        forest_mod.FOREST_SCRATCH_BUDGET_BYTES = saved
+    )
+    t_per_tree = _timed(fit_per_tree)
     # The two paths are the same arithmetic in a different loop order; the
     # speedup must never come at the cost of a single differing prediction.
     probe = pool.X[: min(2000, len(pool))]
     np.testing.assert_array_equal(
-        batched.predict_encoded(probe), per_tree.predict_encoded(probe)
+        batched.predict_encoded(probe),
+        np.column_stack([per_tree[obj.name].predict(probe) for obj in objectives]),
     )
     return {
         "n_train": n_train,

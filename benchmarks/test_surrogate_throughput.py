@@ -14,7 +14,8 @@ import time
 
 import numpy as np
 
-from repro.core.flat_forest import PoolIndex, predict_trees_reference
+from oracles import predict_trees_reference
+from repro.core.flat_forest import PoolIndex
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.core.parameters import BooleanParameter, CategoricalParameter, OrdinalParameter
 from repro.core.space import DesignSpace

@@ -23,7 +23,7 @@ import json
 import os
 import tempfile
 
-from repro.client import ServiceClient
+from repro.core.client import ServiceClient
 from repro.core.server import start_server
 from repro.core.service import OptimizationService, TenantQuota
 from repro.core.study import Study

@@ -132,15 +132,11 @@ class _SurrogateAcquisition(AcquisitionStrategy):
         train_configs = [r.config for r in records]
         with state.timer.lap("encode"):
             X_train = encoded_pool.rows_for(state.space, train_configs)
-            if surrogate.splitter == "hist" and surrogate.max_bins == encoded_pool.bin_mapper.max_bins:
-                # Share the pool's one-time quantization with every forest of
-                # every refit: training rows are uint8 gathers from the cached
-                # binned pool matrix.
-                bin_mapper = encoded_pool.bin_mapper
-                prebinned = encoded_pool.binned_rows_for(state.space, train_configs)
-            else:
-                bin_mapper = None
-                prebinned = None
+            # Share the pool's one-time quantization with every forest of
+            # every refit: training rows are uint8 gathers from the cached
+            # binned pool matrix.
+            bin_mapper = encoded_pool.bin_mapper
+            prebinned = encoded_pool.binned_rows_for(state.space, train_configs)
         metrics = [r.metrics for r in records]
         with state.timer.lap("fit"):
             surrogate.fit_encoded(X_train, metrics, bin_mapper=bin_mapper, prebinned=prebinned)

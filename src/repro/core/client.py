@@ -1,10 +1,9 @@
 """Thin stdlib client for the live optimization service.
 
 :class:`ServiceClient` speaks the JSON API of :mod:`repro.core.server`
-over ``urllib.request`` — no third-party HTTP stack — and is re-exported
-as :mod:`repro.client` for the short import spelling::
+over ``urllib.request`` — no third-party HTTP stack::
 
-    from repro.client import ServiceClient
+    from repro.core.client import ServiceClient
 
     client = ServiceClient("http://127.0.0.1:8765")
     study_id = client.submit(scenario, tenant="alice", priority=5)

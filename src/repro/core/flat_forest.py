@@ -450,16 +450,4 @@ class PoolIndex:
         return self._P, cond
 
 
-def predict_trees_reference(trees: Sequence[object], X: np.ndarray) -> np.ndarray:
-    """Per-tree predictions via the straightforward per-tree loop.
-
-    Kept as the ground-truth implementation the flat engine is tested against
-    (the seed's ``predict_all_trees`` behaviour).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X.reshape(1, -1)
-    return np.stack([t.predict(X) for t in trees], axis=0)
-
-
-__all__ = ["FlatForest", "PoolIndex", "predict_trees_reference"]
+__all__ = ["FlatForest", "PoolIndex"]

@@ -12,45 +12,36 @@ table; all batch prediction (``predict`` / ``predict_with_std`` /
 ``predict_all_trees`` / ``oob_error``) traverses that table in one vectorized
 pass instead of looping over trees in Python.
 
-Fitting runs on the histogram engine by default (``splitter="hist"``): the
-feature matrix is quantized once by a shared
-:class:`~repro.core.tree_builder.BinMapper` (callers owning a static pool can
-pass their own mapper and pre-binned rows so nothing is re-quantized across
-refits), and bootstrap resamples are per-row integer weight vectors over that
-single binned matrix instead of materialized row copies — out-of-bag rows are
-simply the rows whose weight is zero.
+Fitting has one path.  The feature matrix is quantized once by a shared
+:class:`~repro.core.tree_builder.BinMapper` (callers owning a static pool
+can pass their own mapper and pre-binned rows so nothing is re-quantized
+across refits), and bootstrap resamples are per-row integer weight vectors
+over that single binned matrix instead of materialized row copies —
+out-of-bag rows are simply the rows whose weight is zero.  All trees then
+grow together through :func:`~repro.core.tree_builder.grow_forest_hist`, in
+consecutive slices of trees when one call would exceed
+:data:`FOREST_SCRATCH_BUDGET_BYTES`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.flat_forest import FlatForest, PoolIndex
 from repro.core.tree import DecisionTreeRegressor, MaxFeatures
-from repro.core.tree_builder import MAX_BINS, BinMapper, grow_forest_hist
+from repro.core.tree_builder import BinMapper, grow_forest_hist
 from repro.utils.rng import RandomState, spawn_generators
 
-#: Worst-case per-level histogram scratch (bytes) above which the histogram
-#: path falls back from the single-pass forest grower to per-tree growth.
-#: The forest grower's level scratch is 3 statistics x 8 bytes x (frontier
-#: slots <= n_trees * n_rows) x n_features x max observed bins; design-space
-#: refits (hundreds of rows, tiny bin alphabets) sit orders of magnitude
-#: below this, huge exports stay on the threaded per-tree path.  Both paths
-#: produce bit-identical trees.
+#: Worst-case per-level histogram scratch (bytes) of one grower call.  A
+#: call's level scratch is 3 statistics x 8 bytes x (frontier slots <=
+#: trees * rows) x features x max observed bins, so ``fit`` grows the forest
+#: in consecutive slices of as many trees as fit this budget (at least one).
+#: Design-space refits sit orders of magnitude below it and grow in one
+#: slice.  Each tree owns its generator and weight vector, so slicing never
+#: changes a tree.
 FOREST_SCRATCH_BUDGET_BYTES = 512 << 20
-
-
-def _resolve_n_jobs(n_jobs: Optional[int], n_tasks: int) -> int:
-    import os
-
-    if n_jobs is None:
-        return 1
-    if n_jobs < 0:
-        return max(1, min(os.cpu_count() or 1, n_tasks))
-    return max(1, min(int(n_jobs), n_tasks))
 
 
 class RandomForestRegressor:
@@ -65,17 +56,6 @@ class RandomForestRegressor:
         Passed to each :class:`~repro.core.tree.DecisionTreeRegressor`.
     bootstrap:
         Whether each tree trains on a bootstrap resample of the data.
-    splitter:
-        Split engine passed to every tree: ``"hist"`` (default, binned
-        weight-vector fitting) or ``"exact"`` (reference sort-based search
-        on materialized resamples).
-    max_bins:
-        Per-feature bin budget for the histogram engine.
-    n_jobs:
-        Trees fitted concurrently (``None``/1 serial, ``-1`` one worker per
-        core).  Threads suffice: split search is NumPy-heavy and releases the
-        GIL.  Results are identical for any ``n_jobs`` because every tree owns
-        an independent, pre-spawned generator.
     random_state:
         Seed for bootstrap draws and feature subsampling.
     """
@@ -89,15 +69,10 @@ class RandomForestRegressor:
         max_features: MaxFeatures = 0.75,
         min_impurity_decrease: float = 0.0,
         bootstrap: bool = True,
-        splitter: str = "hist",
-        max_bins: int = MAX_BINS,
-        n_jobs: Optional[int] = None,
         random_state: RandomState = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        if splitter not in ("hist", "exact"):
-            raise ValueError(f"splitter must be 'hist' or 'exact', got {splitter!r}")
         self.n_estimators = int(n_estimators)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -105,9 +80,6 @@ class RandomForestRegressor:
         self.max_features = max_features
         self.min_impurity_decrease = min_impurity_decrease
         self.bootstrap = bool(bootstrap)
-        self.splitter = splitter
-        self.max_bins = int(max_bins)
-        self.n_jobs = n_jobs
         self.random_state = random_state
         self._trees: List[DecisionTreeRegressor] = []
         self._oob_indices: List[np.ndarray] = []
@@ -128,7 +100,7 @@ class RandomForestRegressor:
     ) -> "RandomForestRegressor":
         """Fit the forest on features ``X`` and targets ``y``.
 
-        ``bin_mapper`` (histogram splitter only) supplies a pre-fitted
+        ``bin_mapper`` supplies a pre-fitted
         :class:`~repro.core.tree_builder.BinMapper` — typically the one cached
         on the active-learning run's encoded pool — and ``prebinned`` the
         matching bin-index rows for ``X``, so repeated refits across
@@ -144,41 +116,30 @@ class RandomForestRegressor:
             raise ValueError("cannot fit a forest on an empty dataset")
         if prebinned is not None and bin_mapper is None:
             raise ValueError("prebinned rows require the bin_mapper that produced them")
-        n = X.shape[0]
-        self._n_features = X.shape[1]
+        n, d = X.shape
+        mapper = bin_mapper if bin_mapper is not None else BinMapper().fit(X)
+        binned = prebinned if prebinned is not None else mapper.transform(X)
+        binned = np.ascontiguousarray(binned, dtype=np.uint8)
+        if binned.shape != X.shape:
+            raise ValueError("prebinned must have the same shape as X")
+        self._n_features = d
         self._X_train = X
         self._y_train = y
+        self._bin_mapper = mapper
         rngs = spawn_generators(self.random_state, self.n_estimators)
-        all_idx = np.arange(n)
 
-        hist = self.splitter == "hist"
-        if hist:
-            mapper = bin_mapper if bin_mapper is not None else BinMapper(self.max_bins).fit(X)
-            binned = prebinned if prebinned is not None else mapper.transform(X)
-            binned = np.ascontiguousarray(binned, dtype=np.uint8)
-            if binned.shape != X.shape:
-                raise ValueError("prebinned must have the same shape as X")
-            self._bin_mapper = mapper
-        else:
-            self._bin_mapper = None
-
-        # Draw every bootstrap resample up front (cheap, and keeps the draw
-        # order independent of the fitting schedule).  The histogram engine
-        # represents each resample as an integer per-row weight vector over
-        # the one shared binned matrix; out-of-bag rows are weight == 0.
-        sample_indices: List[np.ndarray] = []
+        # Draw every bootstrap resample up front: each is an integer per-row
+        # weight vector over the one shared binned matrix, and out-of-bag
+        # rows are weight == 0.
         weight_vectors: List[Optional[np.ndarray]] = []
         oob_indices: List[np.ndarray] = []
         for rng in rngs:
             if self.bootstrap and n > 1:
-                sample_idx = rng.integers(0, n, size=n)
-                weights = np.bincount(sample_idx, minlength=n)
+                weights = np.bincount(rng.integers(0, n, size=n), minlength=n)
                 oob = np.flatnonzero(weights == 0)
             else:
-                sample_idx = all_idx
                 weights = None
                 oob = np.empty(0, dtype=np.int64)
-            sample_indices.append(sample_idx)
             weight_vectors.append(weights)
             oob_indices.append(oob)
 
@@ -189,59 +150,39 @@ class RandomForestRegressor:
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
                 min_impurity_decrease=self.min_impurity_decrease,
-                splitter=self.splitter,
-                max_bins=self.max_bins,
-                random_state=rngs[t],
+                random_state=rng,
             )
-            for t in range(self.n_estimators)
+            for rng in rngs
         ]
-
-        if hist and self._forest_grow_fits(n, X.shape[1], mapper):
-            # Single-pass path: one frontier over (tree, node) pairs, one
-            # histogram scan per level for the whole forest.  Bit-identical
-            # to the per-tree path below (equivalence-tested).
+        n_feat_per_split = trees[0]._resolve_max_features(d)
+        step = self._trees_per_slice(n, d, mapper)
+        for start in range(0, self.n_estimators, step):
+            stop = start + step
             node_arrays = grow_forest_hist(
                 binned,
                 mapper.bin_thresholds_,
                 y,
-                weight_vectors,
+                weight_vectors[start:stop],
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
                 min_impurity_decrease=self.min_impurity_decrease,
-                n_feat_per_split=trees[0]._resolve_max_features(X.shape[1]),
-                rngs=rngs,
+                n_feat_per_split=n_feat_per_split,
+                rngs=rngs[start:stop],
             )
-            for tree, na in zip(trees, node_arrays):
-                tree.adopt_nodes(na, X.shape[1])
-        else:
-
-            def fit_one(t: int) -> DecisionTreeRegressor:
-                tree = trees[t]
-                if hist:
-                    return tree.fit_binned(
-                        binned, y, mapper.bin_thresholds_, sample_weight=weight_vectors[t]
-                    )
-                return tree.fit(X[sample_indices[t]], y[sample_indices[t]])
-
-            workers = _resolve_n_jobs(self.n_jobs, self.n_estimators)
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    trees = list(pool.map(fit_one, range(self.n_estimators)))
-            else:
-                trees = [fit_one(t) for t in range(self.n_estimators)]
+            for tree, nodes in zip(trees[start:stop], node_arrays):
+                tree.adopt_nodes(nodes, d)
 
         self._trees = trees
         self._oob_indices = oob_indices
         self._flat = FlatForest.from_trees(trees)
         return self
 
-    def _forest_grow_fits(self, n: int, d: int, mapper: BinMapper) -> bool:
-        """Whether the single-pass forest grower's scratch fits the budget."""
+    def _trees_per_slice(self, n: int, d: int, mapper: BinMapper) -> int:
+        """Most trees one grower call may hold within the scratch budget (>= 1)."""
         assert mapper.n_bins_ is not None
-        B = int(mapper.n_bins_.max())
-        worst = 3 * 8 * self.n_estimators * n * d * B
-        return worst <= FOREST_SCRATCH_BUDGET_BYTES
+        per_tree = 3 * 8 * n * d * int(mapper.n_bins_.max())
+        return max(1, FOREST_SCRATCH_BUDGET_BYTES // per_tree)
 
     # -- prediction -----------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -325,9 +266,10 @@ class RandomForestRegressor:
         return self._flat
 
     @property
-    def bin_mapper(self) -> Optional[BinMapper]:
-        """The bin mapper used by the histogram engine (``None`` for exact)."""
+    def bin_mapper(self) -> BinMapper:
+        """The bin mapper the trees were grown on."""
         self._require_fitted()
+        assert self._bin_mapper is not None
         return self._bin_mapper
 
     @property

@@ -24,6 +24,7 @@ registrations become valid scenario values without touching this module.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
@@ -38,6 +39,7 @@ from repro.core.registry import (
     UnknownPluginError,
 )
 from repro.core.space import DesignSpace
+from repro.core.surrogate import MultiObjectiveSurrogate
 
 #: Version of the scenario wire format accepted by this code.
 SCENARIO_VERSION = 1
@@ -242,6 +244,26 @@ def _validate_acquisition(value: Any, path: str) -> Union[str, Dict[str, Any]]:
     return out
 
 
+#: Keys of ``search.surrogate``: the surrogate constructor's knobs, minus
+#: what the search builder supplies itself (space, objectives and seed).
+_SURROGATE_KEYS = tuple(
+    name
+    for name in inspect.signature(MultiObjectiveSurrogate).parameters
+    if name not in ("space", "objectives", "random_state")
+)
+
+
+def _validate_surrogate(value: Any, path: str) -> Dict[str, Any]:
+    spec = _expect_mapping(value, path)
+    unknown = [k for k in spec if k not in _SURROGATE_KEYS]
+    if unknown:
+        raise ScenarioError(
+            f"{path}/{unknown[0]}",
+            f"unknown surrogate key (accepted: {', '.join(sorted(_SURROGATE_KEYS))})",
+        )
+    return spec
+
+
 #: Generic search-section knobs with their validators.  Algorithm-specific
 #: keys beyond these are passed through to the registered builder untouched.
 _SEARCH_FIELD_VALIDATORS = {
@@ -250,7 +272,7 @@ _SEARCH_FIELD_VALIDATORS = {
     "max_samples_per_iteration": lambda v, p: None if v is None else _expect_int(v, p, minimum=1),
     "pool_size": lambda v, p: None if v is None else _expect_int(v, p, minimum=1),
     "feasible_only": _expect_bool,
-    "surrogate": _expect_mapping,
+    "surrogate": _validate_surrogate,
     "budget": lambda v, p: _expect_int(v, p, minimum=1),
     "levels": lambda v, p: _expect_int(v, p, minimum=1),
     "n_restarts": lambda v, p: _expect_int(v, p, minimum=1),

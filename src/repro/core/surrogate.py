@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.flat_forest import PoolIndex
 from repro.core.forest import RandomForestRegressor
 from repro.core.history import History
-from repro.core.tree_builder import MAX_BINS, BinMapper
+from repro.core.tree_builder import BinMapper
 from repro.core.objectives import ObjectiveSet
 from repro.core.pareto import pareto_mask
 from repro.core.space import Configuration, DesignSpace
@@ -52,10 +52,7 @@ class MultiObjectiveSurrogate:
         min_samples_leaf: int = 2,
         max_features=0.75,
         bootstrap: bool = True,
-        splitter: str = "hist",
-        max_bins: int = MAX_BINS,
         log_objectives: Sequence[str] = (),
-        n_jobs: Optional[int] = None,
         random_state: RandomState = None,
     ) -> None:
         self.space = space
@@ -65,9 +62,6 @@ class MultiObjectiveSurrogate:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.bootstrap = bootstrap
-        self.splitter = splitter
-        self.max_bins = max_bins
-        self.n_jobs = n_jobs
         self.log_objectives = set(log_objectives)
         unknown = self.log_objectives - set(objectives.names)
         if unknown:
@@ -96,18 +90,18 @@ class MultiObjectiveSurrogate:
 
         The active-learning loop keeps one encoded copy of the configuration
         pool and fits from row views of it, so configurations are never
-        re-encoded across iterations.  ``bin_mapper``/``prebinned`` (histogram
-        splitter) additionally share the pool's cached quantization across
-        every forest of every refit, so nothing is re-binned either.
+        re-encoded across iterations.  ``bin_mapper``/``prebinned``
+        additionally share the pool's cached quantization across every
+        forest of every refit, so nothing is re-binned either.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] != len(metrics):
             raise ValueError("X must be (n, n_features) with one row per metric dict")
         if len(metrics) == 0:
             raise ValueError("cannot fit a surrogate on zero samples")
-        if bin_mapper is None and prebinned is None and self.splitter == "hist":
+        if bin_mapper is None and prebinned is None:
             # Derive the quantization once here rather than once per forest.
-            bin_mapper = BinMapper(self.max_bins).fit(X)
+            bin_mapper = BinMapper().fit(X)
             prebinned = bin_mapper.transform(X)
         self._forests = {}
         for obj in self.objectives:
@@ -119,9 +113,6 @@ class MultiObjectiveSurrogate:
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
                 bootstrap=self.bootstrap,
-                splitter=self.splitter,
-                max_bins=self.max_bins,
-                n_jobs=self.n_jobs,
                 random_state=derive_seed(self.random_state, obj.name),
             )
             forest.fit(X, y_fit, bin_mapper=bin_mapper, prebinned=prebinned)

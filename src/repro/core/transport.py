@@ -272,6 +272,12 @@ class EvaluationBroker:
             self._closing = True
             conns = list(self._conns.values())
         if self._listener is not None:
+            # Closing a listening socket does not wake a thread blocked in
+            # accept() on Linux; shutting it down first does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

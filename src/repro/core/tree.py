@@ -1,30 +1,28 @@
 """CART regression tree built from scratch on NumPy.
 
 HyperMapper fits one randomized decision forest per objective; the forest in
-:mod:`repro.core.forest` bags these trees.  Two split engines are available:
+:mod:`repro.core.forest` bags these trees.  Trees grow on the histogram
+engine of :mod:`repro.core.tree_builder`: features are quantized into at
+most 255 ``uint8`` bins, and
+:func:`~repro.core.tree_builder.grow_forest_hist` grows the tree
+breadth-first with cumulative bin-statistic split scans.
+:meth:`DecisionTreeRegressor.fit` grows one tree as a forest of one; the
+forest grows its trees together through the same function and hands each
+tree its node table through :meth:`DecisionTreeRegressor.adopt_nodes`.
 
-* ``splitter="hist"`` (default) — the histogram-binned, frontier-batched
-  engine of :mod:`repro.core.tree_builder`: features are quantized into at
-  most 255 ``uint8`` bins once, split search is cumulative bin-statistic
-  scans vectorized across all features of all frontier nodes, and bootstrap
-  resamples are per-row weight vectors.
-* ``splitter="exact"`` — the original per-node ``argsort`` split search,
-  kept as the bit-exact reference implementation.
-
-Prediction walks all samples level-by-level with array gathers regardless of
-how the tree was fitted (both engines emit the same flat node arrays with
-ordinary float thresholds).
+Prediction walks all samples level-by-level with array gathers over the
+flat node arrays, whose thresholds are ordinary floats.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.tree_builder import MAX_BINS, BinMapper, _NodeArrays, grow_tree_hist
-from repro.utils.rng import RandomState, as_generator
+from repro.core.tree_builder import BinMapper, _NodeArrays, grow_forest_hist
+from repro.utils.rng import RandomState
 
 MaxFeatures = Union[None, int, float, str]
 
@@ -48,12 +46,6 @@ class DecisionTreeRegressor:
     min_impurity_decrease:
         Minimum per-sample variance decrease (normalized by the node size)
         required to accept a split.
-    splitter:
-        ``"hist"`` (default) for the histogram-binned engine, ``"exact"`` for
-        the per-node sort-based reference splitter.
-    max_bins:
-        Bin budget per feature for the histogram splitter (ignored by
-        ``"exact"``).
     random_state:
         Seed controlling feature subsampling.
     """
@@ -65,8 +57,6 @@ class DecisionTreeRegressor:
         min_samples_leaf: int = 1,
         max_features: MaxFeatures = None,
         min_impurity_decrease: float = 0.0,
-        splitter: str = "hist",
-        max_bins: int = MAX_BINS,
         random_state: RandomState = None,
     ) -> None:
         if min_samples_split < 2:
@@ -77,31 +67,23 @@ class DecisionTreeRegressor:
             raise ValueError("max_depth must be >= 1 or None")
         if min_impurity_decrease < 0:
             raise ValueError("min_impurity_decrease must be non-negative")
-        if splitter not in ("hist", "exact"):
-            raise ValueError(f"splitter must be 'hist' or 'exact', got {splitter!r}")
         self.max_depth = max_depth
         self.min_samples_split = int(min_samples_split)
         self.min_samples_leaf = int(min_samples_leaf)
         self.max_features = max_features
         self.min_impurity_decrease = float(min_impurity_decrease)
-        self.splitter = splitter
-        self.max_bins = int(max_bins)
         self.random_state = random_state
         self._nodes: Optional[_NodeArrays] = None
         self._n_features: Optional[int] = None
         self._depth = 0
 
     # -- public API -----------------------------------------------------------
-    def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        sample_weight: Optional[np.ndarray] = None,
-    ) -> "DecisionTreeRegressor":
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
         """Fit the tree on features ``X`` (``(n, d)``) and targets ``y`` (``(n,)``).
 
-        ``sample_weight`` (histogram splitter only) weights each row; integer
-        weights are equivalent to materializing that many row copies.
+        ``X`` is quantized by its own :class:`~repro.core.tree_builder.BinMapper`
+        and the tree grows through
+        :func:`~repro.core.tree_builder.grow_forest_hist` as a forest of one.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
@@ -113,122 +95,26 @@ class DecisionTreeRegressor:
             raise ValueError("cannot fit a tree on an empty dataset")
         if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
             raise ValueError("X and y must be finite")
-        if self.splitter == "hist":
-            mapper = BinMapper(max_bins=self.max_bins).fit(X)
-            return self.fit_binned(
-                mapper.transform(X), y, mapper.bin_thresholds_, sample_weight=sample_weight
-            )
-        if sample_weight is not None:
-            raise ValueError("sample_weight requires splitter='hist'")
-        self._n_features = X.shape[1]
-        rng = as_generator(self.random_state)
-        n_feat_per_split = self._resolve_max_features(X.shape[1])
-
-        # Growable node storage.
-        feature: List[int] = []
-        threshold: List[float] = []
-        left: List[int] = []
-        right: List[int] = []
-        value: List[float] = []
-        n_samples: List[int] = []
-        impurity: List[float] = []
-
-        def new_node(idx: np.ndarray) -> int:
-            node_id = len(feature)
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            yv = y[idx]
-            value.append(float(yv.mean()))
-            n_samples.append(int(idx.size))
-            impurity.append(float(yv.var()))
-            return node_id
-
-        # Iterative depth-first construction (explicit stack avoids recursion
-        # limits for deep trees on large sample sets).
-        root_idx = np.arange(X.shape[0])
-        root = new_node(root_idx)
-        stack: List[Tuple[int, np.ndarray, int]] = [(root, root_idx, 0)]
-        max_depth_seen = 0
-        while stack:
-            node_id, idx, depth = stack.pop()
-            max_depth_seen = max(max_depth_seen, depth)
-            if self._should_stop(idx, y, depth):
-                continue
-            split = self._best_split(X, y, idx, n_feat_per_split, rng)
-            if split is None:
-                continue
-            feat, thr, gain = split
-            if gain < self.min_impurity_decrease:
-                continue
-            mask = X[idx, feat] <= thr
-            left_idx = idx[mask]
-            right_idx = idx[~mask]
-            if left_idx.size < self.min_samples_leaf or right_idx.size < self.min_samples_leaf:
-                continue
-            feature[node_id] = int(feat)
-            threshold[node_id] = float(thr)
-            left_id = new_node(left_idx)
-            right_id = new_node(right_idx)
-            left[node_id] = left_id
-            right[node_id] = right_id
-            stack.append((left_id, left_idx, depth + 1))
-            stack.append((right_id, right_idx, depth + 1))
-
-        self._nodes = _NodeArrays(
-            feature=np.asarray(feature, dtype=np.int64),
-            threshold=np.asarray(threshold, dtype=np.float64),
-            left=np.asarray(left, dtype=np.int64),
-            right=np.asarray(right, dtype=np.int64),
-            value=np.asarray(value, dtype=np.float64),
-            n_samples=np.asarray(n_samples, dtype=np.int64),
-            impurity=np.asarray(impurity, dtype=np.float64),
-        )
-        self._depth = max_depth_seen
-        return self
-
-    def fit_binned(
-        self,
-        binned: np.ndarray,
-        y: np.ndarray,
-        bin_thresholds: Sequence[np.ndarray],
-        sample_weight: Optional[np.ndarray] = None,
-    ) -> "DecisionTreeRegressor":
-        """Fit from a pre-binned ``uint8`` matrix (histogram splitter only).
-
-        This is the forest's fast path: all trees of a forest (and all refits
-        across an active-learning run) share one binned matrix produced by a
-        single :class:`~repro.core.tree_builder.BinMapper`, and bootstrap
-        resamples arrive as integer ``sample_weight`` vectors.
-        """
-        if self.splitter != "hist":
-            raise ValueError("fit_binned requires splitter='hist'")
-        binned = np.asarray(binned)
-        if binned.ndim != 2:
-            raise ValueError(f"binned must be 2-D, got shape {binned.shape}")
-        self._n_features = binned.shape[1]
-        self._nodes = grow_tree_hist(
-            binned,
-            bin_thresholds,
+        mapper = BinMapper().fit(X)
+        (nodes,) = grow_forest_hist(
+            mapper.transform(X),
+            mapper.bin_thresholds_,
             y,
-            sample_weight,
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
             min_impurity_decrease=self.min_impurity_decrease,
-            n_feat_per_split=self._resolve_max_features(binned.shape[1]),
-            rng=as_generator(self.random_state),
+            n_feat_per_split=self._resolve_max_features(X.shape[1]),
+            rngs=[self.random_state],
         )
-        self._depth = self._compute_depth(self._nodes)
-        return self
+        return self.adopt_nodes(nodes, X.shape[1])
 
     def adopt_nodes(self, nodes: _NodeArrays, n_features: int) -> "DecisionTreeRegressor":
-        """Adopt externally grown node arrays as this tree's fitted state.
+        """Adopt grown node arrays as this tree's fitted state.
 
-        This is how :func:`~repro.core.tree_builder.grow_forest_hist` (which
-        grows all of a forest's trees in one pass) hands finished node tables
-        back to the per-tree wrapper objects.
+        :meth:`fit` and the forest (which grows its trees together through
+        :func:`~repro.core.tree_builder.grow_forest_hist`) hand finished node
+        tables to the per-tree wrapper objects this way.
         """
         self._n_features = int(n_features)
         self._nodes = nodes
@@ -349,77 +235,6 @@ class DecisionTreeRegressor:
                 raise ValueError("integer max_features must be >= 1")
             return min(mf, n_features)
         raise ValueError(f"invalid max_features: {mf!r}")
-
-    def _should_stop(self, idx: np.ndarray, y: np.ndarray, depth: int) -> bool:
-        if idx.size < self.min_samples_split:
-            return True
-        if self.max_depth is not None and depth >= self.max_depth:
-            return True
-        yv = y[idx]
-        if np.allclose(yv, yv[0]):
-            return True
-        return False
-
-    def _best_split(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        idx: np.ndarray,
-        n_feat_per_split: int,
-        rng: np.random.Generator,
-    ) -> Optional[Tuple[int, float, float]]:
-        """Best (feature, threshold, impurity decrease) over a random feature subset."""
-        n_features = X.shape[1]
-        if n_feat_per_split >= n_features:
-            candidates = np.arange(n_features)
-        else:
-            candidates = rng.choice(n_features, size=n_feat_per_split, replace=False)
-        y_node = y[idx]
-        n = y_node.size
-        parent_sse = float(np.sum((y_node - y_node.mean()) ** 2))
-        best_gain = -np.inf
-        best_feat = -1
-        best_thr = 0.0
-        min_leaf = self.min_samples_leaf
-        for feat in candidates:
-            x = X[idx, feat]
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            ys = y_node[order]
-            # Candidate split positions: between distinct consecutive x values.
-            distinct = xs[1:] != xs[:-1]
-            if not np.any(distinct):
-                continue
-            csum = np.cumsum(ys)
-            csum_sq = np.cumsum(ys * ys)
-            total_sum = csum[-1]
-            total_sq = csum_sq[-1]
-            # After position i (0-based) the left child holds samples 0..i.
-            counts_left = np.arange(1, n)
-            sum_left = csum[:-1]
-            sq_left = csum_sq[:-1]
-            counts_right = n - counts_left
-            sum_right = total_sum - sum_left
-            sq_right = total_sq - sq_left
-            sse_left = sq_left - sum_left * sum_left / counts_left
-            sse_right = sq_right - sum_right * sum_right / counts_right
-            gain = parent_sse - (sse_left + sse_right)
-            valid = distinct & (counts_left >= min_leaf) & (counts_right >= min_leaf)
-            if not np.any(valid):
-                continue
-            gain = np.where(valid, gain, -np.inf)
-            pos = int(np.argmax(gain))
-            if gain[pos] > best_gain:
-                best_gain = float(gain[pos])
-                best_feat = int(feat)
-                best_thr = float(0.5 * (xs[pos] + xs[pos + 1]))
-        if best_feat < 0:
-            return None
-        # Convert SSE decrease into per-sample (weighted variance) decrease,
-        # normalized by the *node* size so min_impurity_decrease keeps the
-        # same meaning at every depth (normalizing by the full dataset size
-        # made deep splits look vanishingly small).
-        return best_feat, best_thr, best_gain / n
 
 
 __all__ = ["DecisionTreeRegressor", "_NodeArrays"]

@@ -2,26 +2,29 @@
 
 Forest *fitting* is the hot path of every HyperMapper active-learning
 iteration: both per-objective forests are refitted from scratch each round.
-The exact splitter in :mod:`repro.core.tree` pays one ``argsort`` per
-(node, candidate feature); this module replaces that with the
-LightGBM-style histogram strategy:
+A sort-based CART splitter pays one ``argsort`` per (node, candidate
+feature); this module uses the LightGBM-style histogram strategy instead:
 
 * :class:`BinMapper` quantizes every feature column into at most 255
   ``uint8`` bins.  Design-space feature matrices are tiny alphabets
   (ordinal values, booleans, one-hot blocks), so binning is almost always
   *lossless* — every distinct value gets its own bin and the candidate
-  thresholds are exactly the midpoints the exact splitter would consider.
+  thresholds are exactly the midpoints a sort-based splitter would consider.
   The mapper is derived once per run from the configuration-pool matrix and
   cached on it (:class:`repro.core.sampling.EncodedPool`), so every refit of
   every tree across all iterations reuses one shared binned matrix.
 
-* :func:`grow_tree_hist` grows one tree breadth-first.  Split search is
-  cumulative bin-statistic scans (``np.bincount`` histograms of
-  weight / weight·y / weight·y² per bin — the gather-free formulation of the
-  ``np.add.at`` scatter) vectorized across **all features of all frontier
-  nodes at once**, and each level only scans the *smaller* child of every
-  split: the larger sibling's histogram is obtained by parent-minus-sibling
-  subtraction.
+* :func:`grow_forest_hist` is the only tree grower.  It grows every tree of
+  a forest breadth-first and level-synchronously: one frontier spans
+  ``(tree, node)`` pairs, and split search is cumulative bin-statistic scans
+  (``np.bincount`` histograms of weight / weight·y / weight·y² per bin — the
+  gather-free formulation of the ``np.add.at`` scatter) vectorized across
+  **all features of all frontier nodes of all trees at once**.  Each level
+  only scans the *smaller* child of every split: the larger sibling's
+  histogram is obtained by parent-minus-sibling subtraction.
+  :meth:`repro.core.forest.RandomForestRegressor.fit` calls it over slices
+  of its trees, and :meth:`repro.core.tree.DecisionTreeRegressor.fit` calls
+  it for a forest of one.
 
 * Bootstrap resamples are per-row integer **weight vectors**
   (``np.bincount`` of the draw) instead of materialized row copies, so all
@@ -31,10 +34,11 @@ LightGBM-style histogram strategy:
   gains all agree; sums are bit-identical whenever the targets sum exactly,
   e.g. integer-valued or dyadic ``y``).
 
-The grower emits the same :class:`_NodeArrays` as the exact splitter, so the
-flat-forest inference kernels (and all their equivalence guarantees) carry
-over unchanged — thresholds are genuine float thresholds, valid for
-arbitrary inputs at prediction time.
+The grower emits flat :class:`_NodeArrays` with genuine float thresholds,
+valid for arbitrary inputs at prediction time, which the flat-forest
+inference kernels consume.  The sort-based splitter and a one-tree-at-a-time
+histogram grower are kept in ``tests/oracles.py`` as the references the
+equivalence tests compare this engine against.
 """
 
 from __future__ import annotations
@@ -63,44 +67,6 @@ class _NodeArrays:
     impurity: np.ndarray  # (n_nodes,) float64 variance at node
 
 
-class _NodeStore:
-    """Growable breadth-first node storage shared by both histogram growers."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "value", "n_samples", "impurity")
-
-    def __init__(self) -> None:
-        self.feature: List[int] = []
-        self.threshold: List[float] = []
-        self.left: List[int] = []
-        self.right: List[int] = []
-        self.value: List[float] = []
-        self.n_samples: List[int] = []
-        self.impurity: List[float] = []
-
-    def new_node(self, sw: float, swy: float, swy2: float) -> int:
-        node_id = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        mean = swy / sw
-        self.value.append(float(mean))
-        self.n_samples.append(int(round(sw)))
-        self.impurity.append(float(max(swy2 / sw - mean * mean, 0.0)))
-        return node_id
-
-    def finish(self) -> _NodeArrays:
-        return _NodeArrays(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            value=np.asarray(self.value, dtype=np.float64),
-            n_samples=np.asarray(self.n_samples, dtype=np.int64),
-            impurity=np.asarray(self.impurity, dtype=np.float64),
-        )
-
-
 class BinMapper:
     """Quantize feature columns into at most ``max_bins`` ``uint8`` bins.
 
@@ -113,7 +79,7 @@ class BinMapper:
 
     Columns with at most ``max_bins`` distinct values are binned losslessly
     (thresholds are the midpoints between consecutive distinct values — the
-    same candidate set the exact splitter scans).  Wider columns get
+    same candidate set a sort-based splitter scans).  Wider columns get
     equal-frequency bins with boundaries snapped to midpoints between
     adjacent observed values.
     """
@@ -180,246 +146,6 @@ class BinMapper:
         return self.bin_thresholds_
 
 
-def grow_tree_hist(
-    binned: np.ndarray,
-    bin_thresholds: Sequence[np.ndarray],
-    y: np.ndarray,
-    sample_weight: Optional[np.ndarray] = None,
-    *,
-    max_depth: Optional[int] = None,
-    min_samples_split: int = 2,
-    min_samples_leaf: int = 1,
-    min_impurity_decrease: float = 0.0,
-    n_feat_per_split: Optional[int] = None,
-    rng: RandomState = None,
-) -> _NodeArrays:
-    """Grow one regression tree breadth-first on a pre-binned matrix.
-
-    Parameters
-    ----------
-    binned:
-        ``(n, d)`` ``uint8`` bin indices (see :class:`BinMapper`).
-    bin_thresholds:
-        Per-column float thresholds between consecutive bins; splitting at
-        bin boundary ``b`` emits threshold ``bin_thresholds[j][b]``.
-    y:
-        ``(n,)`` regression targets.
-    sample_weight:
-        Optional ``(n,)`` non-negative weights.  Integer weight vectors are
-        how the forest represents bootstrap resamples; ``min_samples_*`` and
-        node sizes count *weighted* samples, matching a materialized
-        resample exactly.  Zero-weight rows are ignored entirely.
-    max_depth, min_samples_split, min_samples_leaf, min_impurity_decrease:
-        Usual CART stopping rules (on weighted counts / per-sample gain).
-    n_feat_per_split:
-        Features examined per node (``None`` for all); each frontier node
-        draws its own subset — batched into one ``rng`` call per level.
-    rng:
-        Randomness for the feature subsets.
-
-    Returns
-    -------
-    _NodeArrays
-        Flat node arrays in breadth-first order.
-    """
-    binned = np.ascontiguousarray(binned, dtype=np.uint8)
-    if binned.ndim != 2:
-        raise ValueError(f"binned must be 2-D, got shape {binned.shape}")
-    n, d = binned.shape
-    if len(bin_thresholds) != d:
-        raise ValueError("bin_thresholds must have one entry per column")
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.shape[0] != n:
-        raise ValueError("binned and y have inconsistent lengths")
-    if sample_weight is None:
-        w = np.ones(n, dtype=np.float64)
-    else:
-        w = np.asarray(sample_weight, dtype=np.float64).ravel()
-        if w.shape[0] != n:
-            raise ValueError("sample_weight must have one entry per row")
-        if np.any(w < 0) or not np.any(w > 0):
-            raise ValueError("sample_weight must be non-negative with at least one positive entry")
-    gen = as_generator(rng)
-    if n_feat_per_split is None or n_feat_per_split > d:
-        n_feat_per_split = d
-
-    n_bins = np.array([t.size + 1 for t in bin_thresholds], dtype=np.int64)
-    B = int(n_bins.max())
-    wy = w * y
-    wy2 = wy * y
-
-    # Growable node storage (breadth-first ids).
-    store = _NodeStore()
-
-    order = np.flatnonzero(w > 0).astype(np.int64)
-    root_w = float(np.sum(w[order]))
-    root_wy = float(np.sum(wy[order]))
-    root_wy2 = float(np.sum(wy2[order]))
-    store.new_node(root_w, root_wy, root_wy2)
-
-    if B < 2:  # every column is constant: nothing to split on
-        return store.finish()
-
-    # Padded (d, B-1) lookup tables shared by every level: the float
-    # threshold of each bin boundary and whether the boundary exists for
-    # the column (columns with fewer bins than B have trailing padding).
-    thr_mat = np.full((d, B - 1), np.nan, dtype=np.float64)
-    for j, thr in enumerate(bin_thresholds):
-        thr_mat[j, : thr.size] = thr
-    boundary_ok = np.arange(B - 1)[None, :] < (n_bins[:, None] - 1)
-
-    # Frontier state: per-slot node id and [start, end) segment of `order`,
-    # plus the node's weighted statistics.  Histograms for the current level
-    # are computed by scanning only the slots flagged in `scan_mask`; the
-    # rest are derived as parent-minus-sibling from the previous level.
-    node_of_slot = np.array([0], dtype=np.int64)
-    seg_start = np.array([0], dtype=np.int64)
-    seg_end = np.array([order.size], dtype=np.int64)
-    Sw = np.array([root_w])
-    Swy = np.array([root_wy])
-    Swy2 = np.array([root_wy2])
-    scan_mask = np.array([True])
-    parent_ref = np.zeros(1, dtype=np.int64)  # previous-level slot of each parent
-    sibling_ref = np.zeros(1, dtype=np.int64)  # current-level slot of the scanned sibling
-    H_prev: Optional[tuple] = None
-
-    depth = 0
-    feat_arange = np.arange(d, dtype=np.int64)
-    while node_of_slot.size:
-        S = node_of_slot.size
-
-        # --- 1. per-slot histograms of (w, w*y, w*y^2) over (feature, bin)
-        size = S * d * B
-        scan_slots = np.flatnonzero(scan_mask)
-        if scan_slots.size:
-            lengths = seg_end[scan_slots] - seg_start[scan_slots]
-            rows = np.concatenate(
-                [order[s:e] for s, e in zip(seg_start[scan_slots], seg_end[scan_slots])]
-            )
-            slot_rep = np.repeat(scan_slots, lengths)
-            flat = ((slot_rep[:, None] * d + feat_arange[None, :]) * B + binned[rows]).ravel()
-            Hw = np.bincount(flat, weights=np.repeat(w[rows], d), minlength=size)
-            Hwy = np.bincount(flat, weights=np.repeat(wy[rows], d), minlength=size)
-            Hwy2 = np.bincount(flat, weights=np.repeat(wy2[rows], d), minlength=size)
-        else:  # pragma: no cover - at least one child per level is scanned
-            Hw = np.zeros(size)
-            Hwy = np.zeros(size)
-            Hwy2 = np.zeros(size)
-        Hw = Hw.reshape(S, d, B)
-        Hwy = Hwy.reshape(S, d, B)
-        Hwy2 = Hwy2.reshape(S, d, B)
-        sub_slots = np.flatnonzero(~scan_mask)
-        if sub_slots.size:
-            assert H_prev is not None
-            Hw[sub_slots] = H_prev[0][parent_ref[sub_slots]] - Hw[sibling_ref[sub_slots]]
-            Hwy[sub_slots] = H_prev[1][parent_ref[sub_slots]] - Hwy[sibling_ref[sub_slots]]
-            Hwy2[sub_slots] = H_prev[2][parent_ref[sub_slots]] - Hwy2[sibling_ref[sub_slots]]
-
-        # --- 2. stopping rules that need no split search
-        mean = Swy / Sw
-        sse_node = Swy2 - Swy * mean
-        # Purity tolerance mirroring the exact splitter's allclose() stop.
-        tol = Sw * (1e-8 + 1e-5 * np.abs(mean)) ** 2
-        eligible = (Sw >= min_samples_split) & (sse_node > tol)
-        if max_depth is not None and depth >= max_depth:
-            eligible[:] = False
-
-        if not np.any(eligible):
-            break
-
-        # --- 3. per-node random feature subsets, one rng call per level
-        if n_feat_per_split < d:
-            ranks = np.argsort(gen.random((S, d)), axis=1, kind="stable")
-            feat_mask = np.zeros((S, d), dtype=bool)
-            np.put_along_axis(feat_mask, ranks[:, :n_feat_per_split], True, axis=1)
-        else:
-            feat_mask = np.ones((S, d), dtype=bool)
-
-        # --- 4. split search: cumulative bin scans, all slots and features at once
-        cw = np.cumsum(Hw, axis=2)[:, :, :-1]
-        cwy = np.cumsum(Hwy, axis=2)[:, :, :-1]
-        cwy2 = np.cumsum(Hwy2, axis=2)[:, :, :-1]
-        rw = Sw[:, None, None] - cw
-        rwy = Swy[:, None, None] - cwy
-        rwy2 = Swy2[:, None, None] - cwy2
-        valid = boundary_ok[None, :, :] & feat_mask[:, :, None]
-        valid &= (cw >= min_samples_leaf) & (rw >= min_samples_leaf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sse_split = (cwy2 - cwy * cwy / cw) + (rwy2 - rwy * rwy / rw)
-        gain = sse_node[:, None, None] - sse_split
-        gain = np.where(valid, gain, -np.inf)
-        flat_gain = gain.reshape(S, d * (B - 1))
-        best = np.argmax(flat_gain, axis=1)
-        slots_idx = np.arange(S)
-        best_gain = flat_gain[slots_idx, best]
-        best_feat = best // (B - 1)
-        best_b = best - best_feat * (B - 1)
-        # Per-sample (weighted variance) decrease, normalized by the *node*
-        # size — not the full dataset — so min_impurity_decrease means the
-        # same thing at every depth.
-        split_ok = eligible & np.isfinite(best_gain) & ~(best_gain / Sw < min_impurity_decrease)
-        sp = np.flatnonzero(split_ok)
-        if sp.size == 0:
-            break
-
-        # --- 5. record splits and allocate children (left then right, slot order)
-        lw = cw[sp, best_feat[sp], best_b[sp]]
-        lwy = cwy[sp, best_feat[sp], best_b[sp]]
-        lwy2 = cwy2[sp, best_feat[sp], best_b[sp]]
-        rw_ = Sw[sp] - lw
-        rwy_ = Swy[sp] - lwy
-        rwy2_ = Swy2[sp] - lwy2
-        n_child = 2 * sp.size
-        child_node = np.empty(n_child, dtype=np.int64)
-        for k, s in enumerate(sp):
-            nid = int(node_of_slot[s])
-            store.feature[nid] = int(best_feat[s])
-            store.threshold[nid] = float(thr_mat[best_feat[s], best_b[s]])
-            lid = store.new_node(float(lw[k]), float(lwy[k]), float(lwy2[k]))
-            rid = store.new_node(float(rw_[k]), float(rwy_[k]), float(rwy2_[k]))
-            store.left[nid] = lid
-            store.right[nid] = rid
-            child_node[2 * k] = lid
-            child_node[2 * k + 1] = rid
-
-        # --- 6. partition rows of the splitting slots into child segments
-        sp_lengths = seg_end[sp] - seg_start[sp]
-        rows = np.concatenate([order[s:e] for s, e in zip(seg_start[sp], seg_end[sp])])
-        local = np.repeat(np.arange(sp.size, dtype=np.int64), sp_lengths)
-        go_right = binned[rows, best_feat[sp][local]] > best_b[sp][local]
-        key = local * 2 + go_right
-        perm = np.argsort(key, kind="stable")
-        order = rows[perm]
-        child_len = np.bincount(key, minlength=n_child)
-        bounds = np.concatenate(([0], np.cumsum(child_len)))
-
-        # --- 7. next frontier: scan the smaller child, subtract the larger
-        left_smaller = child_len[0::2] <= child_len[1::2]
-        next_scan = np.empty(n_child, dtype=bool)
-        next_scan[0::2] = left_smaller
-        next_scan[1::2] = ~left_smaller
-        next_sibling = np.arange(n_child, dtype=np.int64)
-        next_sibling[0::2] += 1  # left's sibling is right …
-        next_sibling[1::2] -= 1  # … and vice versa
-        H_prev = (Hw[sp], Hwy[sp], Hwy2[sp])
-        parent_ref = np.repeat(np.arange(sp.size, dtype=np.int64), 2)
-        sibling_ref = next_sibling
-        scan_mask = next_scan
-        node_of_slot = child_node
-        seg_start = bounds[:-1]
-        seg_end = bounds[1:]
-        new_Sw = np.empty(n_child)
-        new_Swy = np.empty(n_child)
-        new_Swy2 = np.empty(n_child)
-        new_Sw[0::2], new_Sw[1::2] = lw, rw_
-        new_Swy[0::2], new_Swy[1::2] = lwy, rwy_
-        new_Swy2[0::2], new_Swy2[1::2] = lwy2, rwy2_
-        Sw, Swy, Swy2 = new_Sw, new_Swy, new_Swy2
-        depth += 1
-
-    return store.finish()
-
-
 def grow_forest_hist(
     binned: np.ndarray,
     bin_thresholds: Sequence[np.ndarray],
@@ -444,21 +170,37 @@ def grow_forest_hist(
     touches the binned matrix once per level instead of 32 times, turning
     ~10 NumPy dispatches × levels × trees into ~10 × levels.
 
-    Bit-identical to fitting each tree with :func:`grow_tree_hist`: slots
-    stay tree-major so every per-(slot, feature, bin) accumulation runs in the
-    same row order, per-slot scan/subtraction/split arithmetic is unchanged,
-    and each tree consumes its own generator in exactly the per-tree call
-    sequence (one ``random((S_t, d))`` draw per level while the tree still has
-    an eligible frontier node; no draw the level it stops).
+    A tree's node table does not depend on the other trees of the call:
+    slots stay tree-major so every per-(slot, feature, bin) accumulation runs
+    in the tree's own row order, and each tree consumes only its own
+    generator (one ``random((S_t, d))`` draw per level while the tree still
+    has an eligible frontier node; no draw the level it stops).  Growing a
+    forest over several calls on slices of its trees, or one tree per call,
+    gives the same node tables as one call.
 
-    Parameters match :func:`grow_tree_hist` except:
-
+    Parameters
+    ----------
+    binned:
+        ``(n, d)`` ``uint8`` bin indices (see :class:`BinMapper`).
+    bin_thresholds:
+        Per-column float thresholds between consecutive bins; splitting at
+        bin boundary ``b`` emits threshold ``bin_thresholds[j][b]``.
+    y:
+        ``(n,)`` regression targets.
     sample_weights:
-        Per-tree weight vectors (``None`` entries mean unit weights) or a
-        stacked ``(n_trees, n)`` matrix.  Integer vectors are the forest's
-        bootstrap resamples.
+        Per-tree non-negative weight vectors (``None`` entries mean unit
+        weights) or a stacked ``(n_trees, n)`` matrix.  Integer vectors are
+        the forest's bootstrap resamples; ``min_samples_*`` and node sizes
+        count *weighted* samples, matching a materialized resample exactly.
+        Zero-weight rows are ignored entirely.
     n_trees:
         Forest size; inferred from ``sample_weights``/``rngs`` when omitted.
+    max_depth, min_samples_split, min_samples_leaf, min_impurity_decrease:
+        Usual CART stopping rules (on weighted counts / per-sample gain,
+        normalized by the node's weighted size).
+    n_feat_per_split:
+        Features examined per node (``None`` for all); each frontier node
+        draws its own subset from its tree's generator.
     rngs:
         One independent generator (or seed) per tree for the feature subsets.
 
@@ -470,9 +212,9 @@ def grow_forest_hist(
     Notes
     -----
     Peak scratch memory is ``O(frontier_slots * d * max_bins)`` floats per
-    statistic with ``frontier_slots`` summed over all trees; callers fitting
-    very large row counts with wide bins should fall back to per-tree growth
-    (see ``RandomForestRegressor.fit``).
+    statistic with ``frontier_slots`` summed over all trees of the call;
+    ``RandomForestRegressor.fit`` bounds it by growing its trees in slices
+    (see ``forest.FOREST_SCRATCH_BUDGET_BYTES``).
     """
     binned = np.ascontiguousarray(binned, dtype=np.uint8)
     if binned.ndim != 2:
@@ -593,9 +335,13 @@ def grow_forest_hist(
         thr_mat[j, : thr.size] = thr
     boundary_ok = np.arange(B - 1)[None, :] < (n_bins[:, None] - 1)
 
-    # Frontier state mirrors grow_tree_hist, with slots tree-major (every
-    # tree's slots contiguous and in its own per-tree order) plus the owning
-    # tree of every slot.  `order` holds *global* row ids (tree * n + row).
+    # Frontier state: per-slot node id and [start, end) segment of `order`,
+    # plus the node's weighted statistics.  Slots are tree-major (every
+    # tree's slots contiguous and in its own breadth-first order) and record
+    # their owning tree; `order` holds *global* row ids (tree * n + row).
+    # Histograms for the current level are computed by scanning only the
+    # slots flagged in `scan_mask`; the rest are derived as
+    # parent-minus-sibling from the previous level.
     order = np.concatenate(order_parts) if order_parts else np.empty(0, dtype=np.int64)
     tree_of_slot = np.arange(T, dtype=np.int64)
     node_of_slot = np.zeros(T, dtype=np.int64)  # tree-local breadth-first ids
@@ -645,6 +391,7 @@ def grow_forest_hist(
         # --- 2. stopping rules that need no split search
         mean = Swy / Sw
         sse_node = Swy2 - Swy * mean
+        # Purity tolerance mirroring the sort-based splitter's allclose() stop.
         tol = Sw * (1e-8 + 1e-5 * np.abs(mean)) ** 2
         eligible = (Sw >= min_samples_split) & (sse_node > tol)
         if max_depth is not None and depth >= max_depth:
@@ -654,10 +401,10 @@ def grow_forest_hist(
             break
 
         # --- 3. per-tree random feature subsets: every tree that still has an
-        # eligible frontier node consumes exactly the draw its standalone
-        # grow_tree_hist call would (one (S_t, d) block per level); a tree
-        # whose slots are all ineligible stops *before* drawing, matching the
-        # per-tree break.  Slots are tree-major, so trees are contiguous runs.
+        # eligible frontier node draws one (S_t, d) block from its own
+        # generator; a tree whose slots are all ineligible stops *before*
+        # drawing, as it would grown alone.  Slots are tree-major, so trees
+        # are contiguous runs.
         if n_feat_per_split < d:
             R = np.zeros((S, d))
             run_starts = np.flatnonzero(np.diff(tree_of_slot, prepend=-1))
@@ -697,7 +444,7 @@ def grow_forest_hist(
 
         # --- 5. record splits and allocate children (left then right, slot
         # order — tree-major slots keep every tree's breadth-first ids
-        # identical to its standalone growth).  Child ids are the per-tree
+        # identical to growing it alone).  Child ids are the per-tree
         # running node count plus the child's rank within its tree's run of
         # `sp` (slots are tree-major, so each tree's splits are contiguous).
         lw = cw[sp, best_feat[sp], best_b[sp]]
@@ -772,4 +519,4 @@ def grow_forest_hist(
     return _finish_chunks()
 
 
-__all__ = ["BinMapper", "grow_tree_hist", "grow_forest_hist", "MAX_BINS", "_NodeArrays"]
+__all__ = ["BinMapper", "grow_forest_hist", "MAX_BINS", "_NodeArrays"]

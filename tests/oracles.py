@@ -1,0 +1,551 @@
+"""Reference implementations the tree engines are tested against.
+
+The library grows every tree through
+:func:`repro.core.tree_builder.grow_forest_hist`.  This module keeps, with
+their arithmetic unchanged, the simpler implementations that grower is
+compared with:
+
+* :class:`ExactTreeRegressor` — the original per-node ``argsort`` split
+  search on materialized rows;
+* :func:`grow_tree_hist` — the histogram grower that grows one tree at a
+  time;
+* :func:`predict_trees_reference` — one ``predict`` call per tree;
+* :func:`exact_forest` and :func:`per_tree_hist_forest` — a whole forest
+  through either reference grower, with the per-tree generators and
+  bootstrap draws of :meth:`repro.core.forest.RandomForestRegressor.fit`.
+
+Tests import it as ``oracles`` (pytest puts ``tests/`` on ``sys.path``;
+``benchmarks/conftest.py`` does the same for the fit benchmarks).
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.core.tree import DecisionTreeRegressor
+from repro.core.tree_builder import _NodeArrays
+from repro.utils.rng import RandomState, as_generator, spawn_generators
+
+
+class ExactTreeRegressor(DecisionTreeRegressor):
+    """The per-node sort-based CART splitter, fitted on materialized rows.
+
+    For every node and every candidate feature it sorts the node's samples
+    and scans all split positions between distinct consecutive values.  On
+    losslessly binnable data it grows the same partitions as the histogram
+    engine.
+    """
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "ExactTreeRegressor":
+        """Fit the tree on features ``X`` (``(n, d)``) and targets ``y`` (``(n,)``)."""
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64).ravel()
+        self._n_features = X.shape[1]
+        rng = as_generator(self.random_state)
+        n_feat_per_split = self._resolve_max_features(X.shape[1])
+
+        # Growable node storage.
+        feature: List[int] = []
+        threshold: List[float] = []
+        left: List[int] = []
+        right: List[int] = []
+        value: List[float] = []
+        n_samples: List[int] = []
+        impurity: List[float] = []
+
+        def new_node(idx: np.ndarray) -> int:
+            node_id = len(feature)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            yv = y[idx]
+            value.append(float(yv.mean()))
+            n_samples.append(int(idx.size))
+            impurity.append(float(yv.var()))
+            return node_id
+
+        # Iterative depth-first construction (explicit stack avoids recursion
+        # limits for deep trees on large sample sets).
+        root_idx = np.arange(X.shape[0])
+        root = new_node(root_idx)
+        stack: List[Tuple[int, np.ndarray, int]] = [(root, root_idx, 0)]
+        max_depth_seen = 0
+        while stack:
+            node_id, idx, depth = stack.pop()
+            max_depth_seen = max(max_depth_seen, depth)
+            if self._should_stop(idx, y, depth):
+                continue
+            split = self._best_split(X, y, idx, n_feat_per_split, rng)
+            if split is None:
+                continue
+            feat, thr, gain = split
+            if gain < self.min_impurity_decrease:
+                continue
+            mask = X[idx, feat] <= thr
+            left_idx = idx[mask]
+            right_idx = idx[~mask]
+            if left_idx.size < self.min_samples_leaf or right_idx.size < self.min_samples_leaf:
+                continue
+            feature[node_id] = int(feat)
+            threshold[node_id] = float(thr)
+            left_id = new_node(left_idx)
+            right_id = new_node(right_idx)
+            left[node_id] = left_id
+            right[node_id] = right_id
+            stack.append((left_id, left_idx, depth + 1))
+            stack.append((right_id, right_idx, depth + 1))
+
+        self._nodes = _NodeArrays(
+            feature=np.asarray(feature, dtype=np.int64),
+            threshold=np.asarray(threshold, dtype=np.float64),
+            left=np.asarray(left, dtype=np.int64),
+            right=np.asarray(right, dtype=np.int64),
+            value=np.asarray(value, dtype=np.float64),
+            n_samples=np.asarray(n_samples, dtype=np.int64),
+            impurity=np.asarray(impurity, dtype=np.float64),
+        )
+        self._depth = max_depth_seen
+        return self
+
+    def _should_stop(self, idx: np.ndarray, y: np.ndarray, depth: int) -> bool:
+        if idx.size < self.min_samples_split:
+            return True
+        if self.max_depth is not None and depth >= self.max_depth:
+            return True
+        yv = y[idx]
+        if np.allclose(yv, yv[0]):
+            return True
+        return False
+
+    def _best_split(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        idx: np.ndarray,
+        n_feat_per_split: int,
+        rng: np.random.Generator,
+    ) -> Optional[Tuple[int, float, float]]:
+        """Best (feature, threshold, impurity decrease) over a random feature subset."""
+        n_features = X.shape[1]
+        if n_feat_per_split >= n_features:
+            candidates = np.arange(n_features)
+        else:
+            candidates = rng.choice(n_features, size=n_feat_per_split, replace=False)
+        y_node = y[idx]
+        n = y_node.size
+        parent_sse = float(np.sum((y_node - y_node.mean()) ** 2))
+        best_gain = -np.inf
+        best_feat = -1
+        best_thr = 0.0
+        min_leaf = self.min_samples_leaf
+        for feat in candidates:
+            x = X[idx, feat]
+            order = np.argsort(x, kind="stable")
+            xs = x[order]
+            ys = y_node[order]
+            # Candidate split positions: between distinct consecutive x values.
+            distinct = xs[1:] != xs[:-1]
+            if not np.any(distinct):
+                continue
+            csum = np.cumsum(ys)
+            csum_sq = np.cumsum(ys * ys)
+            total_sum = csum[-1]
+            total_sq = csum_sq[-1]
+            # After position i (0-based) the left child holds samples 0..i.
+            counts_left = np.arange(1, n)
+            sum_left = csum[:-1]
+            sq_left = csum_sq[:-1]
+            counts_right = n - counts_left
+            sum_right = total_sum - sum_left
+            sq_right = total_sq - sq_left
+            sse_left = sq_left - sum_left * sum_left / counts_left
+            sse_right = sq_right - sum_right * sum_right / counts_right
+            gain = parent_sse - (sse_left + sse_right)
+            valid = distinct & (counts_left >= min_leaf) & (counts_right >= min_leaf)
+            if not np.any(valid):
+                continue
+            gain = np.where(valid, gain, -np.inf)
+            pos = int(np.argmax(gain))
+            if gain[pos] > best_gain:
+                best_gain = float(gain[pos])
+                best_feat = int(feat)
+                best_thr = float(0.5 * (xs[pos] + xs[pos + 1]))
+        if best_feat < 0:
+            return None
+        # Convert SSE decrease into per-sample (weighted variance) decrease,
+        # normalized by the *node* size so min_impurity_decrease keeps the
+        # same meaning at every depth (normalizing by the full dataset size
+        # made deep splits look vanishingly small).
+        return best_feat, best_thr, best_gain / n
+
+
+class _NodeStore:
+    """Growable breadth-first node storage for :func:`grow_tree_hist`."""
+
+    __slots__ = ("feature", "threshold", "left", "right", "value", "n_samples", "impurity")
+
+    def __init__(self) -> None:
+        self.feature: List[int] = []
+        self.threshold: List[float] = []
+        self.left: List[int] = []
+        self.right: List[int] = []
+        self.value: List[float] = []
+        self.n_samples: List[int] = []
+        self.impurity: List[float] = []
+
+    def new_node(self, sw: float, swy: float, swy2: float) -> int:
+        node_id = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        mean = swy / sw
+        self.value.append(float(mean))
+        self.n_samples.append(int(round(sw)))
+        self.impurity.append(float(max(swy2 / sw - mean * mean, 0.0)))
+        return node_id
+
+    def finish(self) -> _NodeArrays:
+        return _NodeArrays(
+            feature=np.asarray(self.feature, dtype=np.int64),
+            threshold=np.asarray(self.threshold, dtype=np.float64),
+            left=np.asarray(self.left, dtype=np.int64),
+            right=np.asarray(self.right, dtype=np.int64),
+            value=np.asarray(self.value, dtype=np.float64),
+            n_samples=np.asarray(self.n_samples, dtype=np.int64),
+            impurity=np.asarray(self.impurity, dtype=np.float64),
+        )
+
+
+def grow_tree_hist(
+    binned: np.ndarray,
+    bin_thresholds: Sequence[np.ndarray],
+    y: np.ndarray,
+    sample_weight: Optional[np.ndarray] = None,
+    *,
+    max_depth: Optional[int] = None,
+    min_samples_split: int = 2,
+    min_samples_leaf: int = 1,
+    min_impurity_decrease: float = 0.0,
+    n_feat_per_split: Optional[int] = None,
+    rng: RandomState = None,
+) -> _NodeArrays:
+    """Grow one regression tree breadth-first on a pre-binned matrix.
+
+    Parameters
+    ----------
+    binned:
+        ``(n, d)`` ``uint8`` bin indices (see
+        :class:`repro.core.tree_builder.BinMapper`).
+    bin_thresholds:
+        Per-column float thresholds between consecutive bins; splitting at
+        bin boundary ``b`` emits threshold ``bin_thresholds[j][b]``.
+    y:
+        ``(n,)`` regression targets.
+    sample_weight:
+        Optional ``(n,)`` non-negative weights.  Integer weight vectors are
+        how the forest represents bootstrap resamples; ``min_samples_*`` and
+        node sizes count *weighted* samples, matching a materialized
+        resample exactly.  Zero-weight rows are ignored entirely.
+    max_depth, min_samples_split, min_samples_leaf, min_impurity_decrease:
+        Usual CART stopping rules (on weighted counts / per-sample gain).
+    n_feat_per_split:
+        Features examined per node (``None`` for all); each frontier node
+        draws its own subset — batched into one ``rng`` call per level.
+    rng:
+        Randomness for the feature subsets.
+
+    Returns
+    -------
+    _NodeArrays
+        Flat node arrays in breadth-first order.
+    """
+    binned = np.ascontiguousarray(binned, dtype=np.uint8)
+    if binned.ndim != 2:
+        raise ValueError(f"binned must be 2-D, got shape {binned.shape}")
+    n, d = binned.shape
+    if len(bin_thresholds) != d:
+        raise ValueError("bin_thresholds must have one entry per column")
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if y.shape[0] != n:
+        raise ValueError("binned and y have inconsistent lengths")
+    if sample_weight is None:
+        w = np.ones(n, dtype=np.float64)
+    else:
+        w = np.asarray(sample_weight, dtype=np.float64).ravel()
+        if w.shape[0] != n:
+            raise ValueError("sample_weight must have one entry per row")
+        if np.any(w < 0) or not np.any(w > 0):
+            raise ValueError("sample_weight must be non-negative with at least one positive entry")
+    gen = as_generator(rng)
+    if n_feat_per_split is None or n_feat_per_split > d:
+        n_feat_per_split = d
+
+    n_bins = np.array([t.size + 1 for t in bin_thresholds], dtype=np.int64)
+    B = int(n_bins.max())
+    wy = w * y
+    wy2 = wy * y
+
+    # Growable node storage (breadth-first ids).
+    store = _NodeStore()
+
+    order = np.flatnonzero(w > 0).astype(np.int64)
+    root_w = float(np.sum(w[order]))
+    root_wy = float(np.sum(wy[order]))
+    root_wy2 = float(np.sum(wy2[order]))
+    store.new_node(root_w, root_wy, root_wy2)
+
+    if B < 2:  # every column is constant: nothing to split on
+        return store.finish()
+
+    # Padded (d, B-1) lookup tables shared by every level: the float
+    # threshold of each bin boundary and whether the boundary exists for
+    # the column (columns with fewer bins than B have trailing padding).
+    thr_mat = np.full((d, B - 1), np.nan, dtype=np.float64)
+    for j, thr in enumerate(bin_thresholds):
+        thr_mat[j, : thr.size] = thr
+    boundary_ok = np.arange(B - 1)[None, :] < (n_bins[:, None] - 1)
+
+    # Frontier state: per-slot node id and [start, end) segment of `order`,
+    # plus the node's weighted statistics.  Histograms for the current level
+    # are computed by scanning only the slots flagged in `scan_mask`; the
+    # rest are derived as parent-minus-sibling from the previous level.
+    node_of_slot = np.array([0], dtype=np.int64)
+    seg_start = np.array([0], dtype=np.int64)
+    seg_end = np.array([order.size], dtype=np.int64)
+    Sw = np.array([root_w])
+    Swy = np.array([root_wy])
+    Swy2 = np.array([root_wy2])
+    scan_mask = np.array([True])
+    parent_ref = np.zeros(1, dtype=np.int64)  # previous-level slot of each parent
+    sibling_ref = np.zeros(1, dtype=np.int64)  # current-level slot of the scanned sibling
+    H_prev: Optional[tuple] = None
+
+    depth = 0
+    feat_arange = np.arange(d, dtype=np.int64)
+    while node_of_slot.size:
+        S = node_of_slot.size
+
+        # --- 1. per-slot histograms of (w, w*y, w*y^2) over (feature, bin)
+        size = S * d * B
+        scan_slots = np.flatnonzero(scan_mask)
+        if scan_slots.size:
+            lengths = seg_end[scan_slots] - seg_start[scan_slots]
+            rows = np.concatenate(
+                [order[s:e] for s, e in zip(seg_start[scan_slots], seg_end[scan_slots])]
+            )
+            slot_rep = np.repeat(scan_slots, lengths)
+            flat = ((slot_rep[:, None] * d + feat_arange[None, :]) * B + binned[rows]).ravel()
+            Hw = np.bincount(flat, weights=np.repeat(w[rows], d), minlength=size)
+            Hwy = np.bincount(flat, weights=np.repeat(wy[rows], d), minlength=size)
+            Hwy2 = np.bincount(flat, weights=np.repeat(wy2[rows], d), minlength=size)
+        else:  # pragma: no cover - at least one child per level is scanned
+            Hw = np.zeros(size)
+            Hwy = np.zeros(size)
+            Hwy2 = np.zeros(size)
+        Hw = Hw.reshape(S, d, B)
+        Hwy = Hwy.reshape(S, d, B)
+        Hwy2 = Hwy2.reshape(S, d, B)
+        sub_slots = np.flatnonzero(~scan_mask)
+        if sub_slots.size:
+            assert H_prev is not None
+            Hw[sub_slots] = H_prev[0][parent_ref[sub_slots]] - Hw[sibling_ref[sub_slots]]
+            Hwy[sub_slots] = H_prev[1][parent_ref[sub_slots]] - Hwy[sibling_ref[sub_slots]]
+            Hwy2[sub_slots] = H_prev[2][parent_ref[sub_slots]] - Hwy2[sibling_ref[sub_slots]]
+
+        # --- 2. stopping rules that need no split search
+        mean = Swy / Sw
+        sse_node = Swy2 - Swy * mean
+        # Purity tolerance mirroring the exact splitter's allclose() stop.
+        tol = Sw * (1e-8 + 1e-5 * np.abs(mean)) ** 2
+        eligible = (Sw >= min_samples_split) & (sse_node > tol)
+        if max_depth is not None and depth >= max_depth:
+            eligible[:] = False
+
+        if not np.any(eligible):
+            break
+
+        # --- 3. per-node random feature subsets, one rng call per level
+        if n_feat_per_split < d:
+            ranks = np.argsort(gen.random((S, d)), axis=1, kind="stable")
+            feat_mask = np.zeros((S, d), dtype=bool)
+            np.put_along_axis(feat_mask, ranks[:, :n_feat_per_split], True, axis=1)
+        else:
+            feat_mask = np.ones((S, d), dtype=bool)
+
+        # --- 4. split search: cumulative bin scans, all slots and features at once
+        cw = np.cumsum(Hw, axis=2)[:, :, :-1]
+        cwy = np.cumsum(Hwy, axis=2)[:, :, :-1]
+        cwy2 = np.cumsum(Hwy2, axis=2)[:, :, :-1]
+        rw = Sw[:, None, None] - cw
+        rwy = Swy[:, None, None] - cwy
+        rwy2 = Swy2[:, None, None] - cwy2
+        valid = boundary_ok[None, :, :] & feat_mask[:, :, None]
+        valid &= (cw >= min_samples_leaf) & (rw >= min_samples_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sse_split = (cwy2 - cwy * cwy / cw) + (rwy2 - rwy * rwy / rw)
+        gain = sse_node[:, None, None] - sse_split
+        gain = np.where(valid, gain, -np.inf)
+        flat_gain = gain.reshape(S, d * (B - 1))
+        best = np.argmax(flat_gain, axis=1)
+        slots_idx = np.arange(S)
+        best_gain = flat_gain[slots_idx, best]
+        best_feat = best // (B - 1)
+        best_b = best - best_feat * (B - 1)
+        # Per-sample (weighted variance) decrease, normalized by the *node*
+        # size — not the full dataset — so min_impurity_decrease means the
+        # same thing at every depth.
+        split_ok = eligible & np.isfinite(best_gain) & ~(best_gain / Sw < min_impurity_decrease)
+        sp = np.flatnonzero(split_ok)
+        if sp.size == 0:
+            break
+
+        # --- 5. record splits and allocate children (left then right, slot order)
+        lw = cw[sp, best_feat[sp], best_b[sp]]
+        lwy = cwy[sp, best_feat[sp], best_b[sp]]
+        lwy2 = cwy2[sp, best_feat[sp], best_b[sp]]
+        rw_ = Sw[sp] - lw
+        rwy_ = Swy[sp] - lwy
+        rwy2_ = Swy2[sp] - lwy2
+        n_child = 2 * sp.size
+        child_node = np.empty(n_child, dtype=np.int64)
+        for k, s in enumerate(sp):
+            nid = int(node_of_slot[s])
+            store.feature[nid] = int(best_feat[s])
+            store.threshold[nid] = float(thr_mat[best_feat[s], best_b[s]])
+            lid = store.new_node(float(lw[k]), float(lwy[k]), float(lwy2[k]))
+            rid = store.new_node(float(rw_[k]), float(rwy_[k]), float(rwy2_[k]))
+            store.left[nid] = lid
+            store.right[nid] = rid
+            child_node[2 * k] = lid
+            child_node[2 * k + 1] = rid
+
+        # --- 6. partition rows of the splitting slots into child segments
+        sp_lengths = seg_end[sp] - seg_start[sp]
+        rows = np.concatenate([order[s:e] for s, e in zip(seg_start[sp], seg_end[sp])])
+        local = np.repeat(np.arange(sp.size, dtype=np.int64), sp_lengths)
+        go_right = binned[rows, best_feat[sp][local]] > best_b[sp][local]
+        key = local * 2 + go_right
+        perm = np.argsort(key, kind="stable")
+        order = rows[perm]
+        child_len = np.bincount(key, minlength=n_child)
+        bounds = np.concatenate(([0], np.cumsum(child_len)))
+
+        # --- 7. next frontier: scan the smaller child, subtract the larger
+        left_smaller = child_len[0::2] <= child_len[1::2]
+        next_scan = np.empty(n_child, dtype=bool)
+        next_scan[0::2] = left_smaller
+        next_scan[1::2] = ~left_smaller
+        next_sibling = np.arange(n_child, dtype=np.int64)
+        next_sibling[0::2] += 1  # left's sibling is right …
+        next_sibling[1::2] -= 1  # … and vice versa
+        H_prev = (Hw[sp], Hwy[sp], Hwy2[sp])
+        parent_ref = np.repeat(np.arange(sp.size, dtype=np.int64), 2)
+        sibling_ref = next_sibling
+        scan_mask = next_scan
+        node_of_slot = child_node
+        seg_start = bounds[:-1]
+        seg_end = bounds[1:]
+        new_Sw = np.empty(n_child)
+        new_Swy = np.empty(n_child)
+        new_Swy2 = np.empty(n_child)
+        new_Sw[0::2], new_Sw[1::2] = lw, rw_
+        new_Swy[0::2], new_Swy[1::2] = lwy, rwy_
+        new_Swy2[0::2], new_Swy2[1::2] = lwy2, rwy2_
+        Sw, Swy, Swy2 = new_Sw, new_Swy, new_Swy2
+        depth += 1
+
+    return store.finish()
+
+
+def predict_trees_reference(trees: Sequence[object], X: np.ndarray) -> np.ndarray:
+    """Per-tree predictions via the straightforward per-tree loop.
+
+    Kept as the ground-truth implementation the flat engine is tested against
+    (the seed's ``predict_all_trees`` behaviour).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X.reshape(1, -1)
+    return np.stack([t.predict(X) for t in trees], axis=0)
+
+
+def _bootstrap_draws(
+    random_state: RandomState, n_estimators: int, n: int, bootstrap: bool
+) -> List[Tuple[np.random.Generator, Optional[np.ndarray]]]:
+    """Each tree's generator and resample rows (``None``: every row once).
+
+    The same draws :meth:`repro.core.forest.RandomForestRegressor.fit` makes:
+    one spawned generator per tree, whose first call is the bootstrap draw.
+    """
+    draws = []
+    for rng in spawn_generators(random_state, n_estimators):
+        rows = rng.integers(0, n, size=n) if bootstrap and n > 1 else None
+        draws.append((rng, rows))
+    return draws
+
+
+def exact_forest(
+    X: np.ndarray,
+    y: np.ndarray,
+    *,
+    n_estimators: int,
+    random_state: RandomState,
+    bootstrap: bool = True,
+    **tree_params,
+) -> List[ExactTreeRegressor]:
+    """Fit a forest's trees with the exact splitter on materialized resamples.
+
+    ``tree_params`` are :class:`ExactTreeRegressor` hyper-parameters.  With
+    the same seeds as a :class:`~repro.core.forest.RandomForestRegressor`,
+    every tree sees the same resample and draws its feature subsets from the
+    same generator.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    trees = []
+    for rng, rows in _bootstrap_draws(random_state, n_estimators, X.shape[0], bootstrap):
+        if rows is None:
+            rows = np.arange(X.shape[0])
+        trees.append(ExactTreeRegressor(random_state=rng, **tree_params).fit(X[rows], y[rows]))
+    return trees
+
+
+def per_tree_hist_forest(
+    binned: np.ndarray,
+    bin_thresholds: Sequence[np.ndarray],
+    y: np.ndarray,
+    *,
+    n_estimators: int,
+    random_state: RandomState,
+    bootstrap: bool = True,
+    max_features=0.75,
+    **grow_params,
+) -> List[_NodeArrays]:
+    """Grow a forest's trees one at a time with :func:`grow_tree_hist`.
+
+    Bootstrap resamples are integer weight vectors over ``binned``, as in
+    :meth:`repro.core.forest.RandomForestRegressor.fit`; ``grow_params`` are
+    the grower's stopping rules.  With the forest's seeds and
+    hyper-parameters the node tables equal the forest's tree for tree.
+    """
+    n, d = np.shape(binned)
+    n_feat_per_split = DecisionTreeRegressor(max_features=max_features)._resolve_max_features(d)
+    trees = []
+    for rng, rows in _bootstrap_draws(random_state, n_estimators, n, bootstrap):
+        weights = None if rows is None else np.bincount(rows, minlength=n)
+        trees.append(
+            grow_tree_hist(
+                binned,
+                bin_thresholds,
+                y,
+                weights,
+                n_feat_per_split=n_feat_per_split,
+                rng=rng,
+                **grow_params,
+            )
+        )
+    return trees

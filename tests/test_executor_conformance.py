@@ -181,6 +181,13 @@ class TestBroker:
         with pytest.raises(BrokerShutdown):
             future.result(timeout=5.0)
 
+    def test_shutdown_stops_an_idle_accept_thread(self):
+        # Closing the listener alone does not wake a thread blocked in
+        # accept(); shutdown(wait=True) would then wait out its join timeout.
+        broker = EvaluationBroker().start()
+        broker.shutdown(wait=True)
+        assert not broker._accept_thread.is_alive()
+
     def test_announce_file_points_at_the_listener(self, tmp_path):
         announce = tmp_path / "broker.json"
         with EvaluationBroker(announce_file=str(announce)) as broker:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.flat_forest import FlatForest, predict_trees_reference
+from oracles import predict_trees_reference
+from repro.core.flat_forest import FlatForest
 from repro.core.forest import RandomForestRegressor
 from repro.core.tree import DecisionTreeRegressor
 
@@ -132,18 +133,6 @@ class TestFlatForestConstruction:
         t2 = DecisionTreeRegressor(random_state=0).fit(np.zeros((4, 3)), np.arange(4.0))
         with pytest.raises(ValueError):
             FlatForest.from_trees([t1, t2])
-
-
-class TestParallelFit:
-    def test_n_jobs_results_identical(self):
-        X, y = _regression_problem(n=150, seed=10, noise=0.3)
-        serial = RandomForestRegressor(n_estimators=16, random_state=21).fit(X, y)
-        threaded = RandomForestRegressor(n_estimators=16, n_jobs=4, random_state=21).fit(X, y)
-        auto = RandomForestRegressor(n_estimators=16, n_jobs=-1, random_state=21).fit(X, y)
-        Xq = np.random.default_rng(0).normal(size=(80, X.shape[1]))
-        np.testing.assert_array_equal(serial.predict_all_trees(Xq), threaded.predict_all_trees(Xq))
-        np.testing.assert_array_equal(serial.predict_all_trees(Xq), auto.predict_all_trees(Xq))
-        assert serial.oob_error() == pytest.approx(threaded.oob_error(), abs=0.0)
 
 
 def _discrete_pool(n, d_ord, seed):

@@ -142,8 +142,7 @@ class TestSurrogate:
         pred = surrogate.predict(configs)
         assert np.all(pred[:, 1] > 0)
 
-    @pytest.mark.parametrize("splitter", ["hist", "exact"])
-    def test_refit_on_grown_history_equals_fresh_fit(self, toy_space, toy_objectives, splitter):
+    def test_refit_on_grown_history_equals_fresh_fit(self, toy_space, toy_objectives):
         # Each fit regrows both forests; the pool's one index is shared by
         # every forest of every fit, as in an active-learning loop.
         from repro.core.flat_forest import PoolIndex
@@ -152,7 +151,7 @@ class TestSurrogate:
         metrics = [toy_evaluate(c) for c in configs]
         X_pool = toy_space.encode(toy_space.enumerate())
         index = PoolIndex(X_pool)
-        kw = dict(n_estimators=8, splitter=splitter, random_state=5)
+        kw = dict(n_estimators=8, random_state=5)
         refitted = MultiObjectiveSurrogate(toy_space, toy_objectives, **kw)
         refitted.fit(configs[:12], metrics[:12]).predict_with_std_encoded(X_pool, pool_index=index)
         refitted.fit(configs, metrics)
@@ -360,15 +359,3 @@ class TestEncodedPoolCaching:
         idx, vals_e = surrogate.predicted_pareto_encoded(X_pool)
         assert cfgs == [pool[int(i)] for i in idx]
         np.testing.assert_array_equal(vals, vals_e)
-
-    def test_surrogate_n_jobs_deterministic(self, toy_space, toy_objectives):
-        configs = toy_space.sample(20, rng=np.random.default_rng(3))
-        metrics = [toy_evaluate(c) for c in configs]
-        serial = MultiObjectiveSurrogate(toy_space, toy_objectives, n_estimators=8, random_state=4)
-        threaded = MultiObjectiveSurrogate(
-            toy_space, toy_objectives, n_estimators=8, n_jobs=4, random_state=4
-        )
-        serial.fit(configs, metrics)
-        threaded.fit(configs, metrics)
-        pool = toy_space.enumerate()
-        np.testing.assert_array_equal(serial.predict(pool), threaded.predict(pool))

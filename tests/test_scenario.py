@@ -287,6 +287,31 @@ class TestScenarioValidation:
             Scenario.from_dict(toy_scenario_dict(search={"algorithm": "hypermapper", key: value}))
         assert exc.value.path == f"/search/{key}"
 
+    @pytest.mark.parametrize(
+        "key, value",
+        # A typo'd knob, the removed engine knobs, and the seed that the
+        # search builder passes to the surrogate itself.
+        [
+            ("n_estimator", 8),
+            ("splitter", "exact"),
+            ("n_jobs", 4),
+            ("max_bins", 64),
+            ("random_state", 1),
+        ],
+    )
+    def test_unknown_surrogate_key_rejected(self, key, value):
+        with pytest.raises(ScenarioError) as exc:
+            Scenario.from_dict(
+                toy_scenario_dict(search={"algorithm": "hypermapper", "surrogate": {key: value}})
+            )
+        assert exc.value.path == f"/search/surrogate/{key}"
+
+    def test_surrogate_knob_accepted(self):
+        s = Scenario.from_dict(
+            toy_scenario_dict(search={"algorithm": "hypermapper", "surrogate": {"n_estimators": 8}})
+        )
+        assert s.search_spec["surrogate"] == {"n_estimators": 8}
+
     def test_baseline_budget_required_at_validation(self):
         with pytest.raises(ScenarioError) as exc:
             Scenario.from_dict(toy_scenario_dict(search={"algorithm": "random"}))

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from executor_conformance import toy_evaluate
 
 from repro.cli import main as cli_main
-from repro.client import ServiceClient, ServiceHTTPError
+from repro.core.client import ServiceClient, ServiceHTTPError
 from repro.core.registry import load_builtin_plugins, registry_snapshot
 from repro.core.scenario import ScenarioError
 from repro.core.scheduler import (

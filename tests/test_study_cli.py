@@ -439,6 +439,14 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "/evaluator/type" in err
 
+    @pytest.mark.parametrize("key, value", [("splitter", "exact"), ("n_estimator", 8)])
+    def test_validate_rejects_unknown_surrogate_key(self, tmp_path, capsys, key, value):
+        scenario = self.scenario_path(
+            tmp_path, search={"algorithm": "hypermapper", "surrogate": {key: value}}
+        )
+        assert cli_main(["validate", str(scenario)]) == 2
+        assert f"/search/surrogate/{key}" in capsys.readouterr().err
+
     def test_run_report_resume_end_to_end(self, tmp_path, capsys):
         scenario = self.scenario_path(tmp_path)
         run_dir = tmp_path / "run"

@@ -1,12 +1,17 @@
-"""Tests for the histogram-binned, frontier-batched tree fitting engine."""
+"""Tests for the histogram-binned, frontier-batched tree fitting engine.
+
+The exact splitter and the per-tree histogram grower these tests compare
+against live in ``oracles.py``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import ExactTreeRegressor, exact_forest, grow_tree_hist, predict_trees_reference
 from repro.core.forest import RandomForestRegressor
 from repro.core.tree import DecisionTreeRegressor
-from repro.core.tree_builder import BinMapper, grow_forest_hist, grow_tree_hist
+from repro.core.tree_builder import BinMapper, grow_forest_hist
 
 
 def _integer_data(seed, n=120, d=4, n_values=5, y_span=32):
@@ -70,13 +75,14 @@ class TestBinMapper:
 
 
 class TestHistExactEquivalence:
-    """On losslessly binnable data the two splitters grow the same partitions."""
+    """On losslessly binnable data the histogram engine grows the same
+    partitions as the exact splitter oracle."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_training_predictions_identical(self, seed):
         X, y = _integer_data(seed)
-        exact = DecisionTreeRegressor(splitter="exact", random_state=0).fit(X, y)
-        hist = DecisionTreeRegressor(splitter="hist", random_state=0).fit(X, y)
+        exact = ExactTreeRegressor(random_state=0).fit(X, y)
+        hist = DecisionTreeRegressor(random_state=0).fit(X, y)
         np.testing.assert_array_equal(exact.predict(X), hist.predict(X))
         assert exact.n_leaves == hist.n_leaves
         assert exact.depth == hist.depth
@@ -88,8 +94,8 @@ class TestHistExactEquivalence:
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 2, size=(150, 6)).astype(np.float64)
         y = rng.integers(0, 64, size=150).astype(np.float64)
-        exact = DecisionTreeRegressor(splitter="exact", random_state=1).fit(X, y)
-        hist = DecisionTreeRegressor(splitter="hist", random_state=1).fit(X, y)
+        exact = ExactTreeRegressor(random_state=1).fit(X, y)
+        hist = DecisionTreeRegressor(random_state=1).fit(X, y)
         queries = rng.uniform(-1, 2, size=(500, 6))
         np.testing.assert_array_equal(exact.predict(queries), hist.predict(queries))
 
@@ -98,20 +104,17 @@ class TestHistExactEquivalence:
         rng = np.random.default_rng(100 + seed)
         X = rng.integers(0, 2, size=(80, 5)).astype(np.float64)
         y = rng.integers(0, 32, size=80).astype(np.float64)
-        exact = RandomForestRegressor(
-            n_estimators=8, splitter="exact", max_features=None, random_state=seed
-        ).fit(X, y)
-        hist = RandomForestRegressor(
-            n_estimators=8, splitter="hist", max_features=None, random_state=seed
-        ).fit(X, y)
+        # Same seeds, so every exact tree sees its hist twin's bootstrap rows.
+        exact = exact_forest(X, y, n_estimators=8, max_features=None, random_state=seed)
+        hist = RandomForestRegressor(n_estimators=8, max_features=None, random_state=seed).fit(X, y)
         queries = rng.uniform(-1, 2, size=(200, 5))
-        np.testing.assert_array_equal(exact.predict(queries), hist.predict(queries))
+        np.testing.assert_array_equal(
+            predict_trees_reference(exact, queries).mean(axis=0), hist.predict(queries)
+        )
 
     def test_hyperparameters_respected(self):
         X, y = _integer_data(3, n=300)
-        tree = DecisionTreeRegressor(
-            splitter="hist", max_depth=3, min_samples_leaf=12, random_state=0
-        ).fit(X, y)
+        tree = DecisionTreeRegressor(max_depth=3, min_samples_leaf=12, random_state=0).fit(X, y)
         assert tree.depth <= 3
         nodes = tree.node_arrays
         assert np.all(nodes.n_samples[nodes.feature < 0] >= 12)
@@ -122,7 +125,7 @@ class TestHistExactEquivalence:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(40, 3))
         y = rng.uniform(-5, 5, size=40)
-        tree = DecisionTreeRegressor(splitter="hist", random_state=seed).fit(X, y)
+        tree = DecisionTreeRegressor(random_state=seed).fit(X, y)
         pred = tree.predict(rng.normal(size=(20, 3)))
         assert np.all(pred >= y.min() - 1e-9) and np.all(pred <= y.max() + 1e-9)
 
@@ -145,18 +148,18 @@ class TestWeightVectorBootstrap:
         mapper = BinMapper().fit(X)
         binned = mapper.transform(X)
         materialized_rows = np.repeat(np.arange(n), weights)
-        reference = grow_tree_hist(
+        (reference,) = grow_forest_hist(
             binned[materialized_rows],
             mapper.bin_thresholds_,
             y[materialized_rows],
-            rng=np.random.default_rng(seed),
+            rngs=[np.random.default_rng(seed)],
         )
-        weighted = grow_tree_hist(
+        (weighted,) = grow_forest_hist(
             binned,
             mapper.bin_thresholds_,
             y,
-            weights,
-            rng=np.random.default_rng(seed),
+            [weights],
+            rngs=[np.random.default_rng(seed)],
         )
         for name in ("feature", "threshold", "left", "right", "value", "n_samples", "impurity"):
             np.testing.assert_array_equal(
@@ -171,11 +174,11 @@ class TestWeightVectorBootstrap:
         keep[:2] = True
         mapper = BinMapper().fit(X)
         binned = mapper.transform(X)
-        sub = grow_tree_hist(
-            binned[keep], mapper.bin_thresholds_, y[keep], rng=np.random.default_rng(9)
+        (sub,) = grow_forest_hist(
+            binned[keep], mapper.bin_thresholds_, y[keep], rngs=[np.random.default_rng(9)]
         )
-        weighted = grow_tree_hist(
-            binned, mapper.bin_thresholds_, y, keep.astype(float), rng=np.random.default_rng(9)
+        (weighted,) = grow_forest_hist(
+            binned, mapper.bin_thresholds_, y, [keep.astype(float)], rngs=[np.random.default_rng(9)]
         )
         np.testing.assert_array_equal(sub.value, weighted.value)
         np.testing.assert_array_equal(sub.feature, weighted.feature)
@@ -203,15 +206,6 @@ class TestSharedBinning:
         assert shared.bin_mapper is mapper
         with pytest.raises(ValueError):
             RandomForestRegressor(n_estimators=2).fit(X, y, prebinned=mapper.transform(X))
-
-    def test_n_jobs_deterministic_hist(self):
-        X, y = _integer_data(13, n=200, d=6)
-        serial = RandomForestRegressor(n_estimators=12, random_state=3).fit(X, y)
-        threaded = RandomForestRegressor(n_estimators=12, n_jobs=4, random_state=3).fit(X, y)
-        np.testing.assert_array_equal(serial.predict(X), threaded.predict(X))
-        np.testing.assert_array_equal(
-            np.sort(serial.flat.threshold), np.sort(threaded.flat.threshold)
-        )
 
     def test_surrogate_prebinned_matches_internal_binning(self):
         from repro.core.objectives import Objective, ObjectiveSet
@@ -254,15 +248,16 @@ def _pocket_data():
     return X, y
 
 
+_TREE_ENGINES = {"exact": ExactTreeRegressor, "hist": DecisionTreeRegressor}
+
+
 class TestGainNormalization:
     """min_impurity_decrease is normalized by the node, not the full dataset."""
 
     @pytest.mark.parametrize("splitter", ["exact", "hist"])
     def test_deep_small_node_still_splits(self, splitter):
         X, y = _pocket_data()
-        tree = DecisionTreeRegressor(
-            splitter=splitter, min_impurity_decrease=5.0, random_state=0
-        ).fit(X, y)
+        tree = _TREE_ENGINES[splitter](min_impurity_decrease=5.0, random_state=0).fit(X, y)
         assert tree.predict(np.array([[1.0, 0.0]]))[0] == pytest.approx(10.0)
         assert tree.predict(np.array([[1.0, 1.0]]))[0] == pytest.approx(30.0)
 
@@ -270,9 +265,7 @@ class TestGainNormalization:
     def test_large_threshold_still_prunes(self, splitter):
         X, y = _pocket_data()
         # Per-node gains: root 15.4 per sample, pocket 100 — both below 200.
-        tree = DecisionTreeRegressor(
-            splitter=splitter, min_impurity_decrease=200.0, random_state=0
-        ).fit(X, y)
+        tree = _TREE_ENGINES[splitter](min_impurity_decrease=200.0, random_state=0).fit(X, y)
         assert tree.n_leaves == 1
 
 
@@ -281,29 +274,23 @@ class TestGrowTreeValidation:
         mapper = BinMapper().fit(np.zeros((4, 2)))
         binned = mapper.transform(np.zeros((4, 2)))
         with pytest.raises(ValueError):
-            grow_tree_hist(binned, mapper.bin_thresholds_, np.zeros(3))
+            grow_forest_hist(binned, mapper.bin_thresholds_, np.zeros(3), n_trees=1)
         with pytest.raises(ValueError):
-            grow_tree_hist(binned, mapper.bin_thresholds_[:1], np.zeros(4))
+            grow_forest_hist(binned, mapper.bin_thresholds_[:1], np.zeros(4), n_trees=1)
         with pytest.raises(ValueError):
-            grow_tree_hist(binned, mapper.bin_thresholds_, np.zeros(4), np.zeros(4))
-        with pytest.raises(ValueError):
-            DecisionTreeRegressor(splitter="nope")
-        with pytest.raises(ValueError):
-            DecisionTreeRegressor(splitter="exact").fit(
-                np.zeros((3, 1)), np.zeros(3), sample_weight=np.ones(3)
-            )
+            grow_forest_hist(binned, mapper.bin_thresholds_, np.zeros(4), [np.zeros(4)])
 
     def test_constant_features_single_leaf(self):
         mapper = BinMapper().fit(np.zeros((6, 2)))
-        nodes = grow_tree_hist(
-            mapper.transform(np.zeros((6, 2))), mapper.bin_thresholds_, np.arange(6.0)
+        (nodes,) = grow_forest_hist(
+            mapper.transform(np.zeros((6, 2))), mapper.bin_thresholds_, np.arange(6.0), n_trees=1
         )
         assert nodes.feature.size == 1 and nodes.feature[0] == -1
         assert nodes.value[0] == pytest.approx(2.5)
 
 
 class TestGrowForestHist:
-    """The forest-level grower must match per-tree growing bit-for-bit."""
+    """The forest-level grower must match the per-tree oracle bit-for-bit."""
 
     _FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples", "impurity")
 
@@ -375,22 +362,40 @@ class TestGrowForestHist:
                     getattr(single, name), getattr(batched[t], name), err_msg=f"tree {t}: {name}"
                 )
 
-    def test_forest_fit_dispatch_and_fallback_identical(self, monkeypatch):
-        """fit() must build the same forest whether the batched grower runs or
-        the scratch budget forces the per-tree fallback."""
+    @pytest.mark.parametrize(
+        "trees_per_slice, slices",
+        [pytest.param(1, [1] * 8, id="1-per-slice"), pytest.param(3, [3, 3, 2], id="3-3-2")],
+    )
+    def test_sliced_fit_matches_one_pass(self, monkeypatch, trees_per_slice, slices):
+        """A scratch budget that admits only some of the trees per grower call
+        must give the node tables of growing the whole forest in one call."""
         import repro.core.forest as fmod
 
         X, y = _integer_data(31, n=150, d=5)
-        fast = RandomForestRegressor(n_estimators=8, random_state=3).fit(X, y)
-        monkeypatch.setattr(fmod, "FOREST_SCRATCH_BUDGET_BYTES", 0)
-        slow = RandomForestRegressor(n_estimators=8, random_state=3).fit(X, y)
-        for t_fast, t_slow in zip(fast.trees, slow.trees):
+        one_pass = RandomForestRegressor(n_estimators=8, random_state=3).fit(X, y)
+        per_tree = 3 * 8 * X.shape[0] * X.shape[1] * int(one_pass.bin_mapper.n_bins_.max())
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(len(kwargs["rngs"]))
+            return grow_forest_hist(*args, **kwargs)
+
+        monkeypatch.setattr(fmod, "grow_forest_hist", spy)
+        # A budget one byte short of trees_per_slice + 1 trees.
+        monkeypatch.setattr(
+            fmod, "FOREST_SCRATCH_BUDGET_BYTES", (trees_per_slice + 1) * per_tree - 1
+        )
+        sliced = RandomForestRegressor(n_estimators=8, random_state=3).fit(X, y)
+        assert calls == slices
+        for t_one, t_sliced in zip(one_pass.trees, sliced.trees):
             for name in self._FIELDS:
                 np.testing.assert_array_equal(
-                    getattr(t_fast.node_arrays, name),
-                    getattr(t_slow.node_arrays, name),
+                    getattr(t_one.node_arrays, name),
+                    getattr(t_sliced.node_arrays, name),
                     err_msg=name,
                 )
+        np.testing.assert_array_equal(one_pass.predict(X), sliced.predict(X))
+        assert one_pass.oob_error() == sliced.oob_error()
 
     def test_unweighted_trees_and_n_trees_inference(self):
         X, y = _integer_data(41, n=60, d=3)
