@@ -10,9 +10,10 @@ Subcommands
     Continue a killed run from its engine checkpoint (bit-identical to the
     uninterrupted run); a finished run just replays to the same result.
 ``sweep <spec>``
-    Expand a sweep spec into a fleet of studies, run them on the scheduler
-    (one run dir per point), and write the cross-run comparison report.
-    ``--resume`` completes only the points a killed sweep left unfinished.
+    Expand a sweep spec into a fleet of studies, drain them as one
+    ``sweep-worker`` in this process (one run dir per point), and write the
+    cross-run comparison report.  ``--resume`` re-runs only the points whose
+    run dirs are not complete; ``--force`` deletes the old points and leases.
 ``sweep-report <sweep_dir>``
     Recompute and print the comparison report of a persisted sweep.
 ``sweep-worker <sweep_dir>``
@@ -222,7 +223,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             max_concurrent=args.max_concurrent,
             resume=args.resume,
             force=args.force,
-            leases=args.leases,
         )
     except (ScenarioError, ValueError) as exc:
         # ValueError here is scheduler configuration (e.g. --max-concurrent 0);
@@ -648,7 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_resume.set_defaults(fn=_cmd_resume)
 
     p_sweep = sub.add_parser(
-        "sweep", help="expand a sweep spec and run every point on the scheduler"
+        "sweep",
+        help="expand a sweep spec and drain every point as one lease-holding worker "
+        "(sweep-worker processes may join the same directory)",
     )
     p_sweep.add_argument("spec", help="path to a .json or .toml sweep spec")
     p_sweep.add_argument("--sweep-dir", help="sweep directory (default: runs/<sweep name>)")
@@ -658,14 +660,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--resume",
         action="store_true",
-        help="reload finished points and complete only the rest",
+        help="re-run points whose run dirs are not complete (from their checkpoints) "
+        "and keep the rest",
     )
-    p_sweep.add_argument("--force", action="store_true", help="overwrite an existing sweep dir")
     p_sweep.add_argument(
-        "--leases",
+        "--force",
         action="store_true",
-        help="claim points via durable leases (other sweep-worker processes may "
-        "join the same directory concurrently)",
+        help="delete an existing sweep's points and leases and start over",
     )
     p_sweep.add_argument("--quiet", action="store_true", help="suppress the report printout")
     p_sweep.set_defaults(fn=_cmd_sweep)

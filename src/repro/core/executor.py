@@ -18,7 +18,7 @@ dominate the wall clock, run concurrently, and finish out of order.  The
   affordable prefix (in submission order) is accepted and the rest is
   rejected — exactly reproducible, unlike the seed behaviour where
   :class:`~repro.core.evaluator.FunctionEvaluator` refused whole batches and
-  :class:`~repro.core.evaluator.CachedEvaluator` dropped the budget entirely.
+  its memoizing wrapper dropped the budget entirely.
 
 Results are always gathered in submission order, so a deterministic
 evaluation function produces a bit-identical
@@ -44,7 +44,6 @@ from repro.core.evaluator import (
     Evaluator,
     FunctionEvaluator,
     MetricDict,
-    WorkerPoolLifecycle,
 )
 from repro.core.faults import (
     KIND_CRASH,
@@ -133,8 +132,13 @@ class EvalFuture:
         return self._result
 
 
-class EvaluationExecutor(WorkerPoolLifecycle):
+class EvaluationExecutor:
     """Persistent submit/gather evaluation engine with caching and budgeting.
+
+    The worker pool is created lazily on first use and persists across
+    batches — spinning a pool up and down per batch costs more than a small
+    batch itself.  ``close()`` (or the context-manager protocol) releases
+    the workers; a closed executor refuses further work.
 
     Parameters
     ----------
@@ -169,8 +173,7 @@ class EvaluationExecutor(WorkerPoolLifecycle):
         *here* — deterministically, prefix-wise — instead of via the wrapped
         evaluator's all-or-nothing refusal.
     cache:
-        Memoize results by configuration (on by default, mirroring the old
-        ``CachedEvaluator`` wrapping).
+        Memoize results by configuration (on by default).
     fault_policy:
         Optional :class:`~repro.core.faults.FaultPolicy`.  ``None`` (default)
         preserves the historical fail-fast behaviour bit-for-bit; a policy
@@ -201,7 +204,10 @@ class EvaluationExecutor(WorkerPoolLifecycle):
                 raise ValueError("objectives are required when wrapping a plain callable")
             self._inner = FunctionEvaluator(evaluator, objectives)
             self.objectives = objectives
-        self._validate_pool_args(n_workers, backend)
+        if n_workers < 1:
+            raise ValueError("n_workers must be >= 1")
+        if backend not in ("thread", "process", "socket"):
+            raise ValueError("backend must be one of ('thread', 'process', 'socket')")
         if backend != "socket" and (transport is not None or broker is not None):
             raise ValueError("transport/broker are only valid with backend='socket'")
         self.n_workers = int(n_workers)
@@ -218,6 +224,8 @@ class EvaluationExecutor(WorkerPoolLifecycle):
         # Budget units consumed at submission time; starts from the wrapped
         # evaluator's own counter so pre-wrap evaluations stay accounted for.
         self._planned = int(getattr(self._inner, "n_evaluations", 0))
+        self._pool: Any = None
+        self._closed = False
 
     # -- introspection -----------------------------------------------------------
     @property
@@ -319,33 +327,59 @@ class EvaluationExecutor(WorkerPoolLifecycle):
         return futures, len(futures)
 
     def _get_pool(self):
-        if self.backend != "socket":
-            return super()._get_pool()
         if self._closed:
             raise RuntimeError(f"this {type(self).__name__} has been closed")
-        if self._pool is None:
-            if self._shared_broker is not None:
-                self._pool = SharedBrokerPool(self._shared_broker)
-            else:
-                spec = self._transport
-                broker = EvaluationBroker(
-                    spec["host"],
-                    spec["port"],
-                    heartbeat_s=spec["heartbeat_s"],
-                    announce_file=spec.get("announce_file"),
-                ).start()
-                threads = (
-                    spawn_local_workers(broker.address, self.n_workers)
-                    if spec.get("workers", "local") == "local"
-                    else []
-                )
-                if threads:
-                    # Let the local workers register first, so the first
-                    # batch is spread over all of them and not left to
-                    # whichever one happened to connect first.
-                    broker.wait_for_workers(len(threads), timeout=_LOCAL_WORKER_JOIN_S)
-                self._pool = BrokerPool(broker, threads)
+        if self._pool is not None:
+            return self._pool
+        if self.backend == "thread":
+            self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.n_workers)
+        elif self.backend == "process":
+            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.n_workers)
+        elif self._shared_broker is not None:
+            self._pool = SharedBrokerPool(self._shared_broker)
+        else:
+            spec = self._transport
+            broker = EvaluationBroker(
+                spec["host"],
+                spec["port"],
+                heartbeat_s=spec["heartbeat_s"],
+                announce_file=spec.get("announce_file"),
+            ).start()
+            threads = (
+                spawn_local_workers(broker.address, self.n_workers)
+                if spec.get("workers", "local") == "local"
+                else []
+            )
+            if threads:
+                # Let the local workers register first, so the first
+                # batch is spread over all of them and not left to
+                # whichever one happened to connect first.
+                broker.wait_for_workers(len(threads), timeout=_LOCAL_WORKER_JOIN_S)
+            self._pool = BrokerPool(broker, threads)
         return self._pool
+
+    def close(self) -> None:
+        """Shut down the persistent worker pool (idempotent)."""
+        self._closed = True
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+
+    def __enter__(self) -> "EvaluationExecutor":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        # Last-resort guard against leaked worker pools when an exception
+        # escapes submit/gather/evaluate and the owner never calls close()
+        # (e.g. a crashed study).  Owners should still close deterministically
+        # — Study.run does, in a finally block — this only stops a dropped
+        # executor from pinning worker processes for the interpreter's life.
+        pool = getattr(self, "_pool", None)
+        if pool is not None:
+            pool.shutdown(wait=False)
 
     @property
     def broker(self) -> Optional[EvaluationBroker]:

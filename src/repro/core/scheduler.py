@@ -282,8 +282,7 @@ class StudyScheduler:
         Failures are *contained*: a study that raises produces a ``"failed"``
         outcome (with the error message) while its siblings keep running —
         nothing short of the scheduler process dying stops the queue.
-        ``on_outcome`` fires in the scheduling thread as each study settles
-        (the sweep runner uses it to persist manifest progress).
+        ``on_outcome`` fires in the scheduling thread as each study settles.
         """
         pending: List[tuple] = [(i, s) for i, s in enumerate(submissions)]
         outcomes: List[Optional[StudyOutcome]] = [None] * len(pending)

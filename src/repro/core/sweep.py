@@ -3,25 +3,37 @@
 The paper's central workflow is not one optimization run but *fleets* of
 them — KFusion and ElasticFusion explored across devices, seeds and budgets.
 A **sweep spec** is the wire format for that workflow: a base scenario plus
-axes of variation, expanded deterministically into N scenarios, scheduled
-onto a shared slot/worker budget (:class:`~repro.core.scheduler.StudyScheduler`)
-and persisted as a **versioned sweep directory**::
+axes of variation, expanded deterministically into N scenarios and
+persisted as a **versioned sweep directory**::
 
     sweep_dir/
-      sweep.json             # manifest: normalized spec + per-point status
+      sweep.json             # manifest: normalized spec + per-point status,
+                             #   lease owner and fencing generation
       points/<point_id>/     # one PR-4 run dir per point (scenario.json, ...)
+      leases/                # <point_id>.lease.json while a worker holds it
+      .sweep.lock            # advisory lock around manifest + lease updates
       comparison.json        # cross-run report: fronts, hypervolumes, curves
       comparison.md          # the same, as a readable table
 
-Key invariants (pinned by ``tests/test_sweep_scheduler.py``):
+There is one way to drain a sweep directory: :class:`SweepWorker` claims
+points under durable leases (:mod:`repro.core.leases`), runs each through
+:meth:`StudyScheduler.drain <repro.core.scheduler.StudyScheduler.drain>`
+and settles its status into the manifest.  :func:`run_sweep` is
+:func:`prepare_sweep_dir` plus one in-process worker plus
+:meth:`SweepWorker.finalize`; ``python -m repro sweep-worker`` processes
+speak the same protocol and may join the same directory at any time.
+
+Key invariants (pinned by ``tests/test_sweep_scheduler.py`` and
+``tests/test_distributed_sweep.py``):
 
 * **per-point bit-identity** — a point's ``history.jsonl`` under
-  ``max_concurrent_studies=k`` equals the standalone ``Study.run`` history of
-  the same scenario;
+  ``max_concurrent_studies=k``, or drained by any number of workers, equals
+  the standalone ``Study.run`` history of the same scenario;
 * **crash isolation** — a failing point is recorded in the manifest
   (``status: "failed"`` with the error) and every sibling completes;
-* **resumability** — re-running a killed sweep with ``resume=True`` reloads
-  finished points from their run dirs and completes only the rest.
+* **resumability** — ``resume=True`` re-opens every settled point whose
+  run dir is not complete, continues it from its checkpoint, and leaves
+  finished points alone.
 
 Spec format (JSON or TOML, ``schema_version: 1``)::
 
@@ -37,7 +49,9 @@ Spec format (JSON or TOML, ``schema_version: 1``)::
 fastest); ``points`` are explicit override sets appended after.  Axis keys
 are dotted paths into the scenario document
 (:func:`~repro.core.scenario.set_by_path`); a value may be a whole section
-(e.g. an axis over ``"search"`` swapping algorithms).
+(e.g. an axis over ``"search"`` swapping algorithms).  ``scheduler.policy``
+is validated and kept in the manifest, but it does not reorder a sweep:
+workers claim points in manifest order.
 """
 
 from __future__ import annotations
@@ -46,6 +60,7 @@ import copy
 import itertools
 import json
 import re
+import shutil
 import threading
 import time
 from dataclasses import dataclass
@@ -72,7 +87,7 @@ from repro.core.scenario import (
 )
 from repro.core.faults import summarize_faults
 from repro.core.scheduler import StudyOutcome, StudyScheduler, StudySubmission
-from repro.core.study import StudyResult, apply_constraints
+from repro.core.study import StudyResult, apply_constraints, run_status
 
 #: Version of the sweep wire format accepted by this code.
 SWEEP_VERSION = 1
@@ -89,6 +104,9 @@ SWEEP_LOCK_FILE = ".sweep.lock"
 
 #: Manifest point statuses that need no further work.
 TERMINAL_STATUSES = ("complete", "degraded", "failed", "invalid")
+
+#: Shortest wait before a worker retries points leased by live siblings.
+_CLAIM_POLL_S = 0.25
 
 _TOP_LEVEL_KEYS = ("schema_version", "name", "base", "axes", "points", "scheduler")
 
@@ -570,8 +588,14 @@ def prepare_sweep_dir(
 
     Idempotent under the sweep lock, so N workers racing at startup are
     safe: the first writes the ``pending`` manifest, the rest verify their
-    spec matches (same expansion) and join **without rewriting** — an
-    existing manifest's per-point progress is never clobbered.
+    spec matches (same expansion) and join without clobbering progress.
+
+    ``resume`` re-opens every settled point whose run dir is not
+    ``complete``/``degraded`` (failed, deleted, or damaged after the fact):
+    it goes back to ``pending`` and keeps its generation as the fencing
+    floor, so the next claim retries it from its run dir.  ``force``
+    removes the previous sweep's ``points/`` and ``leases/`` and writes a
+    fresh manifest.
     """
     spec = SweepSpec.coerce(spec)
     sweep_path = Path(sweep_dir)
@@ -592,7 +616,22 @@ def prepare_sweep_dir(
                     f"sweep spec does not match the manifest in {sweep_path} "
                     "(expansion would differ); refusing to resume",
                 )
-            return existing
+            entries = existing["points"]
+            reopened = [
+                e
+                for e in entries
+                if e["status"] in ("complete", "degraded", "failed")
+                and run_status(sweep_path / e["run_dir"]) not in ("complete", "degraded")
+            ]
+            if not reopened:
+                return existing
+            for entry in reopened:
+                entry["status"] = "pending"
+                entry["error"] = None
+            return _write_manifest(sweep_path, spec, entries, status="running")
+        if force:
+            for name in (POINTS_DIR, LEASES_DIR):
+                shutil.rmtree(sweep_path / name, ignore_errors=True)
         entries = _manifest_entries(spec.expand(strict=False))
         return _write_manifest(sweep_path, spec, entries, status="running")
 
@@ -655,8 +694,9 @@ class SweepWorker:
     """One process draining a lease-coordinated sweep directory.
 
     Start N of these (``python -m repro sweep-worker SWEEP_DIR`` — processes
-    today, hosts sharing a filesystem tomorrow) against one prepared sweep
-    dir (:func:`prepare_sweep_dir`); they claim points via durable leases,
+    today, hosts sharing a filesystem tomorrow; :func:`run_sweep` is one
+    in-process) against one prepared sweep dir (:func:`prepare_sweep_dir`);
+    they claim points in manifest order via durable leases,
     run each as an ordinary PR-4 study (so per-point artifacts stay
     bit-identical to a single-worker run), settle results into the manifest
     under the fencing generation, and whoever settles last finalizes the
@@ -665,7 +705,8 @@ class SweepWorker:
     A heartbeat thread refreshes held leases every ``ttl_s / 3``; a worker
     that dies stops heartbeating, its leases expire, and survivors take the
     points over (resuming from the run dir's checkpoint).  ``clock`` is
-    injectable so tests expire leases without waiting.
+    injectable so tests expire leases without waiting.  ``max_concurrent``
+    and ``worker_budget`` override the spec's ``scheduler`` section.
     """
 
     def __init__(
@@ -679,10 +720,8 @@ class SweepWorker:
         runner=None,
         max_concurrent: Optional[int] = None,
         worker_budget: Optional[int] = None,
-        policy: Optional[str] = None,
         heartbeat: bool = True,
         hold_after_claim: float = 0.0,
-        poll_interval_s: float = 0.25,
     ) -> None:
         self.sweep_path = Path(sweep_dir)
         manifest = load_manifest(self.sweep_path)
@@ -697,7 +736,6 @@ class SweepWorker:
         self._runner = runner
         self.heartbeat_enabled = bool(heartbeat)
         self.hold_after_claim = float(hold_after_claim)
-        self.poll_interval_s = float(poll_interval_s)
         # Scenarios come from the manifest entries, the durable source of
         # truth (see point_scenario) — never from re-expanding the axes.
         self._scenarios_by_id: Dict[str, Optional[Scenario]] = {
@@ -712,7 +750,6 @@ class SweepWorker:
             worker_budget=(
                 scheduler_spec["worker_budget"] if worker_budget is None else worker_budget
             ),
-            policy=scheduler_spec["policy"] if policy is None else policy,
             study_max_retries=scheduler_spec.get("study_max_retries", 0),
             retry_backoff_s=scheduler_spec.get("retry_backoff_s", 0.0),
         )
@@ -754,9 +791,9 @@ class SweepWorker:
                 if lease is None:
                     holder = self.leases.peek(pid)
                     remaining = (
-                        self.poll_interval_s
+                        _CLAIM_POLL_S
                         if holder is None
-                        else max(holder.ttl_s - (now - holder.heartbeat_at), self.poll_interval_s)
+                        else max(holder.ttl_s - (now - holder.heartbeat_at), _CLAIM_POLL_S)
                     )
                     wait = remaining if wait is None else min(wait, remaining)
                     continue
@@ -925,14 +962,16 @@ def run_sweep(
     runner=None,
     max_concurrent: Optional[int] = None,
     worker_budget: Optional[int] = None,
-    policy: Optional[str] = None,
     resume: bool = False,
     force: bool = False,
-    leases: bool = False,
     owner: Optional[str] = None,
-    ttl_s: float = DEFAULT_TTL_S,
 ) -> SweepResult:
-    """Expand a sweep spec and run every point through the scheduler.
+    """Expand a sweep spec and drain every point as one in-process worker.
+
+    :func:`prepare_sweep_dir`, one :class:`SweepWorker`, then
+    :meth:`SweepWorker.finalize` — the protocol ``python -m repro
+    sweep-worker`` speaks, so other worker processes may join the same
+    directory while it runs.
 
     Parameters
     ----------
@@ -945,145 +984,48 @@ def run_sweep(
         Host bindings applied to *every* point (a shared runner lets all
         device points reuse one simulation cache, as accuracy is
         device-independent).
-    max_concurrent / worker_budget / policy:
+    max_concurrent / worker_budget:
         Override the spec's ``scheduler`` section.
-    resume:
-        Reload points whose run dirs are already complete, resume
-        checkpointed ones, and run only the rest.  The spec must match the
-        manifest's (same expansion, same points).
-    leases:
-        Run in the lease-backed claiming mode: the manifest is prepared
-        durably (:func:`prepare_sweep_dir`) and drained by an in-process
-        :class:`SweepWorker` — the same protocol ``python -m repro
-        sweep-worker`` speaks, so other worker processes may join the same
-        directory concurrently.  ``owner``/``ttl_s`` name and bound this
-        worker's leases.  Per-point artifacts are identical either way.
+    resume / force:
+        See :func:`prepare_sweep_dir`.  The spec must match the manifest's.
+        Finished points this call did not run come back as ``reused``
+        outcomes.
+    owner:
+        This worker's lease owner id (default ``host:pid:nonce``).
     """
     spec = SweepSpec.coerce(spec)
     sweep_path = Path(sweep_dir)
-    if leases:
-        return _run_sweep_leased(
-            spec,
-            sweep_path,
-            evaluate=evaluate,
-            runner=runner,
-            max_concurrent=max_concurrent,
-            worker_budget=worker_budget,
-            policy=policy,
-            resume=resume,
-            force=force,
-            owner=owner,
-            ttl_s=ttl_s,
-        )
-    manifest_path = sweep_path / SWEEP_FILE
-    if manifest_path.exists():
-        existing = load_manifest(sweep_path)
-        if resume:
-            stored = SweepSpec.from_dict(existing["spec"])
-            if stored != spec:
-                raise SweepError(
-                    "/",
-                    f"sweep spec does not match the manifest in {sweep_path} "
-                    "(expansion would differ); refusing to resume",
-                )
-        elif not force:
-            raise SweepError(
-                "/",
-                f"{sweep_path} already holds a sweep (pass force=True to overwrite, "
-                "or resume=True to continue it)",
-            )
-
-    scheduler_spec = spec.scheduler_spec
-    scheduler = StudyScheduler(
-        max_concurrent_studies=(
-            scheduler_spec["max_concurrent_studies"] if max_concurrent is None else max_concurrent
-        ),
-        worker_budget=(
-            scheduler_spec["worker_budget"] if worker_budget is None else worker_budget
-        ),
-        policy=scheduler_spec["policy"] if policy is None else policy,
-        study_max_retries=scheduler_spec.get("study_max_retries", 0),
-        retry_backoff_s=scheduler_spec.get("retry_backoff_s", 0.0),
-    )
-
-    points = spec.expand(strict=False)
-    entries = _manifest_entries(points)
-    by_id = {e["point_id"]: e for e in entries}
-    submissions = [
-        StudySubmission(
-            key=p.point_id,
-            scenario=p.scenario,
-            run_dir=sweep_path / POINTS_DIR / p.point_id,
-            tenant=spec.name,
-            resume=resume,
-            evaluate=evaluate,
-            runner=runner,
-        )
-        for p in points
-        if p.scenario is not None
-    ]
-    _write_manifest(sweep_path, spec, entries, status="running")
-
-    def on_outcome(outcome: StudyOutcome) -> None:
-        entry = by_id[outcome.key]
-        entry["status"] = outcome.status
-        entry["error"] = outcome.error
-        # Manifest progress is durable: a killed sweep resumes from what the
-        # file says, not from anything in memory.
-        _write_manifest(sweep_path, spec, entries, status="running")
-
-    outcome_list = scheduler.run(submissions, on_outcome=on_outcome)
-    outcomes = {o.key: o for o in outcome_list}
-    manifest = _write_manifest(
-        sweep_path, spec, entries, status=_overall_status(entries)
-    )
-    comparison = build_comparison(sweep_path)
-    return SweepResult(
-        spec=spec,
-        sweep_dir=sweep_path,
-        points=points,
-        outcomes=outcomes,
-        manifest=manifest,
-        comparison=comparison,
-    )
-
-
-def _run_sweep_leased(
-    spec: SweepSpec,
-    sweep_path: Path,
-    *,
-    evaluate,
-    runner,
-    max_concurrent: Optional[int],
-    worker_budget: Optional[int],
-    policy: Optional[str],
-    resume: bool,
-    force: bool,
-    owner: Optional[str],
-    ttl_s: float,
-) -> SweepResult:
     prepare_sweep_dir(spec, sweep_path, resume=resume, force=force)
     worker = SweepWorker(
         sweep_path,
         owner=owner,
-        ttl_s=ttl_s,
         evaluate=evaluate,
         runner=runner,
         max_concurrent=max_concurrent,
         worker_budget=worker_budget,
-        policy=policy,
     )
-    outcome_list = worker.run()
+    ran = {o.key: o for o in worker.run()}
     manifest = worker.finalize()
-    comparison = build_comparison(sweep_path, write=False)
+    outcomes: Dict[str, StudyOutcome] = {}
+    for entry in manifest["points"]:
+        pid = entry["point_id"]
+        if pid in ran:
+            outcomes[pid] = ran[pid]
+        elif entry["status"] in ("complete", "degraded"):
+            outcomes[pid] = StudyOutcome(
+                key=pid,
+                status=entry["status"],
+                result=StudyResult.load(sweep_path / entry["run_dir"]),
+                tenant=spec.name,
+                reused=True,
+            )
     return SweepResult(
         spec=spec,
         sweep_dir=sweep_path,
         points=spec.expand(strict=False),
-        # Only the points *this* worker ran; siblings settle their own.
-        outcomes={o.key: o for o in outcome_list},
+        outcomes=outcomes,
         manifest=manifest,
-        comparison=comparison,
+        comparison=build_comparison(sweep_path, write=False),
     )
 
 

@@ -263,8 +263,8 @@ class EvaluationBroker:
         """Stop accepting, disconnect workers, fail undispatched futures.
 
         Signature-compatible with ``concurrent.futures.Executor.shutdown`` so
-        the broker (and the pools wrapping it) slot into
-        :class:`~repro.core.evaluator.WorkerPoolLifecycle` unchanged.
+        the broker (and the pools wrapping it) slot into the pool lifecycle
+        of :class:`~repro.core.executor.EvaluationExecutor` unchanged.
         """
         with self._lock:
             if self._closing:

@@ -81,7 +81,9 @@ def golden_spec():
 
 
 def build_golden_sweep(target: Path):
-    return run_sweep(golden_spec(), target, evaluate=golden_evaluate)
+    # A fixed owner keeps the manifest deterministic (the default owner id
+    # is host:pid:nonce).
+    return run_sweep(golden_spec(), target, evaluate=golden_evaluate, owner="golden")
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +189,9 @@ class TestSweepDirContract:
         }
         assert manifest["spec"]["schema_version"] == 1
         for point in manifest["points"]:
-            assert set(point) == {"point_id", "overrides", "run_dir", "status", "error"}
+            assert set(point) == {
+                "point_id", "overrides", "run_dir", "status", "error", "owner", "generation",
+            }
             assert point["run_dir"] == f"points/{point['point_id']}"
 
     def test_comparison_keys(self, fresh_sweep):

@@ -14,8 +14,10 @@ Acceptance criteria covered (ISSUE: multi-host sweeps):
   leases; ``--dry-run`` only reports.
 """
 
+import functools
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -41,6 +43,7 @@ from repro.core.sweep import (
     run_sweep,
     settle_point,
 )
+from test_artifact_contract import build_golden_sweep, golden_evaluate, golden_spec
 
 SPACE = {
     "parameters": [
@@ -157,16 +160,45 @@ class TestMultiWorkerBitIdentity:
         assert (sweep_dir / LEASES_DIR).is_dir()
         assert list((sweep_dir / LEASES_DIR).glob("*.lease.json")) == []
 
-    def test_run_sweep_leases_mode_matches_default_mode(self, tmp_path):
-        ref_dir = tmp_path / "ref"
-        lease_dir = tmp_path / "leased"
-        run_sweep(toy_sweep(), ref_dir, evaluate=toy_evaluate)
-        result = run_sweep(toy_sweep(), lease_dir, evaluate=toy_evaluate, leases=True)
-        assert result.status == "complete"
-        assert point_bytes(lease_dir) == point_bytes(ref_dir)
-        assert (lease_dir / "comparison.json").read_bytes() == (
-            ref_dir / "comparison.json"
-        ).read_bytes()
+    def test_sweep_worker_cli_reruns_a_deleted_point_of_a_finished_sweep(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A worker joining with --spec re-opens the point whose run dir is
+        gone, re-runs exactly that point, and the sweep ends complete."""
+        sweep_dir = tmp_path / "golden"
+        build_golden_sweep(sweep_dir)
+        spec_path = tmp_path / "golden.json"
+        spec_path.write_text(json.dumps(golden_spec()))
+        victim = sweep_dir / POINTS_DIR / "002-seed-2-budget-5"
+        before = (victim / "history.jsonl").read_bytes()
+        shutil.rmtree(victim)
+
+        calls = []
+
+        def counting(config):
+            calls.append(config)
+            return golden_evaluate(config)
+
+        # The golden spec's "function" evaluator needs a host callable,
+        # which the CLI worker cannot rebind on its own.
+        monkeypatch.setattr(
+            "repro.cli.SweepWorker", functools.partial(SweepWorker, evaluate=counting)
+        )
+        argv = ["sweep-worker", str(sweep_dir), "--spec", str(spec_path), "--owner", "joiner"]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("claimed") == 1 and "claimed 002-seed-2-budget-5" in out
+        assert len(calls) == 5  # that point's budget, nothing else
+        assert (victim / "history.jsonl").read_bytes() == before
+        entry = next(
+            e for e in load_manifest(sweep_dir)["points"]
+            if e["point_id"] == "002-seed-2-budget-5"
+        )
+        assert (entry["status"], entry["owner"], entry["generation"]) == (
+            "complete", "joiner", 2,
+        )
+        comparison = json.loads((sweep_dir / "comparison.json").read_text())
+        assert comparison["status"] == "complete"
 
 
 class TestTakeoverAndFencing:

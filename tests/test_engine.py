@@ -26,7 +26,7 @@ import pytest
 
 from repro.core.acquisition import EpsilonGreedy, PredictedPareto, UncertaintyWeighted, make_acquisition
 from repro.core.engine import SearchDriver
-from repro.core.evaluator import CachedEvaluator, FunctionEvaluator
+from repro.core.evaluator import FunctionEvaluator
 from repro.core.executor import EvaluationExecutor
 from repro.core.history import History
 from repro.core.objectives import Objective, ObjectiveSet
@@ -114,14 +114,22 @@ def reference_hypermapper_history(
     from repro.core.sampling import RandomSampler
     from repro.core.surrogate import MultiObjectiveSurrogate
 
-    evaluator = CachedEvaluator(FunctionEvaluator(fn, objectives))
+    inner = FunctionEvaluator(fn, objectives)
+    memo = {}
+
+    def evaluate(configs):
+        # The seed loop's memo: each distinct configuration runs once.
+        missing = [c for c in dict.fromkeys(configs) if c not in memo]
+        memo.update(zip(missing, inner.evaluate(missing)))
+        return [dict(memo[c]) for c in configs]
+
     rng = as_generator(derive_seed(seed, "hypermapper"))
     history = History(objectives)
 
     n_needed = max(n_random_samples - len(history), 0)
     if n_needed > 0:
         random_configs = RandomSampler(space).sample(n_needed, rng=rng)
-        metrics = evaluator.evaluate(random_configs)
+        metrics = evaluate(random_configs)
         for c, m in zip(random_configs, metrics):
             history.add(c, m, source="random", iteration=0)
 
@@ -171,7 +179,7 @@ def reference_hypermapper_history(
             new_configs = selected
         if not new_configs:
             break
-        metrics = evaluator.evaluate(new_configs)
+        metrics = evaluate(new_configs)
         for c, m in zip(new_configs, metrics):
             history.add(c, m, source="active_learning", iteration=iteration)
     return history

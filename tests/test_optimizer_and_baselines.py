@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.baselines import BanditSearch, EvolutionarySearch, GridSearch, LocalSearch, RandomSearch
-from repro.core.evaluator import CachedEvaluator, EvaluationBudgetExceeded, FunctionEvaluator
+from repro.core.evaluator import EvaluationBudgetExceeded, FunctionEvaluator
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.core.optimizer import HyperMapper
 from repro.core.parameters import BooleanParameter, OrdinalParameter, RealParameter
@@ -55,21 +55,6 @@ class TestEvaluators:
         ev = FunctionEvaluator(lambda c: {"error": 1.0}, toy_objectives)
         with pytest.raises(KeyError):
             ev.evaluate(toy_space.sample(1, rng=0))
-
-    def test_cached_evaluator_deduplicates(self, toy_space, toy_objectives):
-        calls = []
-
-        def counting(config):
-            calls.append(config)
-            return toy_evaluate(config)
-
-        cached = CachedEvaluator(FunctionEvaluator(counting, toy_objectives))
-        config = toy_space.sample(1, rng=0)[0]
-        r1 = cached.evaluate([config, config])
-        r2 = cached.evaluate([config])
-        assert len(calls) == 1
-        assert r1[0] == r1[1] == r2[0]
-        assert cached.is_cached(config) and cached.cache_size == 1
 
 
 class TestSamplers:

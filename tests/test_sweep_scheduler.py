@@ -25,8 +25,9 @@ from repro.core.scheduler import (
     fair_share_policy,
     map_ordered,
 )
-from repro.core.study import Study, StudyResult
+from repro.core.study import Study, StudyResult, run_status
 from repro.core.sweep import (
+    LEASES_DIR,
     SweepError,
     SweepSpec,
     build_comparison,
@@ -34,6 +35,7 @@ from repro.core.sweep import (
     point_id,
     run_sweep,
 )
+from test_artifact_contract import build_golden_sweep, golden_evaluate, golden_spec
 
 SPACE = {
     "parameters": [
@@ -273,6 +275,7 @@ class TestSweepRun:
 
         resumed = run_sweep(spec, sweep_dir, evaluate=counting_evaluate, resume=True)
         assert resumed.status == "complete"
+        assert resumed.comparison["status"] == "complete"
         # Only the killed point re-ran; the others were reloaded from disk.
         reused = {k for k, o in resumed.outcomes.items() if o.reused}
         assert reused == set(reference) - {killed}
@@ -308,6 +311,78 @@ class TestSweepRun:
         other = toy_sweep(axes={"seed": [3, 5, 7]})
         with pytest.raises(SweepError, match="does not match the manifest"):
             run_sweep(other, sweep_dir, evaluate=toy_evaluate, resume=True)
+
+
+class TestOneSweepPath:
+    """``run_sweep`` is one in-process lease worker: resume and force act
+    through the manifest protocol that ``repro sweep-worker`` shares."""
+
+    @staticmethod
+    def counting():
+        calls = []
+
+        def evaluate(config):
+            calls.append(config)
+            return golden_evaluate(config)
+
+        return calls, evaluate
+
+    def test_force_reruns_every_point_from_a_clean_slate(self, tmp_path):
+        sweep_dir = tmp_path / "sweep"
+        build_golden_sweep(sweep_dir)
+        before = {
+            p.name: (p / "history.jsonl").read_bytes() for p in (sweep_dir / "points").iterdir()
+        }
+        for point in (sweep_dir / "points").iterdir():
+            (point / "marker").write_text("from the previous sweep")
+        stale = sweep_dir / LEASES_DIR / "000-seed-1-budget-5.lease.json"
+        stale.parent.mkdir(exist_ok=True)
+        stale.write_text("{}")
+        calls, evaluate = self.counting()
+        result = run_sweep(golden_spec(), sweep_dir, evaluate=evaluate, force=True)
+        assert len(calls) == 24
+        assert not list((sweep_dir / "points").glob("*/marker"))
+        assert not list((sweep_dir / LEASES_DIR).glob("*.lease.json"))
+        assert result.status == "complete"
+        assert not any(o.reused for o in result.outcomes.values())
+        assert [e["generation"] for e in result.manifest["points"]] == [1, 1, 1, 1]
+        assert {
+            p.name: (p / "history.jsonl").read_bytes() for p in (sweep_dir / "points").iterdir()
+        } == before
+
+    def test_resume_retries_a_failed_point_from_its_run_dir(self, tmp_path):
+        sweep_dir = tmp_path / "sweep"
+        n_calls = []
+
+        def flaky(config):
+            # One slot drains points in manifest order: calls 6-12 belong to
+            # 001-seed-1-budget-7, which fails at its third evaluation.
+            n_calls.append(config)
+            if len(n_calls) == 8:
+                raise RuntimeError("board caught fire")
+            return golden_evaluate(config)
+
+        first = run_sweep(golden_spec(), sweep_dir, evaluate=flaky, max_concurrent=1)
+        failed = sweep_dir / "points" / "001-seed-1-budget-7"
+        assert first.status == "partial"
+        assert [e["status"] for e in first.manifest["points"]] == [
+            "complete", "failed", "complete", "complete",
+        ]
+        assert run_status(failed) == "failed"
+
+        calls, evaluate = self.counting()
+        retried = run_sweep(golden_spec(), sweep_dir, evaluate=evaluate, resume=True)
+        assert retried.status == "complete"
+        assert retried.comparison["status"] == "complete"
+        assert len(calls) == 7  # the failed point only; the rest are reused
+        assert not retried.outcomes["001-seed-1-budget-7"].reused
+        entry = retried.manifest["points"][1]
+        assert (entry["status"], entry["error"], entry["generation"]) == ("complete", None, 2)
+        reference = tmp_path / "reference"
+        build_golden_sweep(reference)
+        assert (failed / "history.jsonl").read_bytes() == (
+            reference / "points" / "001-seed-1-budget-7" / "history.jsonl"
+        ).read_bytes()
 
 
 class TestFaultInjection:
