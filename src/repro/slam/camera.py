@@ -127,22 +127,15 @@ class CameraIntrinsics:
         with np.errstate(divide="ignore", invalid="ignore"):
             u = self.fx * pts[..., 0] / z + self.cx
             v = self.fy * pts[..., 1] / z + self.cy
-        valid = (
-            (z > 1e-6)
-            & np.isfinite(u)
-            & np.isfinite(v)
-            & (u >= 0)
-            & (u <= self.width - 1)
-            & (v >= 0)
-            & (v <= self.height - 1)
-        )
+        # The bounds tests also reject NaN and infinite coordinates.
+        valid = (z > 1e-6) & (u >= 0) & (u <= self.width - 1) & (v >= 0) & (v <= self.height - 1)
         return u, v, valid
 
     def project_to_indices(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Like :meth:`project` but returning integer (row, col) pixel indices."""
         u, v, valid = self.project(points)
-        cols = np.clip(np.round(u).astype(np.int64), 0, self.width - 1)
-        rows = np.clip(np.round(v).astype(np.int64), 0, self.height - 1)
+        cols = np.minimum(np.maximum(np.round(u).astype(np.int64), 0), self.width - 1)
+        rows = np.minimum(np.maximum(np.round(v).astype(np.int64), 0), self.height - 1)
         return rows, cols, valid
 
 

@@ -28,7 +28,6 @@ from repro.slam.camera import CameraIntrinsics
 from repro.slam.dataset import SyntheticRGBDDataset
 from repro.slam.filters import (
     bilinear_sample,
-    block_average_downsample,
     depth_pyramid,
     downsample_intensity,
     image_gradients,
@@ -118,16 +117,121 @@ def _normalized_box_blur(image: np.ndarray, valid: np.ndarray, radius: int = 2) 
     return np.where(w_acc > 0, acc / np.maximum(w_acc, 1e-12), 0.0)
 
 
-@dataclass
-class _TargetView:
-    """A reference view tracking residuals are computed against."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a`` (the base array stays writable)."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
-    pose: np.ndarray  # camera-to-world of the reference view
-    camera: CameraIntrinsics
-    vertices: np.ndarray  # (H, W, 3) world-frame vertices (0 where invalid)
-    normals: np.ndarray  # (H, W, 3) world-frame normals
-    intensity: np.ndarray  # (H, W)
-    valid: np.ndarray  # (H, W) bool
+
+@dataclass(frozen=True)
+class _FrameInputs:
+    """What tracking, fusion and the next reference view read of one frame.
+
+    Built once per frame by :meth:`ElasticFusion._frame_inputs`; every array
+    is read-only.  Pyramid lists run from the finest level (0) to the
+    coarsest.
+    """
+
+    cams: List[CameraIntrinsics]
+    points: List[np.ndarray]  # (N_l, 3) camera-frame points of valid depth
+    observed: List[np.ndarray]  # (N_l,) intensity at those points
+    intensity: np.ndarray  # (H, W) level-0 intensity
+    vertices: np.ndarray  # (H, W, 3) level-0 camera-frame vertex map
+    normals: np.ndarray  # (H, W, 3) level-0 camera-frame normal map
+    valid: np.ndarray  # (H, W) valid depth with a usable normal
+    fused_pixels: np.ndarray  # flat indices of the pixels fused into the map
+    fused_points: np.ndarray  # (M, 3) their vertices
+    fused_normals: np.ndarray  # (M, 3) their normals
+    fused_intensity: np.ndarray  # (M,)
+    fused_depth: np.ndarray  # (M,)
+
+    @property
+    def n_observed(self) -> int:
+        """Level-0 pixels with valid depth."""
+        return self.points[0].shape[0]
+
+
+class _TargetView:
+    """A reference view tracking residuals are computed against.
+
+    What the residual terms derive from the view is computed once and kept:
+    the world-to-camera transform, flat ``(H*W, ...)`` maps for index
+    gathers, the intensity and gradient image the photometric term samples,
+    and one downsampled view per pyramid factor.
+    """
+
+    def __init__(
+        self,
+        pose: np.ndarray,  # camera-to-world of the reference view
+        camera: CameraIntrinsics,
+        vertices: np.ndarray,  # (H, W, 3) world-frame vertices (0 where invalid)
+        normals: np.ndarray,  # (H, W, 3) world-frame normals
+        intensity: np.ndarray,  # (H, W)
+        valid: np.ndarray,  # (H, W) bool
+    ) -> None:
+        self.pose = pose
+        self.camera = camera
+        self.vertices = vertices
+        self.normals = normals
+        self.intensity = intensity
+        self.valid = valid
+        self.T_wc = se3.invert(pose)
+        self.R_wc = self.T_wc[:3, :3]
+        n_pixels = camera.height * camera.width
+        self.vertices_flat = np.ascontiguousarray(vertices).reshape(n_pixels, 3)
+        self.normals_flat = np.ascontiguousarray(normals).reshape(n_pixels, 3)
+        self.valid_flat = np.ascontiguousarray(valid).reshape(n_pixels)
+        self._samples: Optional[np.ndarray] = None
+        self._downsampled: Dict[int, "_TargetView"] = {}
+
+    @property
+    def samples(self) -> np.ndarray:
+        """``(H, W, 3)``: intensity and its x and y gradients, sampled together."""
+        if self._samples is None:
+            gx, gy = image_gradients(self.intensity)
+            self._samples = np.stack([self.intensity, gx, gy], axis=-1)
+        return self._samples
+
+    def downsampled(self, factor: int) -> "_TargetView":
+        """This view at ``1 / factor`` resolution (built once per factor)."""
+        if factor == 1:
+            return self
+        view = self._downsampled.get(factor)
+        if view is None:
+            cam = self.camera.scaled(factor)
+            h, w = cam.height, cam.width
+            view = self._downsampled[factor] = _TargetView(
+                pose=self.pose,
+                camera=cam,
+                vertices=self.vertices[::factor, ::factor][:h, :w],
+                normals=self.normals[::factor, ::factor][:h, :w],
+                intensity=downsample_intensity(self.intensity, factor),
+                valid=self.valid[::factor, ::factor][:h, :w],
+            )
+        return view
+
+
+def _no_terms() -> Tuple[np.ndarray, np.ndarray, float, int]:
+    return np.zeros((6, 6)), np.zeros(6), float("inf"), 0
+
+
+def _jacobian(d: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``(N, 6)`` rows ``[d, p x d]``: ``np.concatenate([d, np.cross(p, d)],
+    axis=1)`` with the cross product written out in numpy's order."""
+    J = np.empty((d.shape[0], 6))
+    J[:, :3] = d
+    d0, d1, d2 = J[:, 0], J[:, 1], J[:, 2]
+    p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2]
+    J[:, 3] = p1 * d2 - p2 * d1
+    J[:, 4] = p2 * d0 - p0 * d2
+    J[:, 5] = p0 * d1 - p1 * d0
+    return J
+
+
+#: Damping of the rotation-only normal equations of the SO(3) pre-alignment.
+_SO3_DAMPING = 1e-5 * np.eye(3)
+_SO3_DAMPING.flags.writeable = False
 
 
 class ElasticFusion:
@@ -154,9 +258,8 @@ class ElasticFusion:
         self.min_model_coverage = float(min_model_coverage)
 
     # -- preprocessing ------------------------------------------------------------
-    def _preprocess(
-        self, depth: np.ndarray, intensity: np.ndarray, camera: CameraIntrinsics
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], List[CameraIntrinsics]]:
+    def _frame_inputs(self, depth: np.ndarray, intensity: np.ndarray, camera: CameraIntrinsics) -> _FrameInputs:
+        """Depth cut-off, pyramids, tracking points and fusion inputs of a frame."""
         cfg = self.config
         d = np.asarray(depth, dtype=np.float64).copy()
         d[d > cfg.depth_cutoff] = 0.0
@@ -165,25 +268,49 @@ class ElasticFusion:
         cams = [camera]
         for _ in range(1, len(depths)):
             cams.append(cams[-1].scaled(2))
-        return depths, intensities, cams
+        points, observed, vertex_maps = [], [], []
+        for depth_l, intensity_l, cam in zip(depths, intensities, cams):
+            vertices = cam.backproject(depth_l)
+            pixels = np.flatnonzero(depth_l > 0)
+            points.append(_read_only(vertices.reshape(-1, 3).take(pixels, axis=0)))
+            observed.append(_read_only(intensity_l.reshape(-1).take(pixels)))
+            vertex_maps.append(vertices)
+
+        vertices, depth0 = vertex_maps[0], depths[0]
+        normals = normal_map(vertices)
+        n0, n1, n2 = normals[..., 0], normals[..., 1], normals[..., 2]
+        valid = (depth0 > 0) & (np.sqrt(n0 * n0 + n1 * n1 + n2 * n2) > 1e-6)
+        fused = valid
+        if self.fusion_stride > 1:
+            fused = np.zeros_like(valid)
+            fused[:: self.fusion_stride, :: self.fusion_stride] = valid[:: self.fusion_stride, :: self.fusion_stride]
+        fused_pixels = np.flatnonzero(fused)
+        return _FrameInputs(
+            cams=cams,
+            points=points,
+            observed=observed,
+            intensity=_read_only(intensities[0]),
+            vertices=_read_only(vertices),
+            normals=_read_only(normals),
+            valid=_read_only(valid),
+            fused_pixels=_read_only(fused_pixels),
+            fused_points=_read_only(vertices.reshape(-1, 3).take(fused_pixels, axis=0)),
+            fused_normals=_read_only(normals.reshape(-1, 3).take(fused_pixels, axis=0)),
+            fused_intensity=_read_only(intensities[0].reshape(-1).take(fused_pixels)),
+            fused_depth=_read_only(depth0.reshape(-1).take(fused_pixels)),
+        )
 
     # -- reference views -------------------------------------------------------------
     @staticmethod
-    def _view_from_frame(
-        depth: np.ndarray, intensity: np.ndarray, camera: CameraIntrinsics, pose: np.ndarray
-    ) -> _TargetView:
-        vertices_cam = camera.backproject(depth)
-        normals_cam = normal_map(vertices_cam)
-        valid = (depth > 0) & (np.linalg.norm(normals_cam, axis=-1) > 1e-6)
-        vertices_world = np.where(valid[..., None], se3.transform_points(pose, vertices_cam), 0.0)
-        normals_world = np.where(valid[..., None], se3.rotate_vectors(pose, normals_cam), 0.0)
+    def _view_from_frame(inputs: _FrameInputs, pose: np.ndarray) -> _TargetView:
+        valid = inputs.valid[..., None]
         return _TargetView(
             pose=np.array(pose),
-            camera=camera,
-            vertices=vertices_world,
-            normals=normals_world,
-            intensity=np.asarray(intensity, dtype=np.float64),
-            valid=valid,
+            camera=inputs.cams[0],
+            vertices=np.where(valid, se3.transform_points(pose, inputs.vertices), 0.0),
+            normals=np.where(valid, se3.rotate_vectors(pose, inputs.normals), 0.0),
+            intensity=inputs.intensity,
+            valid=inputs.valid,
         )
 
     def _view_from_model(
@@ -205,27 +332,10 @@ class ElasticFusion:
             valid=valid,
         )
 
-    @staticmethod
-    def _downsample_view(view: _TargetView, factor: int) -> _TargetView:
-        if factor == 1:
-            return view
-        cam = view.camera.scaled(factor)
-        h, w = cam.height, cam.width
-        return _TargetView(
-            pose=view.pose,
-            camera=cam,
-            vertices=view.vertices[::factor, ::factor][:h, :w],
-            normals=view.normals[::factor, ::factor][:h, :w],
-            intensity=downsample_intensity(view.intensity, factor),
-            valid=view.valid[::factor, ::factor][:h, :w],
-        )
-
     # -- tracking ----------------------------------------------------------------------
     def _joint_tracking(
         self,
-        depths: List[np.ndarray],
-        intensities: List[np.ndarray],
-        cams: List[CameraIntrinsics],
+        inputs: _FrameInputs,
         geometric_target: _TargetView,
         photometric_target: _TargetView,
         initial_pose: np.ndarray,
@@ -238,14 +348,14 @@ class ElasticFusion:
 
         w_icp = cfg.icp_rgb_weight
         w_rgb = 1.0
-        n_levels = len(depths)
+        n_levels = len(inputs.cams)
         rgb_levels = 1 if cfg.fast_odometry else n_levels
 
         # Optional SO(3) photometric pre-alignment at the coarsest level.
         if rotation_only_first:
             level = n_levels - 1
             T, so3_iters = self._so3_prealign(
-                depths[level], intensities[level], cams[level], photometric_target, T
+                inputs.points[level], inputs.observed[level], inputs.cams[level], photometric_target, T
             )
             stats["so3_iterations"] = so3_iters
 
@@ -253,19 +363,14 @@ class ElasticFusion:
             iters = cfg.iterations_per_level[min(level, len(cfg.iterations_per_level) - 1)]
             if iters <= 0:
                 continue
-            depth = depths[level]
-            intensity = intensities[level]
-            cam = cams[level]
-            geo_target = self._downsample_view(geometric_target, 2**level)
+            geo_target = geometric_target.downsampled(2**level)
             # Fast odometry runs the RGB term on a single (the coarsest)
             # pyramid level only, trading accuracy for speed.
             rgb_enabled = (level < rgb_levels) if not cfg.fast_odometry else (level == n_levels - 1)
-            rgb_target = self._downsample_view(photometric_target, 2**level) if rgb_enabled else None
+            rgb_target = photometric_target.downsampled(2**level) if rgb_enabled else None
 
-            vertices_cam = cam.backproject(depth)
-            mask = depth > 0
-            pts_cam = vertices_cam[mask]
-            obs_intensity = intensity[mask]
+            pts_cam = inputs.points[level]
+            obs_intensity = inputs.observed[level]
             if pts_cam.shape[0] < 12:
                 continue
             prev_error = None
@@ -276,8 +381,9 @@ class ElasticFusion:
                 total_terms = 0
 
                 pts_world = se3.transform_points(T, pts_cam)
+                geo_ref = se3.transform_points(geo_target.T_wc, pts_world)
                 # Geometric term: projective association into the geometric target.
-                geo_JtJ, geo_Jtr, geo_err, geo_inliers = self._geometric_terms(pts_world, geo_target)
+                geo_JtJ, geo_Jtr, geo_err, geo_inliers = self._geometric_terms(pts_world, geo_ref, geo_target)
                 if geo_inliers > 0:
                     JtJ += w_icp * geo_JtJ
                     Jtr += w_icp * geo_Jtr
@@ -287,8 +393,13 @@ class ElasticFusion:
 
                 # Photometric term.
                 if rgb_target is not None:
+                    rgb_ref = (
+                        geo_ref
+                        if rgb_target is geo_target
+                        else se3.transform_points(rgb_target.T_wc, pts_world)
+                    )
                     rgb_JtJ, rgb_Jtr, rgb_err, rgb_inliers = self._photometric_terms(
-                        pts_world, obs_intensity, rgb_target
+                        pts_world, rgb_ref, obs_intensity, rgb_target
                     )
                     if rgb_inliers > 0:
                         JtJ += w_rgb * rgb_JtJ
@@ -309,72 +420,68 @@ class ElasticFusion:
         return T, stats
 
     def _geometric_terms(
-        self, pts_world: np.ndarray, target: _TargetView
+        self, pts_world: np.ndarray, pts_ref: np.ndarray, target: _TargetView
     ) -> Tuple[np.ndarray, np.ndarray, float, int]:
-        """Point-to-plane normal equations against a reference view."""
-        T_wc = se3.invert(target.pose)
-        pts_ref = se3.transform_points(T_wc, pts_world)
+        """Point-to-plane normal equations against a reference view.
+
+        ``pts_ref`` is ``pts_world`` in the target's camera frame.
+        """
         rows, cols, in_image = target.camera.project_to_indices(pts_ref)
-        valid = in_image & target.valid[rows, cols]
-        if not np.any(valid):
-            return np.zeros((6, 6)), np.zeros(6), float("inf"), 0
-        q = target.vertices[rows[valid], cols[valid]]
-        n = target.normals[rows[valid], cols[valid]]
-        p = pts_world[valid]
-        dist = np.linalg.norm(p - q, axis=1)
-        close = dist < 0.15
-        if not np.any(close):
-            return np.zeros((6, 6)), np.zeros(6), float("inf"), 0
-        p, q, n = p[close], q[close], n[close]
-        r = np.sum(n * (p - q), axis=1)
-        J = np.concatenate([n, np.cross(p, n)], axis=1)
+        pixels = rows * target.camera.width + cols
+        hit = np.flatnonzero(in_image & target.valid_flat.take(pixels))
+        if hit.size == 0:
+            return _no_terms()
+        pixels = pixels.take(hit)
+        p = pts_world.take(hit, axis=0)
+        diff = p - target.vertices_flat.take(pixels, axis=0)
+        d0, d1, d2 = diff[:, 0], diff[:, 1], diff[:, 2]
+        close = np.flatnonzero(np.sqrt(d0 * d0 + d1 * d1 + d2 * d2) < 0.15)
+        if close.size == 0:
+            return _no_terms()
+        n = target.normals_flat.take(pixels.take(close), axis=0)
+        diff = diff.take(close, axis=0)
+        r = n[:, 0] * diff[:, 0] + n[:, 1] * diff[:, 1] + n[:, 2] * diff[:, 2]
+        J = _jacobian(n, p.take(close, axis=0))
         return J.T @ J, J.T @ r, float(np.mean(r * r)), int(r.size)
 
     def _photometric_terms(
-        self, pts_world: np.ndarray, obs_intensity: np.ndarray, target: _TargetView
+        self, pts_world: np.ndarray, pts_ref: np.ndarray, obs_intensity: np.ndarray, target: _TargetView
     ) -> Tuple[np.ndarray, np.ndarray, float, int]:
-        """Photometric (direct) normal equations against a reference view."""
+        """Photometric (direct) normal equations against a reference view.
+
+        ``pts_ref`` is ``pts_world`` in the target's camera frame.
+        """
         cam = target.camera
-        T_wc = se3.invert(target.pose)
-        R_wc = T_wc[:3, :3]
-        pts_ref = se3.transform_points(T_wc, pts_world)
-        z = pts_ref[:, 2]
+        x, y, z = pts_ref[:, 0], pts_ref[:, 1], pts_ref[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = cam.fx * pts_ref[:, 0] / z + cam.cx
-            v = cam.fy * pts_ref[:, 1] / z + cam.cy
-        valid = (z > 0.05) & np.isfinite(u) & np.isfinite(v) & (u >= 1) & (u <= cam.width - 2) & (v >= 1) & (v <= cam.height - 2)
-        if not np.any(valid):
-            return np.zeros((6, 6)), np.zeros(6), float("inf"), 0
-        gx_img, gy_img = image_gradients(target.intensity)
-        i_ref = bilinear_sample(target.intensity, u[valid], v[valid])
-        gx = bilinear_sample(gx_img, u[valid], v[valid])
-        gy = bilinear_sample(gy_img, u[valid], v[valid])
-        r = i_ref - obs_intensity[valid]
-        zv = z[valid]
-        xv, yv = pts_ref[valid, 0], pts_ref[valid, 1]
+            u = cam.fx * x / z + cam.cx
+            v = cam.fy * y / z + cam.cy
+        # The bounds tests also reject NaN and infinite coordinates.
+        hit = np.flatnonzero((z > 0.05) & (u >= 1) & (u <= cam.width - 2) & (v >= 1) & (v <= cam.height - 2))
+        if hit.size == 0:
+            return _no_terms()
+        sampled = bilinear_sample(target.samples, u.take(hit), v.take(hit))
+        gx, gy = sampled[:, 1], sampled[:, 2]
+        r = sampled[:, 0] - obs_intensity.take(hit)
+        zv, xv, yv = z.take(hit), x.take(hit), y.take(hit)
         # d(residual)/d(point in reference camera frame)
-        d_ref = np.stack(
-            [
-                gx * cam.fx / zv,
-                gy * cam.fy / zv,
-                -(gx * cam.fx * xv + gy * cam.fy * yv) / (zv * zv),
-            ],
-            axis=1,
-        )
+        d_ref = np.empty((hit.size, 3))
+        d_ref[:, 0] = gx * cam.fx / zv
+        d_ref[:, 1] = gy * cam.fy / zv
+        d_ref[:, 2] = -(gx * cam.fx * xv + gy * cam.fy * yv) / (zv * zv)
         # Chain rule to world coordinates, then to the twist.
-        d_world = d_ref @ R_wc
-        p = pts_world[valid]
-        J = np.concatenate([d_world, np.cross(p, d_world)], axis=1)
+        J = _jacobian(d_ref @ target.R_wc, pts_world.take(hit, axis=0))
         # Robust weighting: downweight large photometric residuals (occlusions).
         huber = 0.1
-        w = np.where(np.abs(r) < huber, 1.0, huber / np.maximum(np.abs(r), 1e-9))
+        abs_r = np.abs(r)
+        w = np.where(abs_r < huber, 1.0, huber / np.maximum(abs_r, 1e-9))
         Jw = J * w[:, None]
         return Jw.T @ J, Jw.T @ r, float(np.mean(w * r * r)), int(r.size)
 
     def _so3_prealign(
         self,
-        depth: np.ndarray,
-        intensity: np.ndarray,
+        pts_cam: np.ndarray,
+        obs: np.ndarray,
         camera: CameraIntrinsics,
         target: _TargetView,
         initial_pose: np.ndarray,
@@ -382,21 +489,18 @@ class ElasticFusion:
     ) -> Tuple[np.ndarray, int]:
         """Rotation-only photometric alignment at the coarsest pyramid level."""
         T = np.array(initial_pose, dtype=np.float64)
-        mask = depth > 0
-        vertices_cam = camera.backproject(depth)
-        pts_cam = vertices_cam[mask]
-        obs = np.asarray(intensity, dtype=np.float64)[mask]
         if pts_cam.shape[0] < 12:
             return T, 0
-        scaled_target = self._downsample_view(target, max(target.camera.width // camera.width, 1))
+        scaled_target = target.downsampled(max(target.camera.width // camera.width, 1))
         n_done = 0
         for _ in range(iterations):
             pts_world = se3.transform_points(T, pts_cam)
-            JtJ, Jtr, _, n_terms = self._photometric_terms(pts_world, obs, scaled_target)
+            pts_ref = se3.transform_points(scaled_target.T_wc, pts_world)
+            JtJ, Jtr, _, n_terms = self._photometric_terms(pts_world, pts_ref, obs, scaled_target)
             if n_terms < 6:
                 break
             # Keep only the rotational block.
-            A = JtJ[3:, 3:] + 1e-5 * np.eye(3)
+            A = JtJ[3:, 3:] + _SO3_DAMPING
             b = Jtr[3:]
             try:
                 w = np.linalg.solve(A, -b)
@@ -423,13 +527,12 @@ class ElasticFusion:
         nominal_scale = nominal_pixels / max(sim_pixels, 1)
 
         pose = np.array(dataset.trajectory[0])
-        prev_pose = pose.copy()
         prev_view: Optional[_TargetView] = None
         last_accepted_pose = pose.copy()
 
         for i in range(total):
             frame = dataset.frame(i)
-            depths, intensities, cams = self._preprocess(frame.depth, frame.intensity, camera)
+            inputs = self._frame_inputs(frame.depth, frame.intensity, camera)
             stats = FrameStats(index=i, n_pixels=nominal_pixels)
 
             # The previous pose estimate is the tracking initialization; at
@@ -447,7 +550,7 @@ class ElasticFusion:
                 geometric_target = prev_view
                 if not cfg.open_loop and surfels.n_active(cfg.confidence_threshold) >= 100:
                     model_view = self._view_from_model(surfels, camera, predicted)
-                    observed = float(np.count_nonzero(depths[0] > 0))
+                    observed = float(inputs.n_observed)
                     coverage = float(np.count_nonzero(model_view.valid)) / max(observed, 1.0)
                     if coverage >= self.min_model_coverage:
                         geometric_target = model_view
@@ -461,9 +564,7 @@ class ElasticFusion:
 
                 if geometric_target is not None and photometric_target is not None:
                     T, track_stats = self._joint_tracking(
-                        depths,
-                        intensities,
-                        cams,
+                        inputs,
                         geometric_target,
                         photometric_target,
                         predicted,
@@ -486,9 +587,7 @@ class ElasticFusion:
                             else geometric_target
                         )
                         T_retry, retry_stats = self._joint_tracking(
-                            depths,
-                            intensities,
-                            cams,
+                            inputs,
                             reloc_target,
                             reloc_target,
                             last_accepted_pose,
@@ -517,47 +616,38 @@ class ElasticFusion:
             # surfel at the observed pixel, that surfel is refined; otherwise a
             # new surfel is created.  This prevents the "double crust" of
             # duplicated surfaces a naive world-space merge would build up.
-            fused_depth = depths[0]
-            vertices_cam = cams[0].backproject(fused_depth)
-            normals_cam = normal_map(vertices_cam)
-            valid = (fused_depth > 0) & (np.linalg.norm(normals_cam, axis=-1) > 1e-6)
-            if self.fusion_stride > 1:
-                stride_mask = np.zeros_like(valid)
-                stride_mask[:: self.fusion_stride, :: self.fusion_stride] = True
-                valid = valid & stride_mask
-            pts_world = se3.transform_points(new_pose, vertices_cam[valid])
-            nrm_world = se3.rotate_vectors(new_pose, normals_cam[valid])
-            obs_intensity = intensities[0][valid]
-            obs_depth = fused_depth[valid]
+            pts_world = se3.transform_points(new_pose, inputs.fused_points)
+            nrm_world = se3.rotate_vectors(new_pose, inputs.fused_normals)
+            obs_intensity = inputs.fused_intensity
             n_updated, n_added = 0, 0
+            new = np.ones(pts_world.shape[0], dtype=bool)
             if surfels.n_surfels > 0:
-                assoc = surfels.predict_view(cams[0], new_pose, confidence_threshold=0.0, splat_radius=1)
-                assoc_idx = assoc["index"][valid]
-                assoc_depth = assoc["depth"][valid]
-                has_model = assoc_idx >= 0
-                close = np.abs(obs_depth - assoc_depth) < max(3.0 * self.surfel_merge_distance, 0.05)
-                compatible = np.zeros_like(has_model)
-                if np.any(has_model):
-                    model_normals = surfels.normals[np.clip(assoc_idx, 0, None)]
-                    compatible = np.sum(model_normals * nrm_world, axis=1) > 0.4
-                update_mask = has_model & close & compatible
-                if np.any(update_mask):
+                assoc = surfels.predict_view(inputs.cams[0], new_pose, confidence_threshold=0.0, splat_radius=1)
+                assoc_idx = assoc["index"].reshape(-1).take(inputs.fused_pixels)
+                assoc_depth = assoc["depth"].reshape(-1).take(inputs.fused_pixels)
+                close = np.abs(inputs.fused_depth - assoc_depth) < max(3.0 * self.surfel_merge_distance, 0.05)
+                candidates = np.flatnonzero((assoc_idx >= 0) & close)
+                # Compatible normals: their dot product (np.sum(axis=1),
+                # written out) exceeds 0.4.
+                m = surfels.normals.take(assoc_idx.take(candidates), axis=0)
+                o = nrm_world.take(candidates, axis=0)
+                compatible = m[:, 0] * o[:, 0] + m[:, 1] * o[:, 1] + m[:, 2] * o[:, 2] > 0.4
+                update = candidates[compatible]
+                if update.size:
                     n_updated = surfels.update_by_index(
-                        assoc_idx[update_mask],
-                        pts_world[update_mask],
-                        nrm_world[update_mask],
-                        obs_intensity[update_mask],
+                        assoc_idx.take(update),
+                        pts_world.take(update, axis=0),
+                        nrm_world.take(update, axis=0),
+                        obs_intensity.take(update),
                         weight=self.confidence_per_observation,
                         frame_index=i,
                     )
-                new_mask = ~update_mask
-            else:
-                new_mask = np.ones(pts_world.shape[0], dtype=bool)
-            if np.any(new_mask):
+                    new[update] = False
+            if np.any(new):
                 _, n_added = surfels.fuse(
-                    pts_world[new_mask],
-                    nrm_world[new_mask],
-                    obs_intensity[new_mask],
+                    pts_world[new],
+                    nrm_world[new],
+                    obs_intensity[new],
                     frame_index=i,
                     confidence_increment=self.confidence_per_observation,
                 )
@@ -566,11 +656,10 @@ class ElasticFusion:
             stats.integrated = True
             stats.integration_elements = int((n_updated + n_added) * nominal_scale)
             stats.n_surfels = int(surfels.n_surfels * nominal_scale)
-            stats.n_tracking_points = int(np.count_nonzero(depths[0] > 0) * nominal_scale)
+            stats.n_tracking_points = int(inputs.n_observed * nominal_scale)
             stats.raycast_steps = int(surfels.n_active(cfg.confidence_threshold) * nominal_scale)
 
-            prev_view = self._view_from_frame(depths[0], intensities[0], cams[0], new_pose)
-            prev_pose = pose
+            prev_view = self._view_from_frame(inputs, new_pose)
             pose = new_pose
             estimated.append(pose)
             frames.append(stats)

@@ -144,8 +144,17 @@ def normal_map(vertices: np.ndarray) -> np.ndarray:
     dy = np.zeros_like(v)
     dx[:, 1:-1] = v[:, 2:] - v[:, :-2]
     dy[1:-1, :] = v[2:, :] - v[:-2, :]
-    n = np.cross(dy, dx)
-    norm = np.linalg.norm(n, axis=-1, keepdims=True)
+    # np.cross(dy, dx) and np.linalg.norm(n, axis=-1), written out in
+    # numpy's own operation order (bit for bit the same, without the
+    # per-call overhead).
+    a0, a1, a2 = dy[..., 0], dy[..., 1], dy[..., 2]
+    b0, b1, b2 = dx[..., 0], dx[..., 1], dx[..., 2]
+    n = np.empty_like(v)
+    n[..., 0] = a1 * b2 - a2 * b1
+    n[..., 1] = a2 * b0 - a0 * b2
+    n[..., 2] = a0 * b1 - a1 * b0
+    n0, n1, n2 = n[..., 0], n[..., 1], n[..., 2]
+    norm = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2)[..., None]
     valid = (v[..., 2] > 0)[..., None] & (norm > 1e-12)
     return np.where(valid, n / np.maximum(norm, 1e-12), 0.0)
 
@@ -163,26 +172,35 @@ def image_gradients(intensity: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray, fill: float = 0.0) -> np.ndarray:
     """Bilinearly sample ``image`` at float pixel coordinates ``(u, v)``.
 
-    Out-of-bounds samples return ``fill``.
+    ``image`` is ``(H, W)`` or ``(H, W, C)``; the result is ``(N,)`` or
+    ``(N, C)``, every channel weighted exactly as a 2-D image would be.
+    Out-of-bounds and non-finite samples return ``fill``.
     """
     img = np.asarray(image, dtype=np.float64)
-    h, w = img.shape
+    h, w = img.shape[:2]
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    valid = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1) & np.isfinite(u) & np.isfinite(v)
-    uc = np.clip(u, 0, w - 1.000001)
-    vc = np.clip(v, 0, h - 1.000001)
+    valid = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    # Inside the image clipping only lowers the far edge; samples outside
+    # read pixel 0 and are replaced by ``fill``.
+    uc = np.minimum(np.where(valid, u, 0.0), w - 1.000001)
+    vc = np.minimum(np.where(valid, v, 0.0), h - 1.000001)
     x0 = np.floor(uc).astype(np.int64)
     y0 = np.floor(vc).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
     fx = uc - x0
     fy = vc - y0
+    top = y0 * w
+    bottom = np.minimum(y0 + 1, h - 1) * w
+    x1 = np.minimum(x0 + 1, w - 1)
+    pixels = img.reshape((h * w,) + img.shape[2:])
+    if img.ndim == 3:
+        fx, fy, valid = fx[:, None], fy[:, None], valid[:, None]
+    gx, gy = 1 - fx, 1 - fy
     val = (
-        img[y0, x0] * (1 - fx) * (1 - fy)
-        + img[y0, x1] * fx * (1 - fy)
-        + img[y1, x0] * (1 - fx) * fy
-        + img[y1, x1] * fx * fy
+        pixels.take(top + x0, axis=0) * gx * gy
+        + pixels.take(top + x1, axis=0) * fx * gy
+        + pixels.take(bottom + x0, axis=0) * gx * fy
+        + pixels.take(bottom + x1, axis=0) * fx * fy
     )
     return np.where(valid, val, fill)
 

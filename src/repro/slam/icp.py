@@ -29,6 +29,9 @@ from repro.slam import se3
 # A signed-distance query: world-space points -> (distance, unit gradient).
 SdfQuery = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
+_EYE6 = np.eye(6)
+_EYE6.flags.writeable = False
+
 
 @dataclass
 class ICPResult:
@@ -75,7 +78,7 @@ def point_to_plane_system(
 
 def solve_increment(JtJ: np.ndarray, Jtr: np.ndarray, damping: float = 1e-6) -> np.ndarray:
     """Solve the damped normal equations for the twist increment."""
-    A = JtJ + damping * np.eye(6)
+    A = JtJ + damping * _EYE6
     try:
         return np.linalg.solve(A, -Jtr)
     except np.linalg.LinAlgError:

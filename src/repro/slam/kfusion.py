@@ -230,7 +230,6 @@ class KinectFusion:
         nominal_pixels = (NOMINAL_SENSOR_WIDTH // cfg.compute_size_ratio) * (NOMINAL_SENSOR_HEIGHT // cfg.compute_size_ratio)
 
         pose = np.array(dataset.trajectory[0])  # SLAMBench initializes from ground truth.
-        prev_pose = pose.copy()
         for i in range(total):
             frame = dataset.frame(i)
             pyramid, cams = dataset.derived(
@@ -307,7 +306,6 @@ class KinectFusion:
             # integrated frame in KFusion; accounted for in the workload model.
             stats.raycast_steps = int(nominal_pixels * cfg.volume_resolution * 0.6) if stats.integrated else 0
 
-            prev_pose = pose
             pose = new_pose
             estimated.append(pose)
             frames.append(stats)

@@ -15,14 +15,24 @@ import numpy as np
 _EPS = 1e-12
 
 
+def _constant(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+#: Read-only identities: tracking builds a few per Gauss-Newton step.
+_EYE3 = _constant(np.eye(3))
+_EYE4 = _constant(np.eye(4))
+
+
 def hat(w: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of a 3-vector (so(3) hat operator)."""
-    w = np.asarray(w, dtype=np.float64).reshape(3)
+    w0, w1, w2 = np.asarray(w, dtype=np.float64).reshape(3).tolist()
     return np.array(
         [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
+            [0.0, -w2, w1],
+            [w2, 0.0, -w0],
+            [-w1, w0, 0.0],
         ]
     )
 
@@ -38,10 +48,9 @@ def exp_so3(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64).reshape(3)
     theta = float(np.linalg.norm(w))
     if theta < _EPS:
-        return np.eye(3) + hat(w)
-    k = w / theta
-    K = hat(k)
-    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+        return _EYE3 + hat(w)
+    K = hat(w / theta)
+    return _EYE3 + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
 
 
 def log_so3(R: np.ndarray) -> np.ndarray:
@@ -50,10 +59,10 @@ def log_so3(R: np.ndarray) -> np.ndarray:
     cos_theta = float(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
     theta = float(np.arccos(cos_theta))
     if theta < _EPS:
-        return vee(R - np.eye(3))
+        return vee(R - _EYE3)
     if abs(np.pi - theta) < 1e-6:
         # Near pi: extract axis from R + I.
-        A = (R + np.eye(3)) / 2.0
+        A = (R + _EYE3) / 2.0
         axis = np.sqrt(np.maximum(np.diag(A), 0.0))
         # Fix signs using off-diagonal entries.
         if axis[0] > _EPS:
@@ -77,18 +86,18 @@ def exp_se3(xi: np.ndarray) -> np.ndarray:
     xi = np.asarray(xi, dtype=np.float64).reshape(6)
     v, w = xi[:3], xi[3:]
     theta = float(np.linalg.norm(w))
-    R = exp_so3(w)
+    T = _EYE4.copy()
     if theta < _EPS:
-        V = np.eye(3) + 0.5 * hat(w)
+        W = hat(w)
+        T[:3, :3] = _EYE3 + W
+        V = _EYE3 + 0.5 * W
     else:
+        # The rotation is exp_so3(w), sharing K and K @ K with V.
         K = hat(w / theta)
-        V = (
-            np.eye(3)
-            + (1.0 - np.cos(theta)) / theta * K
-            + (theta - np.sin(theta)) / theta * (K @ K)
-        )
-    T = np.eye(4)
-    T[:3, :3] = R
+        KK = K @ K
+        sin, cos = np.sin(theta), np.cos(theta)
+        T[:3, :3] = _EYE3 + sin * K + (1.0 - cos) * KK
+        V = _EYE3 + (1.0 - cos) / theta * K + (theta - sin) / theta * KK
     T[:3, 3] = V @ v
     return T
 
@@ -101,11 +110,11 @@ def log_se3(T: np.ndarray) -> np.ndarray:
     w = log_so3(R)
     theta = float(np.linalg.norm(w))
     if theta < _EPS:
-        V_inv = np.eye(3) - 0.5 * hat(w)
+        V_inv = _EYE3 - 0.5 * hat(w)
     else:
         K = hat(w / theta)
         V = (
-            np.eye(3)
+            _EYE3
             + (1.0 - np.cos(theta)) / theta * K
             + (theta - np.sin(theta)) / theta * (K @ K)
         )
@@ -116,7 +125,7 @@ def log_se3(T: np.ndarray) -> np.ndarray:
 
 def make_pose(R: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Assemble a 4x4 pose from rotation ``R`` and translation ``t``."""
-    T = np.eye(4)
+    T = _EYE4.copy()
     T[:3, :3] = np.asarray(R, dtype=np.float64)
     T[:3, 3] = np.asarray(t, dtype=np.float64).reshape(3)
     return T
@@ -127,7 +136,7 @@ def invert(T: np.ndarray) -> np.ndarray:
     T = np.asarray(T, dtype=np.float64)
     R = T[:3, :3]
     t = T[:3, 3]
-    out = np.eye(4)
+    out = _EYE4.copy()
     out[:3, :3] = R.T
     out[:3, 3] = -R.T @ t
     return out
@@ -211,7 +220,7 @@ def is_rotation_matrix(R: np.ndarray, tol: float = 1e-6) -> bool:
     R = np.asarray(R, dtype=np.float64)
     if R.shape != (3, 3):
         return False
-    if not np.allclose(R @ R.T, np.eye(3), atol=tol):
+    if not np.allclose(R @ R.T, _EYE3, atol=tol):
         return False
     return bool(np.isclose(np.linalg.det(R), 1.0, atol=tol))
 

@@ -48,7 +48,6 @@ class SurfelMap:
         self.intensities = np.zeros(self._capacity, dtype=np.float64)
         self.confidences = np.zeros(self._capacity, dtype=np.float64)
         self.timestamps = np.zeros(self._capacity, dtype=np.int64)
-        self.creation_times = np.zeros(self._capacity, dtype=np.int64)
         self._bins: Dict[int, int] = {}
 
     # -- basic accessors -------------------------------------------------------------
@@ -68,34 +67,14 @@ class SurfelMap:
         """Number of surfels passing the confidence threshold."""
         return int(np.count_nonzero(self.active_mask(confidence_threshold)))
 
-    def memory_bytes(self) -> int:
-        """Approximate memory footprint."""
-        return int(
-            self.positions.nbytes
-            + self.normals.nbytes
-            + self.intensities.nbytes
-            + self.confidences.nbytes
-            + self.timestamps.nbytes
-        )
-
     # -- fusion --------------------------------------------------------------------
     def _grow(self, needed: int) -> None:
         if self._n + needed <= self._capacity:
             return
         new_capacity = max(self._capacity * 2, self._n + needed)
-        for name in ("positions", "normals"):
+        for name in ("positions", "normals", "intensities", "confidences", "timestamps"):
             arr = getattr(self, name)
-            new = np.zeros((new_capacity, 3), dtype=arr.dtype)
-            new[: self._n] = arr[: self._n]
-            setattr(self, name, new)
-        for name in ("intensities", "confidences"):
-            arr = getattr(self, name)
-            new = np.zeros(new_capacity, dtype=arr.dtype)
-            new[: self._n] = arr[: self._n]
-            setattr(self, name, new)
-        for name in ("timestamps", "creation_times"):
-            arr = getattr(self, name)
-            new = np.zeros(new_capacity, dtype=arr.dtype)
+            new = np.zeros((new_capacity,) + arr.shape[1:], dtype=arr.dtype)
             new[: self._n] = arr[: self._n]
             setattr(self, name, new)
         self._capacity = new_capacity
@@ -166,7 +145,6 @@ class SurfelMap:
             self.intensities[start:end] = col[~update_mask]
             self.confidences[start:end] = increments[~update_mask]
             self.timestamps[start:end] = frame_index
-            self.creation_times[start:end] = frame_index
             new_keys = unique_keys[~update_mask]
             for offset, k in enumerate(new_keys):
                 self._bins[int(k)] = start + offset
@@ -248,37 +226,56 @@ class SurfelMap:
         }
         if self._n == 0:
             return out
-        mask = self.active_mask(confidence_threshold)
-        idx_active = np.flatnonzero(mask)
+        idx_active = np.flatnonzero(self.active_mask(confidence_threshold))
         if idx_active.size == 0:
             return out
-        pts_world = self.positions[idx_active]
-        T_wc = invert(pose_cam_to_world)
-        pts_cam = transform_points(T_wc, pts_world)
+        pts_cam = transform_points(invert(pose_cam_to_world), self.positions.take(idx_active, axis=0))
         rows, cols, valid = camera.project_to_indices(pts_cam)
         z = pts_cam[:, 2]
-        valid &= (z > 0.05) & (z < max_depth)
-        if not np.any(valid):
+        keep = np.flatnonzero(valid & (z > 0.05) & (z < max_depth))
+        if keep.size == 0:
             return out
-        rows, cols, z = rows[valid], cols[valid], z[valid]
-        surfel_ids = idx_active[valid]
-        # Z-buffer: keep the nearest surfel per pixel.  Sort by depth descending
-        # so that the nearest write wins (later writes overwrite earlier ones).
-        if splat_radius > 0:
-            offsets = [(dr, dc) for dr in range(-splat_radius, splat_radius + 1) for dc in range(-splat_radius, splat_radius + 1)]
-            all_rows = np.concatenate([np.clip(rows + dr, 0, h - 1) for dr, _ in offsets])
-            all_cols = np.concatenate([np.clip(cols + dc, 0, w - 1) for _, dc in offsets])
-            all_z = np.concatenate([z] * len(offsets))
-            all_ids = np.concatenate([surfel_ids] * len(offsets))
-        else:
-            all_rows, all_cols, all_z, all_ids = rows, cols, z, surfel_ids
-        order = np.argsort(-all_z, kind="stable")
-        all_rows, all_cols, all_z, all_ids = all_rows[order], all_cols[order], all_z[order], all_ids[order]
-        out["depth"][all_rows, all_cols] = all_z
-        out["index"][all_rows, all_cols] = all_ids
-        out["vertices"][all_rows, all_cols] = self.positions[all_ids]
-        out["normals"][all_rows, all_cols] = self.normals[all_ids]
-        out["intensity"][all_rows, all_cols] = self.intensities[all_ids]
+        rows, cols, z = rows.take(keep), cols.take(keep), z.take(keep)
+
+        # Z-buffer: every surfel writes a (2r+1)^2 square, farthest first, so
+        # the nearest write wins each pixel.  The write order is that of a
+        # stable sort of all splatted copies by decreasing depth, built from
+        # one stable sort of the n surfel depths: a run of s equal depths
+        # starting at rank r0 expands offset-major, copy k of its m-th member
+        # landing at K*r0 + k*s + m.
+        side = 2 * splat_radius + 1
+        K = side * side
+        n = z.size
+        order = np.argsort(-z, kind="stable")
+        z_sorted = z.take(order)
+        run_start = np.empty(n, dtype=bool)
+        run_start[0] = True
+        np.not_equal(z_sorted[1:], z_sorted[:-1], out=run_start[1:])
+        starts = np.flatnonzero(run_start)
+        run = np.cumsum(run_start) - 1
+        r0 = starts.take(run)
+        length = np.diff(np.append(starts, n)).take(run)
+        offsets = np.arange(-splat_radius, splat_radius + 1)
+        row_offsets = np.minimum(np.maximum(rows.take(order) + offsets[:, None], 0), h - 1) * w
+        col_offsets = np.minimum(np.maximum(cols.take(order) + offsets[:, None], 0), w - 1)
+        splat_pixels = (row_offsets[:, None, :] + col_offsets[None, :, :]).reshape(K, n)
+        position = K * r0 + (np.arange(n) - r0) + np.arange(K)[:, None] * length
+        pixel_by_write = np.empty(K * n, dtype=np.int64)
+        pixel_by_write[position] = splat_pixels
+        surfel_by_write = np.empty(K * n, dtype=np.int64)
+        surfel_by_write[position] = order
+        winner = np.full(h * w, -1, dtype=np.int64)
+        winner[pixel_by_write] = surfel_by_write
+
+        # Every output map reads the winning surfel of each covered pixel.
+        hit = np.flatnonzero(winner >= 0)
+        local = winner.take(hit)
+        ids = idx_active.take(keep.take(local))
+        out["index"].reshape(-1)[hit] = ids
+        out["depth"].reshape(-1)[hit] = z.take(local)
+        out["vertices"].reshape(-1, 3)[hit] = self.positions.take(ids, axis=0)
+        out["normals"].reshape(-1, 3)[hit] = self.normals.take(ids, axis=0)
+        out["intensity"].reshape(-1)[hit] = self.intensities.take(ids)
         return out
 
     def decay_unstable(self, frame_index: int, max_age: int = 60, min_confidence: float = 2.0) -> int:
@@ -296,9 +293,7 @@ class SurfelMap:
             return 0
         keep = ~unstable
         n_keep = int(np.count_nonzero(keep))
-        for name in ("positions", "normals"):
-            getattr(self, name)[:n_keep] = getattr(self, name)[:n][keep]
-        for name in ("intensities", "confidences", "timestamps", "creation_times"):
+        for name in ("positions", "normals", "intensities", "confidences", "timestamps"):
             getattr(self, name)[:n_keep] = getattr(self, name)[:n][keep]
         removed = n - n_keep
         self._n = n_keep

@@ -1,4 +1,4 @@
-"""Reference implementations the tree engines are tested against.
+"""Reference implementations the optimized engines are tested against.
 
 The library grows every tree through
 :func:`repro.core.tree_builder.grow_forest_hist`.  This module keeps, with
@@ -14,18 +14,35 @@ compared with:
   through either reference grower, with the per-tree generators and
   bootstrap draws of :meth:`repro.core.forest.RandomForestRegressor.fit`.
 
+It also keeps the straightforward ElasticFusion kernels the flat-index
+versions in :mod:`repro.slam` must match byte for byte:
+
+* :func:`bilinear_sample_reference` — 2-D bilinear sampling by fancy
+  indexing;
+* :func:`normal_map_reference` — vertex-map normals by ``np.cross`` and
+  ``np.linalg.norm``;
+* :func:`downsample_view_reference`, :func:`geometric_terms_reference` and
+  :func:`photometric_terms_reference` — the tracking residuals with
+  boolean-mask gathers, ``np.cross``, ``np.linalg.norm`` and three
+  bilinear calls per photometric term;
+* :func:`predict_view_reference` — the surfel z-buffer that sorts all
+  ``(2 * splat_radius + 1) ** 2`` splatted copies.
+
 Tests import it as ``oracles`` (pytest puts ``tests/`` on ``sys.path``;
 ``benchmarks/conftest.py`` does the same for the fit benchmarks).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.tree import DecisionTreeRegressor
 from repro.core.tree_builder import _NodeArrays
+from repro.slam.filters import downsample_intensity, image_gradients
+from repro.slam.se3 import invert, transform_points
 from repro.utils.rng import RandomState, as_generator, spawn_generators
 
 
@@ -549,3 +566,193 @@ def per_tree_hist_forest(
             )
         )
     return trees
+
+
+# ---------------------------------------------------------------------------
+# ElasticFusion kernels
+# ---------------------------------------------------------------------------
+
+
+def bilinear_sample_reference(image: np.ndarray, u: np.ndarray, v: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """2-D bilinear sampling at float pixel coordinates (``fill`` outside)."""
+    img = np.asarray(image, dtype=np.float64)
+    h, w = img.shape
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    valid = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1) & np.isfinite(u) & np.isfinite(v)
+    uc = np.clip(u, 0, w - 1.000001)
+    vc = np.clip(v, 0, h - 1.000001)
+    x0 = np.floor(uc).astype(np.int64)
+    y0 = np.floor(vc).astype(np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = uc - x0
+    fy = vc - y0
+    val = (
+        img[y0, x0] * (1 - fx) * (1 - fy)
+        + img[y0, x1] * fx * (1 - fy)
+        + img[y1, x0] * (1 - fx) * fy
+        + img[y1, x1] * fx * fy
+    )
+    return np.where(valid, val, fill)
+
+
+def normal_map_reference(vertices: np.ndarray) -> np.ndarray:
+    """Per-pixel normals from central differences of a vertex map."""
+    v = np.asarray(vertices, dtype=np.float64)
+    dx = np.zeros_like(v)
+    dy = np.zeros_like(v)
+    dx[:, 1:-1] = v[:, 2:] - v[:, :-2]
+    dy[1:-1, :] = v[2:, :] - v[:-2, :]
+    n = np.cross(dy, dx)
+    norm = np.linalg.norm(n, axis=-1, keepdims=True)
+    valid = (v[..., 2] > 0)[..., None] & (norm > 1e-12)
+    return np.where(valid, n / np.maximum(norm, 1e-12), 0.0)
+
+
+def _project_to_indices_reference(camera, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    pts = np.asarray(points, dtype=np.float64)
+    z = pts[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = camera.fx * pts[..., 0] / z + camera.cx
+        v = camera.fy * pts[..., 1] / z + camera.cy
+    valid = (
+        (z > 1e-6)
+        & np.isfinite(u)
+        & np.isfinite(v)
+        & (u >= 0)
+        & (u <= camera.width - 1)
+        & (v >= 0)
+        & (v <= camera.height - 1)
+    )
+    cols = np.clip(np.round(u).astype(np.int64), 0, camera.width - 1)
+    rows = np.clip(np.round(v).astype(np.int64), 0, camera.height - 1)
+    return rows, cols, valid
+
+
+def downsample_view_reference(view, factor: int):
+    """A tracking target at ``1 / factor`` resolution (strided views)."""
+    if factor == 1:
+        return view
+    cam = view.camera.scaled(factor)
+    h, w = cam.height, cam.width
+    return SimpleNamespace(
+        pose=view.pose,
+        camera=cam,
+        vertices=view.vertices[::factor, ::factor][:h, :w],
+        normals=view.normals[::factor, ::factor][:h, :w],
+        intensity=downsample_intensity(view.intensity, factor),
+        valid=view.valid[::factor, ::factor][:h, :w],
+    )
+
+
+def geometric_terms_reference(pts_world: np.ndarray, target) -> Tuple[np.ndarray, np.ndarray, float, int]:
+    """Point-to-plane normal equations against a reference view."""
+    T_wc = invert(target.pose)
+    pts_ref = transform_points(T_wc, pts_world)
+    rows, cols, in_image = _project_to_indices_reference(target.camera, pts_ref)
+    valid = in_image & target.valid[rows, cols]
+    if not np.any(valid):
+        return np.zeros((6, 6)), np.zeros(6), float("inf"), 0
+    q = target.vertices[rows[valid], cols[valid]]
+    n = target.normals[rows[valid], cols[valid]]
+    p = pts_world[valid]
+    dist = np.linalg.norm(p - q, axis=1)
+    close = dist < 0.15
+    if not np.any(close):
+        return np.zeros((6, 6)), np.zeros(6), float("inf"), 0
+    p, q, n = p[close], q[close], n[close]
+    r = np.sum(n * (p - q), axis=1)
+    J = np.concatenate([n, np.cross(p, n)], axis=1)
+    return J.T @ J, J.T @ r, float(np.mean(r * r)), int(r.size)
+
+
+def photometric_terms_reference(
+    pts_world: np.ndarray, obs_intensity: np.ndarray, target
+) -> Tuple[np.ndarray, np.ndarray, float, int]:
+    """Photometric (direct) normal equations against a reference view."""
+    cam = target.camera
+    T_wc = invert(target.pose)
+    R_wc = T_wc[:3, :3]
+    pts_ref = transform_points(T_wc, pts_world)
+    z = pts_ref[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = cam.fx * pts_ref[:, 0] / z + cam.cx
+        v = cam.fy * pts_ref[:, 1] / z + cam.cy
+    valid = (z > 0.05) & np.isfinite(u) & np.isfinite(v) & (u >= 1) & (u <= cam.width - 2) & (v >= 1) & (v <= cam.height - 2)
+    if not np.any(valid):
+        return np.zeros((6, 6)), np.zeros(6), float("inf"), 0
+    gx_img, gy_img = image_gradients(target.intensity)
+    i_ref = bilinear_sample_reference(target.intensity, u[valid], v[valid])
+    gx = bilinear_sample_reference(gx_img, u[valid], v[valid])
+    gy = bilinear_sample_reference(gy_img, u[valid], v[valid])
+    r = i_ref - obs_intensity[valid]
+    zv = z[valid]
+    xv, yv = pts_ref[valid, 0], pts_ref[valid, 1]
+    d_ref = np.stack(
+        [
+            gx * cam.fx / zv,
+            gy * cam.fy / zv,
+            -(gx * cam.fx * xv + gy * cam.fy * yv) / (zv * zv),
+        ],
+        axis=1,
+    )
+    d_world = d_ref @ R_wc
+    p = pts_world[valid]
+    J = np.concatenate([d_world, np.cross(p, d_world)], axis=1)
+    huber = 0.1
+    w = np.where(np.abs(r) < huber, 1.0, huber / np.maximum(np.abs(r), 1e-9))
+    Jw = J * w[:, None]
+    return Jw.T @ J, Jw.T @ r, float(np.mean(w * r * r)), int(r.size)
+
+
+def predict_view_reference(
+    surfels,
+    camera,
+    pose_cam_to_world: np.ndarray,
+    confidence_threshold: float = 0.0,
+    max_depth: float = 10.0,
+    splat_radius: int = 1,
+) -> Dict[str, np.ndarray]:
+    """Splat a :class:`~repro.slam.surfel.SurfelMap`'s active surfels into a
+    virtual camera, z-buffered by one stable sort of every splatted copy."""
+    h, w = camera.height, camera.width
+    out = {
+        "depth": np.zeros((h, w)),
+        "vertices": np.zeros((h, w, 3)),
+        "normals": np.zeros((h, w, 3)),
+        "intensity": np.zeros((h, w)),
+        "index": np.full((h, w), -1, dtype=np.int64),
+    }
+    if surfels.n_surfels == 0:
+        return out
+    mask = surfels.active_mask(confidence_threshold)
+    idx_active = np.flatnonzero(mask)
+    if idx_active.size == 0:
+        return out
+    pts_world = surfels.positions[idx_active]
+    T_wc = invert(pose_cam_to_world)
+    pts_cam = transform_points(T_wc, pts_world)
+    rows, cols, valid = _project_to_indices_reference(camera, pts_cam)
+    z = pts_cam[:, 2]
+    valid &= (z > 0.05) & (z < max_depth)
+    if not np.any(valid):
+        return out
+    rows, cols, z = rows[valid], cols[valid], z[valid]
+    surfel_ids = idx_active[valid]
+    if splat_radius > 0:
+        offsets = [(dr, dc) for dr in range(-splat_radius, splat_radius + 1) for dc in range(-splat_radius, splat_radius + 1)]
+        all_rows = np.concatenate([np.clip(rows + dr, 0, h - 1) for dr, _ in offsets])
+        all_cols = np.concatenate([np.clip(cols + dc, 0, w - 1) for _, dc in offsets])
+        all_z = np.concatenate([z] * len(offsets))
+        all_ids = np.concatenate([surfel_ids] * len(offsets))
+    else:
+        all_rows, all_cols, all_z, all_ids = rows, cols, z, surfel_ids
+    order = np.argsort(-all_z, kind="stable")
+    all_rows, all_cols, all_z, all_ids = all_rows[order], all_cols[order], all_z[order], all_ids[order]
+    out["depth"][all_rows, all_cols] = all_z
+    out["index"][all_rows, all_cols] = all_ids
+    out["vertices"][all_rows, all_cols] = surfels.positions[all_ids]
+    out["normals"][all_rows, all_cols] = surfels.normals[all_ids]
+    out["intensity"][all_rows, all_cols] = surfels.intensities[all_ids]
+    return out

@@ -1,10 +1,15 @@
-"""Tests for filters, ICP, the TSDF volume, map backends, surfels and metrics."""
+"""Tests for filters, ICP, the TSDF volume, map backends, surfels, metrics
+and the ElasticFusion kernels (bytewise against ``tests/oracles.py``)."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import oracles
 from repro.slam import se3
 from repro.slam.camera import CameraIntrinsics
+from repro.slam.elasticfusion import ElasticFusion, ElasticFusionConfig
 from repro.slam.filters import (
     bilateral_filter,
     bilinear_sample,
@@ -366,3 +371,232 @@ class TestMetrics:
     def test_empty_trajectories_rejected(self):
         with pytest.raises(ValueError):
             absolute_trajectory_error(Trajectory([]), Trajectory([]))
+
+
+def _same_maps(got, expected):
+    assert got.keys() == expected.keys()
+    for key in expected:
+        assert got[key].dtype == expected[key].dtype, key
+        assert np.array_equal(got[key], expected[key]), key
+
+
+def _same_terms(got, expected):
+    JtJ, Jtr, err, count = got
+    assert np.array_equal(JtJ, expected[0])
+    assert np.array_equal(Jtr, expected[1])
+    assert err == expected[2] and count == expected[3]
+
+
+def _surfel_map(points, confidences, rng):
+    """One surfel per point, with the given confidences."""
+    m = SurfelMap(merge_distance=1e-3)
+    normals = rng.normal(size=points.shape)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    for conf in np.unique(confidences):
+        pick = confidences == conf
+        m.fuse(points[pick], normals[pick], rng.uniform(size=int(pick.sum())), frame_index=0, confidence_increment=conf)
+    assert m.n_surfels == len(points)
+    return m
+
+
+def _tied_points(cam, rng, n):
+    """Surfels on a few exact depths, projecting to nearby pixels and to
+    every image border, so that splats of equal depth overlap and clamp."""
+    rows = rng.integers(0, cam.height, size=n)
+    cols = rng.integers(0, cam.width, size=n)
+    rows[:4], cols[:4] = [0, cam.height - 1, 3, 5], [4, 6, 0, cam.width - 1]
+    z = rng.choice([1.0, 1.5, 2.0], size=n)
+    u = cols + rng.uniform(-0.3, 0.3, size=n)
+    v = rows + rng.uniform(-0.3, 0.3, size=n)
+    return np.stack([(u - cam.cx) / cam.fx * z, (v - cam.cy) / cam.fy * z, z], axis=1)
+
+
+class TestElasticFusionKernelOracles:
+    """The flat-index kernels equal their straightforward originals bit for bit."""
+
+    def test_bilinear_2d_matches_reference(self, rng):
+        img = rng.normal(size=(13, 17))
+        u = rng.uniform(-2.0, 18.0, size=400)
+        v = rng.uniform(-2.0, 14.0, size=400)
+        u[:6] = [0.0, 16.0, 16.0, np.inf, -np.inf, 15.9999999]
+        v[:6] = [0.0, 12.0, 3.5, 1.0, 1.0, 11.9999999]
+        for fill in (0.0, -1.0):
+            assert np.array_equal(bilinear_sample(img, u, v, fill), oracles.bilinear_sample_reference(img, u, v, fill))
+
+    def test_bilinear_channels_match_per_channel_sampling(self, rng):
+        img = rng.normal(size=(13, 17, 3))
+        u = rng.uniform(-2.0, 18.0, size=400)
+        v = rng.uniform(-2.0, 14.0, size=400)
+        u[:4] = [np.nan, 3.0, np.inf, 16.0]
+        v[:4] = [2.0, np.nan, 5.0, 12.0]
+        out = bilinear_sample(img, u, v, fill=-2.0)
+        assert out.shape == (400, 3)
+        per_channel = np.stack([bilinear_sample(img[..., c], u, v, fill=-2.0) for c in range(3)], axis=1)
+        assert np.array_equal(out, per_channel)
+        assert np.all(out[:3] == -2.0)
+        finite = np.isfinite(u) & np.isfinite(v)
+        for c in range(3):
+            expected = oracles.bilinear_sample_reference(img[..., c], u[finite], v[finite], fill=-2.0)
+            assert np.array_equal(out[finite, c], expected)
+
+    def test_normal_map_matches_reference(self, tiny_dataset):
+        cam = tiny_dataset.camera
+        vertices = cam.backproject(tiny_dataset.frame(2).depth)
+        assert np.array_equal(normal_map(vertices), oracles.normal_map_reference(vertices))
+
+    @pytest.mark.parametrize("splat_radius", [0, 1, 2])
+    def test_predict_view_equal_depth_ties_and_borders(self, rng, splat_radius):
+        cam = CameraIntrinsics.kinect_like(24, 18)
+        points = _tied_points(cam, rng, 300)
+        m = _surfel_map(points, rng.choice([1.0, 4.0, 9.0], size=len(points)), rng)
+        for threshold in (0.0, 4.0):
+            got = m.predict_view(cam, np.eye(4), confidence_threshold=threshold, splat_radius=splat_radius)
+            expected = oracles.predict_view_reference(m, cam, np.eye(4), confidence_threshold=threshold, splat_radius=splat_radius)
+            _same_maps(got, expected)
+
+    @pytest.mark.parametrize("splat_radius", [0, 1, 2])
+    def test_predict_view_random_pose(self, rng, splat_radius):
+        cam = CameraIntrinsics.kinect_like(32, 24)
+        pose = se3.random_pose(rng, max_translation=0.2, max_angle=0.3)
+        points = se3.transform_points(pose, _tied_points(cam, rng, 500) + rng.normal(scale=0.05, size=(500, 3)))
+        m = _surfel_map(points, rng.choice([1.0, 4.0], size=len(points)), rng)
+        _same_maps(
+            m.predict_view(cam, pose, confidence_threshold=2.0, max_depth=1.8, splat_radius=splat_radius),
+            oracles.predict_view_reference(m, cam, pose, confidence_threshold=2.0, max_depth=1.8, splat_radius=splat_radius),
+        )
+
+    def test_predict_view_empty_cases(self, rng):
+        cam = CameraIntrinsics.kinect_like(16, 12)
+        empty = SurfelMap()
+        _same_maps(empty.predict_view(cam, np.eye(4)), oracles.predict_view_reference(empty, cam, np.eye(4)))
+        m = _surfel_map(_tied_points(cam, rng, 40), np.full(40, 2.0), rng)
+        # No surfel passes the threshold: an empty active set.
+        _same_maps(
+            m.predict_view(cam, np.eye(4), confidence_threshold=5.0),
+            oracles.predict_view_reference(m, cam, np.eye(4), confidence_threshold=5.0),
+        )
+        # Every surfel behind the camera.
+        behind = se3.make_pose(np.diag([1.0, -1.0, -1.0]), np.zeros(3))
+        got = m.predict_view(cam, behind)
+        _same_maps(got, oracles.predict_view_reference(m, cam, behind))
+        assert np.all(got["index"] == -1)
+
+    @staticmethod
+    def _frame_view(ef, dataset, index, pose):
+        frame = dataset.frame(index)
+        return ef._view_from_frame(ef._frame_inputs(frame.depth, frame.intensity, dataset.camera), pose)
+
+    @staticmethod
+    def _model_view(ef, dataset, pose):
+        inputs = ef._frame_inputs(dataset.frame(0).depth, dataset.frame(0).intensity, dataset.camera)
+        m = SurfelMap()
+        m.fuse(
+            se3.transform_points(dataset.trajectory[0], inputs.fused_points),
+            se3.rotate_vectors(dataset.trajectory[0], inputs.fused_normals),
+            inputs.fused_intensity,
+            frame_index=0,
+            confidence_increment=20.0,
+        )
+        return ef._view_from_model(m, dataset.camera, pose)
+
+    def test_downsampled_views_match_reference(self, tiny_dataset):
+        ef = ElasticFusion(ElasticFusionConfig())
+        view = self._frame_view(ef, tiny_dataset, 0, tiny_dataset.trajectory[0])
+        for factor in (2, 4):
+            got = view.downsampled(factor)
+            assert got is view.downsampled(factor)
+            expected = oracles.downsample_view_reference(view, factor)
+            assert got.camera == expected.camera
+            for name in ("pose", "vertices", "normals", "intensity", "valid"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+            assert np.array_equal(got.vertices_flat, expected.vertices.reshape(-1, 3))
+            assert np.array_equal(got.valid_flat, expected.valid.reshape(-1))
+
+    def test_terms_match_reference_on_perturbed_poses(self, tiny_dataset, rng):
+        ef = ElasticFusion(ElasticFusionConfig())
+        frame = tiny_dataset.frame(1)
+        inputs = ef._frame_inputs(frame.depth, frame.intensity, tiny_dataset.camera)
+        targets = [
+            self._frame_view(ef, tiny_dataset, 0, tiny_dataset.trajectory[0]),
+            self._model_view(ef, tiny_dataset, tiny_dataset.trajectory[1]),
+        ]
+        n_terms = 0
+        for target in targets:
+            for level, factor in enumerate((1, 2, 4)):
+                view = target.downsampled(factor)
+                for _ in range(4):
+                    jitter = se3.exp_se3(rng.normal(scale=[0.02, 0.02, 0.02, 0.01, 0.01, 0.01]))
+                    pts_world = se3.transform_points(jitter @ tiny_dataset.trajectory[1], inputs.points[level])
+                    pts_ref = se3.transform_points(view.T_wc, pts_world)
+                    geo = ef._geometric_terms(pts_world, pts_ref, view)
+                    _same_terms(geo, oracles.geometric_terms_reference(pts_world, view))
+                    rgb = ef._photometric_terms(pts_world, pts_ref, inputs.observed[level], view)
+                    _same_terms(rgb, oracles.photometric_terms_reference(pts_world, inputs.observed[level], view))
+                    n_terms += geo[3] > 0 and rgb[3] > 0
+        assert n_terms > 0
+
+    @pytest.mark.parametrize("same_target", [True, False])
+    def test_joint_tracking_terms_match_reference(self, tiny_dataset, monkeypatch, same_target):
+        """Every term the tracker evaluates, with geometric and photometric
+        targets that are one object (one shared ``pts_ref``) or two."""
+        ef = ElasticFusion(ElasticFusionConfig())
+        frame = tiny_dataset.frame(1)
+        inputs = ef._frame_inputs(frame.depth, frame.intensity, tiny_dataset.camera)
+        prev_view = self._frame_view(ef, tiny_dataset, 0, tiny_dataset.trajectory[0])
+        geo_target = prev_view if same_target else self._model_view(ef, tiny_dataset, tiny_dataset.trajectory[1])
+
+        calls = {"geo": 0, "rgb": 0}
+        geometric, photometric = ElasticFusion._geometric_terms, ElasticFusion._photometric_terms
+
+        def checked_geometric(self, pts_world, pts_ref, target):
+            got = geometric(self, pts_world, pts_ref, target)
+            _same_terms(got, oracles.geometric_terms_reference(pts_world, target))
+            calls["geo"] += 1
+            return got
+
+        def checked_photometric(self, pts_world, pts_ref, obs, target):
+            got = photometric(self, pts_world, pts_ref, obs, target)
+            _same_terms(got, oracles.photometric_terms_reference(pts_world, obs, target))
+            calls["rgb"] += 1
+            return got
+
+        monkeypatch.setattr(ElasticFusion, "_geometric_terms", checked_geometric)
+        monkeypatch.setattr(ElasticFusion, "_photometric_terms", checked_photometric)
+        T, stats = ef._joint_tracking(inputs, geo_target, prev_view, tiny_dataset.trajectory[0], rotation_only_first=True)
+        assert calls["geo"] == stats["icp_iterations"] > 0
+        assert calls["rgb"] > stats["rgb_iterations"] > 0  # the SO(3) pre-alignment adds calls
+        assert np.isfinite(stats["error"])
+
+
+class TestElasticFusionState:
+    def test_evaluations_do_not_leak_state(self, tiny_dataset):
+        a = ElasticFusionConfig()
+        b = ElasticFusionConfig(depth_cutoff=1.5, open_loop=True, fast_odometry=True)
+        derived_before = set(tiny_dataset._derived)
+        first = ElasticFusion(a, fusion_stride=2).run(tiny_dataset, n_frames=6)
+        other = ElasticFusion(b, fusion_stride=2).run(tiny_dataset, n_frames=6)
+        again = ElasticFusion(a, fusion_stride=2).run(tiny_dataset, n_frames=6)
+        assert all(np.array_equal(p, q) for p, q in zip(first.estimated.poses, again.estimated.poses))
+        assert first.frames == again.frames
+        assert first.frames != other.frames
+        # Frame products live for one evaluation, never in the dataset memo.
+        assert set(tiny_dataset._derived) == derived_before
+
+    def test_frame_inputs_are_read_only(self, tiny_dataset):
+        frame = tiny_dataset.frame(3)
+        inputs = ElasticFusion(ElasticFusionConfig(), fusion_stride=2)._frame_inputs(
+            frame.depth, frame.intensity, tiny_dataset.camera
+        )
+        arrays = []
+        for field in dataclasses.fields(inputs):
+            value = getattr(inputs, field.name)
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif isinstance(value, list) and value and isinstance(value[0], np.ndarray):
+                arrays.extend(value)
+        assert len(arrays) == 2 * len(inputs.cams) + 9
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        # The frame the inputs were built from stays as it was.
+        assert frame.intensity.flags.writeable and frame.depth.flags.writeable
