@@ -57,7 +57,7 @@ class _BaseSearch:
         backend: str = "thread",
         checkpoint_path: Optional[str] = None,
         checkpoint_every: int = 1,
-        record_sink=None,
+        history_path=None,
         stop_requested=None,
     ) -> None:
         self.space = space
@@ -66,7 +66,7 @@ class _BaseSearch:
         self.seed = seed
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
-        self.record_sink = record_sink
+        self.history_path = history_path
         self.stop_requested = stop_requested
 
     @property
@@ -84,7 +84,7 @@ class _BaseSearch:
             compute_reports=False,
             checkpoint_path=self.checkpoint_path,
             checkpoint_every=self.checkpoint_every,
-            record_sink=self.record_sink,
+            history_path=self.history_path,
             stop_requested=self.stop_requested,
             seed=self.seed,
             rng_label=self.rng_label,
@@ -603,7 +603,7 @@ def _baseline_builder(cls, algorithm: str, ctor_keys: Sequence[str], budget_requ
             seed=ctx.seed,
             checkpoint_path=ctx.checkpoint_path,
             checkpoint_every=ctx.checkpoint_every,
-            record_sink=ctx.record_sink,
+            history_path=ctx.history_path,
             stop_requested=ctx.stop_requested,
             **ctor,
         )

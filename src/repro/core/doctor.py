@@ -42,7 +42,6 @@ from repro.core.study import (
     REPORT_FILE,
     RUN_FILE,
     SCENARIO_FILE,
-    RESUME_TMP_FILE,
     run_residue,
 )
 from repro.core.sweep import (
@@ -58,7 +57,7 @@ from repro.core.sweep import (
 class DoctorFinding:
     """One piece of crash residue (or damage) the doctor identified.
 
-    ``kind`` is one of ``tmp-residue``, ``resume-tmp``, ``torn-history``,
+    ``kind`` is one of ``tmp-residue``, ``torn-history``,
     ``orphaned-lease``, ``expired-lease``, ``corrupt-lease``,
     ``corrupt-artifact``.  ``repaired`` is ``True`` when this pass fixed it;
     ``repairable`` is ``False`` for damage the doctor refuses to touch.
@@ -136,15 +135,13 @@ def doctor_run_dir(
     findings: List[DoctorFinding] = []
 
     for residue in run_residue(run_path):
-        kind = "resume-tmp" if residue.name == RESUME_TMP_FILE else "tmp-residue"
-        detail = (
-            "abandoned resume side stream"
-            if kind == "resume-tmp"
-            else "stranded atomic-write temporary"
-        )
         if repair:
             residue.unlink(missing_ok=True)
-        findings.append(DoctorFinding(kind, _rel(root, residue), detail, repaired=repair))
+        findings.append(
+            DoctorFinding(
+                "tmp-residue", _rel(root, residue), "stranded atomic-write temporary", repaired=repair
+            )
+        )
 
     history = run_path / HISTORY_FILE
     if history.exists():

@@ -14,9 +14,10 @@ infrastructure section describes around the algorithm:
   trickle back),
 * history/rank bookkeeping (membership tests are integer pool-rank lookups,
   not configuration-list scans),
-* per-iteration reports, and
-* **checkpoint/resume**: a serializable :class:`RunState` written at
-  iteration boundaries from which a killed run resumes bit-identically.
+* per-iteration reports and the streamed ``history.jsonl``, and
+* **checkpoint/resume**: bounded checkpoints written at iteration boundaries
+  name the ``history.jsonl`` prefix they continue, and a killed run resumes
+  from one bit-identically.
 
 What to evaluate next is delegated to an
 :class:`~repro.core.acquisition.AcquisitionStrategy`.  With the default
@@ -27,9 +28,12 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -38,7 +42,13 @@ from repro.core.acquisition import AcquisitionStrategy, Proposal
 from repro.core.durable import atomic_write_json
 from repro.core.evaluator import EvaluationFunction, Evaluator
 from repro.core.executor import EvalFuture, EvaluationExecutor, as_executor
-from repro.core.history import EvaluationRecord, History
+from repro.core.history import (
+    EvaluationRecord,
+    History,
+    HistoryWriter,
+    config_from_dict,
+    read_history_prefix,
+)
 from repro.core.objectives import ObjectiveSet
 from repro.core.pareto import hypervolume_2d
 from repro.core.sampling import EncodedPool, RandomSampler, Sampler, build_encoded_pool
@@ -48,8 +58,9 @@ from repro.utils.rng import RandomState, as_generator, derive_seed
 from repro.utils.serialization import load_json
 from repro.utils.timing import Timer
 
-#: Schema version of serialized checkpoints.
-CHECKPOINT_VERSION = 1
+#: Schema version of serialized checkpoints.  Version 2 names a prefix of
+#: the history file instead of embedding the records; version 1 is refused.
+CHECKPOINT_VERSION = 2
 
 #: Environment knob: set to ``1`` to stamp per-iteration timing counters
 #: (fit/predict/bitset/encode wall milliseconds) onto history records.  Off by
@@ -157,19 +168,6 @@ class HyperMapperResult:
         return s
 
 
-def _config_from_dict(space: DesignSpace, d: Mapping[str, object]) -> Configuration:
-    """Revive a checkpointed configuration, validating against the space.
-
-    Falls back to a raw (unvalidated) configuration for values outside the
-    space's domains — e.g. a warm-start history imported from another space
-    variant.
-    """
-    try:
-        return space.configuration(d)
-    except (KeyError, ValueError):
-        return Configuration.from_dict(d, order=list(d.keys()))
-
-
 @dataclass
 class SearchState:
     """Mutable per-run state shared between the driver and its strategy."""
@@ -259,8 +257,14 @@ class SearchDriver:
         history right after the next proposal.  Deterministic by
         construction: the cut is positional, never timing-based.
     checkpoint_path / checkpoint_every:
-        When set, a resumable :class:`RunState` is written after the
-        bootstrap and after every ``checkpoint_every``-th iteration.
+        When set, a resumable checkpoint is written after the bootstrap and
+        after every ``checkpoint_every``-th iteration.  It holds bounded run
+        state and names the prefix of ``history_path`` it continues.
+    history_path:
+        The run's ``history.jsonl``: :meth:`run` streams the warm-start
+        records and then every record as it enters the history.  Defaults
+        to ``checkpoint_path`` with the suffix ``.history.jsonl``; with
+        neither path the history stays in memory.
     stop_requested:
         Optional zero-argument callable polled at every iteration boundary.
         When it returns true the driver writes a resumable checkpoint and
@@ -291,7 +295,7 @@ class SearchDriver:
         checkpoint_path: Optional[str] = None,
         checkpoint_every: int = 1,
         compute_reports: bool = True,
-        record_sink: Optional[Callable[[EvaluationRecord], None]] = None,
+        history_path: Optional[str] = None,
         stop_requested: Optional[Callable[[], bool]] = None,
         seed: RandomState = None,
         rng_label: str = "search",
@@ -323,10 +327,11 @@ class SearchDriver:
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = max(int(checkpoint_every), 1)
         self.compute_reports = bool(compute_reports)
-        #: Called with every record this run appends to its history (streamed
-        #: persistence, e.g. a study's ``history.jsonl``).  Restored
-        #: checkpoint records and warm-start histories are *not* re-emitted.
-        self.record_sink = record_sink
+        if history_path is None and checkpoint_path is not None:
+            history_path = str(Path(checkpoint_path).with_suffix(".history.jsonl"))
+        self.history_path = history_path
+        #: The open history stream while :meth:`run` executes.
+        self._writer: Optional[HistoryWriter] = None
         #: Cooperative-preemption poll (see the class docstring).
         self.stop_requested = stop_requested
         self.seed = seed
@@ -358,18 +363,27 @@ class SearchDriver:
         resume_from: Optional[str] = None,
     ) -> HyperMapperResult:
         """Execute the search (fresh, or resumed from a checkpoint file)."""
-        if resume_from is not None:
+        try:
+            if resume_from is None:
+                return self._run_fresh(initial_history)
             if initial_history is not None:
                 raise ValueError(
                     "initial_history and resume_from are mutually exclusive: the "
-                    "checkpoint already contains the run's full history"
+                    "checkpoint already names the run's full history"
                 )
             return self._run_resumed(resume_from)
+        finally:
+            if self._writer is not None:
+                self._writer.close()
+                self._writer = None
 
+    def _run_fresh(self, initial_history: Optional[History]) -> HyperMapperResult:
         rng = as_generator(derive_seed(self.seed, self.rng_label))
-        history = History(self.objectives)
-        if initial_history is not None:
-            history.extend(initial_history.records)
+        if self.history_path is not None:
+            self._writer = HistoryWriter(self.history_path).open()
+        history = History(self.objectives, initial_history.records if initial_history is not None else None)
+        for record in history:
+            self._emit(record)
         timer = Timer()
         reports: List[ActiveLearningReport] = []
 
@@ -390,24 +404,18 @@ class SearchDriver:
         # --- Phase 2: configuration pool ----------------------------------------
         # The pool is static for the whole run: encoded exactly once here,
         # fitted-from and predicted-over every iteration.  The rng state and
-        # include list are snapshotted first so a resumed run rebuilds the
-        # exact same pool.
+        # the number of records the include list comes from are snapshotted
+        # so a resumed run rebuilds the exact same pool.
         pool_rng_state = rng.bit_generator.state
-        pool_include: List[Configuration] = []
-        encoded_pool: Optional[EncodedPool] = None
-        if self.acquisition is not None and self.acquisition.needs_pool:
-            evaluated = history.configuration_set()
-            pool_include = list(evaluated) + [self.space.default_configuration()]
-            encoded_pool = build_encoded_pool(
-                self.space, self.pool_size, rng=rng, include=pool_include
-            )
+        pool_records = len(history)
+        encoded_pool = self._build_pool(rng, history, pool_records)
 
         state = self._make_state(rng, history, timer, encoded_pool)
         if self.acquisition is not None:
             self.acquisition.reset(state)
         reference = self._hypervolume_reference(history)
         self._save_checkpoint(
-            state, reports, [], pool_rng_state, pool_include, 0, budget_stop, reference
+            state, reports, [], pool_rng_state, pool_records, 0, budget_stop, reference
         )
 
         return self._loop(
@@ -416,10 +424,26 @@ class SearchDriver:
             reference,
             pending=[],
             pool_rng_state=pool_rng_state,
-            pool_include=pool_include,
+            pool_records=pool_records,
             start_iteration=1,
             budget_stop=budget_stop,
         )
+
+    def _build_pool(
+        self, rng: np.random.Generator, history: History, n_records: int
+    ) -> Optional[EncodedPool]:
+        """The run's encoded pool, or ``None`` when the strategy needs none.
+
+        The include list is the distinct configurations of the first
+        ``n_records`` history records in record order, then the default
+        configuration: a function of the history file alone, so fresh and
+        resumed runs build the same pool under any ``PYTHONHASHSEED``.
+        """
+        if self.acquisition is None or not self.acquisition.needs_pool:
+            return None
+        include = list(dict.fromkeys(r.config for r in itertools.islice(history, n_records)))
+        include.append(self.space.default_configuration())
+        return build_encoded_pool(self.space, self.pool_size, rng=rng, include=include)
 
     # -- the loop kernel -----------------------------------------------------------
     def _loop(
@@ -429,7 +453,7 @@ class SearchDriver:
         reference: Optional[np.ndarray],
         pending: List[_PendingEvaluation],
         pool_rng_state: Optional[dict],
-        pool_include: List[Configuration],
+        pool_records: int,
         start_iteration: int,
         budget_stop: bool,
         converged: bool = False,
@@ -445,7 +469,7 @@ class SearchDriver:
                 # run bit-identically — the same invariant the kill/resume
                 # tests pin, minus the torn tail.
                 self._save_checkpoint(
-                    state, reports, pending, pool_rng_state, pool_include,
+                    state, reports, pending, pool_rng_state, pool_records,
                     iteration, budget_stop, reference,
                 )
                 raise SearchPreempted("stop requested", iteration)
@@ -479,7 +503,7 @@ class SearchDriver:
                 # resumed run must not re-open the search with a fresh
                 # surrogate the original run never fitted.
                 self._save_checkpoint(
-                    state, reports, pending, pool_rng_state, pool_include, iteration,
+                    state, reports, pending, pool_rng_state, pool_records, iteration,
                     budget_stop, reference, converged=True,
                 )
                 break
@@ -523,9 +547,12 @@ class SearchDriver:
             )
             if iteration % self.checkpoint_every == 0 or budget_stop:
                 self._save_checkpoint(
-                    state, reports, pending, pool_rng_state, pool_include, iteration, budget_stop, reference
+                    state, reports, pending, pool_rng_state, pool_records, iteration, budget_stop, reference
                 )
         self._drain_pending(state, pending)
+        if self._writer is not None:
+            # On disk before the caller can mark the run complete.
+            self._writer.sync()
         if budget_stop:
             # Budget exhausted for good: make the final history durable.  On
             # normal completion the last iteration-boundary checkpoint (with
@@ -533,7 +560,7 @@ class SearchDriver:
             # post-drain snapshot would let a resumed refit see straggler
             # results earlier than the uninterrupted run did.
             self._save_checkpoint(
-                state, reports, [], pool_rng_state, pool_include, iteration, budget_stop, reference
+                state, reports, [], pool_rng_state, pool_records, iteration, budget_stop, reference
             )
 
         pareto = state.history.pareto_records(feasible_only=True)
@@ -560,9 +587,9 @@ class SearchDriver:
         return n_drained
 
     def _emit(self, record: EvaluationRecord) -> None:
-        """Stream a freshly appended history record to the sink (if any)."""
-        if self.record_sink is not None:
-            self.record_sink(record)
+        """Append a record that just entered the history to the history file."""
+        if self._writer is not None:
+            self._writer.write(record)
 
     # -- state construction ---------------------------------------------------------
     def _make_state(
@@ -635,7 +662,7 @@ class SearchDriver:
         reports: List[ActiveLearningReport],
         pending: List[_PendingEvaluation],
         pool_rng_state: Optional[dict],
-        pool_include: List[Configuration],
+        pool_records: int,
         iteration: int,
         budget_stop: bool,
         reference: Optional[np.ndarray] = None,
@@ -643,6 +670,12 @@ class SearchDriver:
     ) -> None:
         if self.checkpoint_path is None:
             return
+        writer = self._writer
+        assert writer is not None and writer.n_records == len(state.history)
+        # Durable before referenced: every record the checkpoint names is on
+        # disk before the checkpoint exists.
+        writer.sync()
+        checkpoint_dir = os.path.dirname(os.path.abspath(self.checkpoint_path))
         n_pending_fresh = sum(1 for p in pending if p.future.fresh)
         payload = {
             "version": CHECKPOINT_VERSION,
@@ -651,8 +684,12 @@ class SearchDriver:
             "iteration": iteration,
             "rng_state": state.rng.bit_generator.state,
             "pool_rng_state": pool_rng_state,
-            "pool_include": [dict(c) for c in pool_include],
-            "history": state.history.to_dicts(),
+            # Relative to the checkpoint's directory, so a moved run dir
+            # still resumes.
+            "history_file": os.path.relpath(os.path.abspath(writer.path), checkpoint_dir),
+            "history_records": writer.n_records,
+            "history_sha256": writer.sha256,
+            "pool_records": pool_records,
             "reports": [r.to_dict() for r in reports],
             "pending": [
                 {"config": dict(p.config), "source": p.source, "iteration": p.iteration}
@@ -675,10 +712,13 @@ class SearchDriver:
         atomic_write_json(self.checkpoint_path, payload)
 
     def _run_resumed(self, path: str) -> HyperMapperResult:
+        # Every check runs before a file is opened for writing: a refused
+        # resume changes nothing.
         data = load_json(path)
-        version = int(data.get("version", -1))
+        version = int(data.get("version", -1)) if isinstance(data, dict) else -1
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version} in {path!r}")
+            hint = "; version 1 embedded the history: re-run the study fresh" if version == 1 else ""
+            raise ValueError(f"unsupported checkpoint version {version} in {path!r}{hint}")
         # A checkpoint resumed by a differently-configured driver would not
         # diverge loudly — the rng streams and surrogate seeds simply come
         # out different — so compatibility is checked up front.
@@ -696,25 +736,32 @@ class SearchDriver:
             raise ValueError(
                 f"checkpoint {path!r} was written under a different master seed"
             )
+        history_file = os.path.join(os.path.dirname(os.path.abspath(path)), data["history_file"])
+        n_records = int(data["history_records"])
+        prefix = read_history_prefix(history_file, n_records, data["history_sha256"])
+        if self.history_path is not None:
+            # Continue the checkpoint's own file in place, or start a new
+            # file with the verified prefix.
+            in_place = os.path.exists(self.history_path) and os.path.samefile(
+                history_file, self.history_path
+            )
+            self._writer = HistoryWriter(self.history_path).open(prefix, n_records, in_place=in_place)
 
         rng = np.random.default_rng()
         rng.bit_generator.state = data["rng_state"]
-        history = History.from_dicts(self.objectives, data["history"], space=self.space)
+        history = History.from_dicts(
+            self.objectives, [json.loads(line) for line in prefix.splitlines()], space=self.space
+        )
         timer = Timer()
         reports = [ActiveLearningReport.from_dict(r) for r in data["reports"]]
 
-        pool_rng_state = data.get("pool_rng_state")
-        pool_include = [_config_from_dict(self.space, d) for d in data.get("pool_include", [])]
-        encoded_pool: Optional[EncodedPool] = None
-        if self.acquisition is not None and self.acquisition.needs_pool:
-            # Rebuild the pool exactly as the original run did: same rng
-            # snapshot, same include list.
-            pool_rng = np.random.default_rng()
-            if pool_rng_state is not None:
-                pool_rng.bit_generator.state = pool_rng_state
-            encoded_pool = build_encoded_pool(
-                self.space, self.pool_size, rng=pool_rng, include=pool_include
-            )
+        # Rebuild the pool exactly as the original run did: same rng
+        # snapshot, same leading records.
+        pool_rng_state = data["pool_rng_state"]
+        pool_records = int(data["pool_records"])
+        pool_rng = np.random.default_rng()
+        pool_rng.bit_generator.state = pool_rng_state
+        encoded_pool = self._build_pool(pool_rng, history, pool_records)
 
         self.executor.restore_consumed(int(data.get("budget_used", 0)))
         for record in history.records:
@@ -738,7 +785,7 @@ class SearchDriver:
         converged = bool(data.get("converged", False))
         pending_specs = data.get("pending", [])
         if pending_specs:
-            configs = [_config_from_dict(self.space, p["config"]) for p in pending_specs]
+            configs = [config_from_dict(self.space, p["config"]) for p in pending_specs]
             futures, accepted = self.executor.submit(configs)
             if accepted < len(configs):
                 budget_stop = True
@@ -752,7 +799,7 @@ class SearchDriver:
             reference,
             pending=pending,
             pool_rng_state=pool_rng_state,
-            pool_include=pool_include,
+            pool_records=pool_records,
             start_iteration=int(data["iteration"]) + 1,
             budget_stop=budget_stop,
             converged=converged,

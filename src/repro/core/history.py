@@ -7,21 +7,21 @@ speedup tables are derived.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.durable import fsync_dir
 from repro.core.objectives import ObjectiveSet
 from repro.core.pareto import pareto_front, pareto_mask
 from repro.core.space import Configuration, DesignSpace
 from repro.utils.serialization import to_jsonable
-
-#: Environment knob for the default fsync cadence of :class:`HistoryWriter`.
-HISTORY_FSYNC_ENV = "REPRO_HISTORY_FSYNC_EVERY"
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,19 @@ class EvaluationRecord:
         return out
 
 
+def config_from_dict(space: Optional[DesignSpace], d: Mapping[str, Any]) -> Configuration:
+    """Revive a persisted configuration, normalized to the ``space``'s
+    canonical types (JSON loses e.g. the int/float distinction).  Without a
+    space, or for values outside its domains (a warm start from another
+    space variant), the configuration is raw and unvalidated."""
+    if space is not None:
+        try:
+            return space.configuration(d)
+        except (KeyError, ValueError):
+            pass
+    return Configuration.from_dict(d)
+
+
 class History:
     """Ordered collection of :class:`EvaluationRecord` with analysis helpers."""
 
@@ -108,10 +121,6 @@ class History:
         )
         self._records.append(record)
         return record
-
-    def extend(self, records: Iterable[EvaluationRecord]) -> None:
-        """Append existing records."""
-        self._records.extend(records)
 
     # -- access ------------------------------------------------------------
     def __len__(self) -> int:
@@ -219,31 +228,15 @@ class History:
         dicts: Sequence[Mapping[str, Any]],
         space: Optional["DesignSpace"] = None,
     ) -> "History":
-        """Inverse of :meth:`to_dicts` (checkpoint/resume support).
-
-        When ``space`` is given, configurations are revived through
-        :meth:`~repro.core.space.DesignSpace.configuration` so values are
-        validated and normalized back to the space's canonical types (JSON
-        loses e.g. the int/float distinction); out-of-domain configurations
-        (warm starts from another space variant) fall back to a raw,
-        unvalidated :class:`~repro.core.space.Configuration`.
-        """
+        """Inverse of :meth:`to_dicts` (configurations revived by
+        :func:`config_from_dict`)."""
         records = []
         for d in dicts:
-            config_dict = d["config"]
-            config: Configuration
-            if space is not None:
-                try:
-                    config = space.configuration(config_dict)
-                except (KeyError, ValueError):
-                    config = Configuration.from_dict(config_dict)
-            else:
-                config = Configuration.from_dict(config_dict)
             attempts = d.get("attempts")
             timing = d.get("timing")
             records.append(
                 EvaluationRecord(
-                    config=config,
+                    config=config_from_dict(space, d["config"]),
                     metrics={str(k): float(v) for k, v in d["metrics"].items()},
                     source=str(d.get("source", "random")),
                     iteration=int(d.get("iteration", 0)),
@@ -267,77 +260,95 @@ class History:
         }
 
 
-def default_fsync_every() -> int:
-    """Default fsync cadence, overridable via ``REPRO_HISTORY_FSYNC_EVERY``.
-
-    ``0`` (the default) flushes every record to the OS but never forces it to
-    disk — the durable history survives process death at an evaluation
-    boundary (modulo a torn final line), which is what resume needs.  Set the
-    environment variable to ``N`` to additionally ``fsync`` every N records
-    when the history must also survive power loss.
-    """
-    raw = os.environ.get(HISTORY_FSYNC_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
 class HistoryWriter:
-    """Append-only JSONL sink for evaluation records (streamed persistence).
+    """Append-only JSONL stream of a run's evaluation records (``history.jsonl``).
 
     Every record is written as one newline-terminated line and flushed
     immediately, so a SIGKILL at any instruction leaves the file ending at an
     evaluation boundary — except possibly a torn final line, which the
-    durable-I/O layer (:func:`repro.core.durable.scan_jsonl`) detects and
-    resume paths drop.  ``fsync_every=N`` additionally forces the file to
-    disk every N records (``0`` = never; see :func:`default_fsync_every`).
+    readers (:func:`repro.core.durable.scan_jsonl`) drop and a resume cuts
+    off.  The writer counts the lines it holds and keeps a running sha256 of
+    their bytes, so a checkpoint names the file's current prefix without
+    re-reading it.
     """
 
-    def __init__(self, path: Path, *, fsync_every: Optional[int] = None) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.fsync_every = default_fsync_every() if fsync_every is None else max(0, int(fsync_every))
+        self.n_records = 0
+        self._digest = hashlib.sha256()
         self._fh = None
-        self._since_fsync = 0
+        self._dir_synced = False
 
-    def open(self, truncate: bool = True) -> "HistoryWriter":
+    def open(self, prefix: bytes = b"", n_records: int = 0, *, in_place: bool = False) -> "HistoryWriter":
+        """Open the stream positioned after ``prefix``, its first ``n_records`` lines.
+
+        ``in_place`` means the file already begins with ``prefix``: it is cut
+        back to it (whatever followed is dropped) and fsynced.  Otherwise the
+        file is created or truncated to hold exactly ``prefix``.
+        """
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("w" if truncate else "a")
-        self._since_fsync = 0
+        if in_place:
+            self._fh = self.path.open("r+b")
+            self._fh.truncate(len(prefix))
+            self._fh.seek(len(prefix))
+            os.fsync(self._fh.fileno())
+        else:
+            self._fh = self.path.open("wb")
+            self._fh.write(prefix)
+        self.n_records = n_records
+        self._digest = hashlib.sha256(prefix)
         return self
 
     def write(self, record: EvaluationRecord) -> None:
         assert self._fh is not None
-        self._fh.write(json.dumps(to_jsonable(record.to_dict()), sort_keys=True) + "\n")
+        line = (json.dumps(to_jsonable(record.to_dict()), sort_keys=True) + "\n").encode("utf-8")
+        self._fh.write(line)
         self._fh.flush()
-        if self.fsync_every:
-            self._since_fsync += 1
-            if self._since_fsync >= self.fsync_every:
-                os.fsync(self._fh.fileno())
-                self._since_fsync = 0
+        self._digest.update(line)
+        self.n_records += 1
 
-    def rewrite(self, records: Sequence[EvaluationRecord]) -> None:
-        """Replace the file content with exactly ``records``."""
-        self.close()
-        self.open(truncate=True)
-        for r in records:
-            self.write(r)
+    @property
+    def sha256(self) -> str:
+        """Hex sha256 of every byte written so far (the whole file)."""
+        return self._digest.hexdigest()
+
+    def sync(self) -> None:
+        """Force the records to disk (and, once, the directory entry)."""
+        assert self._fh is not None
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+        if not self._dir_synced:
+            fsync_dir(self.path.parent)
+            self._dir_synced = True
 
     def close(self) -> None:
         if self._fh is not None:
-            if self.fsync_every and self._since_fsync:
-                os.fsync(self._fh.fileno())
-                self._since_fsync = 0
             self._fh.close()
             self._fh = None
+
+
+def read_history_prefix(path: str, n_records: int, sha256: str) -> bytes:
+    """The first ``n_records`` lines of the history file ``path``, checked
+    against their ``sha256``; nothing past them is parsed.  A missing file, a
+    short one or a different digest raises ``ValueError`` naming the file,
+    the expected count and the count found."""
+    try:
+        with open(path, "rb") as fh:
+            terminated = itertools.takewhile(lambda line: line.endswith(b"\n"), fh)
+            lines = list(itertools.islice(terminated, n_records))
+    except FileNotFoundError:
+        raise ValueError(f"history {path!r} is missing: expected {n_records} records, found 0") from None
+    prefix = b"".join(lines)
+    if len(lines) < n_records or hashlib.sha256(prefix).hexdigest() != sha256:
+        problem = "is short" if len(lines) < n_records else "has a different sha256"
+        raise ValueError(f"history {path!r} {problem}: expected {n_records} records, found {len(lines)}")
+    return prefix
 
 
 __all__ = [
     "EvaluationRecord",
     "History",
     "HistoryWriter",
-    "HISTORY_FSYNC_ENV",
-    "default_fsync_every",
+    "config_from_dict",
+    "read_history_prefix",
 ]

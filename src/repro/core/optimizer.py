@@ -89,6 +89,9 @@ class HyperMapper:
         Write a resumable run state after the bootstrap and after every
         ``checkpoint_every``-th iteration; resume with
         ``run(resume_from=checkpoint_path)``.
+    history_path:
+        The ``history.jsonl`` every record is streamed to (default: next to
+        ``checkpoint_path``; see :class:`~repro.core.engine.SearchDriver`).
     seed:
         Master seed controlling sampling, pool construction and forests.
     """
@@ -113,7 +116,7 @@ class HyperMapper:
         overlap_fraction: Optional[float] = None,
         checkpoint_path: Optional[str] = None,
         checkpoint_every: int = 1,
-        record_sink=None,
+        history_path=None,
         stop_requested=None,
     ) -> None:
         if n_random_samples < 1:
@@ -153,7 +156,7 @@ class HyperMapper:
             overlap_fraction=overlap_fraction,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
-            record_sink=record_sink,
+            history_path=history_path,
             stop_requested=stop_requested,
             seed=seed,
             rng_label="hypermapper",
@@ -229,7 +232,7 @@ def _build_hypermapper(ctx: SearchContext) -> HyperMapper:
         overlap_fraction=ctx.overlap_fraction,
         checkpoint_path=ctx.checkpoint_path,
         checkpoint_every=ctx.checkpoint_every,
-        record_sink=ctx.record_sink,
+        history_path=ctx.history_path,
         stop_requested=ctx.stop_requested,
     )
 

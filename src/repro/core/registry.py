@@ -240,7 +240,7 @@ class SearchContext:
     overlap_fraction: Optional[float] = None
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 1
-    record_sink: Optional[Callable[[Any], None]] = None
+    history_path: Optional[str] = None
     #: Cooperative-preemption poll forwarded to the search driver: checked at
     #: iteration boundaries; a true return parks the run behind a resumable
     #: checkpoint (see :class:`repro.core.engine.SearchPreempted`).

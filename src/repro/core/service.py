@@ -19,10 +19,9 @@ shared fleet):
   iteration boundary (the engine writes a resumable checkpoint and raises
   :class:`~repro.core.engine.SearchPreempted`) and resumed later
   **bit-identically** — checkpoints make preemption cheap.
-* **streaming progress** — :meth:`events` tails the study's streamed
-  ``history.jsonl`` (the existing ``record_sink`` artifact) into an ordered
-  event feed the HTTP front door (:mod:`repro.core.server`) serves as
-  NDJSON.
+* **streaming progress** — :meth:`events` tails the ``history.jsonl`` the
+  study's search driver streams into an ordered event feed the HTTP front
+  door (:mod:`repro.core.server`) serves as NDJSON.
 * **crash-safe state** — every queue transition is appended to a durable
   ``journal.jsonl`` (:class:`~repro.core.durable.JsonlLogger`); a killed
   server restarts, replays the journal, and resumes interrupted studies
@@ -50,7 +49,6 @@ from repro.core.scenario import Scenario, ScenarioError
 from repro.core.scheduler import submission_priority
 from repro.core.study import (
     HISTORY_FILE,
-    RESUME_TMP_FILE,
     SCENARIO_FILE,
     Study,
     StudyResult,
@@ -578,13 +576,10 @@ class OptimizationService:
                     self._cond.wait(timeout=poll_s)
 
     def _new_records(self, entry: StudyEntry, n_emitted: int) -> List[Dict[str, Any]]:
-        # A resumed run streams to the .resume-tmp side file (pre-seeded with
-        # the checkpoint's history, i.e. >= everything already emitted); a
-        # fresh run streams history.jsonl directly.  Reading the whole file
-        # and slicing keeps indices stable across parks, resumes, and the
-        # final defensive rewrite.
-        side = entry.run_dir / RESUME_TMP_FILE
-        path = side if side.exists() else entry.run_dir / HISTORY_FILE
+        # Reading the whole file and slicing keeps indices stable across parks
+        # and resumes: a resume cuts the file back to its checkpoint's prefix
+        # and re-runs the records after it bit-identically.
+        path = entry.run_dir / HISTORY_FILE
         if not path.exists():
             return []
         try:

@@ -12,15 +12,17 @@ and returns a typed :class:`StudyResult`.  With a ``run_dir`` it persists a
       history.jsonl          # one evaluation record per line, streamed
       pareto.json            # final Pareto front (records)
       report.json            # summary derived from history.jsonl
-      checkpoints/engine.json  # resumable engine checkpoint
+      checkpoints/engine.json  # bounded engine checkpoint: run state plus the
+                               # count and sha256 of the history prefix
 
 that reloads into a :class:`StudyResult` *without re-running*
 (:meth:`StudyResult.load`), and from which ``Study.resume`` (or ``python -m
 repro resume``) continues a killed run bit-identically.
 
-The persisted ``history.jsonl`` is the single source of truth:
-:meth:`StudyResult.report` derives its summary statistics from the file when
-a run directory exists, never from in-memory duplicates.
+The persisted ``history.jsonl`` is the only copy of the records and the
+single source of truth: the search driver streams it, checkpoints name a
+prefix of it, a resume truncates it to that prefix and appends, and
+:meth:`StudyResult.report` derives its summary statistics from it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from repro.core.faults import (
     summarize_faults,
 )
 from repro.core.durable import atomic_write_json, read_jsonl
-from repro.core.history import EvaluationRecord, History, HistoryWriter
+from repro.core.history import EvaluationRecord, History
 from repro.core.objectives import ObjectiveSet
 from repro.core.pareto import hypervolume_2d
 from repro.core.registry import (
@@ -88,11 +90,6 @@ def make_function_evaluator(
     return EvaluatorBinding(fn=evaluate, info={"type": "function"})
 
 
-# The streamed history sink lives with the history model now; the old
-# underscored name stays importable for existing callers and tests.
-_HistoryWriter = HistoryWriter
-
-
 def run_status(run_dir: Union[str, Path]) -> Optional[str]:
     """Status recorded in a run directory's ``run.json``.
 
@@ -115,28 +112,16 @@ def run_status(run_dir: Union[str, Path]) -> Optional[str]:
     return None if status is None else str(status)
 
 
-#: Crash residue recognizable inside a run directory: atomic-write
-#: temporaries and the resume side stream.
-RESUME_TMP_FILE = HISTORY_FILE + ".resume-tmp"
-
-
 def run_residue(run_dir: Union[str, Path]) -> List[Path]:
     """Leftover temporary files a crash may have stranded in a run dir.
 
     Matches ``*.tmp`` (atomic-write temporaries, current and legacy naming)
-    in the run dir and its checkpoint dir, plus an abandoned
-    ``history.jsonl.resume-tmp``.  Pure probe — nothing is removed.
+    in the run dir and its checkpoint dir.  Pure probe — nothing is removed.
     """
     run_path = Path(run_dir)
     if not run_path.is_dir():
         return []
-    residue = sorted(run_path.glob("*.tmp")) + sorted(
-        (run_path / CHECKPOINT_DIR).glob("*.tmp")
-    )
-    resume_tmp = run_path / RESUME_TMP_FILE
-    if resume_tmp.exists():
-        residue.append(resume_tmp)
-    return residue
+    return sorted(run_path.glob("*.tmp")) + sorted((run_path / CHECKPOINT_DIR).glob("*.tmp"))
 
 
 def clean_run_residue(run_dir: Union[str, Path]) -> List[Path]:
@@ -432,7 +417,7 @@ class Study:
     def compile(
         self,
         checkpoint_path: Optional[str] = None,
-        record_sink: Optional[Callable[[EvaluationRecord], None]] = None,
+        history_path: Optional[str] = None,
         stop_requested: Optional[Callable[[], bool]] = None,
     ) -> CompiledStudy:
         """Resolve every plugin and build the engine stack (no run)."""
@@ -519,7 +504,7 @@ class Study:
             overlap_fraction=executor_spec["overlap_fraction"],
             checkpoint_path=checkpoint_path,
             checkpoint_every=scenario.checkpoint_spec["every"],
-            record_sink=record_sink,
+            history_path=history_path,
             stop_requested=stop_requested,
         )
         return CompiledStudy(
@@ -543,8 +528,10 @@ class Study:
         """Execute the study, persisting a run directory when ``run_dir`` is set.
 
         ``resume_from`` continues from an engine checkpoint file
-        (:meth:`Study.resume` derives it from the run directory);
-        ``checkpoint_path`` overrides the default
+        (:meth:`Study.resume` derives it from the run directory): the engine
+        checks the history prefix the checkpoint names, cuts
+        ``history.jsonl`` back to it and appends, and a refused resume
+        changes neither file.  ``checkpoint_path`` overrides the default
         ``<run_dir>/checkpoints/engine.json`` location for dir-less runs.
         ``stop_requested`` is polled at iteration boundaries: a true return
         parks the run — a resumable checkpoint is written, ``run.json``
@@ -552,31 +539,24 @@ class Study:
         to the caller (the live service's preemption path).
         """
         run_path = Path(run_dir) if run_dir is not None else None
-        writer: Optional[_HistoryWriter] = None
+        history_path: Optional[str] = None
         if run_path is not None:
             run_path.mkdir(parents=True, exist_ok=True)
             (run_path / CHECKPOINT_DIR).mkdir(exist_ok=True)
             self.scenario.save(run_path / SCENARIO_FILE)
             if checkpoint_path is None:
                 checkpoint_path = str(run_path / CHECKPOINT_DIR / CHECKPOINT_FILE)
-            # A resumed run streams to a side file and only replaces
-            # history.jsonl on successful completion (_finalize_run_dir), so
-            # a resume that fails — corrupt checkpoint, incompatible seed —
-            # cannot destroy the previously persisted history.
-            stream_name = HISTORY_FILE if resume_from is None else HISTORY_FILE + ".resume-tmp"
-            writer = _HistoryWriter(run_path / stream_name)
+            history_path = str(run_path / HISTORY_FILE)
 
-        # Compile before touching history.jsonl: a failing compile (unknown
-        # plugin, missing host callable, ...) must not destroy the persisted
-        # history of an existing run directory.  Records only flow through
-        # the sink during search.run, after the writer is opened below.
+        # The engine opens history.jsonl only once search.run starts, so a
+        # failing compile (unknown plugin, missing host callable, ...) leaves
+        # the persisted history of an existing run directory alone.
         compiled = self.compile(
             checkpoint_path=checkpoint_path,
-            record_sink=writer.write if writer is not None else None,
+            history_path=history_path,
             stop_requested=stop_requested,
         )
-        if writer is not None:
-            assert run_path is not None
+        if run_path is not None:
             self._write_run_meta(run_path, status="running")
             if resume_from is None:
                 # A fresh run into an existing directory must not leave a
@@ -586,14 +566,6 @@ class Study:
                     (run_path / stale).unlink(missing_ok=True)
                 (run_path / CHECKPOINT_DIR / CHECKPOINT_FILE).unlink(missing_ok=True)
             clean_run_residue(run_path)
-            writer.open(truncate=True)
-            if resume_from is not None:
-                # Re-seed the stream with the checkpoint's history so the
-                # file stays coherent while the resumed run appends.
-                self._preseed_history(writer, resume_from)
-            elif initial_history is not None:
-                for record in initial_history.records:
-                    writer.write(record)
         n_evals_before = compiled.executor.n_evaluations
         try:
             engine_result: HyperMapperResult = compiled.search.run(
@@ -612,8 +584,6 @@ class Study:
                 self._write_run_meta(run_path, status="failed")
             raise
         finally:
-            if writer is not None:
-                writer.close()
             if self._executor is None:
                 # The study owns this executor: release its worker pool even
                 # when the engine raises, so a crashed study never leaks
@@ -692,44 +662,14 @@ class Study:
             meta["engine"] = engine
         atomic_write_json(run_path / RUN_FILE, meta)
 
-    def _preseed_history(self, writer: _HistoryWriter, checkpoint_path: str) -> None:
-        try:
-            payload = json.loads(Path(checkpoint_path).read_text())
-        except (OSError, json.JSONDecodeError):
-            return
-        for d in payload.get("history", []):
-            attempts = d.get("attempts")
-            writer.write(
-                EvaluationRecord(
-                    config=_raw_config(d["config"]),
-                    metrics={str(k): float(v) for k, v in d["metrics"].items()},
-                    source=str(d.get("source", "random")),
-                    iteration=int(d.get("iteration", 0)),
-                    attempts=None if not attempts else [dict(a) for a in attempts],
-                )
-            )
-
     def _finalize_run_dir(self, run_path: Path, result: StudyResult) -> None:
-        # The stream already holds every record; rewrite defensively so the
-        # file is exactly the final in-memory history (warm starts, resumes
-        # and overlap drains included, in history order).
-        writer = _HistoryWriter(run_path / HISTORY_FILE)
-        writer.rewrite(result.history.records)
-        writer.close()
-        tmp = run_path / (HISTORY_FILE + ".resume-tmp")
-        if tmp.exists():
-            tmp.unlink()
+        # history.jsonl is already complete and fsynced by the engine; only
+        # the derived artifacts and the final status remain.
         pareto = [r.to_dict() for r in result.pareto]
         atomic_write_json(run_path / PARETO_FILE, pareto)
         atomic_write_json(run_path / REPORT_FILE, result.report())
         status = "degraded" if result.is_degraded else "complete"
         self._write_run_meta(run_path, status=status, engine=result.engine_info)
-
-
-def _raw_config(d: Mapping[str, Any]):
-    from repro.core.space import Configuration
-
-    return Configuration.from_dict(dict(d))
 
 
 __all__ = [
@@ -742,6 +682,5 @@ __all__ = [
     "run_status",
     "run_residue",
     "clean_run_residue",
-    "RESUME_TMP_FILE",
     "make_function_evaluator",
 ]

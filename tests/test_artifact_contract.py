@@ -16,9 +16,12 @@ Two layers:
   ``REPRO_REGEN_GOLDEN=1 pytest tests/test_artifact_contract.py``.
 * **structural contracts** — required keys and version stamps of every
   artifact, plus the version-gate behaviour (a bumped version must be
-  rejected loudly, never half-read).
+  rejected loudly, never half-read).  ``checkpoints/engine.json`` is not a
+  golden file (it holds rng states and fit times), so only its key set and
+  version gate are pinned.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -27,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.scenario import Scenario, ScenarioError
-from repro.core.study import StudyResult
+from repro.core.study import Study, StudyResult
 from repro.core.sweep import SweepSpec, load_manifest, run_sweep
 from repro.crowd.app import tuned_config_from_run
 
@@ -177,6 +180,52 @@ class TestRunDirContract:
             StudyResult.load(run_dir)
         with pytest.raises(ScenarioError, match="unsupported schema version 2"):
             Scenario.from_dict(scenario)
+
+
+class TestCheckpointContract:
+    POINT = "points/000-seed-1-budget-5"
+
+    def test_version_2_keys_name_the_history_prefix(self, fresh_sweep):
+        run_dir = fresh_sweep / self.POINT
+        checkpoint = json.loads((run_dir / "checkpoints" / "engine.json").read_text())
+        assert checkpoint["version"] == 2
+        assert set(checkpoint) == {
+            "version", "rng_label", "seed_fingerprint", "iteration", "rng_state",
+            "pool_rng_state", "history_file", "history_records", "history_sha256",
+            "pool_records", "reports", "pending", "budget_used", "budget_stop",
+            "converged", "hypervolume_reference", "strategy",
+        }
+        # The records live only in history.jsonl; the checkpoint names them.
+        history = (run_dir / "history.jsonl").read_bytes()
+        assert checkpoint["history_file"] == "../history.jsonl"
+        assert checkpoint["history_records"] == 5
+        assert checkpoint["history_sha256"] == hashlib.sha256(history).hexdigest()
+
+    def test_version_1_checkpoint_is_refused_unread(self, fresh_sweep, tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(fresh_sweep / self.POINT, run_dir)
+        path = run_dir / "checkpoints" / "engine.json"
+        payload = json.loads(path.read_text())
+        for key in ("history_file", "history_records", "history_sha256", "pool_records"):
+            del payload[key]
+        payload["version"] = 1
+        payload["history"] = [
+            json.loads(line) for line in (run_dir / "history.jsonl").read_text().splitlines()
+        ]
+        payload["pool_include"] = []
+        path.write_text(json.dumps(payload))
+        files = [run_dir / "history.jsonl", path]
+        before = [f.read_bytes() for f in files]
+        calls = []
+
+        def evaluate(config):
+            calls.append(config)
+            return golden_evaluate(config)
+
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            Study.resume(run_dir, evaluate=evaluate)
+        assert calls == []
+        assert [f.read_bytes() for f in files] == before
 
 
 class TestSweepDirContract:

@@ -356,10 +356,9 @@ class TestTornHistoryTolerance:
     def test_run_residue_probe_and_cleanup(self, tmp_path):
         _, run_dir = self.complete_sweep(tmp_path)
         (run_dir / ".run.json.123-0.tmp").write_text("{}")
-        (run_dir / "history.jsonl.resume-tmp").write_text("")
         (run_dir / "checkpoints").mkdir(exist_ok=True)
         (run_dir / "checkpoints" / ".engine.json.9-1.tmp").write_text("{}")
-        assert len(run_residue(run_dir)) == 3
+        assert len(run_residue(run_dir)) == 2
         clean_run_residue(run_dir)
         assert run_residue(run_dir) == []
 

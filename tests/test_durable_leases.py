@@ -36,7 +36,6 @@ from repro.core.durable import (
     scan_jsonl,
     write_checksummed_json,
 )
-from repro.core.history import HISTORY_FSYNC_ENV, default_fsync_every
 from repro.core.leases import DEFAULT_TTL_S, Lease, LeaseStore, StaleLeaseError
 
 
@@ -229,14 +228,3 @@ class TestLeaseStore:
 
     def test_default_ttl_is_sane(self):
         assert DEFAULT_TTL_S > 0
-
-
-class TestHistoryFsyncKnob:
-    def test_env_knob_controls_fsync_cadence(self, monkeypatch):
-        monkeypatch.delenv(HISTORY_FSYNC_ENV, raising=False)
-        default = default_fsync_every()
-        assert default >= 0
-        monkeypatch.setenv(HISTORY_FSYNC_ENV, "7")
-        assert default_fsync_every() == 7
-        monkeypatch.setenv(HISTORY_FSYNC_ENV, "0")
-        assert default_fsync_every() == 0

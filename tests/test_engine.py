@@ -371,6 +371,55 @@ class TestCheckpointResume:
         assert hist_dump(resumed) == hist_dump(full)
 
 
+POOL_ORDER_SCRIPT = """
+import hashlib, json
+import repro.core.engine as engine
+from repro.core.objectives import Objective, ObjectiveSet
+from repro.core.optimizer import HyperMapper
+from repro.slambench.parameters import kfusion_design_space
+
+pools = []
+build = engine.build_encoded_pool
+def capture(*args, **kwargs):
+    pools.append(build(*args, **kwargs))
+    return pools[-1]
+engine.build_encoded_pool = capture
+
+def evaluate(config):
+    x = sum(float(v) for v in config.values())
+    return {"err": x % 1.0, "cost": 1.0 / (1.0 + x)}
+
+space = kfusion_design_space()
+objectives = ObjectiveSet([Objective("err"), Objective("cost")])
+HyperMapper(space, objectives, evaluate, n_random_samples=30, max_iterations=0, pool_size=300, seed=0).run()
+rows = "\\n".join(json.dumps(dict(c), sort_keys=True) for c in pools[0].configs)
+print(len(pools[0].configs), hashlib.sha256(rows.encode()).hexdigest())
+"""
+
+
+class TestPoolOrder:
+    def test_encoded_pool_order_independent_of_hash_seed(self):
+        """The pool's include list follows record order, not ``hash()``."""
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            done = subprocess.run(
+                [sys.executable, "-c", POOL_ORDER_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            outputs.append(done.stdout.split())
+        n_rows = int(outputs[0][0])
+        assert n_rows > 300  # include rows were appended to the sampled pool
+        assert outputs[0] == outputs[1]
+
+
 class TestBudgetAccounting:
     KW = dict(n_random_samples=10, max_iterations=4, pool_size=None, max_samples_per_iteration=6, seed=3)
 

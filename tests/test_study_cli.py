@@ -27,6 +27,7 @@ from repro.core.baselines import (
     LocalSearch,
     RandomSearch,
 )
+from repro.core.history import History
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.core.optimizer import HyperMapper
 from repro.core.parameters import BooleanParameter, CategoricalParameter, OrdinalParameter
@@ -263,6 +264,217 @@ class TestStudyEquivalence:
             assert s.search_spec["restarts"] == 3
         finally:
             register_search("random", original)
+
+
+def counting(calls):
+    """``toy_evaluate`` that records every configuration it is called with."""
+
+    def evaluate(config):
+        calls.append(tuple(sorted(dict(config).items())))
+        return toy_evaluate(config)
+
+    return evaluate
+
+
+def read_checkpoint(run_dir):
+    return json.loads((run_dir / "checkpoints" / "engine.json").read_text())
+
+
+class TestHistoryPrefixResume:
+    """``history.jsonl`` is the only copy of the records: a resume checks the
+    prefix its checkpoint names, cuts the file back to it and appends."""
+
+    def warm_history(self, toy_space, objectives):
+        warm = History(objectives)
+        for config in toy_space.sample(4, rng=11):
+            warm.add(config, toy_evaluate(config), source="warm")
+        return warm
+
+    @pytest.mark.parametrize("variant", ["serial", "warm-start", "overlap"])
+    def test_resume_truncates_to_checkpoint_prefix(self, toy_space, objectives, tmp_path, variant):
+        def scenario(**search):
+            s = toy_scenario(toy_space, **search)
+            s["checkpoint"] = {"every": 2}
+            if variant == "overlap":
+                s["executor"] = {"n_workers": 2, "overlap_fraction": 0.5}
+            return s
+
+        warm = self.warm_history(toy_space, objectives) if variant == "warm-start" else None
+        reference = tmp_path / "uninterrupted"
+        Study(scenario(), evaluate=toy_evaluate).run(run_dir=reference, initial_history=warm)
+
+        # Three iterations with a checkpoint every second one: iteration 3's
+        # records (and, with overlap, iteration 2's drained stragglers) sit
+        # past the prefix the last checkpoint names.
+        run_dir = tmp_path / "run"
+        Study(scenario(max_iterations=3), evaluate=toy_evaluate).run(
+            run_dir=run_dir, initial_history=warm
+        )
+        checkpoint = read_checkpoint(run_dir)
+        assert checkpoint["iteration"] == 2
+        n_prefix = checkpoint["history_records"]
+        lines = (run_dir / "history.jsonl").read_bytes().splitlines(keepends=True)
+        assert len(lines) > n_prefix
+        # Garbage a power cut could leave behind is past the prefix too.
+        with open(run_dir / "history.jsonl", "ab") as fh:
+            fh.write(b'\x00\x00{"torn')
+
+        Scenario.from_dict(scenario()).save(run_dir / "scenario.json")
+        calls = []
+        Study.resume(run_dir, evaluate=counting(calls))
+
+        assert (run_dir / "history.jsonl").read_bytes() == (reference / "history.jsonl").read_bytes()
+        assert (run_dir / "pareto.json").read_bytes() == (reference / "pareto.json").read_bytes()
+        # Only the configurations after the checkpoint were evaluated again.
+        after = [
+            tuple(sorted(json.loads(line)["config"].items()))
+            for line in (reference / "history.jsonl").read_bytes().splitlines()[n_prefix:]
+        ]
+        assert sorted(calls) == sorted(after)
+
+    def refusal_run_dir(self, tmp_path):
+        """A finished slambench run dir (the CLI can rebuild its evaluator)."""
+        scenario = {
+            "schema_version": 1,
+            "name": "refusal",
+            "evaluator": {
+                "type": "slambench",
+                "workload": "kfusion",
+                "device": "odroid-xu3",
+                "n_frames": 8,
+                "width": 32,
+                "height": 24,
+                "dataset_seed": 3,
+            },
+            "search": {"algorithm": "random", "budget": 4},
+            "seed": 13,
+        }
+        path = tmp_path / "refusal.json"
+        path.write_text(json.dumps(scenario))
+        run_dir = tmp_path / "run"
+        assert cli_main(["run", str(path), "--run-dir", str(run_dir), "--quiet"]) == 0
+        return run_dir
+
+    def flip_byte_in_prefix(self, run_dir):
+        path = run_dir / "history.jsonl"
+        data = bytearray(path.read_bytes())
+        i = data.index(b'"iteration": 0')
+        data[i + len('"iteration": ')] = ord("7")
+        path.write_bytes(bytes(data))
+        return "has a different sha256"
+
+    def shorten_history(self, run_dir):
+        path = run_dir / "history.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]))
+        return "expected 4 records, found 2"
+
+    def version_1_checkpoint(self, run_dir):
+        path = run_dir / "checkpoints" / "engine.json"
+        payload = json.loads(path.read_text())
+        for key in ("history_file", "history_records", "history_sha256", "pool_records"):
+            del payload[key]
+        payload["version"] = 1
+        payload["history"] = [
+            json.loads(line) for line in (run_dir / "history.jsonl").read_text().splitlines()
+        ]
+        payload["pool_include"] = []
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        return "version 1 embedded the history: re-run the study fresh"
+
+    @pytest.mark.parametrize("damage", ["flip_byte_in_prefix", "shorten_history", "version_1_checkpoint"])
+    def test_refused_resume_touches_nothing(self, tmp_path, capsys, damage):
+        run_dir = self.refusal_run_dir(tmp_path)
+        message = getattr(self, damage)(run_dir)
+        files = [run_dir / "history.jsonl", run_dir / "checkpoints" / "engine.json"]
+        before = [f.read_bytes() for f in files]
+
+        with pytest.raises(ValueError, match=message):
+            Study.resume(run_dir)
+        assert [f.read_bytes() for f in files] == before
+
+        capsys.readouterr()
+        assert cli_main(["resume", str(run_dir), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        assert [f.read_bytes() for f in files] == before
+
+
+class TestBoundedCheckpoint:
+    """Checkpoints hold bounded run state and are written only after the
+    history they name is on disk."""
+
+    @staticmethod
+    def wide_space():
+        return DesignSpace(
+            [OrdinalParameter(f"p{i}", list(range(10)), default=0) for i in range(5)], name="wide"
+        )
+
+    @staticmethod
+    def wide_evaluate(config):
+        x = [float(config[f"p{i}"]) for i in range(5)]
+        return {"error": 0.1 * x[0] + 0.05 * x[1] * x[2] / 9.0, "runtime": 1.0 / (1.0 + x[3]) + 0.1 * x[4]}
+
+    def test_checkpoint_size_independent_of_bootstrap_size(self, tmp_path):
+        sizes = []
+        for n in (50, 200):
+            scenario = {
+                "schema_version": SCENARIO_VERSION,
+                "name": "wide",
+                "space": self.wide_space().to_dict(),
+                "objectives": [{"name": "error", "limit": 0.6}, {"name": "runtime"}],
+                "evaluator": {"type": "function"},
+                # Random pool picks never run out, so both runs do all
+                # three iterations.
+                "search": {
+                    "algorithm": "hypermapper",
+                    "acquisition": {"name": "epsilon_greedy", "epsilon": 1.0},
+                    "n_random_samples": n,
+                    "max_iterations": 3,
+                    "pool_size": 400,
+                    "max_samples_per_iteration": 5,
+                },
+                "seed": 3,
+            }
+            run_dir = tmp_path / f"boot-{n}"
+            result = Study(scenario, evaluate=self.wide_evaluate).run(run_dir=run_dir)
+            assert len(result.history) == n + 15 and len(result.iterations) == 3
+            checkpoint = read_checkpoint(run_dir)
+            assert "history" not in checkpoint and "pool_include" not in checkpoint
+            sizes.append((run_dir / "checkpoints" / "engine.json").stat().st_size)
+        assert abs(sizes[0] - sizes[1]) <= 64, sizes
+
+    def test_history_fsynced_before_checkpoint_and_completion(self, toy_space, tmp_path, monkeypatch):
+        import repro.core.engine as engine_module
+        import repro.core.study as study_module
+
+        run_dir = tmp_path / "run"
+        history = run_dir / "history.jsonl"
+        synced = {"bytes": -1}
+        checks = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            real_fsync(fd)
+            st = os.fstat(fd)
+            if history.exists() and os.path.samestat(st, os.stat(history)):
+                synced["bytes"] = st.st_size
+
+        def checked(real):
+            def write(path, payload, **kwargs):
+                name = os.path.basename(str(path))
+                if name == "engine.json" or (name == "run.json" and payload.get("status") == "complete"):
+                    assert synced["bytes"] == history.stat().st_size, (name, synced["bytes"])
+                    checks.append(name)
+                return real(path, payload, **kwargs)
+
+            return write
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(engine_module, "atomic_write_json", checked(engine_module.atomic_write_json))
+        monkeypatch.setattr(study_module, "atomic_write_json", checked(study_module.atomic_write_json))
+        Study(toy_scenario(toy_space), evaluate=toy_evaluate).run(run_dir=run_dir)
+        assert checks.count("run.json") == 1
+        assert checks.count("engine.json") >= 2
 
 
 class TestSlamBenchStudy:
