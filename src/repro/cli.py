@@ -24,11 +24,11 @@ Subcommands
     (see ``docs/distributed.md``).
 ``eval-worker --connect HOST:PORT``
     Join a running study's evaluation broker as one worker (the socket
-    backend's remote half): handshake, heartbeat, drain evaluation tasks
-    until the broker shuts down.  Launch N of these — on any host that can
-    reach the broker — to drain one study's queue cooperatively; a killed
-    worker's in-flight evaluation is resubmitted by the broker's executor
-    (see ``docs/distributed.md``).
+    backend's remote half): handshake, heartbeat, build evaluators from the
+    specs the broker sends, drain tasks until the broker shuts down.  Launch
+    N of these — on any host that can reach the broker; a killed worker's
+    in-flight evaluation is resubmitted.  Plugin evaluators need a launcher
+    module that imports them (see ``docs/distributed.md``).
 ``doctor <run_or_sweep_dir>``
     Detect and repair crash residue: torn ``history.jsonl`` tails, stranded
     ``*.tmp`` files, orphaned/expired leases, corrupt lease checksums.

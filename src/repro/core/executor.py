@@ -5,9 +5,9 @@ board, farmed out to a fleet (83 crowd devices in Fig. 5) — evaluations
 dominate the wall clock, run concurrently, and finish out of order.  The
 :class:`EvaluationExecutor` is the engine-side abstraction of that fleet:
 
-* **submit/gather futures** over one persistent thread or process pool
-  (``n_workers=1`` degenerates to an inline, serial path that is
-  bit-identical to calling the wrapped evaluator directly),
+* **submit/gather futures** over one persistent thread pool or socket
+  broker (``n_workers=1`` on threads degenerates to an inline, serial path
+  that is bit-identical to calling the wrapped evaluator directly),
 * **in-flight deduplication and memoization** — with the cache enabled
   (default) a configuration is never evaluated twice, whether the duplicate
   arrives in the same batch, a later batch, or while the first evaluation is
@@ -26,17 +26,18 @@ evaluation function produces a bit-identical
 
 Fault tolerance is layered in through an optional
 :class:`~repro.core.faults.FaultPolicy`: evaluations are retried with seeded
-backoff, classified against the failure taxonomy, quarantined with penalty
-metrics when they keep failing, and — for the process backend — recovered
-from worker-pool death by respawning the pool and resubmitting the lost
-in-flight work.  Exceptions that do escape are wrapped with the offending
-configuration's identity so failures are attributable at a glance.
+backoff, classified against the failure taxonomy and quarantined with
+penalty metrics when they keep failing, wherever they run; a socket worker
+that dies mid-evaluation costs a bounded, silent resubmission.  Exceptions
+that do escape are wrapped with the offending configuration's identity so
+failures are attributable at a glance.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import asdict
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.evaluator import (
     EvaluationBudgetExceeded,
@@ -58,12 +59,14 @@ from repro.core.objectives import ObjectiveSet
 from repro.core.space import Configuration
 from repro.core.transport import (
     DEFAULT_TRANSPORT,
-    BrokerPool,
     EvaluationBroker,
-    SharedBrokerPool,
     WorkerDied,
     spawn_local_workers,
 )
+
+#: The executor backends: a thread pool in this process, or a socket broker
+#: whose workers build the evaluator from its spec.
+BACKENDS = ("thread", "socket")
 
 #: Without a :class:`FaultPolicy`, a configuration whose socket worker dies
 #: mid-evaluation is silently resubmitted up to this many times before the
@@ -73,11 +76,6 @@ DEFAULT_WORKER_DEATH_RESUBMITS = 3
 #: How long an executor-owned broker waits for its ``workers: "local"``
 #: threads to register (the same deadline each worker has to connect).
 _LOCAL_WORKER_JOIN_S = 30.0
-
-
-def _call_evaluator(evaluator: Evaluator, config: Configuration) -> MetricDict:
-    """Evaluate one configuration (module-level so process pools can pickle it)."""
-    return evaluator.evaluate([config])[0]
 
 
 class EvalFuture:
@@ -119,15 +117,10 @@ class EvalFuture:
             raise self._error
         if self._result is None:
             assert self._cf is not None
-            out = self._cf.result()
-            if type(out) is tuple:
-                # Policy-wrapped submissions return (metrics, attempts).
-                metrics, attempts = out
-                if self.fresh and attempts:
-                    self.attempts = (self.attempts or []) + [dict(a) for a in attempts]
-                self._result = metrics
-            else:
-                self._result = out
+            metrics, attempts = self._cf.result()
+            if self.fresh and attempts:
+                self.attempts = (self.attempts or []) + [dict(a) for a in attempts]
+            self._result = metrics
             self._cf = None
         return self._result
 
@@ -135,10 +128,11 @@ class EvalFuture:
 class EvaluationExecutor:
     """Persistent submit/gather evaluation engine with caching and budgeting.
 
-    The worker pool is created lazily on first use and persists across
-    batches — spinning a pool up and down per batch costs more than a small
-    batch itself.  ``close()`` (or the context-manager protocol) releases
-    the workers; a closed executor refuses further work.
+    The worker pool (a thread pool, or the socket broker) is created lazily
+    on first use and persists across batches — spinning a pool up and down
+    per batch costs more than a small batch itself.  ``close()`` (or the
+    context-manager protocol) releases the workers; a closed executor
+    refuses further work.
 
     Parameters
     ----------
@@ -151,11 +145,15 @@ class EvaluationExecutor:
         Worker count.  ``1`` (default) evaluates inline at submission time —
         the fully serial, bit-reproducible reference path.
     backend:
-        ``"thread"`` (default; the SLAM simulators release the GIL inside
-        NumPy kernels), ``"process"`` for pure-Python evaluation functions,
-        or ``"socket"`` to drain the batch through an
+        ``"thread"`` (default) evaluates in a thread pool of this process,
+        where the GIL serializes most of a SLAM evaluation: 2 threads ran
+        the benchmark's KFusion study at 1.38–1.47× the serial wall time
+        (2-vCPU machine).  ``"socket"``, the backend for parallel SLAM
+        evaluation, drains the batch through an
         :class:`~repro.core.transport.EvaluationBroker` served by
-        ``repro eval-worker`` processes (possibly on other hosts).
+        ``repro eval-worker`` processes (possibly on other hosts), which
+        build the black box from the evaluator's spec
+        (:func:`repro.core.study.build_evaluator`).
     transport:
         Socket-backend wiring (``backend="socket"`` only): ``host``/``port``
         to bind, ``heartbeat_s``, ``workers`` (``"local"`` spawns in-process
@@ -180,7 +178,8 @@ class EvaluationExecutor:
         turns on retries, timeout classification, quarantine, and
         worker-crash recovery.  Retries re-invoke the wrapped evaluator, so
         an inner evaluator's own ``max_evaluations`` counter (when set) is
-        consumed per *attempt*.
+        consumed per *attempt*.  Socket workers receive the policy with the
+        spec and run the retries themselves.
     """
 
     def __init__(
@@ -206,14 +205,18 @@ class EvaluationExecutor:
             self.objectives = objectives
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if backend not in ("thread", "process", "socket"):
-            raise ValueError("backend must be one of ('thread', 'process', 'socket')")
+        if backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}")
         if backend != "socket" and (transport is not None or broker is not None):
             raise ValueError("transport/broker are only valid with backend='socket'")
+        if backend == "socket" and getattr(self._inner, "spec", None) is None:
+            raise ValueError(
+                "backend='socket' ships the evaluator's spec, and a bare callable has none: "
+                "use backend='thread', or repro.core.study.build_evaluator"
+            )
         self.n_workers = int(n_workers)
         self.backend = backend
         self._transport = dict(DEFAULT_TRANSPORT, **dict(transport or {}))
-        self._shared_broker = broker
         if max_evaluations is None:
             max_evaluations = getattr(self._inner, "max_evaluations", None)
         self.max_evaluations = max_evaluations
@@ -224,7 +227,10 @@ class EvaluationExecutor:
         # Budget units consumed at submission time; starts from the wrapped
         # evaluator's own counter so pre-wrap evaluations stay accounted for.
         self._planned = int(getattr(self._inner, "n_evaluations", 0))
-        self._pool: Any = None
+        # The thread pool or the broker; a shared broker outlives this executor.
+        self._pool: Any = broker
+        self._owns_pool = broker is None
+        self._local_workers: List[Any] = []
         self._closed = False
 
     # -- introspection -----------------------------------------------------------
@@ -265,17 +271,14 @@ class EvaluationExecutor:
         self._planned = max(int(n), self._planned)
 
     # -- submit / gather -----------------------------------------------------------
-    def _evaluate_one(self, config: Configuration) -> MetricDict:
-        return _call_evaluator(self._inner, config)
-
     def _evaluate_inline(
         self, config: Configuration
     ) -> Tuple[MetricDict, Optional[List[Dict[str, Any]]]]:
-        """Serial-path evaluation: apply the fault policy, attribute failures."""
+        """In-process evaluation: apply the fault policy, attribute failures."""
         try:
             if self.fault_policy is not None:
                 return call_with_policy(self._inner, config, self.fault_policy)
-            return _call_evaluator(self._inner, config), None
+            return self._inner.evaluate_one(config), None
         except (EvaluationBudgetExceeded, EvaluationFault):
             # Budget exhaustion is control flow; policy faults already carry
             # the configuration identity.
@@ -329,41 +332,37 @@ class EvaluationExecutor:
     def _get_pool(self):
         if self._closed:
             raise RuntimeError(f"this {type(self).__name__} has been closed")
-        if self._pool is not None:
-            return self._pool
-        if self.backend == "thread":
-            self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.n_workers)
-        elif self.backend == "process":
-            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.n_workers)
-        elif self._shared_broker is not None:
-            self._pool = SharedBrokerPool(self._shared_broker)
-        else:
-            spec = self._transport
-            broker = EvaluationBroker(
-                spec["host"],
-                spec["port"],
-                heartbeat_s=spec["heartbeat_s"],
-                announce_file=spec.get("announce_file"),
-            ).start()
-            threads = (
-                spawn_local_workers(broker.address, self.n_workers)
-                if spec.get("workers", "local") == "local"
-                else []
-            )
-            if threads:
-                # Let the local workers register first, so the first
-                # batch is spread over all of them and not left to
-                # whichever one happened to connect first.
-                broker.wait_for_workers(len(threads), timeout=_LOCAL_WORKER_JOIN_S)
-            self._pool = BrokerPool(broker, threads)
+        if self._pool is None:
+            if self.backend == "thread":
+                self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.n_workers)
+            else:
+                self._pool = self._start_broker()
         return self._pool
 
+    def _start_broker(self) -> EvaluationBroker:
+        spec = self._transport
+        broker = EvaluationBroker(
+            spec["host"],
+            spec["port"],
+            heartbeat_s=spec["heartbeat_s"],
+            announce_file=spec.get("announce_file"),
+        ).start()
+        if spec.get("workers", "local") == "local":
+            self._local_workers = spawn_local_workers(broker.address, self.n_workers)
+            # Let the local workers register first, so the first batch is
+            # spread over all of them and not left to whichever one happened
+            # to connect first.
+            broker.wait_for_workers(self.n_workers, timeout=_LOCAL_WORKER_JOIN_S)
+        return broker
+
     def close(self) -> None:
-        """Shut down the persistent worker pool (idempotent)."""
+        """Release the worker pool (idempotent); a shared broker stays up."""
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        pool, self._pool = self._pool, None
+        if pool is not None and self._owns_pool:
+            pool.shutdown(wait=True)
+            for thread in self._local_workers:
+                thread.join(timeout=5.0)
 
     def __enter__(self) -> "EvaluationExecutor":
         return self
@@ -376,9 +375,9 @@ class EvaluationExecutor:
         # escapes submit/gather/evaluate and the owner never calls close()
         # (e.g. a crashed study).  Owners should still close deterministically
         # — Study.run does, in a finally block — this only stops a dropped
-        # executor from pinning worker processes for the interpreter's life.
+        # executor from pinning its workers for the interpreter's life.
         pool = getattr(self, "_pool", None)
-        if pool is not None:
+        if pool is not None and self._owns_pool:
             pool.shutdown(wait=False)
 
     @property
@@ -390,17 +389,20 @@ class EvaluationExecutor:
         """
         if self.backend != "socket":
             return None
-        return self._get_pool().broker
+        return self._get_pool()
 
     def _submit_async(self, config: Configuration) -> concurrent.futures.Future:
-        # The module-level helpers keep the submission picklable for the
-        # process backend (the executor itself — holding the pool — must
-        # never cross the pickle boundary).
+        pool = self._get_pool()
+        if self.backend == "socket":
+            return pool.submit(self._wire_spec(), config)
+        return pool.submit(self._evaluate_inline, config)
+
+    def _wire_spec(self) -> Dict[str, Any]:
+        """The evaluator's spec, with this executor's fault policy riding along."""
+        spec = dict(self._inner.spec)
         if self.fault_policy is not None:
-            return self._get_pool().submit(
-                call_with_policy, self._inner, config, self.fault_policy
-            )
-        return self._get_pool().submit(_call_evaluator, self._inner, config)
+            spec["policy"] = asdict(self.fault_policy)
+        return spec
 
     def gather(self, futures: Sequence[EvalFuture], count: Optional[int] = None) -> List[MetricDict]:
         """Resolve the first ``count`` futures (default: all) in submission order.
@@ -421,76 +423,23 @@ class EvaluationExecutor:
         return results
 
     def _resolve(self, future: EvalFuture) -> MetricDict:
-        """Resolve one future, recovering from worker-pool death if needed."""
+        """Resolve one future, resubmitting after a socket worker's death."""
         while True:
             try:
                 return future.result()
-            except EvaluationBudgetExceeded:
-                raise
-            except concurrent.futures.BrokenExecutor as exc:
-                self._recover_from_crash(future, exc)
             except WorkerDied as exc:
                 self._recover_from_worker_death(future, exc)
-            except EvaluationFault:
-                raise
-            except Exception as exc:
-                raise wrap_failure(future.config, exc) from exc
-
-    def _recover_from_crash(
-        self, future: EvalFuture, exc: BaseException
-    ) -> None:
-        """Respawn a dead worker pool and resubmit its lost in-flight work.
-
-        A broken pool kills *every* in-flight evaluation, and which
-        configuration actually took the worker down is unknowable — so each
-        unresolved in-flight future gets a ``crash`` attempt entry (explicitly
-        best-effort attribution) and is resubmitted to a fresh pool, bounded
-        per configuration by ``fault_policy.max_retries`` crash recoveries
-        before quarantine (or, without quarantine/policy, a raised
-        :class:`~repro.core.faults.WorkerCrash` naming the configuration).
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-        victims = [f for f in self._inflight.values() if f._result is None and f._error is None]
-        if future not in victims:
-            victims.append(future)
-        for f in victims:
-            f._crashes += 1
-            entry = {
-                "attempt": len(f.attempts or []),
-                "kind": KIND_CRASH,
-                "error": f"worker pool died mid-evaluation: {type(exc).__name__}: {exc}",
-            }
-            f.attempts = (f.attempts or []) + [entry]
-            policy = self.fault_policy
-            retries_left = policy is not None and f._crashes <= policy.max_retries
-            if retries_left:
-                f._cf = self._submit_async(f.config)
-            elif policy is not None and policy.quarantine:
-                f.attempts[-1]["quarantined"] = True
-                f._result = policy.penalty_metrics(self.objectives)
-                f._cf = None
-            else:
-                f._error = WorkerCrash(
-                    f"configuration {config_identity(f.config)} lost to a worker-pool "
-                    f"crash: {type(exc).__name__}: {exc}",
-                    config=f.config,
-                )
-                f._cf = None
 
     def _recover_from_worker_death(self, future: EvalFuture, exc: WorkerDied) -> None:
         """Resubmit (bounded) an evaluation lost to a dead socket worker.
 
-        Unlike a broken process pool — where *which* configuration poisoned
-        the pool is unknowable and every victim gets a ``crash`` attempt
-        entry — a dead socket worker is an attributable infrastructure
-        failure that loses exactly one dispatched task.  Transient deaths
-        are therefore recovered *silently* (no attempt metadata), which is
-        what keeps a socket run's ``history.jsonl`` byte-identical to the
-        serial run even when a worker is SIGKILLed mid-batch.  Only when the
-        bound is exhausted does the faults taxonomy kick in: quarantine with
-        penalty metrics under a policy, else a raised
+        A dead socket worker is an attributable infrastructure failure that
+        loses exactly one dispatched task.  Transient deaths are therefore
+        recovered *silently* (no attempt metadata), which is what keeps a
+        socket run's ``history.jsonl`` byte-identical to the serial run even
+        when a worker is SIGKILLed mid-batch.  Only when the bound is
+        exhausted does the faults taxonomy kick in: quarantine with penalty
+        metrics under a policy, else a raised
         :class:`~repro.core.faults.WorkerCrash`.
         """
         config = future.config
@@ -574,4 +523,4 @@ def as_executor(
     return EvaluationExecutor(evaluator, objectives, **kwargs)
 
 
-__all__ = ["EvalFuture", "EvaluationExecutor", "as_executor"]
+__all__ = ["BACKENDS", "EvalFuture", "EvaluationExecutor", "as_executor"]

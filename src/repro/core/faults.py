@@ -119,8 +119,19 @@ def config_identity(config: Configuration) -> str:
 
 def wrap_failure(config: Configuration, exc: BaseException) -> EvaluationFault:
     """Wrap an arbitrary failure with the offending configuration's identity."""
+    return fault_from_error(
+        config, {"kind": None, "type": type(exc).__name__, "message": str(exc)}
+    )
+
+
+def fault_from_error(config: Configuration, error: Mapping[str, Any]) -> EvaluationFault:
+    """Revive a failure reported as ``{kind, type, message}``: a fault kind as
+    its type, anything else worded as :func:`wrap_failure` words it."""
+    fault_type = _FAULT_TYPES.get(error.get("kind"))
+    if fault_type is not None:
+        return fault_type(error["message"], config=config)
     return EvaluatorError(
-        f"configuration {config_identity(config)} failed: {type(exc).__name__}: {exc}",
+        f"configuration {config_identity(config)} failed: {error['type']}: {error['message']}",
         config=config,
     )
 
@@ -130,7 +141,7 @@ def wrap_failure(config: Configuration, exc: BaseException) -> EvaluationFault:
 # ---------------------------------------------------------------------------
 
 #: The retry loop and the evaluation function always run in the same thread
-#: (inline path) or the same worker process, so a thread-local is enough to
+#: (inline path, pool thread or socket worker), so a thread-local is enough to
 #: hand the attempt index down and the injected virtual delay back up —
 #: without changing the ``config -> metrics`` calling convention.
 _CTX = threading.local()
@@ -281,8 +292,8 @@ class FaultInjectingEvaluator:
       policy timeout when ``delay_s > timeout_s``.
     * ``corrupt`` — the evaluation returns garbage: every metric becomes NaN.
 
-    Instances are picklable (plain attributes, module-level ``fn``) so the
-    harness works identically under the process backend.
+    Socket workers rebuild the harness from the ``inject`` section of the
+    evaluator spec, so it runs where the evaluation runs.
     """
 
     def __init__(
@@ -367,8 +378,7 @@ def call_with_policy(
     (``{"attempt", "kind", "error"}``; the final entry carries
     ``"quarantined": true`` when the configuration was quarantined).
 
-    Module-level so process pools can pickle the submission.  Budget
-    exhaustion (:class:`~repro.core.evaluator.EvaluationBudgetExceeded`)
+    Budget exhaustion (:class:`~repro.core.evaluator.EvaluationBudgetExceeded`)
     is never retried or swallowed — it is control flow, not a fault.
     """
     attempts: List[Dict[str, Any]] = []
@@ -473,6 +483,7 @@ __all__ = [
     "FaultInjectingEvaluator",
     "call_with_policy",
     "config_identity",
+    "fault_from_error",
     "wrap_failure",
     "current_attempt",
     "attempts_quarantined",

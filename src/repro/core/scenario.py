@@ -40,6 +40,7 @@ from repro.core.registry import (
 )
 from repro.core.space import DesignSpace
 from repro.core.surrogate import MultiObjectiveSurrogate
+from repro.utils.rng import derive_seed
 
 #: Version of the scenario wire format accepted by this code.
 SCENARIO_VERSION = 1
@@ -353,7 +354,7 @@ def _validate_transport(section: Any, path: str) -> Dict[str, Any]:
     """The socket backend's ``executor.transport`` wiring.
 
     Like ``faults``, this section is materialized (defaults filled in) only
-    when the executor backend is ``"socket"`` — thread/process scenario
+    when the executor backend is ``"socket"`` — thread-backend scenario
     documents stay byte-identical to earlier versions.
     """
     spec = _expect_mapping(section, path)
@@ -389,8 +390,12 @@ def _validate_executor(section: Any, path: str) -> Dict[str, Any]:
         "backend": _expect_str(spec.get("backend", "thread"), f"{path}/backend"),
         "overlap_fraction": None,
     }
-    if out["backend"] not in ("thread", "process", "socket"):
-        raise ScenarioError(f"{path}/backend", "expected 'thread', 'process', or 'socket'")
+    if out["backend"] not in ("thread", "socket"):
+        raise ScenarioError(
+            f"{path}/backend",
+            "expected 'thread' or 'socket' (the 'process' backend is gone: run "
+            "`repro eval-worker` processes for parallel evaluation)",
+        )
     if out["backend"] == "socket":
         out["transport"] = _validate_transport(spec.get("transport", {}), f"{path}/transport")
     elif "transport" in spec:
@@ -588,6 +593,13 @@ def validate_scenario(data: Any, name: Optional[str] = None) -> Dict[str, Any]:
     seed = data.get("seed")
     out["seed"] = None if seed is None else _expect_int(seed, "/seed")
 
+    if out["executor"]["backend"] == "socket" and out["evaluator"]["type"] == "function":
+        raise ScenarioError(
+            "/executor/backend",
+            "socket workers cannot call a host 'function' evaluator: use backend "
+            "'thread', or register an evaluator plugin the workers import",
+        )
+
     # Problems the evaluator does not supply must be declared in the spec.
     factory = EVALUATOR_REGISTRY.get(out["evaluator"]["type"])
     provides_problem = bool(getattr(factory, "provides_problem", False))
@@ -703,6 +715,23 @@ class Scenario:
     def faults_spec(self) -> Optional[Dict[str, Any]]:
         """The ``faults`` section (``None`` when the scenario declares none)."""
         return copy.deepcopy(self._data.get("faults"))
+
+    def evaluation_spec(self) -> Dict[str, Any]:
+        """The scenario document a worker rebuilds this study's black box from.
+
+        Its name, ``evaluator``, ``space`` and ``objectives`` sections, and
+        ``faults.inject`` with its derived seed filled in;
+        :func:`repro.core.study.build_evaluator` builds it.
+        """
+        keys = ("schema_version", "name", "evaluator", "space", "objectives")
+        spec = copy.deepcopy({k: self._data[k] for k in keys})
+        inject = (self._data.get("faults") or {}).get("inject")
+        if inject is not None:
+            # Derived from the scenario seed, so the fault trace is part of
+            # the run's identity: same seed -> same faults -> same history.
+            seed = derive_seed(self.seed, "fault-injection") if inject["seed"] is None else inject["seed"]
+            spec["faults"] = {"inject": dict(inject, seed=seed)}
+        return spec
 
     # -- problem construction -------------------------------------------------
     def build_space(self) -> Optional[DesignSpace]:

@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.engine import ActiveLearningReport, HyperMapperResult, SearchPreempted
+from repro.core.evaluator import FunctionEvaluator
 from repro.core.executor import EvaluationExecutor
 from repro.core.faults import (
     FaultInjectingEvaluator,
@@ -88,6 +89,47 @@ def make_function_evaluator(
             "construct the study as Study(scenario, evaluate=fn)",
         )
     return EvaluatorBinding(fn=evaluate, info={"type": "function"})
+
+
+class SpecEvaluator(FunctionEvaluator):
+    """A black box built by :func:`build_evaluator`, carrying its spec
+    (:meth:`Scenario.evaluation_spec`) for the socket backend to ship, the
+    design space its configurations belong to, and the factory's binding."""
+
+    def __init__(self, spec: Dict[str, Any], binding: EvaluatorBinding, fn: Callable,
+                 space: DesignSpace, objectives: ObjectiveSet) -> None:
+        super().__init__(fn, objectives)
+        self.spec = spec
+        self.binding = binding
+        self.space = space
+
+
+def build_evaluator(
+    scenario: Scenario, *, evaluate: Optional[Callable] = None, runner: Optional[Any] = None
+) -> SpecEvaluator:
+    """The black box of a scenario's evaluation spec.
+
+    The ``evaluator`` section resolves through the evaluator registry, the
+    declared space and objectives win over the evaluator's, and
+    ``faults.inject`` wraps the black box in the seeded chaos harness.
+    ``evaluate`` and ``runner`` are host bindings (a ``function``
+    evaluator's callable, a shared slambench runner); socket workers build
+    from the spec alone.
+    """
+    spec = scenario.evaluation_spec()
+    factory = EVALUATOR_REGISTRY.get(spec["evaluator"]["type"])
+    binding = factory(spec["evaluator"], evaluate=evaluate, runner=runner)
+    space, objectives = scenario.build_space(), scenario.build_objectives()
+    space = binding.space if space is None else space
+    objectives = binding.objectives if objectives is None else objectives
+    if space is None:
+        raise ScenarioError("/space", "cannot be resolved: none declared or supplied")
+    if objectives is None:
+        raise ScenarioError("/objectives", "cannot be resolved: none declared or supplied")
+    fn = binding.fn
+    if "faults" in spec:
+        fn = FaultInjectingEvaluator(fn, **spec["faults"]["inject"])
+    return SpecEvaluator(spec, binding, fn, space, objectives)
 
 
 def run_status(run_dir: Union[str, Path]) -> Optional[str]:
@@ -349,26 +391,13 @@ class StudyResult:
 
 
 def resolve_problem(scenario: Scenario) -> tuple:
-    """``(space, objectives)`` of a scenario without building its evaluator.
-
-    Explicit declarations win; otherwise the evaluator factory's cheap
-    ``resolve_problem`` hook supplies them (e.g. the slambench workload's
-    space/objectives — no runner or dataset is constructed).
-    """
-    space = scenario.build_space()
-    objectives = scenario.build_objectives()
+    """``(space, objectives)`` of a scenario: the declared ones, else those its
+    evaluator supplies (building a slambench evaluator is cheap: its dataset
+    renders on first use)."""
+    space, objectives = scenario.build_space(), scenario.build_objectives()
     if space is None or objectives is None:
-        spec = scenario.evaluator_spec
-        factory = EVALUATOR_REGISTRY.get(spec["type"])
-        hook = getattr(factory, "resolve_problem", None)
-        if hook is not None:
-            fallback_space, fallback_objectives = hook(spec)
-            space = space if space is not None else fallback_space
-            objectives = objectives if objectives is not None else fallback_objectives
-    if objectives is None:
-        raise ScenarioError("/objectives", "cannot be resolved: none declared or supplied")
-    if space is None:
-        raise ScenarioError("/space", "cannot be resolved: none declared or supplied")
+        evaluator = build_evaluator(scenario)
+        return evaluator.space, evaluator.objectives
     return space, objectives
 
 
@@ -385,7 +414,8 @@ class Study:
     runner:
         A pre-built :class:`~repro.slambench.runner.SlamBenchRunner` injected
         into the ``slambench`` evaluator so several studies share one
-        simulation cache (accuracy is device-independent).
+        simulation cache (accuracy is device-independent).  Socket studies
+        ignore it: their workers build their own from the spec.
     executor:
         A pre-built :class:`~repro.core.executor.EvaluationExecutor` shared
         across studies (its memoized evaluations short-circuit duplicated
@@ -422,69 +452,33 @@ class Study:
     ) -> CompiledStudy:
         """Resolve every plugin and build the engine stack (no run)."""
         scenario = self.scenario
-        evaluator_spec = scenario.evaluator_spec
-        factory = EVALUATOR_REGISTRY.get(evaluator_spec["type"])
-        binding: Optional[EvaluatorBinding] = None
-        space = scenario.build_space()
-        objectives = scenario.build_objectives()
-        if self._executor is None:
-            binding = factory(evaluator_spec, evaluate=self._evaluate, runner=self._runner)
-            space = space if space is not None else binding.space
-            objectives = objectives if objectives is not None else binding.objectives
-        elif space is None or objectives is None:
-            # Only the problem definition is needed (the injected executor
-            # already wraps the black box): prefer the factory's cheap
-            # resolve_problem hook over building a full evaluator binding.
-            hook = getattr(factory, "resolve_problem", None)
-            if hook is not None:
-                fallback_space, fallback_objectives = hook(evaluator_spec)
-            else:
-                binding = factory(evaluator_spec, evaluate=self._evaluate, runner=self._runner)
-                fallback_space, fallback_objectives = binding.space, binding.objectives
-            space = space if space is not None else fallback_space
-            objectives = objectives if objectives is not None else fallback_objectives
-        if space is None:
-            raise ScenarioError("/space", "cannot be resolved: none declared or supplied")
-        if objectives is None:
-            raise ScenarioError("/objectives", "cannot be resolved: none declared or supplied")
-
         executor_spec = scenario.executor_spec
+        binding: Optional[EvaluatorBinding] = None
         if self._executor is not None:
-            # An injected (shared) executor owns its own fault handling; the
-            # scenario's faults section applies only to the study-owned stack.
+            # An injected (shared) executor already wraps the black box and
+            # owns its fault handling; only the problem definition is needed.
             executor = self._executor
+            space, objectives = resolve_problem(scenario)
         else:
-            assert binding is not None
-            fn = binding.fn
+            backend = executor_spec["backend"]
+            # Socket workers build their own black box from the spec, so a
+            # host runner would serve nothing there.
+            evaluator = build_evaluator(
+                scenario,
+                evaluate=self._evaluate,
+                runner=self._runner if backend != "socket" else None,
+            )
+            space, objectives, binding = evaluator.space, evaluator.objectives, evaluator.binding
             fault_policy = None
             faults_spec = scenario.faults_spec
             if faults_spec is not None:
-                # Sub-seeds are derived from the scenario seed so the fault
-                # trace (and backoff jitter) is part of the run's identity:
-                # same seed -> same faults -> bit-identical history.
+                # The backoff-jitter seed derives from the scenario seed, like
+                # the injection seed in the spec's inject section.
                 fault_policy = FaultPolicy.from_spec(
                     faults_spec, seed=derive_seed(scenario.seed, "fault-policy")
                 )
-                inject = faults_spec.get("inject")
-                if inject is not None and any(
-                    inject[k] > 0
-                    for k in ("drop_rate", "delay_rate", "corrupt_rate", "crash_rate")
-                ):
-                    fn = FaultInjectingEvaluator(
-                        fn,
-                        drop_rate=inject["drop_rate"],
-                        delay_rate=inject["delay_rate"],
-                        delay_s=inject["delay_s"],
-                        corrupt_rate=inject["corrupt_rate"],
-                        crash_rate=inject["crash_rate"],
-                        seed=inject["seed"]
-                        if inject["seed"] is not None
-                        else derive_seed(scenario.seed, "fault-injection"),
-                    )
-            backend = executor_spec["backend"]
             executor = EvaluationExecutor(
-                fn,
-                objectives,
+                evaluator,
                 n_workers=executor_spec["n_workers"],
                 backend=backend,
                 max_evaluations=scenario.budget_spec["max_evaluations"],
@@ -678,6 +672,8 @@ __all__ = [
     "StudyResult",
     "Study",
     "resolve_problem",
+    "build_evaluator",
+    "SpecEvaluator",
     "apply_constraints",
     "run_status",
     "run_residue",

@@ -1,13 +1,23 @@
 """Socket transport for distributed evaluation (one queue, many hosts).
 
 The paper's operating mode is a fleet of heterogeneous devices draining one
-optimization loop's evaluation queue (the 83-device crowd of Fig. 5).  This
-module is the wire layer that makes that topology real:
+optimization loop's evaluation queue (the 83-device crowd of Fig. 5), each
+device sent a configuration, never a program.  This module is the wire layer
+that makes that topology real:
 
 * **framing** — length-prefixed JSON frames over TCP (stdlib only: a 4-byte
-  big-endian length followed by a UTF-8 JSON object).  Task payloads are
-  pickled and base64-embedded, so arbitrary evaluator callables cross the
-  wire exactly as they cross a ``ProcessPoolExecutor`` boundary,
+  big-endian length followed by a UTF-8 JSON object).  JSON is the only
+  encoding: nothing a peer sends is ever executed,
+* **specs, not code** — a task is ``{id, spec: <sha256>, config}``.  A
+  worker that does not hold the spec answers ``need_spec`` and gets the spec
+  (:meth:`~repro.core.scenario.Scenario.evaluation_spec` plus the executor's
+  fault policy) and the task again; it validates the spec as a scenario,
+  builds its evaluator (:func:`~repro.core.study.build_evaluator`) and keeps
+  it in a small LRU, so its dataset, frame memo and simulation cache serve
+  every later task,
+* **results** — ``{ok: true, metrics, attempts}`` or ``{ok: false, error:
+  {kind, type, message}}``, validated by the broker before any future
+  resolves,
 * **versioned handshake** — workers open with a ``hello`` carrying
   :data:`PROTOCOL_VERSION`; the broker answers ``welcome`` (assigning a
   worker id and the heartbeat interval) or ``reject``,
@@ -16,10 +26,9 @@ module is the wire layer that makes that topology real:
   broker declares a worker dead after ``3 × heartbeat_s`` of silence or on
   EOF/reset, whichever comes first,
 * **an evaluation broker** — :class:`EvaluationBroker` owns one FIFO task
-  queue and hands exactly one task at a time to each connected worker.  Its
-  :meth:`~EvaluationBroker.submit` returns a ``concurrent.futures.Future``,
-  so it duck-types as the worker pool behind
-  :class:`~repro.core.executor.EvaluationExecutor`'s ``backend="socket"``.
+  queue and hands exactly one task at a time to each connected worker; it
+  is the pool behind :class:`~repro.core.executor.EvaluationExecutor`'s
+  ``backend="socket"``.
 
 Failure semantics, precisely:
 
@@ -28,6 +37,10 @@ Failure semantics, precisely:
 * a task that was dispatched when its worker died fails its future with
   :class:`WorkerDied`; the *executor* decides whether to resubmit
   (bounded) or quarantine, reusing the :mod:`repro.core.faults` taxonomy,
+* a failure the worker reports fails the future with its fault type,
+* a malformed result, a second ``need_spec`` for one task, and a spec the
+  worker cannot build fail with :class:`TransportError` — never retried,
+  resubmitted or quarantined,
 * broker shutdown fails all queued-but-undispatched futures with
   :class:`BrokerShutdown`.
 
@@ -38,20 +51,24 @@ results arrive — never touches the history.
 
 from __future__ import annotations
 
-import base64
 import concurrent.futures
+import hashlib
 import json
-import pickle
 import select
 import socket
 import struct
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.durable import atomic_write_json
+from repro.core.faults import FAULT_KINDS, EvaluationFault, FaultPolicy, call_with_policy, fault_from_error
+from repro.core.history import config_from_dict
+from repro.core.scenario import Scenario
+from repro.core.space import Configuration
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: 4-byte big-endian frame length prefix.
 HEADER = struct.Struct(">I")
@@ -64,6 +81,13 @@ DEFAULT_HEARTBEAT_S = 5.0
 
 #: A worker is declared dead after this many heartbeat intervals of silence.
 LIVENESS_INTERVALS = 3
+
+#: Built evaluators a worker keeps; the least recently used goes first.
+WORKER_SPEC_SLOTS = 4
+
+#: ``error.kind`` values a result frame may carry: a fault kind, ``"spec"``
+#: (the worker could not build the spec) or ``None`` (any other exception).
+_ERROR_KINDS = (None, "spec") + FAULT_KINDS
 
 _HANDSHAKE_TIMEOUT_S = 10.0
 
@@ -79,9 +103,9 @@ class HandshakeError(TransportError):
 class WorkerDied(TransportError):
     """A worker died (EOF, reset, or heartbeat silence) with a task in flight.
 
-    Deliberately *not* an :class:`~repro.core.faults.EvaluationFault` and not
-    a ``BrokenExecutor``: the executor catches it explicitly and applies its
-    bounded-resubmission policy instead of failing the run.
+    Deliberately *not* an :class:`~repro.core.faults.EvaluationFault`: the
+    executor catches it explicitly and applies its bounded-resubmission
+    policy instead of failing the run.
     """
 
 
@@ -153,14 +177,10 @@ def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
     return message
 
 
-def dumps_b64(obj: Any) -> str:
-    """Pickle + base64 an object for embedding in a JSON frame."""
-    return base64.b64encode(pickle.dumps(obj)).decode("ascii")
-
-
-def loads_b64(payload: str) -> Any:
-    """Inverse of :func:`dumps_b64`."""
-    return pickle.loads(base64.b64decode(payload.encode("ascii")))
+def spec_digest(spec: Mapping[str, Any]) -> str:
+    """The sha256 of a spec's canonical JSON: the name tasks refer to it by."""
+    text = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +189,13 @@ def loads_b64(payload: str) -> Any:
 
 
 class _Task:
-    __slots__ = ("id", "payload", "future")
+    __slots__ = ("id", "spec", "digest", "config", "future")
 
-    def __init__(self, task_id: int, payload: str, future: concurrent.futures.Future) -> None:
+    def __init__(self, task_id: int, spec: Mapping[str, Any], config: Configuration, future) -> None:
         self.id = task_id
-        self.payload = payload
+        self.spec = spec
+        self.digest = spec_digest(spec)
+        self.config = config
         self.future = future
 
 
@@ -192,12 +214,12 @@ class _WorkerConn:
 class EvaluationBroker:
     """One evaluation queue, drained by any number of connected workers.
 
-    ``submit(fn, *args)`` returns a ``concurrent.futures.Future`` resolving
-    to ``fn(*args)`` as computed by *some* worker — which one is invisible to
-    callers, keeping the executor's submission-order gather the sole arbiter
-    of determinism.  Each worker holds at most one task at a time, so a dead
-    worker loses at most one dispatched task (failed with
-    :class:`WorkerDied`); everything still queued is untouched.
+    ``submit(spec, config)`` returns a ``concurrent.futures.Future``
+    resolving to ``(metrics, attempts)`` as computed by *some* worker — which
+    one is invisible to callers, keeping the executor's submission-order
+    gather the sole arbiter of determinism.  Each worker holds at most one
+    task at a time, so a dead worker loses at most one dispatched task
+    (failed with :class:`WorkerDied`); everything still queued is untouched.
     """
 
     def __init__(
@@ -262,9 +284,9 @@ class EvaluationBroker:
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting, disconnect workers, fail undispatched futures.
 
-        Signature-compatible with ``concurrent.futures.Executor.shutdown`` so
-        the broker (and the pools wrapping it) slot into the pool lifecycle
-        of :class:`~repro.core.executor.EvaluationExecutor` unchanged.
+        Signature-compatible with ``concurrent.futures.Executor.shutdown``,
+        so :class:`~repro.core.executor.EvaluationExecutor` holds either as
+        its pool.
         """
         with self._lock:
             if self._closing:
@@ -308,15 +330,16 @@ class EvaluationBroker:
                 self._accept_thread.join(timeout=5.0)
 
     # -- submission ---------------------------------------------------------------
-    def submit(self, fn, *args) -> concurrent.futures.Future:
-        """Enqueue ``fn(*args)`` for some worker; returns its future."""
+    def submit(self, spec: Mapping[str, Any], config: Configuration) -> concurrent.futures.Future:
+        """Enqueue one evaluation of ``config`` by the evaluator ``spec``
+        describes; its future resolves to ``(metrics, attempts)``."""
         if self._closing:
             raise RuntimeError("this EvaluationBroker has been shut down")
         if not self._started:
             self.start()
         future: concurrent.futures.Future = concurrent.futures.Future()
         with self._queue_lock:
-            task = _Task(self._next_task_id, dumps_b64((fn, args)), future)
+            task = _Task(self._next_task_id, spec, config, future)
             self._next_task_id += 1
             self._queue.append(task)
             self._queue_ready.notify()
@@ -525,14 +548,15 @@ class EvaluationBroker:
                 if task.future.cancelled():
                     continue
                 try:
-                    send_frame(
-                        conn.sock,
-                        {"type": "task", "id": task.id, "payload": task.payload},
-                        lock=conn.send_lock,
-                    )
+                    self._send_task(conn, task)
                 except OSError:
                     self._requeue(task)
                     return
+                except (TypeError, ValueError) as exc:
+                    task.future.set_exception(
+                        TransportError(f"task {task.id}: configuration is not JSON: {exc}")
+                    )
+                    continue
                 conn.inflight = task
                 # On success _await_result clears conn.inflight; on death it
                 # leaves the task attached so the finally-block backstop
@@ -543,9 +567,20 @@ class EvaluationBroker:
             self._fail_inflight(conn)
             self._drop_conn(conn)
 
+    @staticmethod
+    def _send_task(conn: _WorkerConn, task: _Task) -> None:
+        send_frame(
+            conn.sock,
+            {"type": "task", "id": task.id, "spec": task.digest, "config": dict(task.config)},
+            lock=conn.send_lock,
+        )
+
     def _await_result(self, conn: _WorkerConn, task: _Task) -> bool:
+        """Serve ``task`` until it resolves (False: the worker died).  A first
+        ``need_spec`` gets the spec and the task again; a second fails it."""
         liveness_s = self.heartbeat_s * LIVENESS_INTERVALS
         conn.last_seen = time.monotonic()
+        spec_sent = False
         while True:
             try:
                 conn.sock.settimeout(self.heartbeat_s)
@@ -562,23 +597,54 @@ class EvaluationBroker:
             if kind == "ping":
                 conn.last_seen = time.monotonic()
                 continue
-            if kind != "result" or msg.get("id") != task.id:
+            if kind not in ("need_spec", "result") or msg.get("id") != task.id:
                 continue  # stray frame from a previous life of this id
-            conn.inflight = None
-            try:
-                outcome = loads_b64(msg["payload"])
-            except Exception as exc:  # undecodable result: charge the task
-                if not task.future.done():
-                    task.future.set_exception(
-                        TransportError(f"undecodable result payload: {exc}")
+            if kind == "need_spec" and not spec_sent:
+                spec_sent = True
+                try:
+                    send_frame(
+                        conn.sock,
+                        {"type": "spec", "hash": task.digest, "spec": task.spec},
+                        lock=conn.send_lock,
                     )
-                return True
+                    self._send_task(conn, task)
+                except OSError:
+                    return False
+                continue
+            conn.inflight = None
+            if kind == "need_spec":
+                outcome: Union[Tuple, BaseException] = TransportError(
+                    f"worker {conn.id} ({conn.name}) asked for spec {task.digest[:12]} "
+                    f"twice for task {task.id}"
+                )
+            else:
+                outcome = self._read_result(conn, task, msg)
             if not task.future.done():
-                if msg.get("ok"):
-                    task.future.set_result(outcome)
-                else:
+                if isinstance(outcome, BaseException):
                     task.future.set_exception(outcome)
+                else:
+                    task.future.set_result(outcome)
             return True
+
+    def _read_result(
+        self, conn: _WorkerConn, task: _Task, msg: Dict[str, Any]
+    ) -> Union[Tuple, BaseException]:
+        """A result frame's ``(metrics, attempts)``, or the exception its task fails with."""
+        ok, metrics, attempts, error = (msg.get(k) for k in ("ok", "metrics", "attempts", "error"))
+        if ok is True and isinstance(metrics, dict) and isinstance(attempts, (list, type(None))):
+            # Exact types: a JSON true decodes to a bool, which is no metric.
+            numbers = (type(v) in (int, float) for v in metrics.values())
+            if all(numbers) and all(isinstance(a, dict) for a in attempts or ()):
+                return {k: float(v) for k, v in metrics.items()}, attempts
+        elif ok is False and isinstance(error, dict) and error.get("kind") in _ERROR_KINDS:
+            if isinstance(error.get("type"), str) and isinstance(error.get("message"), str):
+                if error["kind"] != "spec":
+                    return fault_from_error(task.config, error)
+                return TransportError(
+                    f"worker {conn.id} ({conn.name}) cannot build evaluator type "
+                    f"{task.spec['evaluator'].get('type')!r}: {error['type']}: {error['message']}"
+                )
+        return TransportError(f"malformed result from worker {conn.id} ({conn.name}), task {task.id}")
 
     def _fail_inflight(self, conn: _WorkerConn) -> None:
         task, conn.inflight = conn.inflight, None
@@ -595,11 +661,27 @@ class EvaluationBroker:
 # ---------------------------------------------------------------------------
 
 
+def _build_spec(spec: Dict[str, Any]) -> Tuple[Any, Optional[FaultPolicy]]:
+    """``(evaluator, fault policy)`` of a spec, checked before anything is built."""
+    from repro.core.study import build_evaluator  # study -> executor -> this module
+
+    spec = dict(spec)
+    policy = spec.pop("policy", None)
+    policy = None if policy is None else FaultPolicy(**policy)
+    return build_evaluator(Scenario.from_dict(spec)), policy
+
+
+def _error(kind: Optional[str], exc: BaseException) -> Dict[str, Any]:
+    return {"kind": kind, "type": type(exc).__name__, "message": str(exc)}
+
+
 class EvalWorker:
     """A worker that connects to a broker, drains tasks, and heartbeats.
 
-    ``run()`` returns ``True`` on a clean end (broker sent ``shutdown`` or
-    ``max_tasks`` was reached) and ``False`` when the broker died.
+    It keeps the evaluators it builds from specs, up to
+    :data:`WORKER_SPEC_SLOTS`.  ``run()`` returns ``True`` on a clean end
+    (broker sent ``shutdown`` or ``max_tasks`` was reached) and ``False``
+    when the broker died.
     """
 
     def __init__(
@@ -622,6 +704,8 @@ class EvalWorker:
         self._send_lock = threading.Lock()
         self._stop = threading.Event()
         self._ping_thread: Optional[threading.Thread] = None
+        # spec hash -> (evaluator, fault policy), or the error a build raised.
+        self._specs: "OrderedDict[str, Any]" = OrderedDict()
 
     def connect(self) -> int:
         """Connect with retry until ``connect_timeout_s``, then handshake.
@@ -698,6 +782,9 @@ class EvalWorker:
                 if kind == "shutdown":
                     clean = True
                     break
+                if kind == "spec":
+                    self._load_spec(msg)
+                    continue
                 if kind != "task":
                     continue
                 reply = self._execute(msg)
@@ -705,6 +792,8 @@ class EvalWorker:
                     send_frame(sock, reply, lock=self._send_lock)
                 except OSError:
                     break
+                if reply["type"] != "result":
+                    continue
                 served += 1
                 if self.max_tasks is not None and served >= self.max_tasks:
                     clean = True
@@ -713,25 +802,40 @@ class EvalWorker:
             self.close()
         return clean
 
+    def _load_spec(self, msg: Dict[str, Any]) -> None:
+        """Build (or fail to build) the evaluator of a ``spec`` frame and keep it."""
+        digest = msg.get("hash")
+        if not isinstance(digest, str):
+            return
+        try:
+            if spec_digest(msg.get("spec")) != digest:
+                raise TransportError("the spec does not match its hash")
+            entry: Any = _build_spec(msg.get("spec"))
+        except Exception as exc:  # noqa: BLE001 — reported with every task of the spec
+            entry = _error("spec", exc)
+        self._specs[digest] = entry
+        while len(self._specs) > WORKER_SPEC_SLOTS:
+            self._specs.popitem(last=False)
+
     def _execute(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        task_id = msg.get("id")
+        task_id, digest = msg.get("id"), msg.get("spec")
+        entry = self._specs.get(digest) if isinstance(digest, str) else None
+        if entry is None:
+            return {"type": "need_spec", "id": task_id}
+        self._specs.move_to_end(digest)
+        if isinstance(entry, dict):  # the spec did not build
+            return {"type": "result", "id": task_id, "ok": False, "error": entry}
+        evaluator, policy = entry
         try:
-            fn, args = loads_b64(msg["payload"])
-            outcome = fn(*args)
-            ok = True
-        except BaseException as exc:  # noqa: BLE001 — every failure crosses the wire
-            outcome = exc
-            ok = False
-        try:
-            payload = dumps_b64(outcome)
-        except Exception as exc:
-            # Unpicklable outcome (or exception): degrade to a typed error
-            # string rather than silently dropping the task.
-            ok = False
-            payload = dumps_b64(
-                TransportError(f"unpicklable task outcome ({type(outcome).__name__}): {exc}")
-            )
-        return {"type": "result", "id": task_id, "ok": ok, "payload": payload}
+            config = config_from_dict(evaluator.space, msg["config"])
+            if policy is not None:
+                metrics, attempts = call_with_policy(evaluator, config, policy)
+            else:
+                metrics, attempts = evaluator.evaluate_one(config), None
+        except Exception as exc:  # noqa: BLE001 — every failure crosses the wire
+            kind = exc.kind if isinstance(exc, EvaluationFault) else None
+            return {"type": "result", "id": task_id, "ok": False, "error": _error(kind, exc)}
+        return {"type": "result", "id": task_id, "ok": True, "metrics": metrics, "attempts": attempts}
 
     def close(self) -> None:
         self._stop.set()
@@ -743,9 +847,7 @@ class EvalWorker:
             self._sock = None
 
 
-def spawn_local_workers(
-    address: Tuple[str, int], n: int, *, name_prefix: str = "local"
-) -> List[threading.Thread]:
+def spawn_local_workers(address: Tuple[str, int], n: int) -> List[threading.Thread]:
     """Start ``n`` in-process worker threads against a broker address.
 
     Each thread runs a full :class:`EvalWorker` over real loopback TCP —
@@ -754,7 +856,7 @@ def spawn_local_workers(
     """
     threads: List[threading.Thread] = []
     for i in range(n):
-        worker = EvalWorker(address[0], address[1], name=f"{name_prefix}-{i}")
+        worker = EvalWorker(address[0], address[1], name=f"local-{i}")
 
         def _run(w: EvalWorker = worker) -> None:
             try:
@@ -767,58 +869,6 @@ def spawn_local_workers(
         thread.start()
         threads.append(thread)
     return threads
-
-
-# ---------------------------------------------------------------------------
-# Pool adapters (duck-type concurrent.futures.Executor for the executor)
-# ---------------------------------------------------------------------------
-
-
-class BrokerPool:
-    """An executor-owned broker + its local worker threads.
-
-    Built by :class:`~repro.core.executor.EvaluationExecutor` for
-    ``backend="socket"`` without an injected broker; ``shutdown`` tears the
-    whole transport down with the executor.
-    """
-
-    def __init__(self, broker: EvaluationBroker, worker_threads: List[threading.Thread]) -> None:
-        self.broker = broker
-        self._worker_threads = worker_threads
-
-    def submit(self, fn, *args) -> concurrent.futures.Future:
-        return self.broker.submit(fn, *args)
-
-    def shutdown(self, wait: bool = True) -> None:
-        self.broker.shutdown(wait=wait)
-        if wait:
-            for thread in self._worker_threads:
-                thread.join(timeout=5.0)
-
-    @property
-    def _shutdown(self) -> bool:  # parity with concurrent.futures pools (tests peek)
-        return self.broker._closing
-
-
-class SharedBrokerPool:
-    """A view on a broker owned by someone else (service/scheduler/test).
-
-    ``shutdown`` is a no-op: closing one study's executor must not tear down
-    the fleet other studies are still using.
-    """
-
-    def __init__(self, broker: EvaluationBroker) -> None:
-        self.broker = broker
-
-    def submit(self, fn, *args) -> concurrent.futures.Future:
-        return self.broker.submit(fn, *args)
-
-    def shutdown(self, wait: bool = True) -> None:  # noqa: ARG002 — lifecycle owned elsewhere
-        return None
-
-    @property
-    def _shutdown(self) -> bool:
-        return self.broker._closing
 
 
 #: Defaults materialized into a scenario's ``executor.transport`` section.
@@ -841,13 +891,11 @@ __all__ = [
     "HandshakeError",
     "WorkerDied",
     "BrokerShutdown",
+    "WORKER_SPEC_SLOTS",
     "send_frame",
     "recv_frame",
-    "dumps_b64",
-    "loads_b64",
+    "spec_digest",
     "EvaluationBroker",
     "EvalWorker",
     "spawn_local_workers",
-    "BrokerPool",
-    "SharedBrokerPool",
 ]

@@ -98,17 +98,6 @@ class SyntheticRGBDDataset:
         self._derived: Dict[Hashable, Any] = {}
         self._ray_dirs_cam = camera.ray_directions()
 
-    # The derived-product memo stays out of pickles, so an evaluator shipped to
-    # a worker process or socket peer costs what it did before the memo.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_derived"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._derived = {}
-
     # -- sequence protocol ------------------------------------------------------
     def __len__(self) -> int:
         return len(self.trajectory)
@@ -140,7 +129,7 @@ class SyntheticRGBDDataset:
         For per-frame preprocessing that every configuration evaluation
         repeats identically.  ``key`` must name the product and everything it
         depends on (frame index, parameters).  The memo is emptied by
-        :meth:`clear_cache` and is not pickled.  Callers must not mutate a
+        :meth:`clear_cache`.  Callers must not mutate a
         returned product: the next evaluation receives the same object.
         Threads racing on a missing key may each compute it, but
         ``setdefault`` hands all of them the one product that was stored.

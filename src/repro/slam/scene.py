@@ -219,15 +219,6 @@ class Scene:
         self._albedo = np.array([p.albedo for p in prims])
         self._texture_scale = np.array([p.texture_scale for p in prims])
 
-    # The packed arrays are derived from the primitives: they are rebuilt on
-    # unpickling rather than shipped with every pickled dataset.
-    def __getstate__(self) -> dict:
-        return {"primitives": self.primitives, "name": self.name}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._pack()
-
     def _values(self, pts: np.ndarray) -> np.ndarray:
         """``(n_primitives, N)`` SDF values of ``(N, 3)`` points, rows in primitive order."""
         values = np.empty((len(self.primitives), pts.shape[0]))

@@ -91,9 +91,11 @@ def elasticfusion_design_space() -> DesignSpace:
     we expose the positive form ``so3_prealignment`` whose default (True)
     matches the paper's default column (SO3 = 1).
     """
-    weight_values = [round(x, 1) for x in np.arange(0.5, 12.01, 0.5)]
-    depth_values = [round(x, 1) for x in np.arange(1.0, 10.01, 0.5)]
-    confidence_values = [round(x, 1) for x in np.arange(1.0, 15.01, 0.5)]
+    # float(): round() of a NumPy scalar is a NumPy scalar, and the values
+    # must be the Python floats a configuration revived from JSON holds.
+    weight_values = [float(round(x, 1)) for x in np.arange(0.5, 12.01, 0.5)]
+    depth_values = [float(round(x, 1)) for x in np.arange(1.0, 10.01, 0.5)]
+    confidence_values = [float(round(x, 1)) for x in np.arange(1.0, 15.01, 0.5)]
     return DesignSpace(
         [
             OrdinalParameter("icp_rgb_weight", weight_values, default=10.0),

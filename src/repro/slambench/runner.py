@@ -133,11 +133,7 @@ class SlamBenchRunner:
         return self.run_config(config).metrics_for(device)
 
     def evaluation_function(self, device: DeviceModel) -> "BoundEvaluation":
-        """A ``config -> metrics`` callable bound to ``device`` (for HyperMapper).
-
-        Returns a picklable callable object rather than a closure so the same
-        evaluation function works on process pools and remote socket workers.
-        """
+        """A ``config -> metrics`` callable bound to ``device`` (for HyperMapper)."""
         return BoundEvaluation(self, device)
 
     def make_evaluator(self, device: DeviceModel, objectives: ObjectiveSet, max_evaluations: Optional[int] = None) -> FunctionEvaluator:
@@ -146,12 +142,12 @@ class SlamBenchRunner:
 
 
 class BoundEvaluation:
-    """Picklable ``config -> metrics`` callable binding a runner to a device.
+    """``config -> metrics`` callable binding a runner to a device.
 
-    Closures cannot cross process or socket boundaries; this object can —
-    each worker gets its own copy of the runner (with its own simulation
-    cache), which is fine because accuracy/runtime are deterministic in the
-    configuration and seeds.
+    Socket workers build their own runner from the evaluator spec and keep
+    it, with its rendered dataset and simulation cache, across tasks; that
+    is fine because accuracy/runtime are deterministic in the configuration
+    and seeds.
     """
 
     def __init__(self, runner: SlamBenchRunner, device: DeviceModel) -> None:

@@ -245,20 +245,8 @@ def make_slambench_evaluator(
     )
 
 
-def _resolve_slambench_problem(spec: Mapping[str, Any]):
-    """Cheap ``(space, objectives)`` resolution — no runner/dataset built.
-
-    Used when reloading persisted run directories, where only the problem
-    definition (not the black box) is needed.
-    """
-    workload = get_workload(spec["workload"])
-    limit = float(spec.get("accuracy_limit_m", ACCURACY_LIMIT_M))
-    return workload.space(), workload.objectives(limit)
-
-
 make_slambench_evaluator.validate_spec = _validate_slambench_spec
 make_slambench_evaluator.provides_problem = True
-make_slambench_evaluator.resolve_problem = _resolve_slambench_problem
 
 
 __all__ = [

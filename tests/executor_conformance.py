@@ -25,17 +25,19 @@ backend in :data:`BACKENDS`; ``test_engine.py`` / ``test_faults.py`` /
 copies.  The module deliberately has no ``test_`` prefix so pytest does not
 collect it twice.
 
-Everything an evaluation worker executes must be picklable by reference
-(process pools and socket workers both cross a pickle boundary), so all
-evaluation functions live at module level and call counting goes through
-marker files instead of shared in-process state.
+Socket workers build their evaluator from a JSON spec, never from code, so
+the toy black boxes are one registered evaluator type, ``"toy"``, whose spec
+names its variant in the fixed :data:`TOY_VARIANTS` table.  Importing this
+module registers it: ``workers: "local"`` threads see it through the shared
+registry, and worker processes are launched through ``toy_eval_worker.py``,
+which imports it first.  Call counting goes through marker files, the one
+channel every backend shares.
 """
 
 from __future__ import annotations
 
 import faulthandler
 import functools
-import os
 import sys
 import threading
 import time
@@ -47,11 +49,13 @@ import pytest
 from repro.core.executor import EvaluationExecutor
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.core.parameters import BooleanParameter, OrdinalParameter
+from repro.core.registry import EvaluatorBinding, register_evaluator
+from repro.core.scenario import Scenario, ScenarioError
 from repro.core.space import DesignSpace
-from repro.core.study import Study
+from repro.core.study import Study, build_evaluator
 
 #: Every backend the executor supports; the conformance suite runs against all.
-BACKENDS = ("thread", "process", "socket")
+BACKENDS = ("thread", "socket")
 
 #: Default wall-clock ceiling for anything involving sockets or subprocesses.
 #: Generous compared to the expected runtime (well under a second) so only a
@@ -84,7 +88,7 @@ def make_objectives() -> ObjectiveSet:
 
 
 # ---------------------------------------------------------------------------
-# Shared evaluation functions (module-level: picklable by reference)
+# Shared evaluation functions (the "toy" evaluator's variants)
 # ---------------------------------------------------------------------------
 
 
@@ -129,8 +133,8 @@ def slow_first_evaluate(config):
 def counting_evaluate(counter_dir, config):
     """``toy_evaluate`` that drops one marker file per invocation.
 
-    File-based counting is the only call-count channel that works across
-    process and socket workers; :func:`call_count` reads it back.
+    File-based counting is the one call-count channel that works for
+    threads and socket workers alike; :func:`call_count` reads it back.
     """
     Path(counter_dir, uuid.uuid4().hex).write_text("x")
     return toy_evaluate(config)
@@ -153,34 +157,71 @@ def board_fire_evaluate(config):
     return toy_evaluate(config)
 
 
-def poison_process_evaluate(config):
-    """Hard-kills its own worker process on the poison configuration."""
-    if bool(config.get("fast", False)) and float(config["a"]) >= 8:
-        os._exit(13)  # kill the worker, breaking the whole pool
-    return toy_evaluate(config)
+#: The "toy" evaluator's variants by name; the counting ones take the spec's
+#: ``counter_dir`` as their first argument.
+TOY_VARIANTS = {
+    "toy": toy_evaluate,
+    "slow": slow_toy_evaluate,
+    "drill": drill_evaluate,
+    "slow_first": slow_first_evaluate,
+    "counting": counting_evaluate,
+    "slow_counting": slow_counting_evaluate,
+    "board_fire": board_fire_evaluate,
+}
+_COUNTING_VARIANTS = ("counting", "slow_counting")
 
 
-def crash_once_process_evaluate(flag_dir, config):
-    """Kills its worker process on the poison config — but only once."""
-    marker = Path(flag_dir) / "died"
-    if bool(config.get("fast", False)) and float(config["a"]) >= 8 and not marker.exists():
-        marker.write_text("x")
-        os._exit(13)
-    return toy_evaluate(config)
+def _validate_toy_spec(spec, path):
+    unknown = [k for k in spec if k not in ("type", "variant", "counter_dir")]
+    if unknown:
+        raise ScenarioError(f"{path}/{unknown[0]}", "unknown key in toy evaluator")
+    variant = spec.get("variant", "toy")
+    if variant not in TOY_VARIANTS:
+        raise ScenarioError(f"{path}/variant", f"unknown toy variant {variant!r}")
+    if (variant in _COUNTING_VARIANTS) != ("counter_dir" in spec):
+        raise ScenarioError(f"{path}/counter_dir", "required by (and only by) counting variants")
+
+
+@register_evaluator("toy")
+def make_toy_evaluator(spec, **_):
+    """The toy black box named by ``spec["variant"]`` (looked up, never imported)."""
+    fn = TOY_VARIANTS[spec.get("variant", "toy")]
+    if "counter_dir" in spec:
+        fn = functools.partial(fn, spec["counter_dir"])
+    return EvaluatorBinding(fn=fn, info={"type": "toy"})
+
+
+make_toy_evaluator.validate_spec = _validate_toy_spec
+
+
+def toy_evaluator_section(variant="toy", counter_dir=None):
+    """The scenario ``evaluator`` section of a toy variant."""
+    section = {"type": "toy", "variant": variant}
+    if counter_dir is not None:
+        section["counter_dir"] = str(counter_dir)
+    return section
+
+
+def toy_scenario(variant="toy", counter_dir=None):
+    """A scenario whose evaluator is a toy variant over the toy space."""
+    return Scenario.from_dict(
+        {
+            "schema_version": 1,
+            "name": "toy",
+            "space": {"parameters": SPACE_SPECS},
+            "objectives": [{"name": "err"}, {"name": "cost"}],
+            "evaluator": toy_evaluator_section(variant, counter_dir),
+        }
+    )
+
+
+def toy_spec(variant="toy", counter_dir=None):
+    """The evaluation spec of a toy variant (what socket workers receive)."""
+    return toy_scenario(variant, counter_dir).evaluation_spec()
 
 
 def poison_config(space):
     return space.default_configuration().replace(a=8, fast=True)
-
-
-def configs_with_poison(space):
-    """A few clean configurations plus the poison one, poison last."""
-    others = [
-        c
-        for c in space.sample(8, rng=11)
-        if not (float(c["a"]) >= 8 and bool(c["fast"]))
-    ][:4]
-    return others + [poison_config(space)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +229,12 @@ def configs_with_poison(space):
 # ---------------------------------------------------------------------------
 
 
-def make_executor(fn, objectives, backend, n_workers=2, **kwargs):
-    """An :class:`EvaluationExecutor` for ``backend`` with test-fast transport."""
+def make_executor(variant, backend, n_workers=2, counter_dir=None, **kwargs):
+    """An executor of a toy variant for ``backend`` with test-fast transport."""
     if backend == "socket":
         kwargs.setdefault("transport", dict(SOCKET_TRANSPORT))
-    return EvaluationExecutor(fn, objectives, n_workers=n_workers, backend=backend, **kwargs)
+    evaluator = build_evaluator(toy_scenario(variant, counter_dir))
+    return EvaluationExecutor(evaluator, n_workers=n_workers, backend=backend, **kwargs)
 
 
 def executor_spec(backend, n_workers, overlap_fraction=None, transport=None):
@@ -237,9 +279,25 @@ def hist_dump(result_or_history, attempts=True):
     return [(dict(r.config), r.metrics, r.source, r.iteration) for r in history.records]
 
 
+def socket_scenario(scenario, n_workers, variant="toy", transport=None):
+    """``scenario`` drained by socket workers, its evaluator a toy variant."""
+    return dict(
+        scenario,
+        evaluator=toy_evaluator_section(variant),
+        executor=executor_spec("socket", n_workers, transport=transport),
+    )
+
+
 def run_history(scenario, n_workers=1, backend="thread", evaluate=toy_evaluate, run_dir=None):
-    """History dump of a study run with the given executor configuration."""
-    if n_workers != 1 or backend != "thread":
+    """History dump of a study run with the given executor configuration.
+
+    Socket runs swap in the toy variant ``evaluate`` names (a host callable
+    cannot run on socket workers).
+    """
+    if backend == "socket":
+        variant = next(name for name, fn in TOY_VARIANTS.items() if fn is evaluate)
+        scenario = socket_scenario(scenario, n_workers, variant)
+    elif n_workers != 1:
         scenario = dict(scenario, executor=executor_spec(backend, n_workers))
     return hist_dump(Study(scenario, evaluate=evaluate).run(run_dir=run_dir))
 
@@ -341,11 +399,10 @@ class ExecutorContractSuite:
     # -- bit-identity ------------------------------------------------------------------
 
     def test_evaluate_bit_identical_to_serial(self, backend):
-        space, objectives = make_space(), make_objectives()
-        configs = space.sample(6, rng=2)
+        configs = make_space().sample(6, rng=2)
         serial = [toy_evaluate(c) for c in configs]
         for n_workers in (1, 2, 4):
-            with make_executor(toy_evaluate, objectives, backend, n_workers=n_workers) as ex:
+            with make_executor("toy", backend, n_workers=n_workers) as ex:
                 assert evaluate_with_deadline(ex, configs) == serial, n_workers
 
     def test_history_bit_identical_to_serial(self, backend):
@@ -355,10 +412,9 @@ class ExecutorContractSuite:
             assert run_history(scenario, n_workers=n_workers, backend=backend) == reference
 
     def test_results_in_submission_order(self, backend):
-        space, objectives = make_space(), make_objectives()
         # The first-submitted configurations finish last.
-        configs = sorted(space.sample(6, rng=2), key=lambda c: not bool(c["fast"]))
-        with make_executor(slow_first_evaluate, objectives, backend, n_workers=4) as ex:
+        configs = sorted(make_space().sample(6, rng=2), key=lambda c: not bool(c["fast"]))
+        with make_executor("slow_first", backend, n_workers=4) as ex:
             futures, _ = ex.submit(configs)
             results = gather_with_deadline(ex, futures)
         assert results == [toy_evaluate(c) for c in configs]
@@ -366,10 +422,8 @@ class ExecutorContractSuite:
     # -- dedup / memoization -----------------------------------------------------------
 
     def test_inflight_deduplication(self, backend, tmp_path):
-        space, objectives = make_space(), make_objectives()
-        fn = functools.partial(slow_counting_evaluate, str(tmp_path))
-        config = space.sample(1, rng=3)[0]
-        with make_executor(fn, objectives, backend, n_workers=2) as ex:
+        config = make_space().sample(1, rng=3)[0]
+        with make_executor("slow_counting", backend, n_workers=2, counter_dir=tmp_path) as ex:
             futures_a, _ = ex.submit([config])
             futures_b, _ = ex.submit([config])  # duplicate while in flight
             assert ex.n_evaluations == 1
@@ -378,24 +432,22 @@ class ExecutorContractSuite:
         assert ra == rb and call_count(tmp_path) == 1
 
     def test_batch_duplicates_single_evaluation(self, backend, tmp_path):
-        space, objectives = make_space(), make_objectives()
-        fn = functools.partial(counting_evaluate, str(tmp_path))
-        config = space.sample(1, rng=4)[0]
-        with make_executor(fn, objectives, backend) as ex:
+        config = make_space().sample(1, rng=4)[0]
+        with make_executor("counting", backend, counter_dir=tmp_path) as ex:
             results = evaluate_with_deadline(ex, [config, config, config])
             assert ex.cache_size == 1 and ex.is_cached(config)
         assert call_count(tmp_path) == 1
         assert results[0] == results[1] == results[2]
 
     def test_uncached_batch_dedup_matches_across_worker_counts(self, backend, tmp_path):
-        space, objectives = make_space(), make_objectives()
-        config = space.sample(1, rng=8)[0]
+        config = make_space().sample(1, rng=8)[0]
         counts = {}
         for n_workers in (1, 2):
             counter = tmp_path / f"w{n_workers}"
             counter.mkdir()
-            fn = functools.partial(counting_evaluate, str(counter))
-            with make_executor(fn, objectives, backend, n_workers=n_workers, cache=False) as ex:
+            with make_executor(
+                "counting", backend, n_workers=n_workers, counter_dir=counter, cache=False
+            ) as ex:
                 evaluate_with_deadline(ex, [config, config, config])
                 counts[n_workers] = (call_count(counter), ex.n_evaluations)
         # Same-batch duplicates are free regardless of worker count, so
@@ -405,9 +457,8 @@ class ExecutorContractSuite:
     # -- budget accounting -------------------------------------------------------------
 
     def test_budget_counts_cache_hits_as_free(self, backend):
-        space, objectives = make_space(), make_objectives()
-        with make_executor(toy_evaluate, objectives, backend, max_evaluations=3) as ex:
-            configs = space.sample(3, rng=0)
+        with make_executor("toy", backend, max_evaluations=3) as ex:
+            configs = make_space().sample(3, rng=0)
             evaluate_with_deadline(ex, configs)
             # Re-evaluating cached configurations consumes no budget.
             again = evaluate_with_deadline(ex, configs)
@@ -415,9 +466,8 @@ class ExecutorContractSuite:
             assert again == evaluate_with_deadline(ex, configs)
 
     def test_partial_prefix_semantics(self, backend):
-        space, objectives = make_space(), make_objectives()
-        with make_executor(toy_evaluate, objectives, backend, max_evaluations=2) as ex:
-            configs = space.sample(4, rng=1)
+        with make_executor("toy", backend, max_evaluations=2) as ex:
+            configs = make_space().sample(4, rng=1)
             futures, accepted = ex.submit(configs)
             assert accepted == 2
             assert [f.config for f in futures] == configs[:2]
@@ -427,10 +477,8 @@ class ExecutorContractSuite:
     def test_evaluate_refuses_unaffordable_batch_atomically(self, backend, tmp_path):
         from repro.core.evaluator import EvaluationBudgetExceeded
 
-        space, objectives = make_space(), make_objectives()
-        fn = functools.partial(counting_evaluate, str(tmp_path))
-        with make_executor(fn, objectives, backend, max_evaluations=3) as ex:
-            configs = space.sample(5, rng=9)
+        with make_executor("counting", backend, counter_dir=tmp_path, max_evaluations=3) as ex:
+            configs = make_space().sample(5, rng=9)
             with pytest.raises(EvaluationBudgetExceeded):
                 ex.evaluate(configs)
             # The refusal is atomic: nothing ran, no budget was consumed, so
@@ -455,6 +503,8 @@ class ExecutorContractSuite:
         scenario = dict(scenario_dict(seed=seed), search=dict(self.HYPERMAPPER))
         if overlap is not None or n_workers != 1 or backend != "thread":
             scenario["executor"] = executor_spec(backend, n_workers, overlap_fraction=overlap)
+        if backend == "socket":
+            scenario["evaluator"] = toy_evaluator_section()
         return scenario
 
     def test_async_engine_bit_identical_to_serial(self, backend):
@@ -472,7 +522,7 @@ class ExecutorContractSuite:
         )
         serial = HyperMapper(space, objectives, toy_evaluate, **kw).run()
         for n_workers in (2, 4):
-            with make_executor(toy_evaluate, objectives, backend, n_workers=n_workers) as ex:
+            with make_executor("toy", backend, n_workers=n_workers) as ex:
                 result = HyperMapper(space, objectives, ex, **kw).run()
             assert hist_dump(result) == hist_dump(serial)
             assert reports_dump(result) == reports_dump(serial)
@@ -522,9 +572,8 @@ class ExecutorContractSuite:
     def test_gather_wraps_failures_with_config_identity(self, backend):
         from repro.core.faults import EvaluatorError, config_identity
 
-        space, objectives = make_space(), make_objectives()
-        poison = poison_config(space)
-        with make_executor(board_fire_evaluate, objectives, backend) as ex:
+        poison = poison_config(make_space())
+        with make_executor("board_fire", backend) as ex:
             # The serial thread path raises at submission, pool paths at gather.
             with pytest.raises(EvaluatorError) as excinfo:
                 futures, _ = ex.submit([poison])
@@ -536,11 +585,9 @@ class ExecutorContractSuite:
     def test_policy_quarantine_through_executor(self, backend):
         from repro.core.faults import FaultPolicy, attempts_quarantined
 
-        space, objectives = make_space(), make_objectives()
+        space = make_space()
         policy = FaultPolicy(max_retries=0, quarantine=True, penalty=1e9)
-        with make_executor(
-            board_fire_evaluate, objectives, backend, fault_policy=policy
-        ) as ex:
+        with make_executor("board_fire", backend, fault_policy=policy) as ex:
             poison = poison_config(space)
             clean = space.default_configuration()
             futures, _ = ex.submit([clean, poison])
@@ -567,120 +614,69 @@ class ExecutorContractSuite:
         )
         broker.kill_worker()
 
-    def test_worker_death_recovers_to_success(self, backend, tmp_path):
+    def test_worker_death_recovers_to_success(self, backend):
         """A worker dying mid-batch never loses or corrupts a result."""
-        from repro.core.faults import KIND_CRASH, FaultPolicy, attempts_quarantined
-
-        space, objectives = make_space(), make_objectives()
         if backend == "thread":
             pytest.skip("thread workers share the test process and cannot die alone")
-        if backend == "process":
-            policy = FaultPolicy(max_retries=2, quarantine=True)
-            fn = functools.partial(crash_once_process_evaluate, str(tmp_path))
-            configs = configs_with_poison(space)
-            with make_executor(fn, objectives, backend, fault_policy=policy) as ex:
-                futures, _ = ex.submit(configs)
-                results = gather_with_deadline(ex, futures)
-            # The pool broke exactly once; every in-flight victim was
-            # resubmitted on the respawned pool with its true metrics.
-            assert results == [toy_evaluate(c) for c in configs]
-            assert any(a["kind"] == KIND_CRASH for a in futures[-1].attempts)
-            assert not any(attempts_quarantined(f.attempts) for f in futures)
-        else:
-            configs = space.sample(6, rng=2)
-            with make_executor(slow_toy_evaluate, objectives, backend) as ex:
-                futures, _ = ex.submit(configs)
-                self._kill_busy_socket_worker(ex)
-                results = gather_with_deadline(ex, futures)
-            assert results == [toy_evaluate(c) for c in configs]
-            # Socket recovery is silent: a transient worker death leaves no
-            # attempt metadata, preserving history byte-identity.
-            assert all(f.attempts is None for f in futures)
+        configs = make_space().sample(6, rng=2)
+        with make_executor("slow", backend) as ex:
+            futures, _ = ex.submit(configs)
+            self._kill_busy_socket_worker(ex)
+            results = gather_with_deadline(ex, futures)
+        assert results == [toy_evaluate(c) for c in configs]
+        # Socket recovery is silent: a transient worker death leaves no
+        # attempt metadata, preserving history byte-identity.
+        assert all(f.attempts is None for f in futures)
 
     def test_persistent_worker_death_quarantines_after_bounded_recoveries(self, backend):
-        from repro.core.faults import KIND_CRASH, FaultPolicy, attempts_quarantined
+        from repro.core.faults import FaultPolicy, attempts_quarantined
 
-        space, objectives = make_space(), make_objectives()
-        policy = FaultPolicy(max_retries=1, quarantine=True, penalty=1e9)
         if backend == "thread":
             pytest.skip("thread workers share the test process and cannot die alone")
-        if backend == "process":
-            configs = configs_with_poison(space)
-            with make_executor(
-                poison_process_evaluate, objectives, backend, fault_policy=policy
-            ) as ex:
-                # The poison config kills its worker every time it runs: two
-                # crashes (initial + one bounded recovery), then quarantine.
-                poison_futures, _ = ex.submit([configs[-1]])
-                assert gather_with_deadline(ex, poison_futures) == [
-                    {"err": 1e9, "cost": 1e9}
-                ]
-                # The executor survived — the respawned pool works normally.
-                futures, _ = ex.submit(configs[:-1])
-                results = gather_with_deadline(ex, futures)
-            assert attempts_quarantined(poison_futures[0].attempts)
-            assert [a["kind"] for a in poison_futures[0].attempts] == [KIND_CRASH] * 2
-            assert results == [toy_evaluate(c) for c in configs[:-1]]
-        else:
-            # A zero-retry policy quarantines the in-flight victim of the
-            # first worker death instead of resubmitting it.
-            strict = FaultPolicy(max_retries=0, quarantine=True, penalty=1e9)
-            configs = space.sample(6, rng=2)
-            with make_executor(
-                slow_toy_evaluate, objectives, backend, fault_policy=strict
-            ) as ex:
-                futures, _ = ex.submit(configs)
-                self._kill_busy_socket_worker(ex)
-                results = gather_with_deadline(ex, futures)
-            quarantined = [
-                i for i, f in enumerate(futures) if attempts_quarantined(f.attempts)
-            ]
-            assert len(quarantined) == 1
-            assert results[quarantined[0]] == {"err": 1e9, "cost": 1e9}
-            clean = [r for i, r in enumerate(results) if i != quarantined[0]]
-            assert clean == [
-                toy_evaluate(c) for i, c in enumerate(configs) if i != quarantined[0]
-            ]
+        # A zero-retry policy quarantines the in-flight victim of the
+        # first worker death instead of resubmitting it.
+        strict = FaultPolicy(max_retries=0, quarantine=True, penalty=1e9)
+        configs = make_space().sample(6, rng=2)
+        with make_executor("slow", backend, fault_policy=strict) as ex:
+            futures, _ = ex.submit(configs)
+            self._kill_busy_socket_worker(ex)
+            results = gather_with_deadline(ex, futures)
+        quarantined = [
+            i for i, f in enumerate(futures) if attempts_quarantined(f.attempts)
+        ]
+        assert len(quarantined) == 1
+        assert results[quarantined[0]] == {"err": 1e9, "cost": 1e9}
+        clean = [r for i, r in enumerate(results) if i != quarantined[0]]
+        assert clean == [
+            toy_evaluate(c) for i, c in enumerate(configs) if i != quarantined[0]
+        ]
 
     def test_worker_death_without_policy(self, backend):
-        from repro.core.faults import WorkerCrash, config_identity
-
-        space, objectives = make_space(), make_objectives()
         if backend == "thread":
             pytest.skip("thread workers share the test process and cannot die alone")
-        if backend == "process":
-            with make_executor(poison_process_evaluate, objectives, backend) as ex:
-                poison = poison_config(space)
-                futures, _ = ex.submit([poison])
-                with pytest.raises(WorkerCrash) as excinfo:
-                    gather_with_deadline(ex, futures)
-            assert config_identity(poison) in str(excinfo.value)
-        else:
-            # Without a policy a transient socket-worker death is silently
-            # resubmitted (bounded; the bound-exhaustion path is unit-tested
-            # white-box in test_faults.py).
-            configs = space.sample(4, rng=6)
-            with make_executor(slow_toy_evaluate, objectives, backend) as ex:
-                futures, _ = ex.submit(configs)
-                self._kill_busy_socket_worker(ex)
-                assert gather_with_deadline(ex, futures) == [
-                    toy_evaluate(c) for c in configs
-                ]
+        # Without a policy a transient socket-worker death is silently
+        # resubmitted (bounded; the bound-exhaustion path is unit-tested
+        # white-box in test_faults.py).
+        configs = make_space().sample(4, rng=6)
+        with make_executor("slow", backend) as ex:
+            futures, _ = ex.submit(configs)
+            self._kill_busy_socket_worker(ex)
+            assert gather_with_deadline(ex, futures) == [
+                toy_evaluate(c) for c in configs
+            ]
 
     # -- lifecycle ---------------------------------------------------------------------
 
     def test_closed_executor_rejects_submissions(self, backend):
-        space, objectives = make_space(), make_objectives()
-        ex = make_executor(toy_evaluate, objectives, backend)
+        ex = make_executor("toy", backend)
         ex.close()
         with pytest.raises(RuntimeError):
-            ex.submit(space.sample(1, rng=5))
+            ex.submit(make_space().sample(1, rng=5))
 
     def test_pool_persists_across_batches_until_close(self, backend):
-        space, objectives = make_space(), make_objectives()
-        configs = space.sample(4, rng=6)
+        configs = make_space().sample(4, rng=6)
         expected = [toy_evaluate(c) for c in configs]
-        with make_executor(toy_evaluate, objectives, backend) as ex:
+        with make_executor("toy", backend) as ex:
             assert evaluate_with_deadline(ex, configs[:2]) == expected[:2]
             pool = ex._pool
             assert pool is not None
@@ -697,13 +693,12 @@ __all__ = [
     "DEADLINE_S",
     "SOCKET_TRANSPORT",
     "SPACE_SPECS",
+    "TOY_VARIANTS",
     "ExecutorContractSuite",
     "board_fire_evaluate",
     "broker_diagnostics",
     "call_count",
-    "configs_with_poison",
     "counting_evaluate",
-    "crash_once_process_evaluate",
     "drill_evaluate",
     "evaluate_with_deadline",
     "executor_spec",
@@ -713,14 +708,17 @@ __all__ = [
     "make_objectives",
     "make_space",
     "poison_config",
-    "poison_process_evaluate",
     "reports_dump",
     "run_history",
     "run_with_deadline",
     "scenario_dict",
+    "socket_scenario",
     "slow_counting_evaluate",
     "slow_first_evaluate",
     "slow_toy_evaluate",
     "toy_evaluate",
+    "toy_evaluator_section",
+    "toy_scenario",
+    "toy_spec",
     "wait_for",
 ]

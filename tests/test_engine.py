@@ -227,7 +227,7 @@ class TestAsyncExecutorEquivalence:
     The async-vs-serial bit-identity, overlap determinism, and the rest of
     the executor contract moved to the backend-parametrized suite in
     ``executor_conformance.py`` (collected by ``test_executor_conformance.py``
-    for the thread, process, AND socket backends).
+    for the thread AND socket backends).
     """
 
     def test_overlap_requires_supporting_strategy(self, toy_space, objectives):
@@ -463,20 +463,22 @@ class TestSocketPoolStartup:
 
     TRANSPORT = {"heartbeat_s": 0.5}
 
-    def test_local_workers_register_before_first_batch(self, toy_space, objectives):
-        configs = toy_space.sample(6, rng=1)
-        with EvaluationExecutor(
-            toy_evaluate, objectives, n_workers=3, backend="socket", transport=self.TRANSPORT
-        ) as ex:
+    def test_local_workers_register_before_first_batch(self):
+        # The conformance suite's toy evaluator plugin, which workers can build.
+        from executor_conformance import make_executor, make_space
+        from executor_conformance import toy_evaluate as plugin_evaluate
+
+        configs = make_space().sample(6, rng=1)
+        with make_executor("toy", "socket", n_workers=3, transport=self.TRANSPORT) as ex:
             assert ex.broker.n_workers_connected == 3
-            assert ex.evaluate(configs) == [toy_evaluate(c) for c in configs]
+            assert ex.evaluate(configs) == [plugin_evaluate(c) for c in configs]
             assert len(ex.broker.debug_snapshot()["workers"]) == 3
 
-    def test_external_workers_are_not_waited_for(self, objectives):
+    def test_external_workers_are_not_waited_for(self):
+        from executor_conformance import make_executor
+
         transport = dict(self.TRANSPORT, workers="external")
-        with EvaluationExecutor(
-            toy_evaluate, objectives, n_workers=2, backend="socket", transport=transport
-        ) as ex:
+        with make_executor("toy", "socket", n_workers=2, transport=transport) as ex:
             start = time.monotonic()
             broker = ex.broker
             assert time.monotonic() - start < 5.0

@@ -2,8 +2,9 @@
 
 The conformance suite kills *local* worker threads through the broker API;
 this module runs the production topology: a study whose transport declares
-``workers: "external"`` plus real ``python -m repro eval-worker`` OS
-processes connecting over loopback TCP.  One worker is SIGKILLed mid-batch;
+``workers: "external"`` plus real eval-worker OS processes connecting over
+loopback TCP (launched through ``toy_eval_worker.py``, which registers the
+toy evaluator plugin before it runs ``repro eval-worker``).  One worker is SIGKILLed mid-batch;
 the broker must silently resubmit its in-flight evaluation and the final
 ``history.jsonl`` must stay byte-identical to a serial run — the same drill
 pattern the sweep workers (PR 7) and the serve process (PR 9) get.
@@ -26,9 +27,9 @@ import pytest
 
 from executor_conformance import (
     DEADLINE_S,
-    drill_evaluate,
     scenario_dict,
     toy_evaluate,
+    toy_evaluator_section,
     wait_for,
 )
 from repro.cli import main as cli_main
@@ -39,7 +40,8 @@ TESTS = Path(__file__).resolve().parent
 
 
 def _worker_env():
-    """Subprocess env: workers unpickle evaluators from src/ AND tests/."""
+    """Subprocess env: workers import the library from src/ and the toy
+    evaluator plugin from tests/."""
     env = dict(os.environ)
     parts = [str(SRC), str(TESTS)]
     if env.get("PYTHONPATH"):
@@ -58,9 +60,7 @@ def spawn_eval_workers(host, port, n):
         subprocess.Popen(
             [
                 sys.executable,
-                "-m",
-                "repro",
-                "eval-worker",
+                str(TESTS / "toy_eval_worker.py"),
                 "--connect",
                 f"{host}:{port}",
                 "--name",
@@ -149,6 +149,9 @@ class TestEvalWorkerSigkillDrill:
 
     def _socket_scenario(self, announce_file):
         scenario = scenario_dict(seed=self.SEED)
+        # drill: same metrics as toy_evaluate, but each evaluation sleeps —
+        # the kill lands while work is in flight.
+        scenario["evaluator"] = toy_evaluator_section("drill")
         scenario["executor"] = {
             "backend": "socket",
             "n_workers": 3,
@@ -174,11 +177,7 @@ class TestEvalWorkerSigkillDrill:
 
         def run_study():
             try:
-                # drill_evaluate: same metrics as toy_evaluate, but each
-                # evaluation sleeps — the kill lands while work is in flight.
-                Study(
-                    self._socket_scenario(announce), evaluate=drill_evaluate
-                ).run(run_dir=run_dir)
+                Study(self._socket_scenario(announce)).run(run_dir=run_dir)
             except BaseException as exc:  # surfaced after the join
                 failures.append(exc)
 

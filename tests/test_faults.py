@@ -10,8 +10,6 @@ Acceptance criteria covered:
 * **quarantine + degraded plumbing** — exhausted retries record penalty
   metrics with ``"quarantined": true`` attempt metadata, the run finishes
   ``"degraded"`` (run.json, report.json, sweep manifest, CLI exit code 1),
-* **worker-crash recovery** — a real ``os._exit`` in a process-pool worker
-  is recovered by respawn + resubmit, bounded by ``max_retries``,
 * **drain-all fan-out** — ``map_ordered`` runs every item and aggregates
   failures in :class:`MapOrderedError` instead of failing fast,
 * **study-level retries** — the scheduler retries a raising study via the
@@ -35,6 +33,7 @@ from hypothesis import strategies as st
 from executor_conformance import (
     SPACE_SPECS,
     hist_dump,
+    make_executor,
     run_history,
     scenario_dict,
     toy_evaluate,
@@ -365,7 +364,7 @@ class TestCallWithPolicy:
 # Executor integration
 # ---------------------------------------------------------------------------
 # The failure-wrapping, quarantine-through-executor, and real worker-death
-# recovery tests (process pool AND socket workers) are part of the shared
+# recovery tests (socket workers) are part of the shared
 # backend-parametrized contract suite in executor_conformance.py.  What stays
 # here: the pure wrap_failure helper, and white-box coverage of the socket
 # backend's worker-death resubmission bound (the black-box variant would need
@@ -391,14 +390,7 @@ class TestSocketWorkerDeathBound:
     """
 
     def _executor(self, objectives, **kwargs):
-        return EvaluationExecutor(
-            toy_evaluate,
-            objectives,
-            n_workers=1,
-            backend="socket",
-            transport={"heartbeat_s": 0.5},
-            **kwargs,
-        )
+        return make_executor("toy", "socket", n_workers=1, **kwargs)
 
     def test_unpolicied_deaths_exhaust_the_default_bound_to_worker_crash(
         self, toy_space, objectives
@@ -501,6 +493,15 @@ class TestChaosDeterminism:
             assert run_history(scenario, n_workers=n_workers) == reference, n_workers
         # The chaos actually bit: some records carry attempt metadata.
         assert any(attempts for *_, attempts in reference)
+
+    def test_chaos_history_is_bit_identical_on_socket_workers(self):
+        """The inject section travels in the evaluator spec and the policy
+        with the executor, so socket workers replay the seeded fault trace."""
+        scenario = scenario_dict(faults=CHAOS_FAULTS)
+        reference = run_history(scenario)
+        for n_workers in (1, 2):
+            assert run_history(scenario, n_workers=n_workers, backend="socket") == reference
+        assert any(attempts_quarantined(attempts) for *_, attempts in reference)
 
     def test_retries_to_success_equals_fault_free_run(self):
         clean = scenario_dict(seed=5)

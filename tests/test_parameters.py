@@ -164,3 +164,19 @@ class TestParameterFromDict:
     def test_missing_name_rejected(self):
         with pytest.raises(ValueError):
             parameter_from_dict({"type": "boolean"})
+
+
+class TestWorkloadSpacesSurviveJSON:
+    def test_every_value_keeps_its_type_through_json(self):
+        """Socket workers revive configurations from JSON: a sampled value
+        and its JSON copy must be the same Python value of the same type."""
+        import json
+
+        from repro.core.registry import WORKLOAD_REGISTRY
+        from repro.slambench.workloads import get_workload
+
+        for name in WORKLOAD_REGISTRY.names():
+            for parameter in get_workload(name).space().parameters:
+                for value in parameter.values():
+                    back = json.loads(json.dumps(value))
+                    assert (type(back), back) == (type(value), value), (name, parameter.name)

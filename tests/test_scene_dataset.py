@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.devices.catalog import get_device
 from repro.slam import kfusion
 from repro.slam.dataset import make_icl_nuim_like_dataset
 from repro.slam.filters import bilateral_filter
@@ -21,8 +20,6 @@ from repro.slam.trajectory import (
     make_orbit_trajectory,
     make_static_trajectory,
 )
-from repro.slambench.parameters import kfusion_design_space
-from repro.slambench.runner import SlamBenchRunner
 
 
 class TestPrimitives:
@@ -349,22 +346,6 @@ class TestFrameMemo:
         assert warm.frames == cold.frames
         assert np.stack(warm.estimated.poses).tobytes() == np.stack(cold.estimated.poses).tobytes()
         assert warm.ate().per_frame.tobytes() == cold.ate().per_frame.tobytes()
-
-    def test_memo_is_not_pickled(self):
-        dataset = make_icl_nuim_like_dataset(n_frames=4, width=32, height=24, seed=9)
-        dataset.prerender()
-        # Two runners share the dataset: one evaluates, the other's payload is
-        # what a socket or process worker would receive.
-        busy = SlamBenchRunner("kfusion", n_frames=4, dataset=dataset)
-        shipped = SlamBenchRunner("kfusion", n_frames=4, dataset=dataset).evaluation_function(get_device("odroid-xu3"))
-        before = len(pickle.dumps(shipped))
-        space = kfusion_design_space()
-        for config in space.sample(5, np.random.default_rng(0)):
-            busy.evaluate(config, get_device("odroid-xu3"))
-        assert dataset.derived(("kfusion-pyramid", 0, 2), lambda: None) is not None
-        assert len(pickle.dumps(shipped)) == before
-        clone = pickle.loads(pickle.dumps(dataset))
-        assert clone.derived(("kfusion-pyramid", 0, 2), lambda: "fresh") == "fresh"
 
     def test_racing_threads_share_one_product(self):
         dataset = make_icl_nuim_like_dataset(n_frames=2, width=24, height=18, seed=1)

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from executor_conformance import toy_evaluate
+from executor_conformance import toy_evaluate, toy_evaluator_section
 
 from repro.cli import main as cli_main
 from repro.core.client import ServiceClient, ServiceHTTPError
@@ -65,7 +65,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # toy_evaluate comes from the shared conformance module: same formula this
 # file used to define locally (it tolerates the absent "fast" parameter),
-# module-level so it pickles across process pools and socket workers.
+# and also registered there as the "toy" evaluator socket workers build.
 SPACE = {
     "parameters": [
         {"type": "ordinal", "name": "a", "values": [1, 2, 4, 8], "default": 1},
@@ -514,6 +514,7 @@ class TestSharedBrokerService:
     def socket_scenario(self, seed):
         return dict(
             toy_scenario(seed),
+            evaluator=toy_evaluator_section(),
             executor={
                 "backend": "socket",
                 "n_workers": 2,
