@@ -103,9 +103,13 @@ class CameraIntrinsics:
             )
         u, v = self.pixel_grid()
         valid = np.isfinite(depth) & (depth > 0)
-        z = np.where(valid, depth, 0.0)
-        x = (u - self.cx) / self.fx * z
-        y = (v - self.cy) / self.fy * z
+        return self.unproject(v, u, np.where(valid, depth, 0.0))
+
+    def unproject(self, rows: np.ndarray, cols: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Camera-frame points ``(..., 3)`` of pixel centres ``(rows, cols)``
+        at z-depth ``z`` (arrays of one shape)."""
+        x = (cols - self.cx) / self.fx * z
+        y = (rows - self.cy) / self.fy * z
         return np.stack([x, y, z], axis=-1)
 
     def project(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

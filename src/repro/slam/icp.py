@@ -13,7 +13,7 @@ Two flavours are provided:
 
 Both use the twist parameterization from :mod:`repro.slam.se3` and support the
 ``icp_threshold`` early-termination semantics exposed as an algorithmic
-parameter in the design space: iterations stop early once the error improves
+parameter in the design space: iterations stop early once the error changes
 by less than the threshold, so large thresholds trade accuracy for speed.
 """
 
@@ -76,6 +76,22 @@ def point_to_plane_system(
     return JtJ, Jtr, float(np.mean(r * r))
 
 
+def _jacobian(p: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``np.concatenate([n, np.cross(p, n)], axis=1)`` for ``(k, 3)`` rows.
+
+    The cross product is written out in numpy's order (one rounding per
+    product and per difference), into a C-order ``(k, 6)`` array.
+    """
+    J = np.empty((p.shape[0], 6))
+    J[:, :3] = n
+    p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2]
+    n0, n1, n2 = n[:, 0], n[:, 1], n[:, 2]
+    np.subtract(p1 * n2, p2 * n1, out=J[:, 3])
+    np.subtract(p2 * n0, p0 * n2, out=J[:, 4])
+    np.subtract(p0 * n1, p1 * n0, out=J[:, 5])
+    return J
+
+
 def solve_increment(JtJ: np.ndarray, Jtr: np.ndarray, damping: float = 1e-6) -> np.ndarray:
     """Solve the damped normal equations for the twist increment."""
     A = JtJ + damping * _EYE6
@@ -113,8 +129,10 @@ def icp_point_to_implicit(
         level ``l`` uses ``points_cam[point_subsets[l]]``; otherwise every
         level uses all points.
     termination_threshold:
-        Early-termination threshold on the decrease of the mean squared
-        residual between iterations (the design-space ``icp_threshold``).
+        Early-termination threshold on the change of the mean squared
+        residual between iterations, up or down (the design-space
+        ``icp_threshold``): a level stops once ``|previous - current|``
+        falls below it.
     max_correspondence_distance:
         Residuals larger than this are treated as outliers and dropped.
     damping:
@@ -152,15 +170,16 @@ def icp_point_to_implicit(
             dist, grad = sdf_query(p_world)
             dist = np.asarray(dist, dtype=np.float64).reshape(-1)
             grad = np.asarray(grad, dtype=np.float64).reshape(-1, 3)
-            finite = np.isfinite(dist)
-            inliers = finite & (np.abs(dist) < max_correspondence_distance)
-            inlier_fraction = float(np.mean(inliers)) if inliers.size else 0.0
-            if np.count_nonzero(inliers) < 6:
+            # Holes (inf) and NaN fail the comparison, so it is the finite test too.
+            inliers = np.flatnonzero(np.abs(dist) < max_correspondence_distance)
+            k = inliers.size
+            inlier_fraction = k / dist.size if dist.size else 0.0
+            if k < 6:
                 break
-            r = dist[inliers]
-            n = grad[inliers]
-            pw = p_world[inliers]
-            J = np.concatenate([n, np.cross(pw, n)], axis=1)
+            r = dist.take(inliers)
+            n = grad.take(inliers, axis=0)
+            pw = p_world.take(inliers, axis=0)
+            J = _jacobian(pw, n)
             JtJ = J.T @ J
             Jtr = J.T @ r
             delta = solve_increment(JtJ, Jtr, damping=damping)

@@ -196,9 +196,14 @@ class KinectFusion:
         return pyramid, cams
 
     def _valid_points(self, depth: np.ndarray, camera: CameraIntrinsics) -> np.ndarray:
-        vertices = camera.backproject(depth)
-        mask = depth > 0
-        pts = vertices[mask]
+        depth = np.asarray(depth, dtype=np.float64)
+        if depth.shape != (camera.height, camera.width):
+            raise ValueError(f"depth shape {depth.shape} does not match intrinsics ({camera.height}, {camera.width})")
+        # Back-project only the pixels with depth > 0, as backproject would
+        # (an infinite depth gives z = 0).
+        rows, cols = np.nonzero(depth > 0)
+        d = depth[rows, cols]
+        pts = camera.unproject(rows, cols, np.where(np.isfinite(d), d, 0.0))
         # Subsample the tracking cloud: the simulation does not need every
         # pixel to estimate a 6-DoF pose, and the runtime model accounts for
         # the full nominal pixel count independently.  The compute-size ratio

@@ -19,6 +19,7 @@ Two backends implement the same interface:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Optional, Tuple
 
@@ -131,6 +132,9 @@ class AnalyticSDFMap(MapBackend):
         self._hole_phase = rng.uniform(0.0, 2.0 * np.pi, size=4)
 
     # -- error model -------------------------------------------------------------
+    # Python floats throughout: ``math.sqrt`` and ``min(max(x, lo), hi)`` give
+    # the bits of ``np.sqrt`` and ``np.clip`` on a scalar (NaN and -0.0
+    # included) without numpy's per-call cost.
     @property
     def quantization_sigma(self) -> float:
         """Surface localization error induced by voxel quantization."""
@@ -147,7 +151,7 @@ class AnalyticSDFMap(MapBackend):
         """Fraction of surface missing because the truncation band is too narrow."""
         narrow_voxel = max(1.5 * self.voxel_size - self.mu, 0.0) / max(1.5 * self.voxel_size, 1e-9)
         narrow_noise = max(3.0 * self.sensor_sigma - self.mu, 0.0) / max(3.0 * self.sensor_sigma, 1e-9)
-        return float(np.clip(0.6 * narrow_voxel + 0.5 * narrow_noise, 0.0, 0.85))
+        return min(max(0.6 * narrow_voxel + 0.5 * narrow_noise, 0.0), 0.85)
 
     @property
     def staleness_penalty(self) -> float:
@@ -157,14 +161,14 @@ class AnalyticSDFMap(MapBackend):
     @property
     def effective_sigma(self) -> float:
         """Total standard deviation of the map surface error (metres)."""
-        base = np.sqrt(self.quantization_sigma**2 + self.smearing_sigma**2 + (0.5 * self.sensor_sigma) ** 2)
-        return float(base * (1.0 + self.staleness_penalty))
+        base = math.sqrt(self.quantization_sigma**2 + self.smearing_sigma**2 + (0.5 * self.sensor_sigma) ** 2)
+        return base * (1.0 + self.staleness_penalty)
 
     @property
     def effective_hole_fraction(self) -> float:
         """Total fraction of query points that find no map surface."""
         stale_holes = min(0.25 * self._motion_since_integration, 0.4)
-        return float(np.clip(self.base_hole_fraction + stale_holes, 0.0, 0.9))
+        return min(max(self.base_hole_fraction + stale_holes, 0.0), 0.9)
 
     # -- MapBackend interface -----------------------------------------------------
     def integrate(self, depth: np.ndarray, camera: CameraIntrinsics, pose: np.ndarray, frame_index: int) -> int:

@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 _EPS = 1e-9
+_AXES = np.arange(3)
 
 
 class SdfPrimitive(ABC):
@@ -61,6 +62,16 @@ class Plane(SdfPrimitive):
         return np.broadcast_to(self.normal, pts.shape).copy()
 
 
+def _norm3(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=-1)`` of ``(..., 3)`` vectors, bit for bit.
+
+    numpy squares the components and sums the three squares left to right;
+    written out, the sum takes the same roundings without a 3-wide ``reduce``.
+    """
+    s = v * v
+    return np.sqrt(s[..., 0] + s[..., 1] + s[..., 2])
+
+
 def _plane_sdf(pts: np.ndarray, normal: np.ndarray, offset: Union[float, np.ndarray]) -> np.ndarray:
     """Plane SDF ``n . p - d``; ``normal[..., :]``/``offset`` broadcast against the points.
 
@@ -83,12 +94,12 @@ class Sphere(SdfPrimitive):
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
-        return np.linalg.norm(pts - self.center, axis=-1) - self.radius
+        return _norm3(pts - self.center) - self.radius
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         diff = pts - self.center
-        norm = np.linalg.norm(diff, axis=-1, keepdims=True)
+        norm = _norm3(diff)[..., None]
         return diff / np.maximum(norm, _EPS)
 
 
@@ -103,35 +114,41 @@ class Box(SdfPrimitive):
             raise ValueError("half extents must be positive")
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
-        return _box_sdf(np.asarray(points, dtype=np.float64), self.center, self.half_extents)
+        pts = np.asarray(points, dtype=np.float64)
+        lead = (1,) * (pts.ndim - 1)
+        return _box_sdf(np.moveaxis(pts, -1, 0), self.center.reshape(3, *lead), self.half_extents.reshape(3, *lead))
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         return _box_gradient(np.asarray(points, dtype=np.float64), self.center, self.half_extents)
 
 
-def _box_sdf(pts: np.ndarray, center: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
-    """Box SDF; ``center``/``half_extents`` broadcast against ``(..., 3)`` points."""
-    q = np.abs(pts - center) - half_extents
-    outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
-    inside = np.minimum(np.max(q, axis=-1), 0.0)
+def _box_sdf(p: np.ndarray, center: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
+    """Box SDF of axis-first points: ``p[k]`` holds coordinate ``k``, and
+    ``center[k]``/``half_extents[k]`` broadcast against it.
+
+    The operations of ``q = |p - c| - h``, ``norm(max(q, 0)) + min(max(q), 0)``
+    in the same order, on one ``(k, N)`` block per axis: the norm and the max
+    over the three axes are written out instead of 3-wide reductions.
+    """
+    q = np.abs(p - center) - half_extents
+    m = np.maximum(q, 0.0)
+    m *= m
+    outside = np.sqrt(m[0] + m[1] + m[2])
+    inside = np.minimum(np.maximum(np.maximum(q[0], q[1]), q[2]), 0.0)
     return outside + inside
 
 
 def _box_gradient(pts: np.ndarray, center: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
-    """Box SDF gradient; ``center``/``half_extents`` broadcast like :func:`_box_sdf`."""
+    """Box SDF gradient; ``center``/``half_extents`` broadcast against ``(..., 3)`` points."""
     local = pts - center
     q = np.abs(local) - half_extents
     sign = np.where(local >= 0, 1.0, -1.0)
     outside_vec = np.maximum(q, 0.0) * sign
-    outside_norm = np.linalg.norm(outside_vec, axis=-1, keepdims=True)
+    outside_norm = _norm3(outside_vec)[..., None]
     grad_out = outside_vec / np.maximum(outside_norm, _EPS)
     # Inside: gradient points along the axis of smallest penetration.
-    axis = np.argmax(q, axis=-1)
-    grad_in = np.zeros_like(local)
-    idx = np.indices(axis.shape)
-    grad_in[(*idx, axis)] = np.take_along_axis(sign, axis[..., None], axis=-1)[..., 0]
-    inside_mask = (outside_norm[..., 0] < _EPS)[..., None]
-    return np.where(inside_mask, grad_in, grad_out)
+    grad_in = np.where(np.argmax(q, axis=-1)[..., None] == _AXES, sign, 0.0)
+    return np.where(outside_norm < _EPS, grad_in, grad_out)
 
 
 class Cylinder(SdfPrimitive):
@@ -147,9 +164,11 @@ class Cylinder(SdfPrimitive):
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64) - self.center
-        radial = np.linalg.norm(pts[..., [0, 2]], axis=-1) - self.radius
+        x, z = pts[..., 0], pts[..., 2]
+        radial = np.sqrt(x * x + z * z) - self.radius
         vertical = np.abs(pts[..., 1]) - self.half_height
-        outside = np.linalg.norm(np.stack([np.maximum(radial, 0.0), np.maximum(vertical, 0.0)], axis=-1), axis=-1)
+        a, b = np.maximum(radial, 0.0), np.maximum(vertical, 0.0)
+        outside = np.sqrt(a * a + b * b)
         inside = np.minimum(np.maximum(radial, vertical), 0.0)
         return outside + inside
 
@@ -166,7 +185,7 @@ def _numerical_gradient(fn, points: np.ndarray, h: float = 1e-5) -> np.ndarray:
         offset = np.zeros(3)
         offset[axis] = h
         grad[..., axis] = (fn(pts + offset) - fn(pts - offset)) / (2.0 * h)
-    norm = np.linalg.norm(grad, axis=-1, keepdims=True)
+    norm = _norm3(grad)[..., None]
     return grad / np.maximum(norm, _EPS)
 
 
@@ -203,19 +222,26 @@ class Scene:
 
     def _pack(self) -> None:
         prims = self.primitives
-        kinds = [_PLANE if type(p) is Plane else _BOX if type(p) is Box else _OTHER for p in prims]
-        self._kind = np.array(kinds, dtype=np.int8)
-        self._plane_rows = np.flatnonzero(self._kind == _PLANE)
-        self._box_rows = np.flatnonzero(self._kind == _BOX)
-        self._other_rows = [int(i) for i in np.flatnonzero(self._kind == _OTHER)]
+        kind = np.array([_PLANE if type(p) is Plane else _BOX if type(p) is Box else _OTHER for p in prims], dtype=np.int8)
+        self._plane_rows = np.flatnonzero(kind == _PLANE)
+        self._box_rows = np.flatnonzero(kind == _BOX)
+        self._other_rows = [int(i) for i in np.flatnonzero(kind == _OTHER)]
         self._plane_normals = np.array([prims[i].normal for i in self._plane_rows]).reshape(-1, 3)
         self._plane_offsets = np.array([prims[i].offset for i in self._plane_rows])
-        self._box_centers = np.array([prims[i].center for i in self._box_rows]).reshape(-1, 3)
-        self._box_half_extents = np.array([prims[i].half_extents for i in self._box_rows]).reshape(-1, 3)
-        # Primitive index -> row of its type's parameter arrays.
-        self._slot = np.zeros(len(prims), dtype=np.intp)
-        self._slot[self._plane_rows] = np.arange(self._plane_rows.size)
-        self._slot[self._box_rows] = np.arange(self._box_rows.size)
+        # Box parameters axis first, ``(3, n_boxes, 1)``, for :func:`_box_sdf`.
+        box_centers = np.array([prims[i].center for i in self._box_rows]).reshape(-1, 3)
+        box_half_extents = np.array([prims[i].half_extents for i in self._box_rows]).reshape(-1, 3)
+        self._box_centers = np.ascontiguousarray(box_centers.T[:, :, None])
+        self._box_half_extents = np.ascontiguousarray(box_half_extents.T[:, :, None])
+        # Per-primitive tables gathered by each point's winner: plane normals
+        # (zero for other primitives), box centres and half extents.
+        self._normals = np.zeros((len(prims), 3))
+        self._normals[self._plane_rows] = self._plane_normals
+        self._centers = np.zeros((len(prims), 3))
+        self._centers[self._box_rows] = box_centers
+        self._half_extents = np.zeros((len(prims), 3))
+        self._half_extents[self._box_rows] = box_half_extents
+        self._is_box = kind == _BOX
         self._albedo = np.array([p.albedo for p in prims])
         self._texture_scale = np.array([p.texture_scale for p in prims])
 
@@ -223,7 +249,7 @@ class Scene:
         """``(n_primitives, N)`` SDF values of ``(N, 3)`` points, rows in primitive order."""
         values = np.empty((len(self.primitives), pts.shape[0]))
         values[self._plane_rows] = _plane_sdf(pts, self._plane_normals[:, None, :], self._plane_offsets[:, None])
-        values[self._box_rows] = _box_sdf(pts, self._box_centers[:, None, :], self._box_half_extents[:, None, :])
+        values[self._box_rows] = _box_sdf(pts.T[:, None, :], self._box_centers, self._box_half_extents)
         for row in self._other_rows:
             values[row] = self.primitives[row].sdf(pts)
         return values
@@ -239,19 +265,17 @@ class Scene:
         pts, shape = _flatten(points)
         values = self._values(pts)
         winner = values.argmin(axis=0)
-        dist = np.take_along_axis(values, winner[None, :], axis=0)[0]
-        kind, slot = self._kind[winner], self._slot[winner]
-        grad = np.zeros_like(pts)
-        planes = kind == _PLANE
-        grad[planes] = self._plane_normals[slot[planes]]
-        boxes = kind == _BOX
-        if np.any(boxes):
-            b = slot[boxes]
-            grad[boxes] = _box_gradient(pts[boxes], self._box_centers[b], self._box_half_extents[b])
+        n = pts.shape[0]
+        dist = values.take(winner * n + np.arange(n))  # values[winner[i], i]
+        grad = self._normals.take(winner, axis=0)
+        boxes = np.flatnonzero(self._is_box.take(winner))
+        if boxes.size:
+            b = winner.take(boxes)
+            grad[boxes] = _box_gradient(pts.take(boxes, axis=0), self._centers.take(b, axis=0), self._half_extents.take(b, axis=0))
         for row in self._other_rows:
-            mask = winner == row
-            if np.any(mask):
-                grad[mask] = self.primitives[row].gradient(pts[mask])
+            rows = np.flatnonzero(winner == row)
+            if rows.size:
+                grad[rows] = self.primitives[row].gradient(pts.take(rows, axis=0))
         return dist.reshape(shape), grad.reshape(*shape, 3)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:

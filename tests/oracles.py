@@ -28,6 +28,21 @@ versions in :mod:`repro.slam` must match byte for byte:
 * :func:`predict_view_reference` — the surfel z-buffer that sorts all
   ``(2 * splat_radius + 1) ** 2`` splatted copies.
 
+And the KinectFusion kernels the written-out versions must match byte for
+byte:
+
+* :func:`primitive_sdf_reference` and :func:`primitive_gradient_reference`
+  — every scene primitive through ``np.linalg.norm``, ``np.max`` and
+  fancy-index assignment, and :func:`scene_union_reference`, the union
+  evaluated primitive by primitive;
+* :func:`icp_point_to_implicit_reference` — the tracking loop with
+  boolean-mask gathers, ``np.cross`` and ``np.mean`` of the inlier mask;
+* :func:`valid_points_reference` — the whole vertex map back-projected,
+  then masked;
+* :func:`sdf_query_reference` and the ``*_reference`` error-model
+  properties of :class:`~repro.slam.maps.AnalyticSDFMap` — ``np.sqrt`` and
+  ``np.clip`` on scalars.
+
 Tests import it as ``oracles`` (pytest puts ``tests/`` on ``sys.path``;
 ``benchmarks/conftest.py`` does the same for the fit benchmarks).
 """
@@ -41,7 +56,10 @@ import numpy as np
 
 from repro.core.tree import DecisionTreeRegressor
 from repro.core.tree_builder import _NodeArrays
+from repro.slam import se3
 from repro.slam.filters import downsample_intensity, image_gradients
+from repro.slam.icp import ICPResult, solve_increment
+from repro.slam.scene import Box, Cylinder, Plane, Sphere
 from repro.slam.se3 import invert, transform_points
 from repro.utils.rng import RandomState, as_generator, spawn_generators
 
@@ -756,3 +774,255 @@ def predict_view_reference(
     out["normals"][all_rows, all_cols] = surfels.normals[all_ids]
     out["intensity"][all_rows, all_cols] = surfels.intensities[all_ids]
     return out
+
+
+# ---------------------------------------------------------------------------
+# KinectFusion kernels
+# ---------------------------------------------------------------------------
+
+_SDF_EPS = 1e-9
+
+
+def sphere_sdf_reference(sphere, points: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    return np.linalg.norm(pts - sphere.center, axis=-1) - sphere.radius
+
+
+def sphere_gradient_reference(sphere, points: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    diff = pts - sphere.center
+    norm = np.linalg.norm(diff, axis=-1, keepdims=True)
+    return diff / np.maximum(norm, _SDF_EPS)
+
+
+def box_sdf_reference(pts: np.ndarray, center: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
+    """Box SDF; ``center``/``half_extents`` broadcast against ``(..., 3)`` points."""
+    q = np.abs(pts - center) - half_extents
+    outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
+    inside = np.minimum(np.max(q, axis=-1), 0.0)
+    return outside + inside
+
+
+def box_gradient_reference(pts: np.ndarray, center: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
+    """Box SDF gradient; ``center``/``half_extents`` broadcast like :func:`box_sdf_reference`."""
+    local = pts - center
+    q = np.abs(local) - half_extents
+    sign = np.where(local >= 0, 1.0, -1.0)
+    outside_vec = np.maximum(q, 0.0) * sign
+    outside_norm = np.linalg.norm(outside_vec, axis=-1, keepdims=True)
+    grad_out = outside_vec / np.maximum(outside_norm, _SDF_EPS)
+    # Inside: gradient points along the axis of smallest penetration.
+    axis = np.argmax(q, axis=-1)
+    grad_in = np.zeros_like(local)
+    idx = np.indices(axis.shape)
+    grad_in[(*idx, axis)] = np.take_along_axis(sign, axis[..., None], axis=-1)[..., 0]
+    inside_mask = (outside_norm[..., 0] < _SDF_EPS)[..., None]
+    return np.where(inside_mask, grad_in, grad_out)
+
+
+def cylinder_sdf_reference(cylinder, points: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64) - cylinder.center
+    radial = np.linalg.norm(pts[..., [0, 2]], axis=-1) - cylinder.radius
+    vertical = np.abs(pts[..., 1]) - cylinder.half_height
+    outside = np.linalg.norm(np.stack([np.maximum(radial, 0.0), np.maximum(vertical, 0.0)], axis=-1), axis=-1)
+    inside = np.minimum(np.maximum(radial, vertical), 0.0)
+    return outside + inside
+
+
+def numerical_gradient_reference(fn, points: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    grad = np.zeros_like(pts)
+    for axis in range(3):
+        offset = np.zeros(3)
+        offset[axis] = h
+        grad[..., axis] = (fn(pts + offset) - fn(pts - offset)) / (2.0 * h)
+    norm = np.linalg.norm(grad, axis=-1, keepdims=True)
+    return grad / np.maximum(norm, _SDF_EPS)
+
+
+def primitive_sdf_reference(prim, points: np.ndarray) -> np.ndarray:
+    """The SDF of one shipped primitive type."""
+    pts = np.asarray(points, dtype=np.float64)
+    if type(prim) is Plane:
+        n = prim.normal
+        return pts[..., 0] * n[0] + pts[..., 1] * n[1] + pts[..., 2] * n[2] - prim.offset
+    if type(prim) is Sphere:
+        return sphere_sdf_reference(prim, pts)
+    if type(prim) is Box:
+        return box_sdf_reference(pts, prim.center, prim.half_extents)
+    if type(prim) is Cylinder:
+        return cylinder_sdf_reference(prim, pts)
+    raise TypeError(f"no reference for {type(prim).__name__}")
+
+
+def primitive_gradient_reference(prim, points: np.ndarray) -> np.ndarray:
+    """The SDF gradient of one shipped primitive type."""
+    pts = np.asarray(points, dtype=np.float64)
+    if type(prim) is Plane:
+        return np.broadcast_to(prim.normal, pts.shape).copy()
+    if type(prim) is Sphere:
+        return sphere_gradient_reference(prim, pts)
+    if type(prim) is Box:
+        return box_gradient_reference(pts, prim.center, prim.half_extents)
+    if type(prim) is Cylinder:
+        return numerical_gradient_reference(lambda p: cylinder_sdf_reference(prim, p), pts)
+    raise TypeError(f"no reference for {type(prim).__name__}")
+
+
+def scene_union_reference(scene, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The union evaluated primitive by primitive: ``(sdf, dist, grad, intensity)``."""
+    pts = np.asarray(points, dtype=np.float64)
+    values = np.stack([primitive_sdf_reference(p, pts) for p in scene.primitives], axis=0)
+    winner = values.argmin(axis=0)
+    dist = np.take_along_axis(values, winner[None, ...], axis=0)[0]
+    grad = np.zeros_like(pts)
+    intensity = np.zeros(pts.shape[:-1])
+    for i, prim in enumerate(scene.primitives):
+        mask = winner == i
+        if not np.any(mask):
+            continue
+        grad[mask] = primitive_gradient_reference(prim, pts[mask])
+        local = pts[mask]
+        s = prim.texture_scale
+        tex = (
+            0.5
+            + 0.25 * np.sin(s * local[..., 0]) * np.cos(s * local[..., 2])
+            + 0.15 * np.sin(0.7 * s * local[..., 1] + 1.3)
+        )
+        intensity[mask] = np.clip(prim.albedo * tex, 0.0, 1.0)
+    return values.min(axis=0), dist, grad, intensity
+
+
+def icp_point_to_implicit_reference(
+    points_cam: np.ndarray,
+    sdf_query,
+    initial_pose: np.ndarray,
+    iterations: Sequence[int] = (10,),
+    point_subsets: Optional[Sequence[np.ndarray]] = None,
+    termination_threshold: float = 1e-5,
+    max_correspondence_distance: float = 0.3,
+    damping: float = 1e-6,
+) -> ICPResult:
+    """Gauss-Newton alignment of a camera-frame cloud to an implicit surface."""
+    pts = np.asarray(points_cam, dtype=np.float64).reshape(-1, 3)
+    T = np.array(initial_pose, dtype=np.float64)
+    total_iterations = 0
+    error = float("inf")
+    inlier_fraction = 0.0
+    history: List[float] = []
+    if pts.shape[0] < 6:
+        return ICPResult(pose=T, iterations=0, error=error, converged=False, inlier_fraction=0.0)
+
+    n_levels = len(iterations)
+    for level in range(n_levels):
+        level_iters = int(iterations[level])
+        if level_iters <= 0:
+            continue
+        if point_subsets is not None:
+            idx = np.asarray(point_subsets[level])
+            level_pts = pts[idx] if idx.size > 0 else pts
+        else:
+            level_pts = pts
+        if level_pts.shape[0] < 6:
+            continue
+        prev_error = None
+        for _ in range(level_iters):
+            p_world = se3.transform_points(T, level_pts)
+            dist, grad = sdf_query(p_world)
+            dist = np.asarray(dist, dtype=np.float64).reshape(-1)
+            grad = np.asarray(grad, dtype=np.float64).reshape(-1, 3)
+            finite = np.isfinite(dist)
+            inliers = finite & (np.abs(dist) < max_correspondence_distance)
+            inlier_fraction = float(np.mean(inliers)) if inliers.size else 0.0
+            if np.count_nonzero(inliers) < 6:
+                break
+            r = dist[inliers]
+            n = grad[inliers]
+            pw = p_world[inliers]
+            J = np.concatenate([n, np.cross(pw, n)], axis=1)
+            JtJ = J.T @ J
+            Jtr = J.T @ r
+            delta = solve_increment(JtJ, Jtr, damping=damping)
+            T = se3.exp_se3(delta) @ T
+            total_iterations += 1
+            error = float(np.mean(r * r))
+            history.append(error)
+            if prev_error is not None and abs(prev_error - error) < termination_threshold:
+                prev_error = error
+                break
+            prev_error = error
+    converged = np.isfinite(error) and error < max_correspondence_distance**2
+    return ICPResult(
+        pose=T,
+        iterations=total_iterations,
+        error=error,
+        converged=bool(converged),
+        inlier_fraction=inlier_fraction,
+        error_history=history,
+    )
+
+
+def backproject_reference(camera, depth: np.ndarray) -> np.ndarray:
+    """Back-project a depth map into a camera-frame vertex map (H, W, 3)."""
+    depth = np.asarray(depth, dtype=np.float64)
+    if depth.shape != (camera.height, camera.width):
+        raise ValueError(f"depth shape {depth.shape} does not match intrinsics ({camera.height}, {camera.width})")
+    u, v = camera.pixel_grid()
+    valid = np.isfinite(depth) & (depth > 0)
+    z = np.where(valid, depth, 0.0)
+    x = (u - camera.cx) / camera.fx * z
+    y = (v - camera.cy) / camera.fy * z
+    return np.stack([x, y, z], axis=-1)
+
+
+def valid_points_reference(kfusion, depth: np.ndarray, camera) -> np.ndarray:
+    """:meth:`~repro.slam.kfusion.KinectFusion._valid_points` of ``kfusion``."""
+    vertices = backproject_reference(camera, depth)
+    mask = depth > 0
+    pts = vertices[mask]
+    budget = None
+    if kfusion.max_tracking_points is not None:
+        budget = kfusion.max_tracking_points
+    if kfusion.config.compute_size_ratio > 1:
+        base = budget if budget is not None else pts.shape[0]
+        budget = max(int(base / kfusion.config.compute_size_ratio), 60)
+    if budget is not None and pts.shape[0] > budget:
+        stride = int(np.ceil(pts.shape[0] / budget))
+        pts = pts[::stride]
+    return pts
+
+
+def base_hole_fraction_reference(m) -> float:
+    narrow_voxel = max(1.5 * m.voxel_size - m.mu, 0.0) / max(1.5 * m.voxel_size, 1e-9)
+    narrow_noise = max(3.0 * m.sensor_sigma - m.mu, 0.0) / max(3.0 * m.sensor_sigma, 1e-9)
+    return float(np.clip(0.6 * narrow_voxel + 0.5 * narrow_noise, 0.0, 0.85))
+
+
+def effective_sigma_reference(m) -> float:
+    base = np.sqrt(m.quantization_sigma**2 + m.smearing_sigma**2 + (0.5 * m.sensor_sigma) ** 2)
+    return float(base * (1.0 + m.staleness_penalty))
+
+
+def effective_hole_fraction_reference(m) -> float:
+    stale_holes = min(0.25 * m._motion_since_integration, 0.4)
+    return float(np.clip(base_hole_fraction_reference(m) + stale_holes, 0.0, 0.9))
+
+
+def sdf_query_reference(m, points_world: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:meth:`~repro.slam.maps.AnalyticSDFMap.sdf_query` of map ``m`` over
+    :func:`scene_union_reference`."""
+    pts = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
+    _, dist, grad, _ = scene_union_reference(m.scene, pts)
+    phases = pts @ m._wave_freq.T + m._wave_phase
+    bias = np.sin(phases) @ m._wave_amp
+    dist = dist + effective_sigma_reference(m) * bias
+    frac = effective_hole_fraction_reference(m)
+    if frac <= 0.0:
+        holes = np.zeros(pts.shape[0], dtype=bool)
+    else:
+        phases = pts @ m._hole_freq.T + m._hole_phase
+        field = np.mean(np.sin(phases), axis=1)
+        threshold = np.quantile(field, 1.0 - frac) if pts.shape[0] > 8 else 1.0 - 2.0 * frac
+        holes = field > threshold
+    dist = np.where(holes, np.inf, dist)
+    return dist, grad

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from repro.slam import kfusion
 from repro.slam.dataset import make_icl_nuim_like_dataset
 from repro.slam.filters import bilateral_filter
@@ -217,30 +218,6 @@ class TestDataset:
             tiny_dataset.frame(len(tiny_dataset))
 
 
-def _reference_union(scene, points):
-    """The union evaluated primitive by primitive: ``(sdf, dist, grad, intensity)``."""
-    pts = np.asarray(points, dtype=np.float64)
-    values = np.stack([p.sdf(pts) for p in scene.primitives], axis=0)
-    winner = values.argmin(axis=0)
-    dist = np.take_along_axis(values, winner[None, ...], axis=0)[0]
-    grad = np.zeros_like(pts)
-    intensity = np.zeros(pts.shape[:-1])
-    for i, prim in enumerate(scene.primitives):
-        mask = winner == i
-        if not np.any(mask):
-            continue
-        grad[mask] = prim.gradient(pts[mask])
-        local = pts[mask]
-        s = prim.texture_scale
-        tex = (
-            0.5
-            + 0.25 * np.sin(s * local[..., 0]) * np.cos(s * local[..., 2])
-            + 0.15 * np.sin(0.7 * s * local[..., 1] + 1.3)
-        )
-        intensity[mask] = np.clip(prim.albedo * tex, 0.0, 1.0)
-    return values.min(axis=0), dist, grad, intensity
-
-
 def _box_surface_points(box, rng, n):
     """Points on the faces, edges and corners of ``box``."""
     rows = np.arange(n)
@@ -299,6 +276,9 @@ def _union_probe_points(scene):
 
 
 class TestPackedUnion:
+    """The packed union equals the union of the original primitive kernels
+    (kept in ``tests/oracles.py``) bit for bit."""
+
     @pytest.mark.parametrize("scene_name", sorted(_UNION_SCENES))
     @pytest.mark.parametrize("layout", ["points", "image", "single"])
     def test_bitwise_equal_to_per_primitive_union(self, scene_name, layout):
@@ -308,7 +288,7 @@ class TestPackedUnion:
             pts = pts.reshape(12, -1, 3)
         elif layout == "single":
             pts = pts[:1]
-        ref_sdf, ref_dist, ref_grad, ref_intensity = _reference_union(scene, pts)
+        ref_sdf, ref_dist, ref_grad, ref_intensity = oracles.scene_union_reference(scene, pts)
         dist, grad = scene.sdf_and_gradient(pts)
         for got, want in [
             (scene.sdf(pts), ref_sdf),

@@ -1,5 +1,6 @@
 """Tests for filters, ICP, the TSDF volume, map backends, surfels, metrics
-and the ElasticFusion kernels (bytewise against ``tests/oracles.py``)."""
+and the ElasticFusion and KinectFusion kernels (bytewise against
+``tests/oracles.py``)."""
 
 import dataclasses
 
@@ -22,7 +23,8 @@ from repro.slam.filters import (
 from repro.slam.icp import icp_point_to_implicit, icp_point_to_plane, point_to_plane_system, solve_increment
 from repro.slam.maps import AnalyticSDFMap, TSDFMap
 from repro.slam.metrics import absolute_trajectory_error, relative_pose_error, umeyama_alignment
-from repro.slam.scene import Sphere, Scene, make_living_room_scene
+from repro.slam.kfusion import KFusionConfig, KinectFusion
+from repro.slam.scene import Box, Cylinder, Sphere, Scene, make_living_room_scene, make_office_scene
 from repro.slam.surfel import SurfelMap
 from repro.slam.trajectory import Trajectory, make_living_room_trajectory
 from repro.slam.tsdf import TSDFVolume
@@ -600,3 +602,264 @@ class TestElasticFusionState:
                 arr[...] = 0
         # The frame the inputs were built from stays as it was.
         assert frame.intensity.flags.writeable and frame.depth.flags.writeable
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _same_icp(got, want):
+    _same_bytes(got.pose, want.pose)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert type(got.inlier_fraction) is type(want.inlier_fraction) is float
+    _same_bytes(np.float64(got.error), np.float64(want.error))
+    _same_bytes(np.float64(got.inlier_fraction), np.float64(want.inlier_fraction))
+    _same_bytes(np.array(got.error_history), np.array(want.error_history))
+
+
+def _kernel_probe_scene():
+    """The living room plus a cube, a second ball and a short, fat lamp base.
+
+    The cube's centre and half extent are binary fractions, so points at
+    equal depth inside it tie exactly in ``argmax``."""
+    room = make_living_room_scene()
+    extra = [
+        Box((-0.5, -0.75, -0.375), (0.25, 0.25, 0.25), albedo=0.5),
+        Sphere((1.2, -0.5, -0.6), 0.3, albedo=0.6),
+        Cylinder((0.2, -0.9, 1.0), 0.35, 0.2, albedo=0.4),
+    ]
+    return Scene(room.primitives + extra, name="kernel-probe")
+
+
+def _near_primitive_points(prim, rng, n):
+    """Points in and around ``prim``, its centre (a zero-length offset) included."""
+    if isinstance(prim, Box):
+        rows = np.arange(n)
+        signs = rng.choice([-1.0, 1.0], size=(n, 3))
+        faces = rng.uniform(-1.0, 1.0, size=(n, 3))
+        axis = rng.integers(0, 3, n)
+        faces[rows, axis] = signs[rows, axis]
+        edges = signs.copy()
+        edges[rows, rng.integers(0, 3, n)] = rng.uniform(-1.0, 1.0, n)
+        # Equal penetration on every axis: argmax ties inside the box.
+        t = rng.integers(1, 16, size=(n, 1)) / 16.0 * prim.half_extents.min()
+        ties = prim.center + signs * (prim.half_extents - t)
+        local = np.concatenate([faces, edges, signs, rng.uniform(-1.5, 1.5, size=(n, 3))])
+        return np.concatenate([prim.center + local * prim.half_extents, ties, prim.center[None, :]])
+    if isinstance(prim, Sphere):
+        dirs = rng.normal(size=(n, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        scale = rng.uniform(0.0, 1.6, size=(n, 1)) * prim.radius
+        return np.concatenate([prim.center + dirs * scale, prim.center[None, :]])
+    if isinstance(prim, Cylinder):
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        radius = rng.uniform(0.0, 1.6, size=n) * prim.radius
+        height = rng.uniform(-1.3, 1.3, size=n) * prim.half_height
+        ring = np.stack([radius * np.cos(theta), height, radius * np.sin(theta)], axis=1)
+        axis_pts = np.stack([np.zeros(n), height, np.zeros(n)], axis=1)
+        return prim.center + np.concatenate([ring, axis_pts])
+    return rng.uniform(-3.0, 3.0, size=(n, 3))
+
+
+def _non_finite_points():
+    return np.array(
+        [
+            [np.nan, 0.1, 0.2],
+            [0.3, np.nan, np.nan],
+            [np.inf, 0.0, 0.0],
+            [-np.inf, 0.5, -0.5],
+            [0.0, np.inf, -np.inf],
+            [1e300, -1e300, 1e-300],
+        ]
+    )
+
+
+def _kernel_probe_points(scene, rng, n=12):
+    parts = [_near_primitive_points(p, rng, n) for p in scene.primitives]
+    parts.append(rng.uniform(-3.0, 3.0, size=(60, 3)))
+    pts = np.concatenate(parts)
+    return pts[: (len(pts) // 6) * 6]
+
+
+def _layouts(pts):
+    """``(name, points)`` in the ``(N, 3)``, ``(H, W, 3)``, single ``(3,)`` and empty layouts."""
+    yield "points", pts
+    yield "image", pts.reshape(6, -1, 3)
+    for i in (0, len(pts) // 2, len(pts) - 1):
+        yield "single", pts[i]
+    yield "empty", np.zeros((0, 3))
+
+
+def _winners(scene, pts):
+    values = np.stack([oracles.primitive_sdf_reference(p, pts) for p in scene.primitives])
+    return values.argmin(axis=0)
+
+
+def _maps(scene):
+    """Analytic maps with and without holes, fresh and after motion."""
+    wide = AnalyticSDFMap(scene, resolution=128, size_m=4.8, mu=0.1, seed=3)
+    narrow = AnalyticSDFMap(scene, resolution=256, size_m=4.8, mu=0.012, seed=4)
+    stale = AnalyticSDFMap(scene, resolution=64, size_m=4.8, mu=0.3, seed=5)
+    stale.notify_motion(0.8, 0.4)
+    clipped = AnalyticSDFMap(scene, resolution=512, size_m=4.8, mu=0.0005, sensor_sigma=0.01, seed=6)
+    clipped.notify_motion(3.0, 9.0)
+    return [wide, narrow, stale, clipped]
+
+
+class TestKFusionKernelOracles:
+    """The written-out KinectFusion kernels equal the originals kept in
+    ``tests/oracles.py`` bit for bit."""
+
+    @pytest.mark.parametrize("scene_name", ["probe", "office"])
+    def test_primitives_match_reference(self, scene_name, rng):
+        scene = _kernel_probe_scene() if scene_name == "probe" else make_office_scene()
+        pts = np.concatenate([_kernel_probe_points(scene, rng), _non_finite_points()])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for layout, probe in _layouts(pts):
+                for prim in scene.primitives:
+                    _same_bytes(prim.sdf(probe), oracles.primitive_sdf_reference(prim, probe))
+                    _same_bytes(prim.gradient(probe), oracles.primitive_gradient_reference(prim, probe))
+
+    def test_probes_reach_every_primitive(self, rng):
+        """Ball, lamp, cube centre and box ties are each some point's nearest primitive."""
+        scene = _kernel_probe_scene()
+        winners = _winners(scene, _kernel_probe_points(scene, rng))
+        counts = np.bincount(winners, minlength=len(scene.primitives))
+        assert np.all(counts >= 3), counts
+        cube = scene.primitives[-3]
+        q = np.abs(_near_primitive_points(cube, rng, 12) - cube.center) - cube.half_extents
+        inside_ties = (q.max(axis=1) < 0) & (q[:, 0] == q[:, 1]) & (q[:, 1] == q[:, 2])
+        assert np.sum(inside_ties) >= 12
+
+    @pytest.mark.parametrize("scene_name", ["probe", "living-room", "office"])
+    def test_union_matches_reference(self, scene_name, rng):
+        scene = {"probe": _kernel_probe_scene, "living-room": make_living_room_scene, "office": make_office_scene}[scene_name]()
+        pts = np.concatenate([_kernel_probe_points(scene, rng), _non_finite_points()])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for layout, probe in _layouts(pts):
+                ref_sdf, ref_dist, ref_grad, ref_intensity = oracles.scene_union_reference(scene, probe)
+                dist, grad = scene.sdf_and_gradient(probe)
+                _same_bytes(dist, ref_dist)
+                _same_bytes(grad, ref_grad)
+                _same_bytes(scene.sdf(probe), ref_sdf)
+                _same_bytes(scene.intensity(probe), ref_intensity)
+
+    def test_error_model_matches_reference(self):
+        scene = make_living_room_scene()
+        seen = set()
+        for resolution in (16, 64, 256, 512):
+            for mu in (0.0005, 0.005, 0.02, 0.1, 0.5):
+                for sensor_sigma in (0.004, 0.05):
+                    m = AnalyticSDFMap(scene, resolution=resolution, size_m=4.8, mu=mu, sensor_sigma=sensor_sigma)
+                    for translation, rotation in ((0.0, 0.0), (0.3, 0.1), (2.0, 6.0)):
+                        m.notify_motion(translation, rotation)
+                        for name in ("effective_sigma", "base_hole_fraction", "effective_hole_fraction"):
+                            got, want = getattr(m, name), getattr(oracles, f"{name}_reference")(m)
+                            assert type(got) is float and got == want and np.float64(got).tobytes() == np.float64(want).tobytes()
+                        seen.add(m.base_hole_fraction)
+                        seen.add(m.effective_hole_fraction)
+        # The grid reaches both clip bounds of each fraction.
+        assert {0.0, 0.85, 0.9} <= seen
+
+    def test_sdf_query_matches_reference(self, rng):
+        scene = _kernel_probe_scene()
+        pts = np.concatenate([_kernel_probe_points(scene, rng), _non_finite_points()])
+        holes = 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            for m in _maps(scene):
+                for layout, probe in list(_layouts(pts)) + [("few", pts[:7])]:
+                    dist, grad = m.sdf_query(probe)
+                    ref_dist, ref_grad = oracles.sdf_query_reference(m, probe)
+                    _same_bytes(dist, ref_dist)
+                    _same_bytes(grad, ref_grad)
+                    holes += int(np.sum(np.isinf(dist)))
+        assert holes > 0
+
+    @staticmethod
+    def _levels(dataset, index, config):
+        kf = KinectFusion(config)
+        pyramid, cams = kf._preprocess(dataset.frame(index).depth, dataset.camera)
+        return kf, pyramid, cams
+
+    @pytest.mark.parametrize("mu", [0.1, 0.012])
+    def test_icp_matches_reference_on_pyramid_levels(self, tiny_dataset, rng, mu):
+        config = KFusionConfig(mu=mu)
+        kf, pyramid, cams = self._levels(tiny_dataset, 4, config)
+        m = AnalyticSDFMap(tiny_dataset.scene, resolution=256, size_m=4.8, mu=mu, seed=7)
+        m.integrate(pyramid[0], cams[0], tiny_dataset.trajectory[3], 3)
+        m.notify_motion(0.02, 0.01)
+        start = tiny_dataset.trajectory[3]
+        level_points = [kf._valid_points(level, cam) for level, cam in zip(pyramid, cams)]
+        for pts in level_points:
+            for threshold in (0.0, 1e-5, 1e-2):
+                jitter = se3.exp_se3(rng.normal(scale=[0.02, 0.02, 0.02, 0.01, 0.01, 0.01]))
+                kwargs = dict(iterations=[6], termination_threshold=threshold, max_correspondence_distance=max(2.0 * mu, 0.1))
+                got = icp_point_to_implicit(pts, m.sdf_query, jitter @ start, **kwargs)
+                _same_icp(got, oracles.icp_point_to_implicit_reference(pts, m.sdf_query, jitter @ start, **kwargs))
+                assert got.iterations > 0
+        # All levels in one call, coarsest first, through point subsets.
+        pts = np.concatenate(level_points[::-1])
+        bounds = np.cumsum([0] + [len(p) for p in level_points[::-1]])
+        subsets = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        for iterations in ((3, 2, 4), (0, 5, 1), (2, 2, 2)):
+            kwargs = dict(iterations=iterations, point_subsets=subsets, termination_threshold=1e-6)
+            _same_icp(
+                icp_point_to_implicit(pts, m.sdf_query, start, **kwargs),
+                oracles.icp_point_to_implicit_reference(pts, m.sdf_query, start, **kwargs),
+            )
+
+    def test_icp_holes_nan_and_too_few_inliers(self, rng):
+        scene = make_living_room_scene()
+        surface = rng.uniform(-1.8, 1.8, size=(300, 3)) * np.array([1.0, 0.6, 1.0])
+        d, g = scene.sdf_and_gradient(surface)
+        surface = surface - d[:, None] * g
+        pose = se3.exp_se3(np.array([0.02, -0.01, 0.015, 0.01, -0.01, 0.02]))
+        pts_cam = se3.transform_points(se3.invert(pose), surface)
+
+        def holed(keep_every):
+            def query(points):
+                dist, grad = scene.sdf_and_gradient(points)
+                dist = dist.copy()
+                dist[1::keep_every] = np.inf
+                dist[2::keep_every] = np.nan
+                dist[3::keep_every] = -np.inf
+                return dist, grad
+
+            return query
+
+        cases = [
+            (pts_cam, holed(4), {}),
+            (pts_cam, holed(2), {"max_correspondence_distance": 0.05}),
+            # Every point is an outlier, or only five are inliers.
+            (pts_cam, holed(4), {"max_correspondence_distance": 0.0}),
+            (pts_cam[:9], holed(3), {}),
+            # Fewer than six points, and a level subset of fewer than six.
+            (pts_cam[:5], scene.sdf_and_gradient, {}),
+            (pts_cam, scene.sdf_and_gradient, {"iterations": (2, 3), "point_subsets": [np.arange(4), np.arange(40)]}),
+            (pts_cam, scene.sdf_and_gradient, {"iterations": (2,), "point_subsets": [np.arange(0)]}),
+        ]
+        with np.errstate(invalid="ignore"):
+            for pts, query, kwargs in cases:
+                _same_icp(
+                    icp_point_to_implicit(pts, query, np.eye(4), **kwargs),
+                    oracles.icp_point_to_implicit_reference(pts, query, np.eye(4), **kwargs),
+                )
+
+    @pytest.mark.parametrize("compute_size_ratio", [1, 2, 4, 8])
+    @pytest.mark.parametrize("max_tracking_points", [1500, 100, None])
+    def test_valid_points_match_reference(self, tiny_dataset, compute_size_ratio, max_tracking_points):
+        config = KFusionConfig(compute_size_ratio=compute_size_ratio)
+        kf, pyramid, cams = self._levels(tiny_dataset, 2, config)
+        kf.max_tracking_points = max_tracking_points
+        for level, cam in zip(pyramid, cams):
+            depth = np.array(level)
+            depth[0, :4] = [np.inf, np.nan, 0.0, -1.0]
+            depth[-1, -1] = np.inf
+            for d in (level, depth, np.zeros_like(depth)):
+                got = kf._valid_points(d, cam)
+                _same_bytes(got, oracles.valid_points_reference(kf, d, cam))
+                _same_bytes(cam.backproject(d), oracles.backproject_reference(cam, d))
+        with pytest.raises(ValueError):
+            kf._valid_points(pyramid[0], cams[1])
