@@ -333,9 +333,9 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    def on_claim(submission) -> None:
+    def on_claim(claim) -> None:
         if not args.quiet:
-            print(f"worker {worker.owner}: claimed {submission.key}", flush=True)
+            print(f"worker {worker.owner}: claimed {claim.key}", flush=True)
 
     def on_outcome(outcome) -> None:
         if not args.quiet:

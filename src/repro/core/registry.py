@@ -191,8 +191,9 @@ def register_schedule_policy(name: str, obj: Any = None):
     """Register a scheduler admission policy under ``name``.
 
     A policy is a callable ``(pending, started_per_tenant) -> index``
-    choosing which queued :class:`~repro.core.scheduler.StudySubmission` is
-    admitted into the next free slot (see :mod:`repro.core.scheduler`).
+    choosing which waiting study of the live service (an object with a
+    ``tenant`` and a ``priority``) is admitted into the next free slot (see
+    :mod:`repro.core.scheduler`).
     """
     return SCHEDULE_POLICY_REGISTRY.register(name, obj)
 

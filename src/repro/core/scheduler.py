@@ -1,47 +1,35 @@
-"""Multi-tenant study scheduling on one shared worker budget.
+"""Admission policies for the live service, and ordered fan-out.
 
-The paper's tool runs as a *service*: many explorations — different users,
-devices, seeds — queue up and share one evaluation fleet (83 boards in the
-crowd scenario).  :class:`StudyScheduler` is that layer: a queue of scenario
-submissions is admitted into a bounded number of concurrent study slots,
-each study runs crash-isolated (one failed study never poisons its
-siblings), and an optional total worker budget is split fair-share across
-the slots.
-
-Determinism is inherited, not hoped for: every study runs on its own
-engine/executor stack, whose history is bit-identical for any worker count
-(see :mod:`repro.core.executor`), so a sweep with ``max_concurrent_studies=k``
-produces *per-point* results identical to running each scenario alone —
-the invariant the sweep tests pin down.
-
-Admission order is a pluggable policy (:data:`SCHEDULE_POLICY_REGISTRY`):
+Admission order is a pluggable policy
+(:data:`~repro.core.registry.SCHEDULE_POLICY_REGISTRY`) that
+:class:`~repro.core.service.OptimizationService` consults whenever a study
+slot is free.  A policy is handed the waiting studies (anything with a
+``tenant`` and, optionally, a ``priority``) and returns the index of the one
+to admit:
 
 * ``"fifo"`` — strict submission order.
-* ``"fair_share"`` (default) — round-robin across tenants: the tenant with
-  the fewest admitted studies goes next, ties broken by submission order.
-  With a single tenant this degenerates to FIFO.
-* ``"preempting"`` — highest priority first (submissions carry an integer
-  ``priority``, higher wins; missing = 0), ties broken by submission order.
-  The live service pairs this admission order with actual preemption:
-  when every slot is busy, a strictly lower-priority *running* study is
-  parked at its next iteration boundary to make room (see
-  :mod:`repro.core.service`).
+* ``"fair_share"`` — round-robin across tenants: the tenant with the fewest
+  admitted studies goes next, ties broken by submission order.  With a
+  single tenant this degenerates to FIFO.
+* ``"preempting"`` (the service's default) — highest priority first
+  (higher wins; missing = 0), ties broken by submission order.  The service
+  pairs this admission order with actual preemption: when every slot is
+  busy, a strictly lower-priority *running* study is parked at its next
+  iteration boundary to make room.
 
-Policies only choose *which queued study starts next*; they never affect a
+Policies only choose *which waiting study starts next*; they never affect a
 study's result.
+
+:func:`map_ordered` is the deterministic thread-pool fan-out the crowd app
+runs its device fleet through.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import time
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
-from repro.core.registry import SCHEDULE_POLICY_REGISTRY, register_schedule_policy
-from repro.core.scenario import Scenario
-from repro.core.study import SCENARIO_FILE, Study, StudyResult, run_status
+from repro.core.registry import register_schedule_policy
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -49,7 +37,7 @@ _R = TypeVar("_R")
 
 @register_schedule_policy("fifo")
 def fifo_policy(
-    pending: Sequence["StudySubmission"], started_per_tenant: Mapping[str, int]
+    pending: Sequence[Any], started_per_tenant: Mapping[str, int]
 ) -> int:
     """Admit strictly in submission order."""
     return 0
@@ -57,7 +45,7 @@ def fifo_policy(
 
 @register_schedule_policy("fair_share")
 def fair_share_policy(
-    pending: Sequence["StudySubmission"], started_per_tenant: Mapping[str, int]
+    pending: Sequence[Any], started_per_tenant: Mapping[str, int]
 ) -> int:
     """Admit the tenant with the fewest studies admitted so far.
 
@@ -81,14 +69,14 @@ def submission_priority(submission: Any) -> int:
 
 @register_schedule_policy("preempting")
 def preempting_policy(
-    pending: Sequence["StudySubmission"], started_per_tenant: Mapping[str, int]
+    pending: Sequence[Any], started_per_tenant: Mapping[str, int]
 ) -> int:
     """Admit the highest-priority submission; ties break by queue position.
 
     The admission half of the live service's priority scheme — the policy
     itself never parks anything (policies only pick from the *pending*
     queue); the service layer performs the matching preemption of running
-    studies.  Usable as a plain batch policy too: a priority-ordered FIFO.
+    studies.
     """
     best = 0
     best_key = None
@@ -154,346 +142,7 @@ def map_ordered(
     return results
 
 
-@dataclass
-class StudySubmission:
-    """One queued study: a scenario plus its host-side bindings.
-
-    Attributes
-    ----------
-    key:
-        Caller-chosen identifier (a sweep uses the point id); reported back
-        on the outcome.
-    scenario:
-        Anything :meth:`~repro.core.scenario.Scenario.coerce` accepts.
-    run_dir:
-        Optional run directory for the PR-4 versioned artifact layout.
-    tenant:
-        Fair-share accounting bucket (one tenant per submitting client).
-    resume:
-        When set and ``run_dir`` already holds a complete run, the result is
-        reloaded without re-running; an incomplete run dir resumes from its
-        checkpoint; anything else runs fresh.
-    priority:
-        Admission priority (higher wins) read by the ``"preempting"``
-        policy; other policies ignore it.
-    evaluate / runner / executor:
-        Host bindings forwarded to :class:`~repro.core.study.Study`.
-    """
-
-    key: str
-    scenario: Union[Scenario, Mapping[str, Any], str, Path]
-    run_dir: Optional[Union[str, Path]] = None
-    tenant: str = "default"
-    resume: bool = False
-    priority: int = 0
-    evaluate: Optional[Callable] = None
-    runner: Any = None
-    executor: Any = None
-
-
-@dataclass
-class StudyOutcome:
-    """What became of one submission (always returned, never raised).
-
-    ``status`` is ``"complete"``, ``"degraded"`` (the study finished but
-    quarantined configurations carry penalty metrics — a usable, second-class
-    result), or ``"failed"``.
-    """
-
-    key: str
-    status: str  # "complete" | "degraded" | "failed"
-    result: Optional[StudyResult] = None
-    error: Optional[str] = None
-    tenant: str = "default"
-    #: The run dir already held a complete run and was reloaded, not re-run.
-    reused: bool = False
-
-
-class StudyScheduler:
-    """Run many studies concurrently on a bounded slot/worker budget.
-
-    Parameters
-    ----------
-    max_concurrent_studies:
-        Number of studies running at once (slots).
-    worker_budget:
-        Total evaluation workers shared by all slots; each admitted study's
-        executor is capped at ``max(1, worker_budget // max_concurrent_studies)``
-        workers (fair share).  ``None`` leaves every scenario's own
-        ``executor.n_workers`` untouched.  Either way each point's history is
-        bit-identical to a standalone run — worker counts never change
-        results, only wall clock.
-    policy:
-        Admission policy name (:data:`SCHEDULE_POLICY_REGISTRY`) or callable.
-    study_max_retries:
-        Additional attempts for a study whose run *raised* (``0`` = none).
-        Retries take the resume path when the study has a run directory, so
-        only the missing work re-runs and the resumed history is identical
-        to an uninterrupted run.  Degraded studies are terminal, not retried
-        (their artifacts are complete; re-running would re-quarantine the
-        same configurations — the fault trace is deterministic).
-    retry_backoff_s:
-        Base delay before study-level retry ``k`` (``backoff * 2**k``).
-    """
-
-    def __init__(
-        self,
-        max_concurrent_studies: int = 1,
-        *,
-        worker_budget: Optional[int] = None,
-        policy: Union[str, Callable] = "fair_share",
-        study_max_retries: int = 0,
-        retry_backoff_s: float = 0.0,
-        broker: Optional[Any] = None,
-    ) -> None:
-        if int(max_concurrent_studies) < 1:
-            raise ValueError("max_concurrent_studies must be >= 1")
-        if worker_budget is not None and int(worker_budget) < 1:
-            raise ValueError("worker_budget must be >= 1 (or None)")
-        if int(study_max_retries) < 0:
-            raise ValueError("study_max_retries must be >= 0")
-        if float(retry_backoff_s) < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
-        self.max_concurrent_studies = int(max_concurrent_studies)
-        self.worker_budget = None if worker_budget is None else int(worker_budget)
-        self.policy = SCHEDULE_POLICY_REGISTRY.get(policy) if isinstance(policy, str) else policy
-        self.study_max_retries = int(study_max_retries)
-        self.retry_backoff_s = float(retry_backoff_s)
-        # A shared EvaluationBroker: every socket-backend study scheduled here
-        # drains its evaluations through the one worker fleet. Lifecycle stays
-        # with the caller (the scheduler never shuts it down).
-        self.broker = broker
-
-    @property
-    def workers_per_study(self) -> Optional[int]:
-        """Fair-share worker allotment per slot (``None`` = scenario's own)."""
-        if self.worker_budget is None:
-            return None
-        return max(1, self.worker_budget // self.max_concurrent_studies)
-
-    # -- execution -------------------------------------------------------------
-    def run(
-        self,
-        submissions: Sequence[StudySubmission],
-        on_outcome: Optional[Callable[[StudyOutcome], None]] = None,
-    ) -> List[StudyOutcome]:
-        """Run every submission; outcomes come back in submission order.
-
-        Failures are *contained*: a study that raises produces a ``"failed"``
-        outcome (with the error message) while its siblings keep running —
-        nothing short of the scheduler process dying stops the queue.
-        ``on_outcome`` fires in the scheduling thread as each study settles.
-        """
-        pending: List[tuple] = [(i, s) for i, s in enumerate(submissions)]
-        outcomes: List[Optional[StudyOutcome]] = [None] * len(pending)
-        started_per_tenant: Dict[str, int] = {}
-        if not pending:
-            return []
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.max_concurrent_studies
-        ) as pool:
-            running: Dict[concurrent.futures.Future, int] = {}
-            while pending or running:
-                while pending and len(running) < self.max_concurrent_studies:
-                    pick = self.policy([s for _, s in pending], dict(started_per_tenant))
-                    if not isinstance(pick, int) or not 0 <= pick < len(pending):
-                        raise ValueError(
-                            f"schedule policy returned invalid index {pick!r} "
-                            f"for a queue of {len(pending)}"
-                        )
-                    index, submission = pending.pop(pick)
-                    started_per_tenant[submission.tenant] = (
-                        started_per_tenant.get(submission.tenant, 0) + 1
-                    )
-                    running[pool.submit(self._run_one, submission)] = index
-                done, _ = concurrent.futures.wait(
-                    running, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                for future in done:
-                    index = running.pop(future)
-                    outcome = future.result()  # _run_one never raises
-                    outcomes[index] = outcome
-                    if on_outcome is not None:
-                        on_outcome(outcome)
-        return [o for o in outcomes if o is not None]
-
-    def drain(
-        self,
-        claim: Callable[[], Union[StudySubmission, float, None]],
-        *,
-        settle: Optional[Callable[[StudyOutcome], None]] = None,
-        max_studies: Optional[int] = None,
-        wait: Callable[[float], None] = time.sleep,
-    ) -> List[StudyOutcome]:
-        """Pull studies from a claim source until it reports exhaustion.
-
-        The lease-backed claiming mode: instead of a fixed submission list,
-        ``claim()`` is consulted whenever a slot is free and returns
-
-        * a :class:`StudySubmission` — run it (crash-isolated, with the
-          scheduler's retry policy);
-        * a ``float`` — nothing claimable *right now* (e.g. every remaining
-          point is leased by a live sibling worker); retry after that many
-          seconds;
-        * ``None`` — the source is exhausted; finish in-flight studies and
-          return.
-
-        ``settle(outcome)`` fires in the scheduling thread as each study
-        finishes — the sweep worker uses it to record the result in the
-        manifest under its lease's fencing generation *before* the next
-        claim.  ``max_studies`` bounds how many claims this call makes.
-        Outcomes are returned in completion order (claim order is racy by
-        construction — siblings are draining the same source).
-        """
-        outcomes: List[StudyOutcome] = []
-        n_claimed = 0
-        exhausted = False
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.max_concurrent_studies
-        ) as pool:
-            running: Dict[concurrent.futures.Future, StudySubmission] = {}
-            while True:
-                delay: Optional[float] = None
-                while (
-                    not exhausted
-                    and len(running) < self.max_concurrent_studies
-                    and (max_studies is None or n_claimed < max_studies)
-                ):
-                    nxt = claim()
-                    if nxt is None:
-                        exhausted = True
-                    elif isinstance(nxt, (int, float)):
-                        delay = max(float(nxt), 0.0)
-                        break
-                    else:
-                        n_claimed += 1
-                        running[pool.submit(self._run_one, nxt)] = nxt
-                if not running:
-                    if exhausted or (max_studies is not None and n_claimed >= max_studies):
-                        break
-                    wait(delay if delay is not None else 0.05)
-                    continue
-                done, _ = concurrent.futures.wait(
-                    running, return_when=concurrent.futures.FIRST_COMPLETED, timeout=delay
-                )
-                for future in done:
-                    running.pop(future)
-                    outcome = future.result()  # _run_one never raises
-                    outcomes.append(outcome)
-                    if settle is not None:
-                        settle(outcome)
-        return outcomes
-
-    def execute_one(self, submission: StudySubmission) -> StudyOutcome:
-        """Run a single submission crash-isolated (never raises)."""
-        return self._run_one(submission)
-
-    def serve(self, state_dir: Union[str, Path], **service_kwargs: Any):
-        """Open this scheduler as an always-on, multi-tenant live queue.
-
-        Unlike :meth:`run` (closed batch: exits when the submission list
-        drains) the returned :class:`~repro.core.service.OptimizationService`
-        keeps accepting :class:`StudySubmission`-shaped work while studies
-        run — its dispatcher blocks on a condition variable when the queue
-        is momentarily empty instead of exiting.  The scheduler's slot
-        count, worker budget and admission policy carry over; quotas,
-        preemption and crash-safe queue journaling are the service's
-        (``state_dir`` holds the journal and one run dir per study).  The
-        service is returned *started*; call ``shutdown()`` (or use it as a
-        context manager) to park running studies and journal the queue.
-        """
-        from repro.core.service import OptimizationService
-
-        service = OptimizationService(
-            state_dir,
-            max_concurrent_studies=self.max_concurrent_studies,
-            worker_budget=self.worker_budget,
-            policy=self.policy,
-            **service_kwargs,
-        )
-        service.start()
-        return service
-
-    # -- one study, crash-isolated ---------------------------------------------
-    def _run_one(self, submission: StudySubmission) -> StudyOutcome:
-        last_error = "unknown error"
-        for attempt in range(self.study_max_retries + 1):
-            if attempt > 0:
-                delay = self.retry_backoff_s * (2 ** (attempt - 1))
-                if delay > 0:
-                    time.sleep(delay)
-            try:
-                # Retries resume from the run directory's checkpoint (when
-                # one exists) instead of starting over: only the missing
-                # evaluations re-run, and the resumed history is identical
-                # to an uninterrupted run.
-                return self._execute(submission, retry=attempt > 0)
-            except Exception as exc:  # noqa: BLE001 — isolation is the contract
-                last_error = f"{type(exc).__name__}: {exc}"
-        return StudyOutcome(
-            key=submission.key,
-            status="failed",
-            error=last_error,
-            tenant=submission.tenant,
-        )
-
-    @staticmethod
-    def _result_status(result: StudyResult) -> str:
-        return "degraded" if result.is_degraded else "complete"
-
-    def _execute(self, submission: StudySubmission, retry: bool = False) -> StudyOutcome:
-        run_dir = None if submission.run_dir is None else Path(submission.run_dir)
-        if (submission.resume or retry) and run_dir is not None:
-            if run_status(run_dir) in ("complete", "degraded"):
-                result = StudyResult.load(run_dir)
-                return StudyOutcome(
-                    key=submission.key,
-                    status=self._result_status(result),
-                    result=result,
-                    tenant=submission.tenant,
-                    reused=True,
-                )
-            if (run_dir / SCENARIO_FILE).exists():
-                result = Study.resume(
-                    run_dir,
-                    evaluate=submission.evaluate,
-                    runner=submission.runner,
-                    executor=submission.executor,
-                    broker=self.broker,
-                )
-                return StudyOutcome(
-                    key=submission.key,
-                    status=self._result_status(result),
-                    result=result,
-                    tenant=submission.tenant,
-                )
-        scenario = Scenario.coerce(submission.scenario)
-        allotment = self.workers_per_study
-        if allotment is not None and submission.executor is None:
-            executor_spec = scenario.executor_spec
-            if executor_spec["n_workers"] != allotment:
-                executor_spec["n_workers"] = allotment
-                scenario = scenario.replace(executor=executor_spec)
-        study = Study(
-            scenario,
-            evaluate=submission.evaluate,
-            runner=submission.runner,
-            executor=submission.executor,
-            broker=self.broker,
-        )
-        result = study.run(run_dir=run_dir)
-        return StudyOutcome(
-            key=submission.key,
-            status=self._result_status(result),
-            result=result,
-            tenant=submission.tenant,
-        )
-
-
 __all__ = [
-    "StudySubmission",
-    "StudyOutcome",
-    "StudyScheduler",
     "MapOrderedError",
     "map_ordered",
     "fifo_policy",

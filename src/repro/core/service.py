@@ -1,10 +1,8 @@
 """The live optimization service: an always-on, multi-tenant study queue.
 
-The batch :class:`~repro.core.scheduler.StudyScheduler` runs a *closed* list
-of submissions and exits.  :class:`OptimizationService` is the same slot
-model opened up into a long-lived queue — the operating mode the paper's
-tool actually has (many users submitting design-space studies against one
-shared fleet):
+:class:`OptimizationService` runs a bounded number of study slots fed by a
+long-lived queue — the operating mode the paper's tool actually has (many
+users submitting design-space studies against one shared fleet):
 
 * **live submissions** — :meth:`submit` accepts scenarios while studies run;
   the dispatcher blocks on a condition variable when the queue is
@@ -25,7 +23,9 @@ shared fleet):
 * **crash-safe state** — every queue transition is appended to a durable
   ``journal.jsonl`` (:class:`~repro.core.durable.JsonlLogger`); a killed
   server restarts, replays the journal, and resumes interrupted studies
-  from their run-dir checkpoints.
+  from their run-dir checkpoints.  Whether a study's run dir is reloaded,
+  resumed or started is :func:`~repro.core.study.run_in_dir`'s decision,
+  the same one sweep workers make.
 
 Studies live one-per-directory under ``<state_dir>/studies/<id>/`` in the
 standard versioned run-dir layout, so every existing artifact tool
@@ -47,13 +47,7 @@ from repro.core.engine import SearchPreempted
 from repro.core.registry import SCHEDULE_POLICY_REGISTRY, registry_snapshot
 from repro.core.scenario import Scenario, ScenarioError
 from repro.core.scheduler import submission_priority
-from repro.core.study import (
-    HISTORY_FILE,
-    SCENARIO_FILE,
-    Study,
-    StudyResult,
-    run_status,
-)
+from repro.core.study import HISTORY_FILE, StudyResult, run_in_dir
 
 #: Files/dirs inside a service state directory.
 JOURNAL_FILE = "journal.jsonl"
@@ -204,10 +198,10 @@ class OptimizationService:
         under ``studies/``.  Reusing a previous state dir replays its
         journal and resumes unfinished studies.
     max_concurrent_studies / worker_budget:
-        Slot count and total evaluation-worker budget, exactly as on
-        :class:`~repro.core.scheduler.StudyScheduler` (each study's executor
-        is capped at the fair share unless its tenant's quota says
-        otherwise).
+        Slot count and total evaluation-worker budget.  A fresh study's
+        executor gets ``max(1, worker_budget // max_concurrent_studies)``
+        workers (the fair share) unless its tenant's quota says otherwise;
+        ``None`` leaves each scenario's own ``executor.n_workers``.
     policy:
         Admission policy name (:data:`SCHEDULE_POLICY_REGISTRY`) or callable;
         default ``"preempting"`` (highest priority first).
@@ -602,25 +596,15 @@ class OptimizationService:
         """The quota governing ``tenant`` (its own, or the default)."""
         return self.quotas.get(str(tenant), self.default_quota)
 
-    @property
-    def workers_per_study(self) -> Optional[int]:
-        """Service-wide fair-share worker allotment (``None`` = scenario's own)."""
+    def _allotment(self, tenant: str) -> Optional[int]:
+        """Evaluation workers per study of ``tenant``: its quota's, else the
+        fair share of the worker budget (``None`` = the scenario's own)."""
+        quota = self.quota_for(tenant)
+        if quota.workers is not None:
+            return int(quota.workers)
         if self.worker_budget is None:
             return None
         return max(1, self.worker_budget // self.max_concurrent_studies)
-
-    def _allotted(self, scenario: Scenario, tenant: str) -> Scenario:
-        quota = self.quota_for(tenant)
-        allotment = quota.workers if quota.workers is not None else self.workers_per_study
-        if allotment is None:
-            return scenario
-        executor_spec = scenario.executor_spec
-        if executor_spec["n_workers"] == int(allotment):
-            return scenario
-        executor_spec["n_workers"] = int(allotment)
-        # Worker counts never change histories (the PR-3 invariant), so the
-        # reallocation affects wall clock only.
-        return scenario.replace(executor=executor_spec)
 
     def _dispatch_loop(self) -> None:
         with self._cond:
@@ -727,28 +711,18 @@ class OptimizationService:
         status: str
         error: Optional[str] = None
         try:
-            stop = entry.stop_event.is_set
-            if (entry.run_dir / SCENARIO_FILE).exists():
-                # A parked (or journal-recovered) study: resume its run dir.
-                persisted = run_status(entry.run_dir)
-                if persisted in (COMPLETE, DEGRADED):
-                    # The run finished but the journal missed the event
-                    # (killed between finalize and append): reload, don't
-                    # re-run.
-                    result = StudyResult.load(entry.run_dir)
-                else:
-                    result = Study.resume(
-                        entry.run_dir,
-                        evaluate=evaluate,
-                        runner=runner,
-                        broker=self._broker,
-                        stop_requested=stop,
-                    )
-            else:
-                scenario = self._allotted(entry.scenario, entry.tenant)
-                result = Study(scenario, evaluate=evaluate, runner=runner, broker=self._broker).run(
-                    run_dir=entry.run_dir, stop_requested=stop
-                )
+            # A parked or journal-recovered study resumes its run dir; one
+            # that finished while the journal missed the event (killed
+            # between finalize and append) is reloaded, not re-run.
+            result, _ = run_in_dir(
+                entry.scenario,
+                entry.run_dir,
+                evaluate=evaluate,
+                runner=runner,
+                broker=self._broker,
+                n_workers=self._allotment(entry.tenant),
+                stop_requested=entry.stop_event.is_set,
+            )
             status = DEGRADED if result.is_degraded else COMPLETE
         except SearchPreempted:
             status = CANCELED if entry.cancel_requested else PARKED

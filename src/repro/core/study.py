@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -140,8 +140,8 @@ def run_status(run_dir: Union[str, Path]) -> Optional[str]:
     live), ``"parked"`` (preempted at an iteration boundary behind a
     resumable checkpoint — the live service's cheap-preemption state),
     ``"failed"``, or ``None`` when the directory holds no readable
-    run metadata.  This is the cheap completeness probe the sweep scheduler
-    uses to decide whether a point needs (re-)running — no history is parsed.
+    run metadata.  This is the cheap completeness probe :func:`run_in_dir`
+    uses to decide whether a run needs (re-)running — no history is parsed.
     """
     path = Path(run_dir) / RUN_FILE
     if not path.exists():
@@ -423,9 +423,9 @@ class Study:
     broker:
         A running :class:`~repro.core.transport.EvaluationBroker` the
         study-owned executor should drain its evaluations through when the
-        scenario declares ``executor.backend: "socket"`` (the service and
-        scheduler pass their shared broker here).  The broker's lifecycle
-        stays with its owner.
+        scenario declares ``executor.backend: "socket"`` (the service
+        passes its shared broker here).  The broker's lifecycle stays with
+        its owner.
     """
 
     def __init__(
@@ -666,11 +666,56 @@ class Study:
         self._write_run_meta(run_path, status=status, engine=result.engine_info)
 
 
+def run_in_dir(
+    scenario: Union[Scenario, Mapping[str, Any], str, Path],
+    run_dir: Union[str, Path],
+    *,
+    evaluate: Optional[Callable] = None,
+    runner: Optional[Any] = None,
+    broker: Optional[Any] = None,
+    n_workers: Optional[int] = None,
+    stop_requested: Optional[Callable[[], bool]] = None,
+) -> Tuple[StudyResult, bool]:
+    """Reload, resume or start the study of ``run_dir``: ``(result, reused)``.
+
+    The one decision the sweep worker and the live service share:
+
+    * a finished run dir (``complete``/``degraded``) is reloaded, not re-run,
+      and ``reused`` is true;
+    * a dir holding ``scenario.json`` (killed, parked or failed) continues
+      through :meth:`Study.resume`, bit-identically and with the run's
+      persisted ``n_workers``;
+    * anything else runs ``scenario`` fresh, with ``executor.n_workers`` set
+      to ``n_workers`` when one is given (worker counts change wall clock,
+      never a history).
+
+    ``evaluate``, ``runner``, ``broker`` and ``stop_requested`` are passed to
+    the :class:`Study` that runs.
+    """
+    run_path = Path(run_dir)
+    if run_status(run_path) in ("complete", "degraded"):
+        return StudyResult.load(run_path), True
+    if (run_path / SCENARIO_FILE).exists():
+        result = Study.resume(
+            run_path, evaluate=evaluate, runner=runner, broker=broker,
+            stop_requested=stop_requested,
+        )
+        return result, False
+    scenario = Scenario.coerce(scenario)
+    executor_spec = scenario.executor_spec
+    if n_workers is not None and executor_spec["n_workers"] != n_workers:
+        executor_spec["n_workers"] = int(n_workers)
+        scenario = scenario.replace(executor=executor_spec)
+    study = Study(scenario, evaluate=evaluate, runner=runner, broker=broker)
+    return study.run(run_dir=run_path, stop_requested=stop_requested), False
+
+
 __all__ = [
     "RUN_DIR_VERSION",
     "CompiledStudy",
     "StudyResult",
     "Study",
+    "run_in_dir",
     "resolve_problem",
     "build_evaluator",
     "SpecEvaluator",

@@ -16,12 +16,14 @@ persisted as a **versioned sweep directory**::
       comparison.md          # the same, as a readable table
 
 There is one way to drain a sweep directory: :class:`SweepWorker` claims
-points under durable leases (:mod:`repro.core.leases`), runs each through
-:meth:`StudyScheduler.drain <repro.core.scheduler.StudyScheduler.drain>`
-and settles its status into the manifest.  :func:`run_sweep` is
-:func:`prepare_sweep_dir` plus one in-process worker plus
-:meth:`SweepWorker.finalize`; ``python -m repro sweep-worker`` processes
-speak the same protocol and may join the same directory at any time.
+points under durable leases (:mod:`repro.core.leases`), runs up to
+``max_concurrent_studies`` of them at once, each through
+:func:`~repro.core.study.run_in_dir` (the reload/resume/fresh decision the
+live service shares), and settles its status into the manifest.
+:func:`run_sweep` is :func:`prepare_sweep_dir` plus one in-process worker
+plus :meth:`SweepWorker.finalize`; ``python -m repro sweep-worker``
+processes speak the same protocol and may join the same directory at any
+time.
 
 Key invariants (pinned by ``tests/test_sweep_scheduler.py`` and
 ``tests/test_distributed_sweep.py``):
@@ -39,8 +41,7 @@ Spec format (JSON or TOML, ``schema_version: 1``)::
 
     {"schema_version": 1,
      "name": "kfusion-seed-device",
-     "scheduler": {"max_concurrent_studies": 4, "worker_budget": 8,
-                   "policy": "fair_share"},
+     "scheduler": {"max_concurrent_studies": 4, "worker_budget": 8},
      "base": { ... a full scenario ... },
      "axes": {"seed": [3, 7], "evaluator.device": ["odroid-xu3", "tk1"]},
      "points": [{"seed": 13, "search.budget": 20}]}
@@ -56,6 +57,7 @@ workers claim points in manifest order.
 
 from __future__ import annotations
 
+import concurrent.futures
 import copy
 import itertools
 import json
@@ -86,8 +88,7 @@ from repro.core.scenario import (
     validate_scenario,
 )
 from repro.core.faults import summarize_faults
-from repro.core.scheduler import StudyOutcome, StudyScheduler, StudySubmission
-from repro.core.study import StudyResult, apply_constraints, run_status
+from repro.core.study import StudyResult, apply_constraints, run_in_dir, run_status
 
 #: Version of the sweep wire format accepted by this code.
 SWEEP_VERSION = 1
@@ -453,6 +454,32 @@ def load_spec_file(path: Union[str, Path]) -> Union[Scenario, SweepSpec]:
 
 
 @dataclass
+class PointClaim:
+    """A point a :class:`SweepWorker` holds the lease on, ready to run."""
+
+    key: str
+    scenario: Scenario
+    run_dir: Path
+
+
+@dataclass
+class StudyOutcome:
+    """What became of one point's study (always returned, never raised).
+
+    ``status`` is ``"complete"``, ``"degraded"`` (the study finished but
+    quarantined configurations carry penalty metrics — a usable, second-class
+    result), or ``"failed"``.
+    """
+
+    key: str
+    status: str  # "complete" | "degraded" | "failed"
+    result: Optional[StudyResult] = None
+    error: Optional[str] = None
+    #: The run dir already held a finished run and was reloaded, not re-run.
+    reused: bool = False
+
+
+@dataclass
 class SweepResult:
     """Outcome of :func:`run_sweep`."""
 
@@ -706,7 +733,9 @@ class SweepWorker:
     that dies stops heartbeating, its leases expire, and survivors take the
     points over (resuming from the run dir's checkpoint).  ``clock`` is
     injectable so tests expire leases without waiting.  ``max_concurrent``
-    and ``worker_budget`` override the spec's ``scheduler`` section.
+    overrides the spec's ``scheduler.max_concurrent_studies``; the rest of
+    that section (``worker_budget``, ``study_max_retries``,
+    ``retry_backoff_s``) is read from the spec.
     """
 
     def __init__(
@@ -719,7 +748,6 @@ class SweepWorker:
         evaluate=None,
         runner=None,
         max_concurrent: Optional[int] = None,
-        worker_budget: Optional[int] = None,
         heartbeat: bool = True,
         hold_after_claim: float = 0.0,
     ) -> None:
@@ -743,16 +771,17 @@ class SweepWorker:
             for e in manifest["points"]
         }
         scheduler_spec = self.spec.scheduler_spec
-        self.scheduler = StudyScheduler(
-            max_concurrent_studies=(
-                scheduler_spec["max_concurrent_studies"] if max_concurrent is None else max_concurrent
-            ),
-            worker_budget=(
-                scheduler_spec["worker_budget"] if worker_budget is None else worker_budget
-            ),
-            study_max_retries=scheduler_spec.get("study_max_retries", 0),
-            retry_backoff_s=scheduler_spec.get("retry_backoff_s", 0.0),
-        )
+        if max_concurrent is None:
+            max_concurrent = scheduler_spec["max_concurrent_studies"]
+        if int(max_concurrent) < 1:
+            raise ValueError("max_concurrent_studies must be >= 1")
+        self.max_concurrent = int(max_concurrent)
+        budget = scheduler_spec["worker_budget"]
+        # Each slot's fair share of the worker budget (None = each scenario's
+        # own executor.n_workers); histories are the same either way.
+        self.n_workers = None if budget is None else max(1, budget // self.max_concurrent)
+        self.study_max_retries = scheduler_spec.get("study_max_retries", 0)
+        self.retry_backoff_s = scheduler_spec.get("retry_backoff_s", 0.0)
         self._held: Dict[str, Lease] = {}
         self._held_mutex = threading.Lock()
         self._stop_heartbeat = threading.Event()
@@ -765,14 +794,14 @@ class SweepWorker:
         return self.leases.owner
 
     # -- claiming ---------------------------------------------------------------
-    def claim_next(self):
+    def claim_next(self) -> Union[PointClaim, float, None]:
         """Claim the first runnable point of the manifest.
 
-        Returns a :class:`~repro.core.scheduler.StudySubmission` when a point
-        was claimed (its lease is now held and recorded in the manifest), a
-        ``float`` — seconds until the earliest live lease *could* expire —
-        when every remaining point is leased by live workers, or ``None``
-        when every point is terminal (the sweep is drained).
+        Returns a :class:`PointClaim` when a point was claimed (its lease is
+        now held and recorded in the manifest), a ``float`` — seconds until
+        the earliest live lease *could* expire — when every remaining point
+        is leased by live workers, or ``None`` when every point is terminal
+        (the sweep is drained).
         """
         with self.lock:
             manifest = load_manifest(self.sweep_path)
@@ -803,19 +832,41 @@ class SweepWorker:
                 _write_manifest(self.sweep_path, self.spec, entries, status=manifest["status"])
                 with self._held_mutex:
                     self._held[pid] = lease
-                return StudySubmission(
-                    key=pid,
-                    scenario=scenario,
-                    run_dir=self.sweep_path / POINTS_DIR / pid,
-                    tenant=self.spec.name,
-                    # Resume semantics make takeover deterministic: a fresh
-                    # dir runs fresh, a dead owner's partial dir continues
-                    # from its checkpoint — bit-identical either way.
-                    resume=True,
+                return PointClaim(pid, scenario, self.sweep_path / POINTS_DIR / pid)
+            return wait
+
+    # -- running ----------------------------------------------------------------
+    def run_point(self, claim: PointClaim) -> StudyOutcome:
+        """Run one claimed point crash-isolated: never raises.
+
+        Every attempt goes through :func:`~repro.core.study.run_in_dir`, so
+        takeover is deterministic — a fresh dir runs fresh, a dead owner's
+        partial dir continues from its checkpoint, a finished one is
+        reloaded — and bit-identical either way.  A study that raises is
+        retried ``study_max_retries`` times, ``retry_backoff_s * 2**k``
+        seconds apart; a retry resumes, so only the missing evaluations
+        re-run.  Degraded studies finished and are not retried (the fault
+        trace is deterministic: a re-run would quarantine the same
+        configurations).
+        """
+        error = "unknown error"
+        for attempt in range(self.study_max_retries + 1):
+            if attempt > 0 and self.retry_backoff_s > 0:
+                time.sleep(self.retry_backoff_s * 2 ** (attempt - 1))
+            try:
+                result, reused = run_in_dir(
+                    claim.scenario,
+                    claim.run_dir,
                     evaluate=self._evaluate,
                     runner=self._runner,
+                    n_workers=self.n_workers,
                 )
-            return wait
+            except Exception as exc:  # noqa: BLE001 — one failed point never stops the sweep
+                error = f"{type(exc).__name__}: {exc}"
+                continue
+            status = "degraded" if result.is_degraded else "complete"
+            return StudyOutcome(claim.key, status, result=result, reused=reused)
+        return StudyOutcome(claim.key, "failed", error=error)
 
     # -- settling ---------------------------------------------------------------
     def settle(self, outcome: StudyOutcome) -> bool:
@@ -886,42 +937,70 @@ class SweepWorker:
         self,
         *,
         max_points: Optional[int] = None,
-        on_claim: Optional[Callable[[StudySubmission], None]] = None,
+        on_claim: Optional[Callable[[PointClaim], None]] = None,
         on_outcome: Optional[Callable[[StudyOutcome], None]] = None,
     ) -> List[StudyOutcome]:
         """Drain claimable points until the sweep is terminal.
 
-        Runs up to the scheduler's ``max_concurrent_studies`` claimed points
-        at once (:meth:`StudyScheduler.drain`).  ``max_points`` bounds how
-        many points *this* worker claims (tests use 1 to interleave
-        workers).  Outcomes are this worker's own; points other workers ran
-        are settled by them.  Finalization (terminal sweep status +
-        comparison report) is left to :meth:`finalize` so callers control
-        when it happens.
+        Keeps up to ``max_concurrent`` claimed points running on a thread
+        pool, claims another whenever a slot is free, and settles each
+        outcome into the manifest (under its lease's fencing generation)
+        before its next claim.  When every remaining point is leased by a
+        live sibling it waits for the earliest lease to expire.
+        ``max_points`` bounds how many points *this* worker claims (tests
+        use 1 to interleave workers).  Outcomes are returned in completion
+        order and are this worker's own; points other workers ran are
+        settled by them.  Finalization (terminal sweep status + comparison
+        report) is left to :meth:`finalize` so callers control when it
+        happens.
         """
         self._start_heartbeat()
-
-        def claim():
-            nxt = self.claim_next()
-            if isinstance(nxt, StudySubmission):
-                if on_claim is not None:
-                    on_claim(nxt)
-                if self.hold_after_claim > 0:
-                    # Deterministic kill window for crash drills: hold the
-                    # claim before starting the study (history unaffected).
-                    time.sleep(self.hold_after_claim)
-            return nxt
-
-        def settle(outcome: StudyOutcome) -> None:
-            self.settle(outcome)
-            if on_outcome is not None:
-                on_outcome(outcome)
-
+        outcomes: List[StudyOutcome] = []
+        n_claimed = 0
+        exhausted = False
         try:
-            return self.scheduler.drain(claim, settle=settle, max_studies=max_points)
+            with concurrent.futures.ThreadPoolExecutor(max_workers=self.max_concurrent) as pool:
+                running: set = set()
+                while True:
+                    delay: Optional[float] = None
+                    while (
+                        not exhausted
+                        and len(running) < self.max_concurrent
+                        and (max_points is None or n_claimed < max_points)
+                    ):
+                        claim = self.claim_next()
+                        if claim is None:
+                            exhausted = True
+                        elif isinstance(claim, PointClaim):
+                            n_claimed += 1
+                            if on_claim is not None:
+                                on_claim(claim)
+                            if self.hold_after_claim > 0:
+                                # Deterministic kill window for crash drills: hold
+                                # the claim before starting the study.
+                                time.sleep(self.hold_after_claim)
+                            running.add(pool.submit(self.run_point, claim))
+                        else:
+                            delay = claim
+                            break
+                    if not running:
+                        if exhausted or (max_points is not None and n_claimed >= max_points):
+                            break
+                        time.sleep(delay)
+                        continue
+                    done, running = concurrent.futures.wait(
+                        running, timeout=delay, return_when=concurrent.futures.FIRST_COMPLETED
+                    )
+                    for future in done:
+                        outcome = future.result()  # run_point never raises
+                        self.settle(outcome)
+                        outcomes.append(outcome)
+                        if on_outcome is not None:
+                            on_outcome(outcome)
         finally:
             self._stop_heartbeat_thread()
             self._release_held()
+        return outcomes
 
     def _release_held(self) -> None:
         """Release any leases still held (error paths), so siblings need not
@@ -961,7 +1040,6 @@ def run_sweep(
     evaluate=None,
     runner=None,
     max_concurrent: Optional[int] = None,
-    worker_budget: Optional[int] = None,
     resume: bool = False,
     force: bool = False,
     owner: Optional[str] = None,
@@ -984,8 +1062,8 @@ def run_sweep(
         Host bindings applied to *every* point (a shared runner lets all
         device points reuse one simulation cache, as accuracy is
         device-independent).
-    max_concurrent / worker_budget:
-        Override the spec's ``scheduler`` section.
+    max_concurrent:
+        Overrides the spec's ``scheduler.max_concurrent_studies``.
     resume / force:
         See :func:`prepare_sweep_dir`.  The spec must match the manifest's.
         Finished points this call did not run come back as ``reused``
@@ -1002,7 +1080,6 @@ def run_sweep(
         evaluate=evaluate,
         runner=runner,
         max_concurrent=max_concurrent,
-        worker_budget=worker_budget,
     )
     ran = {o.key: o for o in worker.run()}
     manifest = worker.finalize()
@@ -1016,7 +1093,6 @@ def run_sweep(
                 key=pid,
                 status=entry["status"],
                 result=StudyResult.load(sweep_path / entry["run_dir"]),
-                tenant=spec.name,
                 reused=True,
             )
     return SweepResult(
@@ -1218,6 +1294,8 @@ __all__ = [
     "SweepPoint",
     "SweepSpec",
     "SweepResult",
+    "PointClaim",
+    "StudyOutcome",
     "load_spec_file",
     "load_manifest",
     "run_sweep",

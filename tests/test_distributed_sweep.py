@@ -209,8 +209,8 @@ class TestTakeoverAndFencing:
         prepare_sweep_dir(SweepSpec.from_dict(toy_sweep()), sweep_dir)
 
         victim = make_worker(sweep_dir, "victim", ttl_s=10.0, clock=clock, heartbeat=False)
-        submission = victim.claim_next()
-        pid = submission.key
+        claim = victim.claim_next()
+        pid = claim.key
         entry = next(e for e in load_manifest(sweep_dir)["points"] if e["point_id"] == pid)
         assert (entry["status"], entry["owner"], entry["generation"]) == ("running", "victim", 1)
         # The victim "dies": no heartbeat, no settle.  Inside the ttl the
@@ -246,9 +246,9 @@ class TestTakeoverAndFencing:
         prepare_sweep_dir(SweepSpec.from_dict(toy_sweep()), sweep_dir)
 
         victim = make_worker(sweep_dir, "victim", ttl_s=10.0, clock=clock, heartbeat=False)
-        submission = victim.claim_next()
-        pid = submission.key
-        outcome = victim.scheduler.execute_one(submission)  # runs while "paused"
+        claim = victim.claim_next()
+        pid = claim.key
+        outcome = victim.run_point(claim)  # runs while "paused"
         now["t"] += 11.0
         survivor = make_worker(sweep_dir, "survivor", ttl_s=10.0, clock=clock, heartbeat=False)
         survivor.run(max_points=4)

@@ -62,12 +62,7 @@ from repro.core.faults import (
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.core.parameters import BooleanParameter, OrdinalParameter
 from repro.core.scenario import Scenario, ScenarioError, validate_scenario
-from repro.core.scheduler import (
-    MapOrderedError,
-    StudyScheduler,
-    StudySubmission,
-    map_ordered,
-)
+from repro.core.scheduler import MapOrderedError, map_ordered
 from repro.core.space import DesignSpace
 from repro.core.study import Study, StudyResult, run_status
 from repro.core.sweep import build_comparison, load_manifest, run_sweep, validate_sweep
@@ -698,8 +693,20 @@ class TestMapOrderedDrainAll:
 
 
 # ---------------------------------------------------------------------------
-# Scheduler: study-level retries, degraded outcomes
+# Sweep scheduler section: study-level retries, degraded outcomes
 # ---------------------------------------------------------------------------
+
+
+def one_point_sweep(base, seed, **scheduler):
+    """A sweep of one point (an axis over the seed: explicit points need an
+    override anyway)."""
+    return {
+        "schema_version": 1,
+        "name": "retry",
+        "base": base,
+        "axes": {"seed": [seed]},
+        "scheduler": scheduler,
+    }
 
 
 class TestSchedulerStudyRetries:
@@ -712,53 +719,46 @@ class TestSchedulerStudyRetries:
                 raise RuntimeError("transient study failure")
             return toy_evaluate(config)
 
-        scenario = scenario_dict(seed=9)
-        reference = hist_dump(Study(scenario, evaluate=toy_evaluate).run())
-        outcomes = StudyScheduler(study_max_retries=1).run([
-            StudySubmission(
-                key="flaky", scenario=scenario, run_dir=tmp_path / "flaky", evaluate=flaky
-            )
-        ])
-        assert outcomes[0].status == "complete"
-        assert hist_dump(outcomes[0].result) == reference
+        reference = hist_dump(Study(scenario_dict(seed=9), evaluate=toy_evaluate).run())
+        spec = one_point_sweep(scenario_dict(), 9, study_max_retries=1)
+        result = run_sweep(spec, tmp_path / "sweep", evaluate=flaky)
+        (outcome,) = result.outcomes.values()
+        assert outcome.status == "complete"
+        assert hist_dump(outcome.result) == reference
 
     def test_exhausted_study_retries_report_failed(self, tmp_path):
+        calls = []
+
         def broken(config):
+            calls.append(config)
             raise RuntimeError("permanently broken")
 
-        outcomes = StudyScheduler(study_max_retries=2).run([
-            StudySubmission(
-                key="bad", scenario=scenario_dict(), run_dir=tmp_path / "bad",
-                evaluate=broken,
-            )
-        ])
-        assert outcomes[0].status == "failed"
-        assert "permanently broken" in outcomes[0].error
+        spec = one_point_sweep(scenario_dict(), 3, study_max_retries=2, retry_backoff_s=0.01)
+        result = run_sweep(spec, tmp_path / "sweep", evaluate=broken)
+        (outcome,) = result.outcomes.values()
+        assert outcome.status == "failed"
+        assert "permanently broken" in outcome.error
+        assert result.manifest["points"][0]["error"] == outcome.error
+        assert len(calls) == 3  # the first attempt and two retries
 
     def test_degraded_study_is_terminal_not_retried(self, tmp_path):
-        scenario = scenario_dict(faults=CHAOS_FAULTS)
-        outcomes = StudyScheduler(study_max_retries=3).run([
-            StudySubmission(
-                key="chaos", scenario=scenario, run_dir=tmp_path / "chaos",
-                evaluate=toy_evaluate,
-            )
-        ])
-        assert outcomes[0].status == "degraded"
-        assert not outcomes[0].reused
-        # Resubmitting with resume reloads the degraded result, not a re-run.
-        again = StudyScheduler().run([
-            StudySubmission(
-                key="chaos", scenario=scenario, run_dir=tmp_path / "chaos",
-                evaluate=toy_evaluate, resume=True,
-            )
-        ])
-        assert again[0].status == "degraded" and again[0].reused
+        calls = []
 
-    def test_scheduler_rejects_bad_retry_configuration(self):
-        with pytest.raises(ValueError):
-            StudyScheduler(study_max_retries=-1)
-        with pytest.raises(ValueError):
-            StudyScheduler(retry_backoff_s=-0.5)
+        def counting(config):
+            calls.append(config)
+            return toy_evaluate(config)
+
+        spec = one_point_sweep(scenario_dict(faults=CHAOS_FAULTS), 3, study_max_retries=3)
+        result = run_sweep(spec, tmp_path / "sweep", evaluate=counting)
+        (outcome,) = result.outcomes.values()
+        assert outcome.status == "degraded"
+        assert not outcome.reused
+        # Resuming the sweep reloads the degraded point: nothing re-runs.
+        calls.clear()
+        again = run_sweep(spec, tmp_path / "sweep", evaluate=counting, resume=True)
+        (outcome,) = again.outcomes.values()
+        assert outcome.status == "degraded" and outcome.reused
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -818,6 +818,8 @@ class TestFaultsSpecValidation:
         assert "study_max_retries" not in plain["scheduler"]
         with pytest.raises((ScenarioError, Exception)):
             validate_sweep(dict(spec, scheduler={"study_max_retries": -1}))
+        with pytest.raises((ScenarioError, Exception)):
+            validate_sweep(dict(spec, scheduler={"retry_backoff_s": -0.5}))
 
 
 # ---------------------------------------------------------------------------

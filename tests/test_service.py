@@ -34,13 +34,8 @@ from executor_conformance import toy_evaluate, toy_evaluator_section
 from repro.cli import main as cli_main
 from repro.core.client import ServiceClient, ServiceHTTPError
 from repro.core.registry import load_builtin_plugins, registry_snapshot
-from repro.core.scenario import ScenarioError
-from repro.core.scheduler import (
-    StudyScheduler,
-    StudySubmission,
-    preempting_policy,
-    submission_priority,
-)
+from repro.core.scenario import Scenario, ScenarioError
+from repro.core.scheduler import preempting_policy, submission_priority
 from repro.core.server import start_server
 from repro.core.service import (
     JOURNAL_FILE,
@@ -152,6 +147,22 @@ class TestServiceCore:
             for seed, sid in ids.items():
                 assert svc.wait(sid, timeout=120) == "complete"
                 assert service_history(svc, sid) == reference_history(seed)
+
+    def test_worker_allotment_follows_budget_and_quota(self, tmp_path):
+        with OptimizationService(
+            tmp_path / "state",
+            max_concurrent_studies=2,
+            worker_budget=4,
+            quotas={"alice": TenantQuota(workers=3)},
+            evaluate=toy_evaluate,
+            journal_fsync=False,
+        ) as svc:
+            fair_share = svc.submit(toy_scenario(3), tenant="bob")
+            by_quota = svc.submit(toy_scenario(3), tenant="alice")
+            for sid, n_workers in ((fair_share, 2), (by_quota, 3)):
+                assert svc.wait(sid, timeout=120) == "complete"
+                assert svc.report(sid)["engine"]["n_workers"] == n_workers
+                assert service_history(svc, sid) == reference_history(3)
 
     def test_events_stream_every_record_exactly_once(self, tmp_path):
         with OptimizationService(
@@ -374,7 +385,6 @@ class TestServiceCore:
             return polls["n"] >= 3
 
         from repro.core.engine import SearchPreempted
-        from repro.core.scenario import Scenario
 
         with pytest.raises(SearchPreempted):
             Study(scenario, evaluate=toy_evaluate).run(
@@ -407,19 +417,46 @@ class TestServiceCore:
         finally:
             svc.shutdown()
 
-    def test_scheduler_serve_returns_started_service(self, tmp_path):
-        scheduler = StudyScheduler(max_concurrent_studies=2, policy="preempting")
-        svc = scheduler.serve(
-            tmp_path / "state", evaluate=toy_evaluate, journal_fsync=False
-        )
+    def test_finished_study_missing_from_journal_is_reloaded(self, tmp_path):
+        # A server killed between a study's finalize and its journal append:
+        # the run dir is complete but the journal's last word is "start".
+        state = tmp_path / "state"
+        scenario = toy_scenario(11)
+        study_id = "000000-toy"
+        run_dir = state / "studies" / study_id
+        Study(scenario, evaluate=toy_evaluate).run(run_dir=run_dir)
+        # Every run-dir write is an atomic replace, so an unchanged inode
+        # means the dir was reloaded, not resumed and rewritten.
+        run_json = (run_dir / "run.json").stat()
+        with (state / JOURNAL_FILE).open("w") as fh:
+            for event in (
+                {
+                    "event": "submit",
+                    "id": study_id,
+                    "seq": 0,
+                    "tenant": "default",
+                    "priority": 0,
+                    "scenario": Scenario.from_dict(scenario).to_dict(),
+                },
+                {"event": "start", "id": study_id},
+            ):
+                fh.write(json.dumps(event) + "\n")
+        calls = []
+
+        def counting(config):
+            calls.append(config)
+            return toy_evaluate(config)
+
+        svc = OptimizationService(state, evaluate=counting, journal_fsync=False).start()
         try:
-            assert isinstance(svc, OptimizationService)
-            assert svc.max_concurrent_studies == 2
-            sid = svc.submit(toy_scenario(3))
-            assert svc.wait(sid, timeout=120) == "complete"
-            assert service_history(svc, sid) == reference_history(3)
+            assert svc.wait(study_id, timeout=120) == "complete"
+            assert service_history(svc, study_id) == reference_history(11)
+            assert svc.report(study_id)["n_evaluations"] > 0
         finally:
             svc.shutdown()
+        assert calls == []
+        after = (run_dir / "run.json").stat()
+        assert (after.st_ino, after.st_mtime_ns) == (run_json.st_ino, run_json.st_mtime_ns)
 
     def test_invalid_scenario_rejected_at_submit_with_pointer(self, tmp_path):
         with OptimizationService(
@@ -506,8 +543,8 @@ class TestServiceHTTP:
 class TestSharedBrokerService:
     """Socket-backend studies drain through one long-lived worker fleet.
 
-    The service/scheduler pass their shared :class:`EvaluationBroker` to
-    every study; the broker's lifecycle stays with the caller — shutting the
+    The service passes its shared :class:`EvaluationBroker` to every
+    study; the broker's lifecycle stays with the caller — shutting the
     service down must leave the fleet connected for the next service.
     """
 
@@ -545,28 +582,6 @@ class TestSharedBrokerService:
                 assert svc.wait(sid, timeout=120) == "complete"
                 assert service_history(svc, sid) == reference_history(seed)
         # The service never owned the broker: the fleet outlives it.
-        assert not broker._closing
-        assert broker.n_workers_connected == 2
-
-    def test_scheduler_studies_share_broker_and_stay_bit_identical(
-        self, tmp_path, broker
-    ):
-        scheduler = StudyScheduler(max_concurrent_studies=2, broker=broker)
-        outcomes = scheduler.run(
-            [
-                StudySubmission(
-                    key=f"s{seed}",
-                    scenario=self.socket_scenario(seed),
-                    run_dir=tmp_path / f"s{seed}",
-                    evaluate=toy_evaluate,
-                )
-                for seed in (3, 5)
-            ]
-        )
-        assert [o.status for o in outcomes] == ["complete", "complete"]
-        for seed in (3, 5):
-            history = (tmp_path / f"s{seed}" / HISTORY_FILE).read_bytes()
-            assert history == reference_history(seed)
         assert not broker._closing
         assert broker.n_workers_connected == 2
 

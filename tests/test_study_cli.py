@@ -27,6 +27,7 @@ from repro.core.baselines import (
     LocalSearch,
     RandomSearch,
 )
+from repro.core.engine import SearchPreempted
 from repro.core.history import History
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.core.optimizer import HyperMapper
@@ -34,7 +35,7 @@ from repro.core.parameters import BooleanParameter, CategoricalParameter, Ordina
 from repro.core.registry import registry_snapshot
 from repro.core.scenario import SCENARIO_VERSION, Scenario
 from repro.core.space import DesignSpace
-from repro.core.study import Study, StudyResult
+from repro.core.study import Study, StudyResult, run_in_dir, run_status
 from repro.experiments.common import history_stats
 
 
@@ -475,6 +476,68 @@ class TestBoundedCheckpoint:
         Study(toy_scenario(toy_space), evaluate=toy_evaluate).run(run_dir=run_dir)
         assert checks.count("run.json") == 1
         assert checks.count("engine.json") >= 2
+
+
+class TestRunInDir:
+    """``run_in_dir`` is the one reload/resume/fresh decision that sweep
+    workers and the live service share."""
+
+    @staticmethod
+    def counting():
+        calls = []
+
+        def evaluate(config):
+            calls.append(config)
+            return toy_evaluate(config)
+
+        return calls, evaluate
+
+    def test_fresh_run_applies_n_workers_and_writes_plain_bytes(self, toy_space, tmp_path):
+        plain = Study(toy_scenario(toy_space), evaluate=toy_evaluate).run(run_dir=tmp_path / "plain")
+        result, reused = run_in_dir(
+            toy_scenario(toy_space), tmp_path / "run", evaluate=toy_evaluate, n_workers=3
+        )
+        assert not reused
+        assert (plain.engine_info["n_workers"], result.engine_info["n_workers"]) == (1, 3)
+        assert (tmp_path / "run" / "history.jsonl").read_bytes() == (
+            tmp_path / "plain" / "history.jsonl"
+        ).read_bytes()
+
+    def test_parked_run_dir_continues_with_its_persisted_n_workers(self, toy_space, tmp_path):
+        run_dir = tmp_path / "run"
+        polls = {"n": 0}
+
+        def park_at_second_boundary():
+            polls["n"] += 1
+            return polls["n"] >= 2
+
+        parked = dict(toy_scenario(toy_space), executor={"n_workers": 2})
+        with pytest.raises(SearchPreempted):
+            Study(parked, evaluate=toy_evaluate).run(
+                run_dir=run_dir, stop_requested=park_at_second_boundary
+            )
+        assert run_status(run_dir) == "parked"
+        calls, evaluate = self.counting()
+        # The scenario and n_workers given are ignored: the run dir's own win.
+        result, reused = run_in_dir(toy_scenario(toy_space), run_dir, evaluate=evaluate, n_workers=5)
+        assert not reused
+        assert result.engine_info["n_workers"] == 2
+        full = Study(toy_scenario(toy_space), evaluate=toy_evaluate).run(run_dir=tmp_path / "full")
+        assert 0 < len(calls) < len(full.history)  # continued, not restarted
+        assert (run_dir / "history.jsonl").read_bytes() == (
+            tmp_path / "full" / "history.jsonl"
+        ).read_bytes()
+
+    def test_finished_run_dir_is_reloaded_not_rerun(self, toy_space, tmp_path):
+        run_dir = tmp_path / "run"
+        first = Study(toy_scenario(toy_space), evaluate=toy_evaluate).run(run_dir=run_dir)
+        before = (run_dir / "history.jsonl").read_bytes()
+        calls, evaluate = self.counting()
+        result, reused = run_in_dir(toy_scenario(toy_space), run_dir, evaluate=evaluate, n_workers=4)
+        assert reused and calls == []
+        assert hist_dump(result) == hist_dump(first)
+        assert result.engine_info["n_workers"] == 1
+        assert (run_dir / "history.jsonl").read_bytes() == before
 
 
 class TestSlamBenchStudy:

@@ -15,16 +15,13 @@ Acceptance criteria covered:
 import json
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.scheduler import (
-    StudyScheduler,
-    StudySubmission,
-    fair_share_policy,
-    map_ordered,
-)
+from repro.core.scheduler import fair_share_policy, map_ordered
+from repro.core.service import OptimizationService
 from repro.core.study import Study, StudyResult, run_status
 from repro.core.sweep import (
     LEASES_DIR,
@@ -148,6 +145,9 @@ class TestSweepSpec:
             (lambda d: d.update(scheduler={"policy": "nope"}), "/scheduler/policy"),
             (lambda d: d.update(scheduler={"max_concurrent_studies": 0}),
              "/scheduler/max_concurrent_studies"),
+            (lambda d: d.update(scheduler={"worker_budget": 0}), "/scheduler/worker_budget"),
+            (lambda d: d.update(scheduler={"retry_backoff_s": -0.5}),
+             "/scheduler/retry_backoff_s"),
             (lambda d: d.update(bogus=1), "/bogus"),
             (lambda d: d["base"].pop("evaluator"), "/base/evaluator"),
             (lambda d: d["base"]["search"].update(algorithm="nope"), "/base/search/algorithm"),
@@ -498,52 +498,26 @@ class TestFaultInjection:
 
 class TestScheduler:
     def test_fair_share_policy_round_robins_tenants(self):
-        subs = [
-            StudySubmission(key=f"{tenant}-{i}", scenario=base_scenario(), tenant=tenant)
-            for tenant in ("alice", "bob")
-            for i in range(2)
-        ]
+        subs = [SimpleNamespace(tenant=tenant) for tenant in ("alice", "bob") for _ in range(2)]
         # alice already has 2 admitted studies, bob none: bob goes first.
         pick = fair_share_policy(subs, {"alice": 2})
         assert subs[pick].tenant == "bob"
         # Even counts: earliest submission wins (deterministic tie-break).
         assert fair_share_policy(subs, {"alice": 1, "bob": 1}) == 0
 
-    def test_scheduler_outcomes_in_submission_order(self, tmp_path):
-        subs = [
-            StudySubmission(
-                key=f"p{i}",
-                scenario=base_scenario(budget=6) | {"seed": i},
-                run_dir=tmp_path / f"p{i}",
-                evaluate=toy_evaluate,
+    def test_worker_budget_fair_share_does_not_change_results(self, tmp_path):
+        spec = SweepSpec.from_dict(
+            toy_sweep(
+                axes={"seed": [3]},
+                scheduler={"max_concurrent_studies": 2, "worker_budget": 8},
             )
-            for i in range(5)
-        ]
-        outcomes = StudyScheduler(max_concurrent_studies=3).run(subs)
-        assert [o.key for o in outcomes] == [f"p{i}" for i in range(5)]
-        assert all(o.status == "complete" for o in outcomes)
-
-    def test_worker_budget_fair_share_does_not_change_results(self):
-        scenario = base_scenario(budget=8)
-        serial = Study(scenario, evaluate=toy_evaluate).run()
-        outcomes = StudyScheduler(
-            max_concurrent_studies=2, worker_budget=8
-        ).run([StudySubmission(key="p", scenario=scenario, evaluate=toy_evaluate)])
-        assert outcomes[0].result.engine_info["n_workers"] == 4  # 8 // 2
-        assert hist_dump(outcomes[0].result) == hist_dump(serial)
-
-    def test_scheduler_isolates_a_crashing_study(self):
-        def exploding(config):
-            raise RuntimeError("no")
-
-        outcomes = StudyScheduler(max_concurrent_studies=2).run(
-            [
-                StudySubmission(key="bad", scenario=base_scenario(), evaluate=exploding),
-                StudySubmission(key="good", scenario=base_scenario(), evaluate=toy_evaluate),
-            ]
         )
-        assert [o.status for o in outcomes] == ["failed", "complete"]
-        assert "RuntimeError" in outcomes[0].error
+        (point,) = spec.expand()
+        alone = Study(point.scenario, evaluate=toy_evaluate).run(run_dir=tmp_path / "alone")
+        result = run_sweep(spec, tmp_path / "sweep", evaluate=toy_evaluate)
+        assert result.result_for(point.point_id).engine_info["n_workers"] == 4  # 8 // 2
+        history = tmp_path / "sweep" / "points" / point.point_id / "history.jsonl"
+        assert history.read_bytes() == (tmp_path / "alone" / "history.jsonl").read_bytes()
 
     def test_map_ordered_matches_serial(self):
         items = list(range(20))
@@ -551,53 +525,48 @@ class TestScheduler:
         assert map_ordered(fn, items, max_concurrent=4) == [fn(x) for x in items]
         assert map_ordered(fn, items, max_concurrent=1) == [fn(x) for x in items]
 
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ValueError):
-            StudyScheduler(max_concurrent_studies=0)
-        with pytest.raises(ValueError):
-            StudyScheduler(worker_budget=0)
-
 
 class TestLiveScheduling:
-    """The PR-5 per-study bit-identity invariant, extended to the live path:
-    a scheduler opened into serve() mode — concurrent slots, priorities,
-    preemption and all — must persist the same ``history.jsonl`` bytes the
-    batch scheduler and standalone ``Study.run`` produce."""
+    """The per-point bit-identity invariant, extended to the live path: the
+    service — concurrent slots, priorities, preemption and all — and a sweep
+    persist the same ``history.jsonl`` bytes as standalone ``Study.run``."""
 
-    def test_serve_mode_matches_batch_scheduler_and_standalone(self, tmp_path):
-        scenarios = [base_scenario(budget=6) | {"seed": seed} for seed in (3, 5, 7)]
+    def test_service_and_sweep_match_standalone(self, tmp_path):
+        seeds = (3, 5, 7)
+        scenarios = [base_scenario(budget=6) | {"seed": seed} for seed in seeds]
         standalone = [
             Study(s, evaluate=toy_evaluate).run(
                 run_dir=tmp_path / "standalone" / str(s["seed"])
             )
             for s in scenarios
         ]
-        outcomes = StudyScheduler(max_concurrent_studies=3).run(
-            [
-                StudySubmission(
-                    key=f"p{s['seed']}",
-                    scenario=s,
-                    run_dir=tmp_path / "batch" / str(s["seed"]),
-                    evaluate=toy_evaluate,
-                )
-                for s in scenarios
-            ]
+        sweep = run_sweep(
+            toy_sweep(
+                base=base_scenario(budget=6),
+                axes={"seed": list(seeds)},
+                scheduler={"max_concurrent_studies": 3},
+            ),
+            tmp_path / "sweep",
+            evaluate=toy_evaluate,
         )
-        service = StudyScheduler(max_concurrent_studies=3, policy="preempting").serve(
-            tmp_path / "live", evaluate=toy_evaluate, journal_fsync=False
-        )
+        service = OptimizationService(
+            tmp_path / "live",
+            max_concurrent_studies=3,
+            evaluate=toy_evaluate,
+            journal_fsync=False,
+        ).start()
         try:
             ids = [
                 service.submit(s, tenant=f"t{i % 2}", priority=i)
                 for i, s in enumerate(scenarios)
             ]
-            for ref, outcome, sid in zip(standalone, outcomes, ids):
+            for ref, point, sid in zip(standalone, sweep.manifest["points"], ids):
+                expected = (Path(ref.run_dir) / "history.jsonl").read_bytes()
                 assert service.wait(sid, timeout=120) == "complete"
-                history = (
-                    Path(service.status(sid)["run_dir"]) / "history.jsonl"
-                ).read_bytes()
-                assert history == (Path(ref.run_dir) / "history.jsonl").read_bytes()
-                assert hist_dump(outcome.result) == hist_dump(ref)
+                live = Path(service.status(sid)["run_dir"]) / "history.jsonl"
+                assert live.read_bytes() == expected
+                swept = tmp_path / "sweep" / point["run_dir"] / "history.jsonl"
+                assert swept.read_bytes() == expected
         finally:
             service.shutdown()
 
