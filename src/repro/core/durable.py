@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,6 +87,22 @@ def _unique_tmp_path(path: Path) -> Path:
         _tmp_counter += 1
         n = _tmp_counter
     return path.parent / f".{path.name}.{os.getpid()}-{n}{TMP_SUFFIX}"
+
+
+def tmp_residue(path: Union[str, Path]) -> List[Path]:
+    """Temporaries of atomic writes to ``path`` that are still on disk.
+
+    Only a writer killed between creating its temporary and the rename
+    leaves one, so with every writer of ``path`` excluded (e.g. under the
+    lock all of them write under) they are all crash residue.
+    """
+    path = Path(path)
+    prefix = f".{path.name}."
+    return sorted(
+        tmp
+        for tmp in path.parent.glob(f"{prefix}*{TMP_SUFFIX}")
+        if re.fullmatch(r"\d+-\d+", tmp.name[len(prefix) : -len(TMP_SUFFIX)])
+    )
 
 
 def atomic_write_text(path: Union[str, Path], text: str, *, fsync: bool = True) -> Path:
@@ -390,6 +407,7 @@ __all__ = [
     "fsync_dir",
     "atomic_write_text",
     "atomic_write_json",
+    "tmp_residue",
     "payload_checksum",
     "make_envelope",
     "open_envelope",

@@ -14,24 +14,42 @@ provides two batched traversal kernels over it:
   most cursors have settled, so a few deep stragglers do not force full-width
   work;
 
-* a **bitset kernel** (:meth:`FlatForest.predict_all_indexed`) for the
-  static configuration pool of an active-learning run.  A
-  :class:`PoolIndex` is built once per run: per feature column, packed
-  "column ≤ value" prefix bitsets over the pool.  Each forest evaluation then
-  walks the node table breadth-first, deriving every node's member bitset
-  from its parent with one byte-wise AND (left child) and one XOR (right
-  child), entirely on L2-resident chunks.  Leaf-membership bitsets are
-  composed into leaf indices via bit-plane ORs and a final value-table
-  gather.  Work per node is ``pool_bits / 8`` bytes of streaming arithmetic —
-  no per-sample random gathers — which is what makes surrogate inference over
+* a **bitset kernel** (:meth:`FlatForest.predict_indexed`) for the static
+  configuration pool of an active-learning run.  A :class:`PoolIndex` is
+  built once per run: per feature column, packed "column ≤ value" prefix
+  bitsets over the pool (bit ``i`` of byte ``j`` is sample ``8j + i``).
+  The kernel streams the pool in chunks of ``PoolIndex.chunk`` samples,
+  each in three steps over buffers sized for one chunk:
+
+  - *Levels.*  Every node's member bitset comes from its parent's: left =
+    parent AND condition, right = parent XOR left.  The forest lays its
+    node rows out once, at construction, so that each depth's left
+    children and right children are two contiguous blocks in parent
+    order; a depth is two row gathers and two ufuncs written straight into
+    the blocks.
+  - *Leaf ids.*  Leaf ids are depth-first, so each subtree's leaves hold a
+    contiguous id range, and bit plane ``b`` of a tree (the samples whose
+    leaf id has bit ``b`` set) is the OR of the maximal subtrees whose ids
+    all have it.  Eight planes fill the eight bytes of one 64-bit word per
+    (tree, pool byte); an 8x8 bit-matrix transpose (three mask-shift-xor
+    rounds) turns the word into the id bytes of its eight samples.  A tree
+    with more than 256 leaves takes one word per id byte.
+  - *Reduction.*  The chunk's ``(n_trees, c)`` leaf values are gathered
+    from a per-forest value table and reduced to their across-tree mean
+    (and std) straight into the output.
+
+  Work per node is ``chunk / 8`` bytes of streaming arithmetic — no
+  per-sample random gathers — which is what makes surrogate inference over
   20k–1.8M-configuration pools hardware-speed.  The index holds pool-side
-  state only: every call runs the kernel over every tree of the forest it is
-  given, since each surrogate refit regrows all trees from scratch.
+  state only: every call runs the kernel over every tree of the forest it
+  is given, since each surrogate refit regrows all trees from scratch.
 
 Numerics are bit-identical to traversing each tree separately: both kernels
 resolve every sample to exactly the same leaf (the bitset comparisons reduce
 to the same float comparisons against pool values) and gather the same leaf
-values, only the batching changes.
+values, only the batching changes.  NumPy sums axis 0 of a C-contiguous
+block tree by tree, as it sums the whole ``(n_trees, n)`` matrix, so the
+per-chunk mean and std are the full-matrix ones bit for bit.
 """
 
 from __future__ import annotations
@@ -47,8 +65,8 @@ import numpy as np
 #: fall back to packing per-threshold bitsets at prediction time.
 DENSE_COLUMN_CARDINALITY = 64
 
-#: Pool samples per chunk in the bitset kernel.  512-byte bitset rows keep
-#: the whole per-chunk node-bitset matrix cache-resident.
+#: Pool samples per chunk in the bitset kernel (512-byte bitset rows).  The
+#: kernel's working buffers hold one chunk and are reused by every chunk.
 POOL_CHUNK = 4096
 
 
@@ -81,12 +99,16 @@ class FlatForest:
     roots: np.ndarray
     n_features: int
     # Derived traversal tables (computed in the constructors):
-    # children with self-looping leaves, leaf-safe feature/threshold for the
-    # full-width walker phase, and the breadth-first level structure.
+    # children with self-looping leaves and leaf-safe feature/threshold for
+    # the full-width walker phase; the bitset kernel's level layout, leaf-id
+    # bit-plane gathers and leaf-value table (see ``_bitset_layout``).
     _children: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     _walk_feature: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     _walk_threshold: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    _levels: Tuple[np.ndarray, ...] = field(repr=False, default=())
+    _levels: tuple = field(repr=False, default=())
+    _planes: tuple = field(repr=False, default=())
+    _lut: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    _lut_base: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     max_depth: int = 0
 
     # -- construction -------------------------------------------------------
@@ -137,15 +159,7 @@ class FlatForest:
         children[1::2] = np.where(leaf, idx, right)
         walk_feature = np.where(leaf, 0, feature)
         walk_threshold = np.where(leaf, np.inf, threshold)
-        # Breadth-first level structure: internal nodes grouped by depth.
-        levels: List[np.ndarray] = []
-        frontier = roots
-        while True:
-            internal = frontier[feature[frontier] >= 0]
-            if internal.size == 0:
-                break
-            levels.append(internal)
-            frontier = np.concatenate([left[internal], right[internal]])
+        levels, planes, lut, lut_base = cls._bitset_layout(feature, left, right, value, roots)
         return cls(
             feature=feature,
             threshold=threshold,
@@ -157,9 +171,87 @@ class FlatForest:
             _children=children,
             _walk_feature=walk_feature,
             _walk_threshold=walk_threshold,
-            _levels=tuple(levels),
+            _levels=levels,
+            _planes=planes,
+            _lut=lut,
+            _lut_base=lut_base,
             max_depth=len(levels),
         )
+
+    @staticmethod
+    def _bitset_layout(
+        feature: np.ndarray,
+        left: np.ndarray,
+        right: np.ndarray,
+        value: np.ndarray,
+        roots: np.ndarray,
+    ) -> Tuple[tuple, tuple, np.ndarray, np.ndarray]:
+        """The bitset kernel's per-forest tables (see :meth:`_predict_indexed`).
+
+        The kernel's member-bitset matrix has one row per node: the roots
+        first, then per depth the left children of that depth's internal
+        nodes followed by their right children, both in parent order, and
+        an all-zero sentinel row last.  Returns ``(levels, planes, lut,
+        lut_base)``:
+
+        * ``levels`` — per depth ``(parent_rows, parent_nodes, start)``: the
+          parents' rows, their node ids (for the split conditions) and the
+          first row of their children;
+        * ``planes`` — per leaf-id bit, an ``(n_trees, width)`` table of the
+          rows whose union is the tree's bit plane, padded with the
+          sentinel row;
+        * ``lut`` / ``lut_base`` — leaf values at ``lut_base[tree] + id``.
+        """
+        n_nodes, T = feature.size, roots.size
+        row_of = np.empty(n_nodes, dtype=np.intp)
+        row_of[roots] = np.arange(T)
+        parent = np.full(n_nodes, n_nodes, dtype=np.intp)
+        levels = []
+        frontier, start = roots, T
+        while True:
+            par = frontier[feature[frontier] >= 0]
+            if par.size == 0:
+                break
+            k = par.size
+            lc, rc = left[par], right[par]
+            row_of[lc] = np.arange(start, start + k)
+            row_of[rc] = np.arange(start + k, start + 2 * k)
+            parent[lc] = parent[rc] = par
+            levels.append((row_of[par], par, start))
+            frontier = np.concatenate([lc, rc])
+            start += 2 * k
+
+        # Local leaf ids in depth-first order: the leaves of every subtree
+        # hold the contiguous ids lo..last.
+        n_leaves = (feature < 0).astype(np.intp)
+        for _, par, _ in reversed(levels):
+            n_leaves[par] = n_leaves[left[par]] + n_leaves[right[par]]
+        lo = np.zeros(n_nodes, dtype=np.intp)
+        for _, par, _ in levels:
+            lo[left[par]] = lo[par]
+            lo[right[par]] = lo[par] + n_leaves[left[par]]
+        last = lo + n_leaves - 1
+        max_leaves = int(n_leaves[roots].max())
+        # Bit plane b is the union of the leaves whose id has bit b set.  A
+        # subtree whose ids all have bit b set stands in for its leaves, so
+        # a plane ORs only the maximal such subtrees: about half as many
+        # rows as leaf-by-leaf.
+        planes = []
+        for b in range(max(1, (max_leaves - 1).bit_length())):
+            in_run = (((lo >> b) & 1) == 1) & ((lo >> (b + 1)) == (last >> (b + 1)))
+            cover = np.flatnonzero(in_run & ~np.append(in_run, False)[parent])
+            tree_of = np.searchsorted(roots, cover, side="right") - 1
+            cnt = np.bincount(tree_of, minlength=T)
+            table = np.full((T, max(1, int(cnt.max()))), n_nodes, dtype=np.intp)
+            slot = np.arange(cover.size) - np.concatenate(([0], np.cumsum(cnt)))[tree_of]
+            table[tree_of, slot] = row_of[cover]
+            planes.append(table)
+        leaves = np.flatnonzero(feature < 0)
+        tree_of = np.searchsorted(roots, leaves, side="right") - 1
+        lut = np.zeros(T * max_leaves, dtype=np.float64)
+        lut[tree_of * max_leaves + lo[leaves]] = value[leaves]
+        lut_base = np.arange(T, dtype=np.intp) * max_leaves
+        return tuple(levels), tuple(planes), lut, lut_base
 
     @staticmethod
     def _validated_tree(i: int, na: object) -> Tuple[np.ndarray, ...]:
@@ -276,94 +368,138 @@ class FlatForest:
         byte-wise bitset arithmetic over the pool index instead of per-sample
         gathers.
         """
+        return self._predict_indexed(index, None)[0]
+
+    def predict_indexed(self, index: "PoolIndex") -> np.ndarray:
+        """Across-tree mean prediction over a pre-indexed pool."""
+        return self._predict_indexed(index, "mean")[0]
+
+    def predict_with_std_indexed(self, index: "PoolIndex") -> Tuple[np.ndarray, np.ndarray]:
+        """Across-tree mean and standard deviation over a pre-indexed pool."""
+        mean, std = self._predict_indexed(index, "std")
+        return mean, std
+
+    def _predict_indexed(self, index: "PoolIndex", reduce: Optional[str]) -> Tuple[np.ndarray, ...]:
+        """The bitset kernel: one pass over the pool, chunk by chunk.
+
+        ``reduce`` is ``None`` for the ``(n_trees, n)`` per-tree matrix,
+        ``"mean"`` for the across-tree mean, ``"std"`` for mean and std.
+        """
         if index.n_features != self.n_features:
             raise ValueError(
                 f"pool index has {index.n_features} features, forest expects {self.n_features}"
             )
-        n = index.n_samples
-        T = self.n_trees
+        n, T = index.n_samples, self.n_trees
+        if reduce is None:
+            out: Tuple[np.ndarray, ...] = (np.empty((T, n), dtype=np.float64),)
+        else:
+            out = tuple(np.empty(n, dtype=np.float64) for _ in range(1 if reduce == "mean" else 2))
         if n == 0:
-            return np.empty((T, 0), dtype=np.float64)
+            return out
         t_start = time.perf_counter()
+        P, cond = index.condition_rows(self.feature, self.threshold)
+        levels = [(rows, cond[nodes], start) for rows, nodes, start in self._levels]
+        n_rows = self.n_nodes + 1  # + the all-zero sentinel row
+        n_groups = (len(self._planes) + 7) // 8
 
-        # Leaf bookkeeping: per-tree local leaf ids and their values.
-        leaves = np.flatnonzero(self.feature < 0)
-        tree_of = np.searchsorted(self.roots, leaves, side="right") - 1
-        counts = np.bincount(tree_of, minlength=T)
-        local = np.arange(leaves.size) - np.concatenate(([0], np.cumsum(counts)))[tree_of]
-        max_leaves = int(counts.max())
+        # Buffers for the widest chunk, reused by every chunk.
+        width = (min(index.chunk, n) + 7) // 8
+        k_max = max((rows.size for rows, _, _ in levels), default=0)
+        member = np.empty(n_rows * width, dtype=np.uint8)
+        parent = np.empty(k_max * width, dtype=np.uint8)
+        condition = np.empty(k_max * width, dtype=np.uint8)
+        gathered = np.empty(max(t.size for t in self._planes) * width, dtype=np.uint8)
+        plane = np.empty(T * width, dtype=np.uint8)
+        planes = np.zeros((n_groups, T, width, 8), dtype=np.uint8)
+        words = planes.view(_WORD)[..., 0]
+        ids = np.empty((n_groups, T, width), dtype=_WORD)
+        scratch = np.empty((n_groups, T, width), dtype=_WORD)
+        leaf_index = np.empty(T * width * 8, dtype=np.intp)
+        values = np.empty(T * width * 8, dtype=np.float64)
 
-        lid = self._leaf_ids_indexed(index, leaves, tree_of, local, counts)
+        for c0 in range(0, n, index.chunk):
+            c1 = min(c0 + index.chunk, n)
+            cb = (c1 + 7) // 8 - c0 // 8
+            Pc = np.ascontiguousarray(P[:, c0 // 8 : c0 // 8 + cb])
+            # Member bitset per node, level by level: left children =
+            # parent AND condition, right children = parent XOR left, each
+            # written straight into its contiguous block.  (Every index is
+            # in range; mode="clip" lets `take` write `out` unbuffered.)
+            M = member[: n_rows * cb].reshape(n_rows, cb)
+            M[:T] = 0xFF
+            M[-1] = 0
+            for rows, crows, start in levels:
+                k = rows.size
+                pm = parent[: k * cb].reshape(k, cb)
+                cm = condition[: k * cb].reshape(k, cb)
+                np.take(M, rows, axis=0, out=pm, mode="clip")
+                np.take(Pc, crows, axis=0, out=cm, mode="clip")
+                lm = M[start : start + k]
+                np.bitwise_and(pm, cm, out=lm)
+                np.bitwise_xor(pm, lm, out=M[start + k : start + 2 * k])
+            # Leaf-id bit plane b of every tree: the OR of its table's rows,
+            # reduced into a contiguous plane (a reduction straight into the
+            # strided bytes is several times slower), then copied to byte
+            # b % 8 of the tree's words of id byte b // 8.
+            for b, table in enumerate(self._planes):
+                G = gathered[: table.size * cb].reshape(T, table.shape[1], cb)
+                np.take(M, table, axis=0, out=G, mode="clip")
+                pb = plane[: T * cb].reshape(T, cb)
+                np.bitwise_or.reduce(G, axis=1, out=pb)
+                planes[b >> 3, :, :cb, b & 7] = pb
+            # Transposed, byte i of a word is the id byte of its i-th sample.
+            _transpose_bit_matrices(words[:, :, :cb], ids[:, :, :cb], scratch[:, :, :cb])
+            id_bytes = ids[:, :, :cb].view(np.uint8)
+            L = leaf_index[: T * cb * 8].reshape(T, cb * 8)
+            np.add(id_bytes[0], self._lut_base[:, None], out=L)
+            for g in range(1, n_groups):
+                L += id_bytes[g].astype(np.intp) << (8 * g)
+            V = values[: T * cb * 8].reshape(T, cb * 8)
+            np.take(self._lut, L, out=V, mode="clip")
 
-        # Leaf-value table addressed by tree-offset local leaf id.
-        lut = np.zeros(T * max_leaves, dtype=np.float64)
-        lut[tree_of * max_leaves + local] = self.value[leaves]
-        lid_offset = (np.arange(T, dtype=np.uint32) * np.uint32(max_leaves))[:, None]
-        out = lut[lid + lid_offset]
+            c = c1 - c0
+            if reduce is None:
+                out[0][:, c0:c1] = V[:, :c]
+                continue
+            # numpy sums axis 0 of a C-contiguous block row by row, as it
+            # does the whole (T, n) matrix, except that a lone column is
+            # summed pairwise: reduce at least two columns unless the pool
+            # is one sample.
+            block = V[:, : c if n == 1 else max(c, 2)]
+            out[0][c0:c1] = block.mean(axis=0)[:c]
+            if reduce == "std":
+                out[1][c0:c1] = block.std(axis=0)[:c]
         index.kernel_seconds += time.perf_counter() - t_start
         return out
 
-    def _leaf_ids_indexed(
-        self,
-        index: "PoolIndex",
-        leaves: np.ndarray,
-        tree_of: np.ndarray,
-        local: np.ndarray,
-        counts: np.ndarray,
-    ) -> np.ndarray:
-        """Per-tree local leaf id of every pool sample: ``(n_trees, n)`` uint32."""
-        n = index.n_samples
-        T = self.n_trees
-        P, cond = index.condition_rows(self.feature, self.threshold)
-        left, right = self.left, self.right
 
-        # Padded (tree, slot) gather tables per leaf-id bit plane.
-        n_bits = max(1, int(np.ceil(np.log2(max(int(counts.max()), 2)))))
-        zero_row = self.n_nodes  # sentinel all-zero bitset row
-        bit_gather: List[np.ndarray] = []
-        for b in range(n_bits):
-            sel = ((local >> b) & 1) == 1
-            sub, sub_tree = leaves[sel], tree_of[sel]
-            cnt = np.bincount(sub_tree, minlength=T)
-            mat = np.full((T, max(1, int(cnt.max()))), zero_row, dtype=np.int64)
-            pos = np.concatenate(([0], np.cumsum(cnt)))
-            slot = np.arange(sub.size) - pos[sub_tree]
-            mat[sub_tree, slot] = sub
-            bit_gather.append(mat)
+#: Little-endian 64-bit word: byte ``i`` of a word is bits ``8i..8i+7``.
+_WORD = np.dtype("<u8")
 
-        lid = np.zeros((T, n), dtype=np.uint32)
-        chunk = index.chunk
-        for c0 in range(0, n, chunk):
-            c1 = min(c0 + chunk, n)
-            cb = (c1 + 7) // 8 - c0 // 8
-            Pc = np.ascontiguousarray(P[:, c0 // 8 : c0 // 8 + cb])
-            # Member bitset per node, derived parent → children level by
-            # level: left = parent AND condition, right = parent XOR left.
-            M = np.empty((self.n_nodes + 1, cb), dtype=np.uint8)
-            M[self.roots] = 0xFF
-            M[zero_row] = 0
-            for par in self._levels:
-                pm = M[par]
-                lm = pm & Pc[cond[par]]
-                M[left[par]] = lm
-                M[right[par]] = pm ^ lm
-            # Compose per-sample local leaf ids from the leaf-membership
-            # bit planes (leaves of one tree are disjoint, so OR-reducing
-            # the padded row groups is exact).
-            for b in range(n_bits):
-                plane = np.bitwise_or.reduce(M[bit_gather[b]], axis=1)
-                bits = np.unpackbits(plane, axis=1)[:, : c1 - c0]
-                lid[:, c0:c1] += bits.astype(np.uint32) << b
-        return lid
+#: (shift, mask) of the three swap rounds of an 8x8 bit-matrix transpose.
+_TRANSPOSE_ROUNDS = (
+    (7, np.uint64(0x00AA00AA00AA00AA)),
+    (14, np.uint64(0x0000CCCC0000CCCC)),
+    (28, np.uint64(0x00000000F0F0F0F0)),
+)
 
-    def predict_indexed(self, index: "PoolIndex") -> np.ndarray:
-        """Across-tree mean prediction over a pre-indexed pool."""
-        return self.predict_all_indexed(index).mean(axis=0)
 
-    def predict_with_std_indexed(self, index: "PoolIndex") -> Tuple[np.ndarray, np.ndarray]:
-        """Across-tree mean and standard deviation over a pre-indexed pool."""
-        preds = self.predict_all_indexed(index)
-        return preds.mean(axis=0), preds.std(axis=0)
+def _transpose_bit_matrices(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Transpose every word of ``x`` as an 8x8 bit matrix into ``out``.
+
+    Bit ``j`` of byte ``i`` of a result word is bit ``i`` of byte ``j`` of
+    the source word: with bit plane ``b`` in byte ``b``, byte ``i`` becomes
+    the 8-bit value whose bit ``b`` is sample ``i``'s bit in plane ``b``.
+    """
+    src = x
+    for shift, mask in _TRANSPOSE_ROUNDS:
+        np.right_shift(src, shift, out=scratch)
+        np.bitwise_xor(scratch, src, out=scratch)
+        np.bitwise_and(scratch, mask, out=scratch)
+        np.bitwise_xor(src, scratch, out=out)
+        np.left_shift(scratch, shift, out=scratch)
+        np.bitwise_xor(out, scratch, out=out)
+        src = out
 
 
 class PoolIndex:
@@ -405,7 +541,7 @@ class PoolIndex:
             col = X[:, j]
             uniq = np.unique(col)
             if uniq.size <= max_dense_cardinality:
-                rows.append(np.packbits(col[None, :] <= uniq[:, None], axis=1))
+                rows.append(np.packbits(col[None, :] <= uniq[:, None], axis=1, bitorder="little"))
                 self._uniques.append(uniq)
                 self._offsets[j] = offset
                 offset += uniq.size
@@ -442,7 +578,7 @@ class PoolIndex:
             else:
                 # Wide column: pack one row per distinct threshold on demand.
                 ts, inverse = np.unique(threshold[nodes_j], return_inverse=True)
-                packed = np.packbits(self.X[:, j][None, :] <= ts[:, None], axis=1)
+                packed = np.packbits(self.X[:, j][None, :] <= ts[:, None], axis=1, bitorder="little")
                 cond[nodes_j] = n_base + len(extra) + inverse
                 extra.extend(packed)
         if extra:

@@ -41,6 +41,7 @@ from repro.core.durable import (
     FileLock,
     make_envelope,
     read_checksummed_json,
+    tmp_residue,
     write_checksummed_json,
 )
 
@@ -227,6 +228,10 @@ class LeaseStore:
         lease = self._new_lease(
             point_id, generation=max(on_disk_generation, int(generation_floor)) + 1
         )
+        # Every write of this lease runs under the lock held here, so a
+        # temporary beside it is a dead owner's torn write: remove it.
+        for tmp in tmp_residue(path):
+            tmp.unlink(missing_ok=True)
         write_checksummed_json(path, lease.to_payload())
         return lease
 

@@ -22,6 +22,16 @@ feature); this module uses the LightGBM-style histogram strategy instead:
   **all features of all frontier nodes of all trees at once**.  Each level
   only scans the *smaller* child of every split: the larger sibling's
   histogram is obtained by parent-minus-sibling subtraction.
+
+* The split search runs only where a split can exist: on *eligible* slots
+  (the stopping rules) of weighted size at least ``2 * min_samples_leaf``,
+  and over each feature's real bin boundaries.  No boundary of a smaller
+  slot leaves ``min_samples_leaf`` on both sides, for any non-negative
+  weights, so those slots become leaves exactly as a full search would
+  leave them; histograms are built only for searched slots and the
+  siblings their subtractions read.  ``eligible`` itself is not narrowed:
+  it decides which trees draw a feature subset from their generator at a
+  level, so narrowing it would change every later draw of those trees.
   :meth:`repro.core.forest.RandomForestRegressor.fit` calls it over slices
   of its trees, and :meth:`repro.core.tree.DecisionTreeRegressor.fit` calls
   it for a forest of one.
@@ -330,18 +340,21 @@ def grow_forest_hist(
     if B < 2:  # every column is constant: nothing to split on
         return _finish_chunks()
 
-    thr_mat = np.full((d, B - 1), np.nan, dtype=np.float64)
-    for j, thr in enumerate(bin_thresholds):
-        thr_mat[j, : thr.size] = thr
-    boundary_ok = np.arange(B - 1)[None, :] < (n_bins[:, None] - 1)
+    # The split search scans the real bin boundaries only, (feature,
+    # boundary) in row-major order: `cols` indexes them in the flattened
+    # (d, B - 1) grid of cumulative bins.
+    cols = np.flatnonzero(np.arange(B - 1)[None, :] < (n_bins[:, None] - 1))
+    col_feat, col_bin = cols // (B - 1), cols % (B - 1)
+    col_thr = np.concatenate([np.asarray(thr, dtype=np.float64) for thr in bin_thresholds])
+    # Per row and feature, its bin's offset in a slot's (d, B) histogram.
+    row_code = (np.arange(d, dtype=np.int64) * B)[None, :] + binned
 
     # Frontier state: per-slot node id and [start, end) segment of `order`,
     # plus the node's weighted statistics.  Slots are tree-major (every
     # tree's slots contiguous and in its own breadth-first order) and record
     # their owning tree; `order` holds *global* row ids (tree * n + row).
-    # Histograms for the current level are computed by scanning only the
-    # slots flagged in `scan_mask`; the rest are derived as
-    # parent-minus-sibling from the previous level.
+    # A slot flagged in `scan_mask` gets its histogram by a scan of its
+    # rows, the others as parent-minus-sibling from the previous level.
     order = np.concatenate(order_parts) if order_parts else np.empty(0, dtype=np.int64)
     tree_of_slot = np.arange(T, dtype=np.int64)
     node_of_slot = np.zeros(T, dtype=np.int64)  # tree-local breadth-first ids
@@ -352,43 +365,14 @@ def grow_forest_hist(
     Swy2 = root_stats[:, 2].copy()
     scan_mask = np.ones(T, dtype=bool)
     parent_ref = np.zeros(T, dtype=np.int64)
-    sibling_ref = np.zeros(T, dtype=np.int64)
+    sibling_ref = np.arange(T, dtype=np.int64)
     H_prev: Optional[tuple] = None
 
     depth = 0
-    feat_arange = np.arange(d, dtype=np.int64)
     while node_of_slot.size:
         S = node_of_slot.size
 
-        # --- 1. per-slot histograms of (w, w*y, w*y^2) over (feature, bin)
-        size = S * d * B
-        scan_slots = np.flatnonzero(scan_mask)
-        if scan_slots.size:
-            lengths = seg_end[scan_slots] - seg_start[scan_slots]
-            rows_g = np.concatenate(
-                [order[s:e] for s, e in zip(seg_start[scan_slots], seg_end[scan_slots])]
-            )
-            rows = rows_g % n  # local rows for the shared binned matrix
-            slot_rep = np.repeat(scan_slots, lengths)
-            flat = ((slot_rep[:, None] * d + feat_arange[None, :]) * B + binned[rows]).ravel()
-            Hw = np.bincount(flat, weights=np.repeat(Wf[rows_g], d), minlength=size)
-            Hwy = np.bincount(flat, weights=np.repeat(WYf[rows_g], d), minlength=size)
-            Hwy2 = np.bincount(flat, weights=np.repeat(WY2f[rows_g], d), minlength=size)
-        else:  # pragma: no cover - at least one child per level is scanned
-            Hw = np.zeros(size)
-            Hwy = np.zeros(size)
-            Hwy2 = np.zeros(size)
-        Hw = Hw.reshape(S, d, B)
-        Hwy = Hwy.reshape(S, d, B)
-        Hwy2 = Hwy2.reshape(S, d, B)
-        sub_slots = np.flatnonzero(~scan_mask)
-        if sub_slots.size:
-            assert H_prev is not None
-            Hw[sub_slots] = H_prev[0][parent_ref[sub_slots]] - Hw[sibling_ref[sub_slots]]
-            Hwy[sub_slots] = H_prev[1][parent_ref[sub_slots]] - Hwy[sibling_ref[sub_slots]]
-            Hwy2[sub_slots] = H_prev[2][parent_ref[sub_slots]] - Hwy2[sibling_ref[sub_slots]]
-
-        # --- 2. stopping rules that need no split search
+        # --- 1. stopping rules that need no split search
         mean = Swy / Sw
         sse_node = Swy2 - Swy * mean
         # Purity tolerance mirroring the sort-based splitter's allclose() stop.
@@ -400,56 +384,101 @@ def grow_forest_hist(
         if not np.any(eligible):
             break
 
-        # --- 3. per-tree random feature subsets: every tree that still has an
+        # --- 2. per-tree random feature subsets: every tree that still has an
         # eligible frontier node draws one (S_t, d) block from its own
         # generator; a tree whose slots are all ineligible stops *before*
         # drawing, as it would grown alone.  Slots are tree-major, so trees
-        # are contiguous runs.
+        # are contiguous runs.  The draws follow `eligible`, so the slot
+        # rule below must not narrow it.
         if n_feat_per_split < d:
             R = np.zeros((S, d))
             run_starts = np.flatnonzero(np.diff(tree_of_slot, prepend=-1))
             run_ends = np.append(run_starts[1:], S)
-            for s0, s1 in zip(run_starts, run_ends):
-                if np.any(eligible[s0:s1]):
-                    R[s0:s1] = gens[tree_of_slot[s0]].random((s1 - s0, d))
-            ranks = np.argsort(R, axis=1, kind="stable")
-            feat_mask = np.zeros((S, d), dtype=bool)
+            draws = np.logical_or.reduceat(eligible, run_starts)
+            for s0, s1 in zip(run_starts[draws], run_ends[draws]):
+                R[s0:s1] = gens[tree_of_slot[s0]].random((s1 - s0, d))
+
+        # Search only slots with Sw >= 2 * min_samples_leaf.  On a smaller
+        # slot every boundary with cw >= msl has cw > Sw / 2, so Sw - cw is
+        # either exact (Sterbenz) and below msl, or negative: rw < msl, no
+        # boundary is valid and the slot ends a leaf with best gain -inf,
+        # whatever the (non-negative) weights.
+        ks = np.flatnonzero(eligible & (Sw >= 2 * min_samples_leaf))
+        K = ks.size
+        if K == 0:
+            break
+        if n_feat_per_split < d:
+            ranks = np.argsort(R[ks], axis=1, kind="stable")
+            feat_mask = np.zeros((K, d), dtype=bool)
             np.put_along_axis(feat_mask, ranks[:, :n_feat_per_split], True, axis=1)
         else:
-            feat_mask = np.ones((S, d), dtype=bool)
+            feat_mask = np.ones((K, d), dtype=bool)
 
-        # --- 4. split search: cumulative bin scans, all slots of all trees at once
-        cw = np.cumsum(Hw, axis=2)[:, :, :-1]
-        cwy = np.cumsum(Hwy, axis=2)[:, :, :-1]
-        cwy2 = np.cumsum(Hwy2, axis=2)[:, :, :-1]
-        rw = Sw[:, None, None] - cw
-        rwy = Swy[:, None, None] - cwy
-        rwy2 = Swy2[:, None, None] - cwy2
-        valid = boundary_ok[None, :, :] & feat_mask[:, :, None]
+        # --- 3. per-slot histograms of (w, w*y, w*y^2) over (feature, bin),
+        # only those a searched slot reads: its own, and for a subtracted
+        # slot its scanned sibling's.  Searched slots take histogram rows
+        # 0..K-1 in slot order, the extra siblings the rows after them.
+        searched = np.zeros(S, dtype=bool)
+        searched[ks] = True
+        extra = np.flatnonzero(scan_mask & ~searched & searched[sibling_ref])
+        hist_row = np.empty(S, dtype=np.int64)
+        hist_row[ks] = np.arange(K)
+        hist_row[extra] = K + np.arange(extra.size)
+        size = (K + extra.size) * d * B
+        scan_slots = np.flatnonzero(scan_mask & (searched | searched[sibling_ref]))
+        lengths = seg_end[scan_slots] - seg_start[scan_slots]
+        rows_g = np.concatenate(
+            [order[s:e] for s, e in zip(seg_start[scan_slots], seg_end[scan_slots])]
+        )
+        slot_rep = np.repeat(hist_row[scan_slots] * (d * B), lengths)
+        flat = (slot_rep[:, None] + row_code[rows_g % n]).ravel()
+        Hw = np.bincount(flat, weights=np.repeat(Wf[rows_g], d), minlength=size)
+        Hwy = np.bincount(flat, weights=np.repeat(WYf[rows_g], d), minlength=size)
+        Hwy2 = np.bincount(flat, weights=np.repeat(WY2f[rows_g], d), minlength=size)
+        Hw = Hw.reshape(-1, d, B)
+        Hwy = Hwy.reshape(-1, d, B)
+        Hwy2 = Hwy2.reshape(-1, d, B)
+        sub_slots = ks[~scan_mask[ks]]
+        if sub_slots.size:
+            assert H_prev is not None
+            dst, par, sib = hist_row[sub_slots], parent_ref[sub_slots], hist_row[sibling_ref[sub_slots]]
+            Hw[dst] = H_prev[0][par] - Hw[sib]
+            Hwy[dst] = H_prev[1][par] - Hwy[sib]
+            Hwy2[dst] = H_prev[2][par] - Hwy2[sib]
+        Hw, Hwy, Hwy2 = Hw[:K], Hwy[:K], Hwy2[:K]
+
+        # --- 4. split search: cumulative bin scans, all searched slots of
+        # all trees at once
+        SwK, SwyK, Swy2K = Sw[ks], Swy[ks], Swy2[ks]
+        cw = np.cumsum(Hw, axis=2)[:, :, :-1].reshape(K, -1)[:, cols]
+        cwy = np.cumsum(Hwy, axis=2)[:, :, :-1].reshape(K, -1)[:, cols]
+        cwy2 = np.cumsum(Hwy2, axis=2)[:, :, :-1].reshape(K, -1)[:, cols]
+        rw = SwK[:, None] - cw
+        rwy = SwyK[:, None] - cwy
+        rwy2 = Swy2K[:, None] - cwy2
+        valid = feat_mask[:, col_feat]
         valid &= (cw >= min_samples_leaf) & (rw >= min_samples_leaf)
         with np.errstate(divide="ignore", invalid="ignore"):
             sse_split = (cwy2 - cwy * cwy / cw) + (rwy2 - rwy * rwy / rw)
-        gain = sse_node[:, None, None] - sse_split
+        gain = sse_node[ks][:, None] - sse_split
         gain = np.where(valid, gain, -np.inf)
-        flat_gain = gain.reshape(S, d * (B - 1))
-        best = np.argmax(flat_gain, axis=1)
-        slots_idx = np.arange(S)
-        best_gain = flat_gain[slots_idx, best]
-        best_feat = best // (B - 1)
-        best_b = best - best_feat * (B - 1)
-        split_ok = eligible & np.isfinite(best_gain) & ~(best_gain / Sw < min_impurity_decrease)
-        sp = np.flatnonzero(split_ok)
-        if sp.size == 0:
+        best = np.argmax(gain, axis=1)
+        best_gain = gain[np.arange(K), best]
+        ok = np.flatnonzero(np.isfinite(best_gain) & ~(best_gain / SwK < min_impurity_decrease))
+        if ok.size == 0:
             break
+        sp = ks[ok]
+        best = best[ok]
+        best_feat, best_b = col_feat[best], col_bin[best]
 
         # --- 5. record splits and allocate children (left then right, slot
         # order — tree-major slots keep every tree's breadth-first ids
         # identical to growing it alone).  Child ids are the per-tree
         # running node count plus the child's rank within its tree's run of
         # `sp` (slots are tree-major, so each tree's splits are contiguous).
-        lw = cw[sp, best_feat[sp], best_b[sp]]
-        lwy = cwy[sp, best_feat[sp], best_b[sp]]
-        lwy2 = cwy2[sp, best_feat[sp], best_b[sp]]
+        lw = cw[ok, best]
+        lwy = cwy[ok, best]
+        lwy2 = cwy2[ok, best]
         rw_ = Sw[sp] - lw
         rwy_ = Swy[sp] - lwy
         rwy2_ = Swy2[sp] - lwy2
@@ -461,8 +490,8 @@ def grow_forest_hist(
         lid = node_count[tr] + 2 * rank
         rid = lid + 1
         node_count += 2 * sp_counts
-        chunk_feature[depth][sp] = best_feat[sp]
-        chunk_threshold[depth][sp] = thr_mat[best_feat[sp], best_b[sp]]
+        chunk_feature[depth][sp] = best_feat
+        chunk_threshold[depth][sp] = col_thr[best]
         chunk_left[depth][sp] = lid
         chunk_right[depth][sp] = rid
         child_sw = np.empty(n_child)
@@ -490,7 +519,7 @@ def grow_forest_hist(
         sp_lengths = seg_end[sp] - seg_start[sp]
         rows_g = np.concatenate([order[s:e] for s, e in zip(seg_start[sp], seg_end[sp])])
         local = np.repeat(np.arange(sp.size, dtype=np.int64), sp_lengths)
-        go_right = binned[rows_g % n, best_feat[sp][local]] > best_b[sp][local]
+        go_right = binned[rows_g % n, best_feat[local]] > best_b[local]
         key = local * 2 + go_right
         perm = np.argsort(key, kind="stable")
         order = rows_g[perm]
@@ -505,7 +534,7 @@ def grow_forest_hist(
         next_sibling = np.arange(n_child, dtype=np.int64)
         next_sibling[0::2] += 1
         next_sibling[1::2] -= 1
-        H_prev = (Hw[sp], Hwy[sp], Hwy2[sp])
+        H_prev = (Hw[ok], Hwy[ok], Hwy2[ok])
         parent_ref = np.repeat(np.arange(sp.size, dtype=np.int64), 2)
         sibling_ref = next_sibling
         scan_mask = next_scan

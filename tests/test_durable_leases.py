@@ -228,3 +228,43 @@ class TestLeaseStore:
 
     def test_default_ttl_is_sane(self):
         assert DEFAULT_TTL_S > 0
+
+    def test_takeover_removes_the_dead_owners_temporaries(self, tmp_path):
+        now = {"t": 100.0}
+        store1 = self.make_store(tmp_path, "w1", now)
+        store2 = self.make_store(tmp_path, "w2", now)
+        store1.try_acquire("p0")
+        store1.try_acquire("p1")
+        now["t"] += 11.0  # both expired: w1 died inside a heartbeat write
+        lease_dir = tmp_path / "leases"
+        stranded = lease_dir / f".p0.lease.json.4242-3{TMP_SUFFIX}"
+        other = lease_dir / f".p1.lease.json.4242-4{TMP_SUFFIX}"
+        stranded.write_text("{")
+        other.write_text("{")
+        p1_bytes = store1.path_for("p1").read_bytes()
+        taken = store2.try_acquire("p0")
+        assert (taken.owner, taken.generation) == ("w2", 2)
+        assert not stranded.exists()
+        assert other.read_text() == "{"
+        assert store1.path_for("p1").read_bytes() == p1_bytes
+
+    def test_takeover_leaves_a_clean_sweep_dir(self, tmp_path):
+        from repro.core.doctor import doctor
+        from repro.core.sweep import LEASES_DIR, SweepSpec, load_manifest, prepare_sweep_dir
+        from test_distributed_sweep import toy_sweep
+
+        sweep_dir = tmp_path / "sw"
+        prepare_sweep_dir(SweepSpec.from_dict(toy_sweep()), sweep_dir)
+        pid = load_manifest(sweep_dir)["points"][0]["point_id"]
+        lease_dir = sweep_dir / LEASES_DIR
+        lease_dir.mkdir(exist_ok=True)
+        dead = Lease(
+            point_id=pid, owner="dead", generation=1, acquired_at=0.0, heartbeat_at=0.0, ttl_s=1.0
+        )
+        write_checksummed_json(lease_dir / f"{pid}.lease.json", dead.to_payload())
+        (lease_dir / f".{pid}.lease.json.4242-3{TMP_SUFFIX}").write_text("{")
+        before = doctor(sweep_dir, repair=False)
+        assert sorted(f.kind for f in before.findings) == ["expired-lease", "tmp-residue"]
+        taken = LeaseStore(lease_dir, owner="w2", ttl_s=30.0).try_acquire(pid)
+        assert taken.generation == 2
+        assert doctor(sweep_dir, repair=False).clean

@@ -283,6 +283,61 @@ class TestBitsetKernel:
                 forest.flat.predict_all_indexed(index), forest.predict_all_trees(Xp)
             )
 
+    @staticmethod
+    def _assert_bytewise_walker(forest, Xp, chunk):
+        """All three indexed entry points equal the walker byte for byte."""
+        from repro.core.flat_forest import PoolIndex
+
+        index = PoolIndex(Xp, chunk=chunk)
+        assert forest.flat.predict_all_indexed(index).tobytes() == forest.predict_all_trees(Xp).tobytes()
+        mean = forest.predict_indexed(index)
+        assert mean.tobytes() == forest.predict(Xp).tobytes()
+        m, s = forest.predict_with_std_indexed(index)
+        m_ref, s_ref = forest.predict_with_std(Xp)
+        assert m.tobytes() == m_ref.tobytes() and s.tobytes() == s_ref.tobytes()
+        return mean
+
+    def test_multi_byte_leaf_ids_at_every_chunk_size(self):
+        """Trees of more than 256 leaves need two id bytes.  1201 samples is
+        a multiple of neither 8 nor any chunk, and leaves one sample in the
+        last 8-sample chunk, whose mean must still be summed tree by tree."""
+        Xp = _discrete_pool(1201, 6, seed=21)
+        y = np.random.default_rng(22).uniform(size=1201)
+        forest = RandomForestRegressor(n_estimators=8, min_samples_leaf=1, random_state=23).fit(Xp, y)
+        assert max(int(np.sum(t.node_arrays.feature < 0)) for t in forest.trees) > 256
+        means = [self._assert_bytewise_walker(forest, Xp, chunk) for chunk in (8, 64, 4096)]
+        assert means[0].tobytes() == means[1].tobytes() == means[2].tobytes()
+
+    def test_lone_last_column_is_summed_tree_by_tree(self):
+        """A one-sample last chunk: numpy would sum a lone column pairwise
+        (8+ trees), unlike every column of the full (T, n) matrix."""
+        Xp = _discrete_pool(170, 4, seed=30)
+        forest = RandomForestRegressor(n_estimators=12, random_state=31).fit(
+            Xp, np.random.default_rng(32).uniform(size=170)
+        )
+        for n in range(9, 170, 8):
+            self._assert_bytewise_walker(forest, Xp[:n], 8)
+
+    @pytest.mark.parametrize("chunk", [8, 64, 4096])
+    def test_wide_columns_at_every_chunk_size(self, chunk):
+        rng = np.random.default_rng(24)
+        Xp = np.column_stack(
+            [rng.uniform(0, 1, 803), rng.choice([0.0, 1.0, 2.0], 803), rng.uniform(-5, 5, 803)]
+        )
+        forest = RandomForestRegressor(n_estimators=6, random_state=25).fit(Xp[:300], rng.uniform(size=300))
+        self._assert_bytewise_walker(forest, Xp, chunk)
+
+    def test_root_only_trees_and_one_row_pool(self):
+        Xp = _discrete_pool(50, 3, seed=26)
+        root_only = RandomForestRegressor(n_estimators=9, random_state=27).fit(Xp[:20], np.full(20, 0.1))
+        deep = RandomForestRegressor(n_estimators=9, random_state=28).fit(
+            Xp, np.random.default_rng(29).uniform(size=50)
+        )
+        assert root_only.flat.n_nodes == 9
+        for forest in (root_only, deep):
+            for pool in (Xp, Xp[:1], Xp[7:8]):
+                self._assert_bytewise_walker(forest, pool, 8)
+
     def test_kernel_seconds_advance(self):
         forest, index, _, _, _ = self._forest_and_index(seed=3)
         assert index.kernel_seconds == 0.0

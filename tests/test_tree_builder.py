@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ExactTreeRegressor, exact_forest, grow_tree_hist, predict_trees_reference
+from oracles import (
+    ExactTreeRegressor,
+    exact_forest,
+    grow_tree_hist,
+    per_tree_hist_forest,
+    predict_trees_reference,
+)
 from repro.core.forest import RandomForestRegressor
 from repro.core.tree import DecisionTreeRegressor
 from repro.core.tree_builder import BinMapper, grow_forest_hist
@@ -418,3 +424,68 @@ class TestGrowForestHist:
             grow_forest_hist(binned, mapper.bin_thresholds_, y, n_trees=2, rngs=[0, 1, 2])
         with pytest.raises(ValueError):
             grow_forest_hist(binned, mapper.bin_thresholds_, y, [np.zeros(20)])
+
+
+class TestSplittableSlotsOnly:
+    """The grower searches only eligible slots of weighted size >= 2 *
+    min_samples_leaf; the per-tree oracle searches every eligible slot.
+    Their node tables must agree byte for byte."""
+
+    _FIELDS = TestGrowForestHist._FIELDS
+
+    def _assert_same_nodes(self, got, want):
+        for t, (a, b) in enumerate(zip(got, want)):
+            for name in self._FIELDS:
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f"tree {t}: {name}"
+
+    @staticmethod
+    def _skipped_leaves(nodes, low, high):
+        """Impure leaves with ``low <= n_samples < high``: eligible slots the
+        rule skips when ``min_samples_split <= low`` and ``high <= 2 * msl``."""
+        return sum(
+            int(np.sum((t.feature < 0) & (t.n_samples >= low) & (t.n_samples < high) & (t.impurity > 1e-6)))
+            for t in nodes
+        )
+
+    @pytest.mark.parametrize("max_depth", [None, 4])
+    @pytest.mark.parametrize("max_features", [0.75, 1.0])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 2, 5])
+    def test_forest_matches_per_tree_oracle(self, min_samples_leaf, max_features, max_depth):
+        X, y = _integer_data(51, n=160, d=5)
+        params = dict(max_features=max_features, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        forest = RandomForestRegressor(n_estimators=6, random_state=7, **params).fit(X, y)
+        mapper = BinMapper().fit(X)
+        oracle = per_tree_hist_forest(
+            mapper.transform(X), mapper.bin_thresholds_, y, n_estimators=6, random_state=7, **params
+        )
+        self._assert_same_nodes([t.node_arrays for t in forest.trees], oracle)
+        if min_samples_leaf > 1 and max_depth is None:
+            assert self._skipped_leaves(oracle, 2, 2 * min_samples_leaf) > 0
+
+    @pytest.mark.parametrize("min_samples_leaf", [1, 2, 5])
+    def test_fractional_weights_match_per_tree_oracle(self, min_samples_leaf):
+        """Inexact weighted sums: the rule still holds (Sw - cw is exact or
+        negative whenever cw > Sw / 2), so no slot it skips could split."""
+        rng = np.random.default_rng(61)
+        X, _ = _integer_data(61, n=150, d=4)
+        y = rng.normal(size=150)
+        mapper = BinMapper().fit(X)
+        binned = mapper.transform(X)
+        weights = [rng.uniform(0.05, 1.5, 150) * (rng.uniform(size=150) < 0.8) for _ in range(4)]
+        kwargs = dict(min_samples_leaf=min_samples_leaf, n_feat_per_split=3)
+        batched = grow_forest_hist(
+            binned, mapper.bin_thresholds_, y, weights,
+            rngs=[np.random.default_rng((61, t)) for t in range(4)], **kwargs,
+        )
+        single = [
+            grow_tree_hist(
+                binned, mapper.bin_thresholds_, y, weights[t], rng=np.random.default_rng((61, t)), **kwargs
+            )
+            for t in range(4)
+        ]
+        self._assert_same_nodes(batched, single)
+        if min_samples_leaf > 1:
+            # n_samples is the rounded weighted size: 3 <= n_samples <
+            # 2 * msl puts it in [2.5, 2 * msl - 0.5).
+            assert self._skipped_leaves(single, 3, 2 * min_samples_leaf) > 0
