@@ -68,7 +68,7 @@ def _measure_fit(space, objectives, n_train, pool_size, seed):
     pool = build_encoded_pool(space, pool_size, rng=rng)
     train_idx = rng.choice(len(pool), size=n_train, replace=False)
     train = [pool.configs[int(i)] for i in train_idx]
-    X_train = pool.rows_for(space, train)
+    X_train, prebinned = pool.training_rows(space, train, train_idx)
     metrics = _synthetic_metrics(X_train, rng)
 
     hist = MultiObjectiveSurrogate(space, objectives, n_estimators=N_TREES, random_state=seed)
@@ -94,7 +94,6 @@ def _measure_fit(space, objectives, n_train, pool_size, seed):
             [predict_trees_reference(exact[obj.name], X).mean(axis=0) for obj in objectives]
         )
 
-    prebinned = pool.binned_rows_for(space, train)
     t_exact = _timed(fit_exact)
     t_hist = _timed(
         lambda: hist.fit_encoded(

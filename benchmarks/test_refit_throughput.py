@@ -71,8 +71,7 @@ def _synthetic_metrics(X_rows, rng):
 def _training_slice(space, pool, n, rng):
     idx = rng.choice(len(pool), size=n, replace=False)
     configs = [pool.configs[int(i)] for i in idx]
-    X = pool.rows_for(space, configs)
-    return X, pool.binned_rows_for(space, configs)
+    return pool.training_rows(space, configs, idx)
 
 
 def _measure_forest_level(space, objectives, n_train, pool_size, seed):

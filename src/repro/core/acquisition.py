@@ -129,14 +129,14 @@ class _SurrogateAcquisition(AcquisitionStrategy):
         surrogate = state.new_surrogate()
         encoded_pool = state.encoded_pool
         records = state.history.records
-        train_configs = [r.config for r in records]
         with state.timer.lap("encode"):
-            X_train = encoded_pool.rows_for(state.space, train_configs)
-            # Share the pool's one-time quantization with every forest of
-            # every refit: training rows are uint8 gathers from the cached
-            # binned pool matrix.
+            # Training rows are gathers by the pool rows the engine looked
+            # up once per record; the pool's one-time quantization is shared
+            # by every forest of every refit.
+            X_train, prebinned = encoded_pool.training_rows(
+                state.space, [r.config for r in records], state.record_rows
+            )
             bin_mapper = encoded_pool.bin_mapper
-            prebinned = encoded_pool.binned_rows_for(state.space, train_configs)
         metrics = [r.metrics for r in records]
         with state.timer.lap("fit"):
             surrogate.fit_encoded(X_train, metrics, bin_mapper=bin_mapper, prebinned=prebinned)

@@ -186,6 +186,9 @@ class SearchState:
     claimed_ranks: set = field(default_factory=set)
     #: Every evaluated configuration (including out-of-pool warm-start entries).
     evaluated_configs: set = field(default_factory=set)
+    #: Pool row of every history record, in record order (``-1`` outside
+    #: the pool): looked up once per record, gathered by every refit.
+    record_rows: List[int] = field(default_factory=list)
     #: Factory for fresh per-iteration surrogates (bound by the driver).
     surrogate_factory: Optional[Callable[[int], MultiObjectiveSurrogate]] = None
 
@@ -201,6 +204,7 @@ class SearchState:
         self.evaluated_configs.add(record.config)
         if self.encoded_pool is not None:
             rank = self.encoded_pool.position(record.config)
+            self.record_rows.append(-1 if rank is None else rank)
             if rank is not None:
                 self.claimed_ranks.add(rank)
 

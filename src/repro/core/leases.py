@@ -15,7 +15,10 @@ primitive — and carrying three things:
   clobber its successor's result;
 * a **heartbeat timestamp**.  A live owner refreshes it every
   ``ttl_s / 3``; a lease whose heartbeat is older than ``ttl_s`` is
-  *expired* and may be taken over by any worker (generation + 1).
+  *expired* and may be taken over by any worker (generation + 1).  A lease
+  whose default owner id names a process of this host that no longer
+  exists is taken over at once, on the same generation rule: a resume on
+  the machine where a worker was killed does not wait out the ttl.
 
 The store itself is deliberately dumb about concurrency: the fresh-claim
 fast path is atomic via ``O_EXCL``, and every mutating operation on an
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import time
 import uuid
@@ -68,6 +72,33 @@ class StaleLeaseError(LeaseError):
 def default_owner_id() -> str:
     """``host:pid:nonce`` — unique per worker process, stable within it."""
     return f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
+
+
+_DEFAULT_OWNER = re.compile(r"(?P<host>.+):(?P<pid>[1-9][0-9]*):[0-9a-f]{8}")
+
+
+def _owner_is_gone(owner: str) -> bool:
+    """Whether ``owner`` is a default owner id of a process that has exited.
+
+    True only when the id has the :func:`default_owner_id` form, names this
+    host and another process, and ``os.kill(pid, 0)`` raises
+    :class:`ProcessLookupError`.  An owner set by hand, another host, a live
+    pid or a pid this user may not signal (:class:`PermissionError`) all
+    read as alive, and their leases wait for the ttl.
+    """
+    match = _DEFAULT_OWNER.fullmatch(owner)
+    if match is None or match["host"] != socket.gethostname():
+        return False
+    pid = int(match["pid"])
+    if pid == os.getpid():
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):
+        return False
+    return False
 
 
 @dataclass(frozen=True)
@@ -180,7 +211,12 @@ class LeaseStore:
             return True  # corrupt lease = crash residue; a claim replaces it
         if lease is None:
             return True
-        return lease.expired(self.clock() if now is None else now)
+        return self._takeable(lease, self.clock() if now is None else now)
+
+    @staticmethod
+    def _takeable(lease: Lease, now: float) -> bool:
+        """Whether ``lease`` may be taken over: expired, or its owner is gone."""
+        return lease.expired(now) or _owner_is_gone(lease.owner)
 
     # -- acquisition -------------------------------------------------------------
     def try_acquire(self, point_id: str, *, generation_floor: int = 0) -> Optional[Lease]:
@@ -222,7 +258,7 @@ class LeaseStore:
             except CorruptArtifactError:
                 current = None  # corrupt residue: replace it
             if current is not None:
-                if not current.expired(self.clock()):
+                if not self._takeable(current, self.clock()):
                     return None
                 on_disk_generation = current.generation
         lease = self._new_lease(

@@ -74,6 +74,15 @@ class Parameter(ABC):
     def sample(self, rng: RandomState = None, size: Optional[int] = None) -> Any:
         """Draw one value (``size=None``) or an array/list of values."""
 
+    def sample_index(self, rng: RandomState = None, size: Optional[int] = None) -> Any:
+        """Draw indices into :meth:`values`: one ``integers`` call.
+
+        Every discrete type samples through this draw, and
+        :meth:`repro.core.space.DesignSpace.sample_ranks` combines the
+        parameters' indices into enumeration ranks without building values.
+        """
+        return as_generator(rng).integers(int(self.cardinality), size=size)
+
     # -- numeric encoding --------------------------------------------------
     @abstractmethod
     def to_numeric(self, value: Any) -> float:
@@ -159,11 +168,10 @@ class OrdinalParameter(Parameter):
         return any(value == v for v in self._values)
 
     def sample(self, rng: RandomState = None, size: Optional[int] = None) -> Any:
-        gen = as_generator(rng)
+        idx = self.sample_index(rng, size)
         if size is None:
-            return self._values[int(gen.integers(len(self._values)))]
-        idx = gen.integers(len(self._values), size=size)
-        return [self._values[int(i)] for i in idx]
+            return self._values[int(idx)]
+        return [self._values[i] for i in idx.tolist()]
 
     def to_numeric(self, value: Any) -> float:
         if self._numeric:
@@ -221,11 +229,14 @@ class IntegerParameter(Parameter):
             return False
         return iv == value and self.lower <= iv <= self.upper
 
+    def sample_index(self, rng: RandomState = None, size: Optional[int] = None) -> Any:
+        return as_generator(rng).integers(self.lower, self.upper + 1, size=size) - self.lower
+
     def sample(self, rng: RandomState = None, size: Optional[int] = None) -> Any:
-        gen = as_generator(rng)
+        idx = self.sample_index(rng, size)
         if size is None:
-            return int(gen.integers(self.lower, self.upper + 1))
-        return [int(v) for v in gen.integers(self.lower, self.upper + 1, size=size)]
+            return self.lower + int(idx)
+        return [self.lower + i for i in idx.tolist()]
 
     def to_numeric(self, value: Any) -> float:
         return float(value)
@@ -357,11 +368,10 @@ class CategoricalParameter(Parameter):
         return value in self._choices
 
     def sample(self, rng: RandomState = None, size: Optional[int] = None) -> Any:
-        gen = as_generator(rng)
+        idx = self.sample_index(rng, size)
         if size is None:
-            return self._choices[int(gen.integers(len(self._choices)))]
-        idx = gen.integers(len(self._choices), size=size)
-        return [self._choices[int(i)] for i in idx]
+            return self._choices[int(idx)]
+        return [self._choices[i] for i in idx.tolist()]
 
     def to_numeric(self, value: Any) -> float:
         return float(self.index_of(value))

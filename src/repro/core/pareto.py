@@ -8,6 +8,13 @@ The implementation is vectorized: the O(n log n) sweep used for two objectives
 (the paper's case: accuracy and runtime) and a generic O(n^2) pairwise check
 for three or more objectives (e.g. adding power as in the earlier HyperMapper
 work).
+
+The two-objective sweep takes one ``argsort`` of the first objective and
+works on groups of equal first objective, so the predicted front over a
+50k-row pool costs one sort instead of a two-key ``lexsort``.  Its NaN rule
+is the running minimum's: a NaN second objective never joins the front and
+shuts out every row with a larger first objective, and rows with a NaN first
+objective come last, ordered by second objective and then by index.
 """
 
 from __future__ import annotations
@@ -61,34 +68,42 @@ def pareto_mask(values: np.ndarray) -> np.ndarray:
 
 
 def _pareto_mask_2d(values: np.ndarray) -> np.ndarray:
-    """Fully vectorized O(n log n) sweep for the bi-objective case.
+    """O(n log n) sweep for the bi-objective case, one ``argsort``.
 
-    After sorting by (first, second) objective, a point is non-dominated iff
-    its second objective strictly undercuts the running minimum of everything
-    before it.  Exact duplicates of a non-dominated point are also kept: in
-    the sorted order they form a contiguous run starting at the point that
-    achieved the minimum, so keep-status is broadcast across runs of
-    identical rows.
+    Rows are sorted by the first objective alone and grouped by equal first
+    objective.  A group keeps its rows holding the group's best second
+    objective (``np.fmin``, so NaN never wins) when that value strictly
+    undercuts the minimum over all earlier groups; every other row is
+    dominated.  The value a group passes on is its ``np.minimum``, so a NaN
+    second objective shuts out every later group.  NaN first objectives sort
+    last, each row its own group, ordered by (second objective, index).
+
+    This is the sweep over rows sorted by (first, second, index) in which a
+    row is kept when its second objective undercuts the running minimum of
+    the rows before it, and identical rows share their first row's verdict.
     """
     n = values.shape[0]
     f0, f1 = values[:, 0], values[:, 1]
-    # Sort by first objective ascending, ties broken by second ascending.
-    order = np.lexsort((f1, f0))
-    f1_sorted = f1[order]
-    # Running minimum of the second objective over strictly-preceding points.
-    prev_min = np.empty(n, dtype=np.float64)
-    prev_min[0] = np.inf
-    np.minimum.accumulate(f1_sorted[:-1], out=prev_min[1:])
-    keep_strict = f1_sorted < prev_min
-    # Runs of identical (f0, f1) rows inherit the keep-status of their head.
-    row_sorted = values[order]
-    run_head = np.empty(n, dtype=bool)
-    run_head[0] = True
-    run_head[1:] = np.any(row_sorted[1:] != row_sorted[:-1], axis=1)
-    run_id = np.cumsum(run_head) - 1
-    keep_sorted = keep_strict[np.flatnonzero(run_head)][run_id]
+    order = np.argsort(f0)
+    n_nan = int(np.count_nonzero(np.isnan(f0)))
+    tail = np.sort(order[n - n_nan:])
+    order[n - n_nan:] = tail[np.argsort(f1[tail], kind="stable")]
+    s0 = f0[order]
+    s1 = f1[order]
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(s0[1:], s0[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    best = np.fmin.reduceat(s1, starts)
+    passed = np.minimum.reduceat(s1, starts)
+    # Minimum over strictly-preceding groups.
+    prev = np.empty(starts.size, dtype=np.float64)
+    prev[0] = np.inf
+    np.minimum.accumulate(passed[:-1], out=prev[1:])
+    group = np.cumsum(head) - 1
+    keep = (best < prev)[group] & (s1 == best[group])
     mask = np.zeros(n, dtype=bool)
-    mask[order] = keep_sorted
+    mask[order] = keep
     return mask
 
 

@@ -9,14 +9,21 @@ as an ablation) and grid sampling (the "expert brute-force grid search"
 baseline used by the ElasticFusion developers).
 
 :class:`EncodedPool` pairs a pool with its one-time numeric encoding so the
-active-learning loop never re-encodes an unchanged pool.
+active-learning loop never re-encodes an unchanged pool.  On a finite space
+the pool is lazy whether it is the whole enumeration or a random sample: a
+rank array (:meth:`~repro.core.space.DesignSpace.sample_ranks`) viewed
+through :class:`~repro.core.space.EnumeratedConfigs`, encoded straight from
+its value-index columns and searched by rank, with no ``Configuration``
+object and no config→row dictionary per pool member.  Only pools over a
+continuous parameter, and the rare pool that must hold an include
+configuration its space's product does not, are configuration lists.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -177,8 +184,10 @@ class EncodedPool:
     The pool the surrogate predicts over is static for a whole HyperMapper
     run, so its feature matrix is computed exactly once and reused every
     active-learning iteration.  Because every evaluated configuration is also
-    a pool member, fitting can gather training rows from the cached matrix
-    instead of re-encoding the history (:meth:`rows_for`).
+    a pool member, fitting gathers training rows from the cached matrices by
+    pool row (:meth:`training_rows`) instead of re-encoding the history; the
+    search engine looks each record's row up once, when the record enters
+    the history.
 
     Two further per-run caches hang off the pool: the packed-bitset
     :attr:`bitset_index` feeding the flat forest's inference kernel, and the
@@ -187,8 +196,10 @@ class EncodedPool:
     against the same ≤255-bin ``uint8`` matrix derived here exactly once.
 
     ``configs`` may be a lazy :class:`~repro.core.space.EnumeratedConfigs`
-    view, in which case membership/row lookups use its closed-form ranking
-    and no config→row dictionary is built at all.
+    view (the whole enumeration or a sampled rank array), in which case
+    membership/row lookups rank the configuration and no config→row
+    dictionary is built at all; the dictionary exists only for explicit
+    configuration lists.
     """
 
     configs: Sequence[Configuration]
@@ -223,10 +234,12 @@ class EncodedPool:
         """Pool rank of ``config``, or ``None`` when it is not a member.
 
         For a fully enumerated pool this is the closed-form mixed-radix rank
-        (no dictionary at all); for sampled pools it is one dict lookup.  The
-        search engine keeps its evaluated/claimed sets as these integer ranks
-        so per-iteration membership filtering never touches configuration
-        objects.
+        (no dictionary at all); for a sampled pool of a finite space, that
+        rank found by binary search in the pool's sorted ranks; for a
+        configuration list, one dict lookup.  The search engine keeps its
+        evaluated/claimed sets as these integer ranks so per-iteration
+        membership filtering never touches configuration objects, and looks
+        each history record's row up once.
         """
         return self._position(config)
 
@@ -266,45 +279,33 @@ class EncodedPool:
             self._binned = self.bin_mapper.transform(self.X)
         return self._binned
 
-    def rows_for(self, space: DesignSpace, configs: Sequence[Configuration]) -> np.ndarray:
-        """Encoded feature rows for ``configs``, reusing cached pool rows.
+    def training_rows(
+        self, space: DesignSpace, configs: Sequence[Configuration], rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Encoded and binned feature rows for ``configs``: one ``take`` each.
 
-        Configurations outside the pool (e.g. a warm-start history that was
-        never folded into the pool) are encoded once and memoized.
+        ``rows[i]`` is the pool row of ``configs[i]`` (:meth:`position`), or
+        ``-1`` for a configuration outside the pool (e.g. a warm-start
+        history that was never folded into the pool); only those are read
+        from ``configs``, encoded and quantized once, and memoized.
         """
-        missing = [
-            c for c in configs if self._position(c) is None and c not in self._extra_rows
-        ]
+        rows = np.asarray(rows, dtype=np.intp)
+        X = self.X.take(rows, axis=0)
+        binned = self.binned.take(rows, axis=0)
+        outside = np.flatnonzero(rows < 0).tolist()
+        missing = list(dict.fromkeys(
+            configs[i] for i in outside if configs[i] not in self._extra_rows
+        ))
         if missing:
             encoded = space.encode(missing)
-            for c, row in zip(missing, encoded):
+            quantized = self.bin_mapper.transform(encoded)
+            for c, row, brow in zip(missing, encoded, quantized):
                 self._extra_rows[c] = row
-        rows = np.empty((len(configs), self.X.shape[1]), dtype=np.float64)
-        for i, c in enumerate(configs):
-            j = self._position(c)
-            rows[i] = self.X[j] if j is not None else self._extra_rows[c]
-        return rows
-
-    def binned_rows_for(self, space: DesignSpace, configs: Sequence[Configuration]) -> np.ndarray:
-        """Binned feature rows for ``configs``, gathered from :attr:`binned`.
-
-        The histogram fitting path's analogue of :meth:`rows_for`:
-        pool members are row gathers from the cached binned matrix,
-        out-of-pool configurations are quantized once and memoized.
-        """
-        binned = self.binned
-        missing = [
-            c for c in configs if self._position(c) is None and c not in self._extra_binned
-        ]
-        if missing:
-            quantized = self.bin_mapper.transform(self.rows_for(space, missing))
-            for c, row in zip(missing, quantized):
-                self._extra_binned[c] = row
-        rows = np.empty((len(configs), binned.shape[1]), dtype=np.uint8)
-        for i, c in enumerate(configs):
-            j = self._position(c)
-            rows[i] = binned[j] if j is not None else self._extra_binned[c]
-        return rows
+                self._extra_binned[c] = brow
+        for i in outside:
+            X[i] = self._extra_rows[configs[i]]
+            binned[i] = self._extra_binned[configs[i]]
+        return X, binned
 
 
 def build_encoded_pool(
@@ -315,24 +316,75 @@ def build_encoded_pool(
 ) -> EncodedPool:
     """:func:`build_pool` plus a single up-front encoding of the result.
 
-    Fully enumerable spaces take the columnar fast path: the encoded matrix
-    is built straight from the cartesian-product index grids
-    (:meth:`~repro.core.space.DesignSpace.encode_enumerated`) and the config
-    sequence stays a lazy :class:`~repro.core.space.EnumeratedConfigs` view —
-    a crowd-scale 1.8M-configuration pool never materializes per-config
-    Python objects at all.
+    A finite space never materializes its pool.  The whole enumeration
+    stays a lazy :class:`~repro.core.space.EnumeratedConfigs` view encoded
+    straight from the cartesian-product index grids; a sampled pool is the
+    rank array of :meth:`~repro.core.space.DesignSpace.sample_ranks` (the
+    draws :func:`build_pool` makes), with the absent ``include``
+    configurations appended by rank in include order, and is encoded from
+    its value-index columns.  An include the product does not hold as it is
+    (outside the space, or an equal value of another type or repr) keeps
+    the configuration-list pool of :func:`build_pool`.
     """
+    if not space.is_enumerable:
+        configs = build_pool(space, pool_size, rng=rng, include=include)
+        return EncodedPool(configs=configs, X=space.encode(configs))
     if _should_enumerate(space, pool_size):
-        configs = EnumeratedConfigs(space)
-        missing = [c for c in include if configs.index_of(c) is None]
-        if not missing:
-            return EncodedPool(configs=configs, X=space.encode_enumerated())
-        # Rare fallback: an include configuration outside the space's own
-        # product (e.g. a warm-start history from another space variant).
-        pool = space.enumerate() + missing
-        return EncodedPool(configs=pool, X=space.encode(pool))
-    configs = build_pool(space, pool_size, rng=rng, include=include)
-    return EncodedPool(configs=configs, X=space.encode(configs))
+        ranks = None
+    else:
+        ranks = space.sample_ranks(20_000 if pool_size is None else pool_size, rng=rng)
+    view = EnumeratedConfigs(space, ranks=ranks)
+    absent = _absent_includes(space, view, include)
+    if _held_as_is(space, absent):
+        if ranks is None:
+            return EncodedPool(configs=view, X=space.encode_enumerated())
+        ranks = np.concatenate([ranks, np.array([rank for _, rank in absent], dtype=ranks.dtype)])
+        return EncodedPool(
+            configs=EnumeratedConfigs(space, ranks=ranks),
+            X=space.encode_index_columns(space.rank_columns(ranks)),
+        )
+    # Rare fallback: an include the product does not hold as it is (e.g. a
+    # warm-start history from another space variant).
+    pool = list(view) + [c for c, _ in absent]
+    return EncodedPool(configs=pool, X=space.encode(pool))
+
+
+def _absent_includes(
+    space: DesignSpace, view: EnumeratedConfigs, include: Sequence[Configuration]
+) -> List[Tuple[Configuration, Optional[int]]]:
+    """``include`` entries missing from ``view``, in order and each once.
+
+    Each comes with its enumeration rank (``None`` outside the product):
+    one rank lookup per entry, and equal configurations share a rank.
+    """
+    absent: List[Tuple[Configuration, Optional[int]]] = []
+    seen = set()
+    for c in include:
+        rank = space.rank_of(c)
+        key = c if rank is None else (rank,)
+        if key in seen or (rank is not None and view.row_of_rank(rank) is not None):
+            continue
+        seen.add(key)
+        absent.append((c, rank))
+    return absent
+
+
+def _held_as_is(space: DesignSpace, absent: Sequence[Tuple[Configuration, Optional[int]]]) -> bool:
+    """Whether the product holds every absent include as it is, to the repr.
+
+    A pool row built from a rank is the product's own configuration, so an
+    include equal to it but spelled differently (``64.0`` for ``64``) would
+    reach the history in the product's spelling; such includes, like those
+    outside the product, keep the configuration-list pool.
+    """
+    if any(rank is None for _, rank in absent):
+        return False
+    held = space.configurations_at(np.array([rank for _, rank in absent]))
+    names = space.parameter_names
+    return all(
+        repr(h.values_tuple) == repr(tuple(c[n] for n in names))
+        for h, (c, _) in zip(held, absent)
+    )
 
 
 __all__ = [

@@ -5,6 +5,18 @@ space.  Configurations are represented as :class:`Configuration`, a thin
 immutable mapping that hashes by its value tuple so sets/dicts of
 configurations (needed by Algorithm 1's ``P - X_out`` set difference) work out
 of the box.
+
+A configuration of a finite space also has an *enumeration rank*: its
+position in :meth:`DesignSpace.enumerate`, the mixed-radix number whose
+digits are its parameters' value indices (last parameter fastest).
+:meth:`DesignSpace.sample_ranks` is the one sampler of finite spaces: it
+draws value indices per parameter, combines them into ranks and
+de-duplicates the ranks with NumPy, so a 50,000-configuration pool costs a
+few array operations instead of 50,000 hashed objects.
+:meth:`DesignSpace.sample` materializes its ranks, and
+:class:`EnumeratedConfigs` is a lazy view over either the whole
+enumeration or a rank array.  Only spaces with a continuous parameter,
+which have no ranks, still draw configuration objects one by one.
 """
 
 from __future__ import annotations
@@ -179,6 +191,7 @@ class DesignSpace:
                 offset += 1
             self._encode_luts[p.name] = self._build_encode_lut(p)
         self._n_features = offset
+        self._ranking: Optional[_Ranking] = None
 
     @staticmethod
     def _build_encode_lut(p: Parameter) -> Optional[Dict[Any, float]]:
@@ -308,13 +321,17 @@ class DesignSpace:
 
         When ``distinct`` is true (the paper draws *distinct* configurations),
         duplicates are rejected; if the space is smaller than ``n`` every
-        configuration is returned.
+        configuration is returned.  A finite space materializes
+        :meth:`sample_ranks`; a space with a continuous parameter draws
+        values and rejects duplicates configuration by configuration, with
+        the same generator calls.
         """
         if n < 0:
             raise ValueError("cannot sample a negative number of configurations")
         gen = as_generator(rng)
-        if distinct and self.is_enumerable and self.cardinality <= n:
-            return self.enumerate()
+        if self.is_enumerable:
+            ranks = self.sample_ranks(n, gen, distinct=distinct, max_attempts=max_attempts)
+            return self.configurations_at(ranks)
         configs: List[Configuration] = []
         seen = set()
         attempts = 0
@@ -341,12 +358,7 @@ class DesignSpace:
         cartesian product is laid out as per-parameter NumPy index columns
         and the :class:`Configuration` objects are stamped out in one batch.
         """
-        cols = self.enumeration_columns(limit)
-        value_lists = [p.values() for p in self._parameters]
-        value_cols = [
-            [values[i] for i in idx.tolist()] for values, idx in zip(value_lists, cols)
-        ]
-        return Configuration.batch(self._param_names, zip(*value_cols))
+        return self._configurations(self.enumeration_columns(limit))
 
     def enumeration_columns(self, limit: Optional[int] = None) -> List[np.ndarray]:
         """Per-parameter value-*index* columns of the full cartesian product.
@@ -382,19 +394,142 @@ class DesignSpace:
         no per-value Python mapping — so a full crowd-scale pool encodes in
         one vectorized pass per parameter.
         """
-        cols = self.enumeration_columns(limit)
-        n = int(cols[0].size) if cols else 0
+        return self.encode_index_columns(self.enumeration_columns(limit))
+
+    def encode_index_columns(self, cols: Sequence[np.ndarray]) -> np.ndarray:
+        """Encoded feature matrix of configurations given as value indices.
+
+        ``cols[j][i]`` is the index into ``parameters[j].values()`` of row
+        ``i``'s value (:meth:`enumeration_columns`, :meth:`rank_columns`).
+        Each parameter maps its column through one lookup: a one-hot column
+        offset for categorical parameters, ``lower + index`` for integer
+        ones and a per-value table for the rest, so the bytes equal
+        :meth:`encode` of the same configurations.
+        """
+        n = int(cols[0].size) if len(cols) else 0
         X = np.zeros((n, self._n_features), dtype=np.float64)
         if n == 0:
             return X
         for p, idx in zip(self._parameters, cols):
-            sl = self._feature_slices[p.name]
+            start = self._feature_slices[p.name].start
             if p.is_categorical:
-                X[np.arange(n), sl.start + idx] = 1.0
+                X[np.arange(n), start + idx] = 1.0
+            elif isinstance(p, IntegerParameter):
+                X[:, start] = idx + p.lower
             else:
                 numeric = np.array([p.to_numeric(v) for v in p.values()], dtype=np.float64)
-                X[:, sl.start] = numeric[idx]
+                X[:, start] = numeric[idx]
         return X
+
+    # -- enumeration ranks ----------------------------------------------------------
+    def _rank_tables(self) -> "_Ranking":
+        if self._ranking is None:
+            if not self.is_enumerable:
+                raise ValueError(f"design space {self.name!r} is not enumerable")
+            self._ranking = _Ranking(self._parameters)
+        return self._ranking
+
+    def sample_ranks(
+        self,
+        n: int,
+        rng: RandomState = None,
+        distinct: bool = True,
+        max_attempts: int = 50,
+    ) -> np.ndarray:
+        """Enumeration ranks of ``n`` uniformly random configurations.
+
+        The rank sampler of finite spaces.  Each attempt draws ``n - kept``
+        value indices per parameter, in parameter order
+        (:meth:`~repro.core.parameters.Parameter.sample_index`: one
+        ``integers`` call each), and combines them into ranks.  With
+        ``distinct`` an attempt keeps, in draw order, the first occurrence of
+        every rank that no earlier attempt kept, cut to the remaining need;
+        these are exactly the draws a duplicate-rejecting loop over
+        configuration objects keeps.  A space no larger than ``n`` is
+        returned whole, in enumeration order, without drawing.  Ranks are
+        ``int64``, or Python ints in an object array when the space has
+        more configurations than ``int64`` can count.
+        """
+        if n < 0:
+            raise ValueError("cannot sample a negative number of configurations")
+        ranking = self._rank_tables()
+        gen = as_generator(rng)
+        if distinct and ranking.total <= n:
+            return np.arange(ranking.total, dtype=np.int64)
+        parts: List[np.ndarray] = []
+        n_kept = 0
+        for _ in range(max_attempts):
+            if n_kept >= n:
+                break
+            batch = n - n_kept
+            ranks = np.zeros(batch, dtype=ranking.dtype)
+            for p, stride in zip(self._parameters, ranking.strides):
+                ranks += p.sample_index(gen, batch).astype(ranking.dtype) * stride
+            if distinct:
+                first = np.unique(ranks, return_index=True)[1]
+                first.sort()
+                ranks = ranks[first]
+                if n_kept:
+                    kept = np.sort(np.concatenate(parts))
+                    at = np.minimum(np.searchsorted(kept, ranks), kept.size - 1)
+                    ranks = ranks[kept[at] != ranks]
+            ranks = ranks[: n - n_kept]
+            parts.append(ranks)
+            n_kept += ranks.size
+        if not parts:
+            return np.empty(0, dtype=ranking.dtype)
+        return np.concatenate(parts)
+
+    def rank_of(self, config: Mapping[str, Any]) -> Optional[int]:
+        """Enumeration rank of ``config``, or ``None`` outside the product.
+
+        O(d): one value→index lookup per parameter.  A value matches a
+        domain value it compares equal to, as a configuration set would.
+        """
+        ranking = self._rank_tables()
+        names = self._param_names
+        if isinstance(config, Configuration):
+            if config.names != names:
+                return None
+            values = config.values_tuple
+        else:
+            try:
+                values = tuple(config[n] for n in names)
+            except KeyError:
+                return None
+            if len(config) != len(names):
+                return None
+        rank = 0
+        for v, lookup, stride in zip(values, ranking.lookups, ranking.strides):
+            try:
+                idx = lookup.get(v)
+            except TypeError:  # unhashable value cannot be a member
+                return None
+            if idx is None:
+                return None
+            rank += idx * stride
+        return rank
+
+    def rank_columns(self, ranks: np.ndarray) -> List[np.ndarray]:
+        """Per-parameter value-index columns of the configurations at ``ranks``."""
+        ranking = self._rank_tables()
+        ranks = np.asarray(ranks)
+        return [
+            ((ranks // stride) % k).astype(np.int64, copy=False)
+            for stride, k in zip(ranking.strides, ranking.radix)
+        ]
+
+    def configurations_at(self, ranks: np.ndarray) -> List[Configuration]:
+        """The configurations at enumeration ``ranks``, in order."""
+        return self._configurations(self.rank_columns(ranks))
+
+    def _configurations(self, cols: Sequence[np.ndarray]) -> List[Configuration]:
+        """Configurations from per-parameter value-index columns, in one batch."""
+        value_cols = [
+            [values[i] for i in idx.tolist()]
+            for values, idx in zip(self._rank_tables().values, cols)
+        ]
+        return Configuration.batch(self._param_names, zip(*value_cols))
 
     def iter_enumerate(self) -> Iterator[Configuration]:
         """Lazily iterate over every configuration of a finite space."""
@@ -525,39 +660,95 @@ class DesignSpace:
         return f"DesignSpace(name={self.name!r}, dimension={self.dimension}, cardinality={self.cardinality})"
 
 
-class EnumeratedConfigs(Sequence[Configuration]):
-    """Lazy, constant-memory view of a finite space's full enumeration.
+class _RangeIndex:
+    """``dict.get``-style value → index lookup over an integer range.
 
-    Behaves like ``space.enumerate()`` (same order, same elements) without
-    materializing one ``Configuration`` per point: items are stamped out on
-    access from the mixed-radix decomposition of their rank.  Because the
-    sequence *is* the cartesian product, membership and position lookups are
-    closed-form (:meth:`index_of` ranks a configuration in O(d)), which is
-    what lets a 1.8M-configuration crowd pool skip both the config list and
-    the config→row dictionary entirely.
+    Integer domains can be far larger than any pool drawn from them, so
+    their lookup is arithmetic instead of a table: ``value`` matches when it
+    equals an integer of ``[lower, lower + size)``, as a table key would.
     """
 
-    def __init__(self, space: DesignSpace, limit: Optional[int] = None) -> None:
+    __slots__ = ("lower", "size")
+
+    def __init__(self, lower: int, size: int) -> None:
+        self.lower = lower
+        self.size = size
+
+    def get(self, value: Any) -> Optional[int]:
+        try:
+            iv = int(value)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if iv != value:
+            return None
+        i = iv - self.lower
+        return i if 0 <= i < self.size else None
+
+
+class _Ranking:
+    """Mixed-radix tables of a finite space (built once per space).
+
+    ``values[j]`` indexes parameter ``j``'s values (a ``range`` for integer
+    parameters, so no domain is materialized), ``lookups[j]`` maps a value
+    back to its index, and ``strides[j]`` is the rank weight of that index.
+    """
+
+    def __init__(self, parameters: Sequence[Parameter]) -> None:
+        self.values: List[Sequence[Any]] = []
+        self.lookups: List[Any] = []
+        for p in parameters:
+            if isinstance(p, IntegerParameter):
+                self.values.append(range(p.lower, p.upper + 1))
+                self.lookups.append(_RangeIndex(p.lower, p.upper - p.lower + 1))
+            else:
+                values = p.values()
+                self.values.append(values)
+                # Values are hashable: Configuration hashes them already.
+                self.lookups.append({v: i for i, v in enumerate(values)})
+        self.radix = [len(v) for v in self.values]
+        strides = [1] * len(self.radix)
+        for j in range(len(self.radix) - 2, -1, -1):
+            strides[j] = strides[j + 1] * self.radix[j + 1]
+        self.strides = strides
+        self.total = strides[0] * self.radix[0]
+        self.dtype = np.int64 if self.total <= np.iinfo(np.int64).max else object
+
+
+class EnumeratedConfigs(Sequence[Configuration]):
+    """Lazy view of a finite space's configurations, by enumeration rank.
+
+    Without ``ranks`` it behaves like ``space.enumerate(limit)`` (same
+    order, same elements); with a rank array, item ``i`` is the
+    configuration of enumeration rank ``ranks[i]`` — a sampled pool is its
+    rank array and this view.  Either way no ``Configuration`` is built per
+    point: items are stamped out on access from the mixed-radix
+    decomposition of their rank, and iteration decodes ranks a chunk at a
+    time.  Position lookups are closed-form too: :meth:`index_of` ranks a
+    configuration in O(d) and, over a rank array, finds its row by binary
+    search in the sorted ranks.  That is what lets a 1.8M-configuration
+    crowd pool or a 50,000-configuration sampled pool skip both the config
+    list and the config→row dictionary entirely.
+    """
+
+    def __init__(
+        self,
+        space: DesignSpace,
+        limit: Optional[int] = None,
+        ranks: Optional[np.ndarray] = None,
+    ) -> None:
         if not space.is_enumerable:
             raise ValueError(f"design space {space.name!r} is not enumerable")
+        if ranks is not None and limit is not None:
+            raise ValueError("give either a limit or a rank array, not both")
         self.space = space
-        self._names = space._param_names
-        self._value_lists = [p.values() for p in space.parameters]
-        self._radix = [len(v) for v in self._value_lists]
-        total = 1
-        for k in self._radix:
-            total *= k
-        self._total = total if limit is None else max(0, min(int(limit), total))
-        # value → index tables, one per parameter (values are hashable:
-        # Configuration hashes them already).
-        self._value_index: List[Dict[Any, int]] = [
-            {v: i for i, v in enumerate(values)} for values in self._value_lists
-        ]
-        # Strides of the mixed-radix rank (product order: last digit fastest).
-        strides = [1] * len(self._radix)
-        for j in range(len(self._radix) - 2, -1, -1):
-            strides[j] = strides[j + 1] * self._radix[j + 1]
-        self._strides = strides
+        self._ranks = None if ranks is None else np.asarray(ranks)
+        if self._ranks is not None:
+            self._total = int(self._ranks.size)
+        else:
+            total = space._rank_tables().total
+            self._total = total if limit is None else max(0, min(int(limit), total))
+        #: ``(sorted ranks, their rows)``, built on the first lookup.
+        self._sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __len__(self) -> int:
         return self._total
@@ -569,50 +760,40 @@ class EnumeratedConfigs(Sequence[Configuration]):
             i += self._total
         if not (0 <= i < self._total):
             raise IndexError(f"index {i} out of range for {self._total} configurations")
-        values = tuple(
-            vals[(i // stride) % k]
-            for vals, stride, k in zip(self._value_lists, self._strides, self._radix)
-        )
-        return Configuration.batch(self._names, [values])[0]
+        rank = i if self._ranks is None else self._ranks[i]
+        return self.space.configurations_at(np.array([rank]))[0]
 
     def __iter__(self) -> Iterator[Configuration]:
         chunk = 8192
         for start in range(0, self._total, chunk):
             stop = min(start + chunk, self._total)
-            rows = zip(
-                *(
-                    [vals[(i // stride) % k] for i in range(start, stop)]
-                    for vals, stride, k in zip(self._value_lists, self._strides, self._radix)
-                )
-            )
-            yield from Configuration.batch(self._names, rows)
+            ranks = np.arange(start, stop) if self._ranks is None else self._ranks[start:stop]
+            yield from self.space.configurations_at(ranks)
 
     def __contains__(self, config: object) -> bool:
         return isinstance(config, Mapping) and self.index_of(config) is not None
 
     def index_of(self, config: Mapping[str, Any]) -> Optional[int]:
-        """Rank of ``config`` in enumeration order, or ``None`` if absent."""
-        if isinstance(config, Configuration):
-            if config.names != self._names:
-                return None
-            values = config.values_tuple
-        else:
-            try:
-                values = tuple(config[n] for n in self._names)
-            except KeyError:
-                return None
-            if len(config) != len(self._names):
-                return None
-        rank = 0
-        for v, lut, stride in zip(values, self._value_index, self._strides):
-            try:
-                idx = lut.get(v)
-            except TypeError:  # unhashable value cannot be a member
-                return None
-            if idx is None:
-                return None
-            rank += idx * stride
-        return rank if rank < self._total else None
+        """Position of ``config`` in this sequence, or ``None`` if absent."""
+        rank = self.space.rank_of(config)
+        return None if rank is None else self.row_of_rank(rank)
+
+    def row_of_rank(self, rank: int) -> Optional[int]:
+        """Position of the configuration of enumeration ``rank``, or ``None``.
+
+        Over a rank array, a binary search in the sorted ranks (sorted on
+        the first lookup); where a rank repeats, its first position.
+        """
+        if self._ranks is None:
+            return rank if rank < self._total else None
+        if self._sorted is None:
+            rows = np.argsort(self._ranks, kind="stable")
+            self._sorted = (self._ranks[rows], rows)
+        sorted_ranks, rows = self._sorted
+        pos = int(np.searchsorted(sorted_ranks, rank))
+        if pos < sorted_ranks.size and sorted_ranks[pos] == rank:
+            return int(rows[pos])
+        return None
 
 
 __all__ = ["Configuration", "DesignSpace", "EnumeratedConfigs"]

@@ -75,7 +75,9 @@ class DecisionTreeRegressor:
         self.random_state = random_state
         self._nodes: Optional[_NodeArrays] = None
         self._n_features: Optional[int] = None
-        self._depth = 0
+        # Computed on the first read of :attr:`depth`: forests adopt many
+        # trees whose depth nobody asks for.
+        self._depth: Optional[int] = None
 
     # -- public API -----------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
@@ -118,7 +120,7 @@ class DecisionTreeRegressor:
         """
         self._n_features = int(n_features)
         self._nodes = nodes
-        self._depth = self._compute_depth(nodes)
+        self._depth = None
         return self
 
     @staticmethod
@@ -185,7 +187,9 @@ class DecisionTreeRegressor:
     @property
     def depth(self) -> int:
         """Depth of the fitted tree (a root-only tree has depth 0)."""
-        self._require_fitted()
+        nodes = self._require_fitted()
+        if self._depth is None:
+            self._depth = self._compute_depth(nodes)
         return self._depth
 
     def feature_importances(self) -> np.ndarray:

@@ -156,6 +156,18 @@ class BinMapper:
         return self.bin_thresholds_
 
 
+def _gather_segments(order: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``order[s:s + l]`` for every ``(s, l)``, concatenated in that order.
+
+    Position ``j`` of segment ``i`` is ``starts[i] + j``, which is
+    ``(starts[i] - offset[i]) + k`` at output index ``k = offset[i] + j``
+    (``offset`` being the exclusive running total of ``lengths``), so the
+    whole gather is one ``repeat`` plus one ``arange``.
+    """
+    offsets = np.cumsum(lengths) - lengths
+    return order.take(np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum())))
+
+
 def grow_forest_hist(
     binned: np.ndarray,
     bin_thresholds: Sequence[np.ndarray],
@@ -418,6 +430,8 @@ def grow_forest_hist(
         # only those a searched slot reads: its own, and for a subtracted
         # slot its scanned sibling's.  Searched slots take histogram rows
         # 0..K-1 in slot order, the extra siblings the rows after them.
+        # The scanned slots' rows are one `take` of their segments of
+        # `order`, concatenated in slot order (no loop over slots).
         searched = np.zeros(S, dtype=bool)
         searched[ks] = True
         extra = np.flatnonzero(scan_mask & ~searched & searched[sibling_ref])
@@ -427,9 +441,7 @@ def grow_forest_hist(
         size = (K + extra.size) * d * B
         scan_slots = np.flatnonzero(scan_mask & (searched | searched[sibling_ref]))
         lengths = seg_end[scan_slots] - seg_start[scan_slots]
-        rows_g = np.concatenate(
-            [order[s:e] for s, e in zip(seg_start[scan_slots], seg_end[scan_slots])]
-        )
+        rows_g = _gather_segments(order, seg_start[scan_slots], lengths)
         slot_rep = np.repeat(hist_row[scan_slots] * (d * B), lengths)
         flat = (slot_rep[:, None] + row_code[rows_g % n]).ravel()
         Hw = np.bincount(flat, weights=np.repeat(Wf[rows_g], d), minlength=size)
@@ -515,9 +527,11 @@ def grow_forest_hist(
         child_node[0::2] = lid
         child_node[1::2] = rid
 
-        # --- 6. partition rows of the splitting slots into child segments
+        # --- 6. partition rows of the splitting slots into child segments:
+        # gather their segments of `order` (one `take`, slot order), then
+        # one stable sort by (slot, side) lays the children out
         sp_lengths = seg_end[sp] - seg_start[sp]
-        rows_g = np.concatenate([order[s:e] for s, e in zip(seg_start[sp], seg_end[sp])])
+        rows_g = _gather_segments(order, seg_start[sp], sp_lengths)
         local = np.repeat(np.arange(sp.size, dtype=np.int64), sp_lengths)
         go_right = binned[rows_g % n, best_feat[local]] > best_b[local]
         key = local * 2 + go_right

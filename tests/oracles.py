@@ -28,6 +28,15 @@ versions in :mod:`repro.slam` must match byte for byte:
 * :func:`predict_view_reference` — the surfel z-buffer that sorts all
   ``(2 * splat_radius + 1) ** 2`` splatted copies.
 
+The design-space and Pareto kernels keep their first forms too:
+
+* :func:`sample_reference` — ``DesignSpace.sample`` drawing, hashing and
+  de-duplicating one ``Configuration`` per draw, and
+  :func:`encoded_pool_reference`, the configuration-list pool built on it
+  with its ``{Configuration: row}`` dictionary;
+* :func:`pareto_mask_2d_reference` — the two-key ``lexsort`` sweep with its
+  runs of identical rows.
+
 And the KinectFusion kernels the written-out versions must match byte for
 byte:
 
@@ -54,6 +63,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.space import Configuration
 from repro.core.tree import DecisionTreeRegressor
 from repro.core.tree_builder import _NodeArrays
 from repro.slam import se3
@@ -1026,3 +1036,87 @@ def sdf_query_reference(m, points_world: np.ndarray) -> Tuple[np.ndarray, np.nda
         holes = field > threshold
     dist = np.where(holes, np.inf, dist)
     return dist, grad
+
+
+# ---------------------------------------------------------------------------
+# Design-space sampling and the 2-D Pareto sweep
+# ---------------------------------------------------------------------------
+
+
+def sample_reference(
+    space, n: int, rng: RandomState = None, distinct: bool = True, max_attempts: int = 50
+) -> List[Configuration]:
+    """``DesignSpace.sample`` as it was: one hashed ``Configuration`` per draw."""
+    if n < 0:
+        raise ValueError("cannot sample a negative number of configurations")
+    gen = as_generator(rng)
+    if distinct and space.is_enumerable and space.cardinality <= n:
+        return space.enumerate()
+    configs: List[Configuration] = []
+    seen = set()
+    attempts = 0
+    while len(configs) < n and attempts < max_attempts:
+        batch = max(n - len(configs), 1)
+        draws = [p.sample(gen, size=batch) for p in space.parameters]
+        for row in zip(*draws):
+            c = Configuration(space.parameter_names, list(row))
+            if distinct:
+                if c in seen:
+                    continue
+                seen.add(c)
+            configs.append(c)
+            if len(configs) >= n:
+                break
+        attempts += 1
+    return configs[:n]
+
+
+def encoded_pool_reference(space, pool_size: Optional[int], rng: RandomState = None, include=()):
+    """``(configs, X, {config: row})`` of the configuration-list pool.
+
+    ``build_pool`` over :func:`sample_reference` for a sampled pool (the
+    full enumeration when the space fits in ``pool_size``), absent
+    ``include`` entries appended in order, encoded by ``space.encode``.
+    """
+    if space.is_enumerable and (pool_size is None or space.cardinality <= pool_size):
+        pool = space.enumerate()
+    else:
+        pool = sample_reference(space, 20_000 if pool_size is None else pool_size, rng)
+    existing = set(pool)
+    for c in include:
+        if c not in existing:
+            pool.append(c)
+            existing.add(c)
+    return pool, space.encode(pool), {c: i for i, c in enumerate(pool)}
+
+
+def pareto_mask_2d_reference(values: np.ndarray) -> np.ndarray:
+    """Fully vectorized O(n log n) sweep for the bi-objective case.
+
+    After sorting by (first, second) objective, a point is non-dominated iff
+    its second objective strictly undercuts the running minimum of everything
+    before it.  Exact duplicates of a non-dominated point are also kept: in
+    the sorted order they form a contiguous run starting at the point that
+    achieved the minimum, so keep-status is broadcast across runs of
+    identical rows.
+    """
+    n = values.shape[0]
+    f0, f1 = values[:, 0], values[:, 1]
+    # Sort by first objective ascending, ties broken by second ascending.
+    order = np.lexsort((f1, f0))
+    f1_sorted = f1[order]
+    # Running minimum of the second objective over strictly-preceding points.
+    prev_min = np.empty(n, dtype=np.float64)
+    prev_min[0] = np.inf
+    np.minimum.accumulate(f1_sorted[:-1], out=prev_min[1:])
+    keep_strict = f1_sorted < prev_min
+    # Runs of identical (f0, f1) rows inherit the keep-status of their head.
+    row_sorted = values[order]
+    run_head = np.empty(n, dtype=bool)
+    run_head[0] = True
+    run_head[1:] = np.any(row_sorted[1:] != row_sorted[:-1], axis=1)
+    run_id = np.cumsum(run_head) - 1
+    keep_sorted = keep_strict[np.flatnonzero(run_head)][run_id]
+    mask = np.zeros(n, dtype=bool)
+    mask[order] = keep_sorted
+    return mask

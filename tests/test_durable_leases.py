@@ -15,6 +15,10 @@ Acceptance criteria covered:
 """
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -268,3 +272,66 @@ class TestLeaseStore:
         taken = LeaseStore(lease_dir, owner="w2", ttl_s=30.0).try_acquire(pid)
         assert taken.generation == 2
         assert doctor(sweep_dir, repair=False).clean
+
+
+class TestDeadOwnerTakeover:
+    """A same-host lease whose owner process has exited is taken at once."""
+
+    @staticmethod
+    def owner_of(pid, host=None):
+        return f"{host or socket.gethostname()}:{pid}:0123abcd"
+
+    def stores(self, tmp_path, dead_owner):
+        now = {"t": 100.0}
+        clock = lambda: now["t"]  # noqa: E731 - frozen: the ttl never runs out
+        held = LeaseStore(tmp_path / "leases", owner=dead_owner, ttl_s=30.0, clock=clock)
+        taker = LeaseStore(tmp_path / "leases", ttl_s=30.0, clock=clock)
+        return held, taker
+
+    def test_finished_childs_lease_is_taken_at_once(self, tmp_path):
+        child = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True, text=True, check=True,
+        )
+        held, taker = self.stores(tmp_path, self.owner_of(int(child.stdout)))
+        first = held.try_acquire("p0")
+        assert taker.is_claimable("p0")
+        taken = taker.try_acquire("p0")
+        assert (taken.owner, taken.generation) == (taker.owner, first.generation + 1)
+        with pytest.raises(StaleLeaseError):
+            held.heartbeat(first)
+
+    def test_sleeping_childs_lease_waits_for_the_ttl(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            held, taker = self.stores(tmp_path, self.owner_of(child.pid))
+            held.try_acquire("p0")
+            assert not taker.is_claimable("p0")
+            assert taker.try_acquire("p0") is None
+        finally:
+            child.kill()
+            child.wait()
+
+    @pytest.mark.parametrize(
+        "owner",
+        [
+            "elsewhere.invalid:{pid}:0123abcd",  # another host
+            "worker-7",  # set by --owner
+            "{host}:{pid}",  # not the default form
+        ],
+    )
+    def test_other_owners_wait_for_the_ttl(self, tmp_path, owner):
+        pid = 2**22 + 12345  # above Linux's pid_max: no such process here
+        held, taker = self.stores(tmp_path, owner.format(pid=pid, host=socket.gethostname()))
+        held.try_acquire("p0")
+        assert not taker.is_claimable("p0")
+        assert taker.try_acquire("p0") is None
+
+    def test_a_pid_we_may_not_signal_waits_for_the_ttl(self, tmp_path, monkeypatch):
+        def refuse(pid, sig):
+            raise PermissionError(1, "Operation not permitted")
+
+        held, taker = self.stores(tmp_path, self.owner_of(os.getpid() + 1))
+        held.try_acquire("p0")
+        monkeypatch.setattr(os, "kill", refuse)
+        assert taker.try_acquire("p0") is None

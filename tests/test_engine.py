@@ -152,9 +152,11 @@ def reference_hypermapper_history(
         )
         records = history.records
         train_configs = [r.config for r in records]
-        X_train = encoded_pool.rows_for(space, train_configs)
+        rows = [encoded_pool.position(c) for c in train_configs]
+        X_train, prebinned = encoded_pool.training_rows(
+            space, train_configs, [-1 if r is None else r for r in rows]
+        )
         bin_mapper = encoded_pool.bin_mapper
-        prebinned = encoded_pool.binned_rows_for(space, train_configs)
         surrogate.fit_encoded(
             X_train, [r.metrics for r in records], bin_mapper=bin_mapper, prebinned=prebinned
         )

@@ -291,8 +291,9 @@ class TestEncodedPoolCaching:
         np.testing.assert_array_equal(pool.X, toy_space.encode(toy_space.enumerate()))
         c = pool.configs[9]
         assert c in pool
-        np.testing.assert_array_equal(pool.rows_for(toy_space, [c]), toy_space.encode([c]))
-        np.testing.assert_array_equal(pool.binned_rows_for(toy_space, [c])[0], pool.binned[9])
+        X, binned = pool.training_rows(toy_space, [c], [pool.position(c)])
+        np.testing.assert_array_equal(X, toy_space.encode([c]))
+        np.testing.assert_array_equal(binned[0], pool.binned[9])
         assert pool.binned.dtype == np.uint8
 
     def test_include_outside_enumeration_falls_back(self, toy_space):
@@ -303,9 +304,8 @@ class TestEncodedPoolCaching:
         pool = build_encoded_pool(toy_space, None, include=[outsider])
         assert outsider in pool
         assert len(pool) == int(toy_space.cardinality) + 1
-        np.testing.assert_array_equal(
-            pool.rows_for(toy_space, [outsider]), toy_space.encode([outsider])
-        )
+        X, _ = pool.training_rows(toy_space, [outsider], [pool.position(outsider)])
+        np.testing.assert_array_equal(X, toy_space.encode([outsider]))
 
     def test_encoded_pool_rows_match_fresh_encoding(self, toy_space):
         from repro.core.sampling import build_encoded_pool
@@ -313,9 +313,8 @@ class TestEncodedPoolCaching:
         pool = build_encoded_pool(toy_space, None, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(pool.X, toy_space.encode(pool.configs))
         subset = [pool.configs[i] for i in (0, 5, 3, 5)]
-        np.testing.assert_array_equal(
-            pool.rows_for(toy_space, subset), toy_space.encode(subset)
-        )
+        X, _ = pool.training_rows(toy_space, subset, [0, 5, 3, 5])
+        np.testing.assert_array_equal(X, toy_space.encode(subset))
 
     def test_encoded_pool_handles_out_of_pool_configs(self, toy_space):
         from repro.core.sampling import EncodedPool
@@ -325,8 +324,10 @@ class TestEncodedPoolCaching:
         outsider = next(
             c for c in toy_space.enumerate() if c not in set(members)
         )
-        rows = pool.rows_for(toy_space, [members[0], outsider, outsider])
-        np.testing.assert_array_equal(rows, toy_space.encode([members[0], outsider, outsider]))
+        configs = [members[0], outsider, outsider]
+        rows, binned = pool.training_rows(toy_space, configs, [0, -1, -1])
+        np.testing.assert_array_equal(rows, toy_space.encode(configs))
+        np.testing.assert_array_equal(binned, pool.bin_mapper.transform(rows))
         assert outsider not in pool and members[0] in pool
 
     def test_encoded_prediction_paths_agree(self, toy_space, toy_objectives):

@@ -1,10 +1,13 @@
 """Unit and property-based tests for the Pareto utilities."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from repro.core.pareto import (
     crowding_distance,
     dominates,
@@ -14,6 +17,17 @@ from repro.core.pareto import (
     non_dominated_sort,
     pareto_front,
     pareto_mask,
+)
+
+#: The oracle comparisons below guard exact kernels; CI reruns them with
+#: ``HYPOTHESIS_PROFILE=oracle-harness`` (1,500 derandomized examples).
+settings.register_profile(
+    "oracle-harness", max_examples=1500, deadline=None, derandomize=True, print_blob=True
+)
+ORACLE_SETTINGS = (
+    settings(settings.get_profile("oracle-harness"))
+    if os.environ.get("HYPOTHESIS_PROFILE") == "oracle-harness"
+    else settings(max_examples=150, deadline=None)
 )
 
 
@@ -260,3 +274,65 @@ class TestVectorized2DSweep:
             )
             expected = dominated / b.shape[0]
         assert front_coverage(a, b) == pytest.approx(expected)
+
+
+#: Small alphabets force ties in either objective; the specials are the
+#: values the running minimum treats specially.
+_FINITE = [0.0, 1.0, 2.0, 3.0, -1.0, 0.5]
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0]
+
+
+@st.composite
+def _objective_matrices(draw):
+    n = draw(st.integers(1, 40))
+    alphabet = _FINITE[: draw(st.integers(1, len(_FINITE)))] + draw(
+        st.lists(st.sampled_from(_SPECIAL), unique=True)
+    )
+    values = draw(hnp.arrays(np.float64, (n, 2), elements=st.sampled_from(alphabet)))
+    # Rows whose first objective is NaN, and exact duplicates of other rows.
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        values[i, 0] = np.nan
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)):
+        values[i] = values[j]
+    return values
+
+
+class TestOneSortFront:
+    """The one-``argsort`` 2-D mask equals the ``lexsort`` sweep it replaced."""
+
+    @ORACLE_SETTINGS
+    @given(_objective_matrices())
+    def test_matches_lexsort_sweep(self, values):
+        from repro.core.pareto import _pareto_mask_2d
+
+        expected = oracles.pareto_mask_2d_reference(values)
+        assert np.array_equal(_pareto_mask_2d(values), expected)
+        assert np.array_equal(pareto_mask(values), expected)
+
+    @pytest.mark.parametrize("specials", [False, True])
+    def test_matches_lexsort_sweep_on_a_pool_sized_prediction(self, specials):
+        # Forest predictions are means of a few hundred leaf values: a
+        # 50,196-row pool (the search-heavy pool) has many ties per column.
+        from repro.core.pareto import _pareto_mask_2d
+
+        rng = np.random.default_rng(0)
+        leaves = rng.normal(size=(2, 300))
+        picks = rng.integers(0, 300, size=(50_196, 2, 8))
+        values = np.stack([leaves[k][picks[:, k]].mean(axis=1) for k in range(2)], axis=1)
+        values[:, 1] -= 0.8 * values[:, 0]
+        if specials:
+            rows = rng.integers(0, values.shape[0], size=(4, 20))
+            values[rows[0], 0] = np.nan
+            values[rows[1], 1] = np.nan
+            values[rows[2], 1] = -np.inf
+            values[rows[3]] = values[rows[3][::-1]]
+        assert np.array_equal(_pareto_mask_2d(values), oracles.pareto_mask_2d_reference(values))
+
+    def test_nan_first_rows_keep_lexsort_order(self):
+        # NaN first objectives come last, by (second objective, index).
+        values = np.array([[np.nan, 5.0], [np.nan, 1.0], [np.nan, 1.0]])
+        assert pareto_mask(values).tolist() == [False, True, False]
+
+    def test_nan_second_objective_shuts_out_later_groups(self):
+        values = np.array([[0.0, 3.0], [1.0, np.nan], [2.0, 0.0], [1.0, 2.0]])
+        assert pareto_mask(values).tolist() == [True, False, False, True]
