@@ -347,6 +347,13 @@ class CategoricalParameter(Parameter):
         if len(set(map(repr, choices))) != len(choices):
             raise ValueError(f"duplicate choices in categorical parameter {name!r}")
         self._choices = list(choices)
+        # ``index_of`` finds a value by ``==``, so two choices that compare
+        # equal (``1`` and ``True``, ``1`` and ``1.0``) would share one index.
+        # Pairwise, since choices need not be hashable.
+        for i, a in enumerate(self._choices):
+            for b in self._choices[i + 1 :]:
+                if a == b:
+                    raise ValueError(f"categorical parameter {name!r} has choices {a!r} and {b!r} that compare equal")
         if default is not None and default not in self._choices:
             raise ValueError(f"default {default!r} not among choices of {name!r}")
 

@@ -170,8 +170,10 @@ def icp_point_to_implicit(
             dist, grad = sdf_query(p_world)
             dist = np.asarray(dist, dtype=np.float64).reshape(-1)
             grad = np.asarray(grad, dtype=np.float64).reshape(-1, 3)
-            # Holes (inf) and NaN fail the comparison, so it is the finite test too.
-            inliers = np.flatnonzero(np.abs(dist) < max_correspondence_distance)
+            # Holes (inf) and NaN fail the comparison, so it is the finite test
+            # too.  ``nonzero`` of the 1-D mask is ``np.flatnonzero`` without
+            # its Python wrapper.
+            inliers = (np.abs(dist) < max_correspondence_distance).nonzero()[0]
             k = inliers.size
             inlier_fraction = k / dist.size if dist.size else 0.0
             if k < 6:
@@ -185,7 +187,8 @@ def icp_point_to_implicit(
             delta = solve_increment(JtJ, Jtr, damping=damping)
             T = se3.exp_se3(delta) @ T
             total_iterations += 1
-            error = float(np.mean(r * r))
+            # np.mean(r * r): numpy's sum, divided once by the count.
+            error = float(np.add.reduce(r * r)) / k
             history.append(error)
             if prev_error is not None and abs(prev_error - error) < termination_threshold:
                 prev_error = error

@@ -16,6 +16,12 @@ The processing steps mirror the KFusion kernels exposed by SLAMBench:
 
 The seven design-space parameters of the paper map one-to-one onto
 :class:`KFusionConfig` fields.
+
+Preprocessing reads no design-space parameter (``bilateral_radius`` is not
+one), so :meth:`KinectFusion.run` builds each frame's filtered pyramid and
+each level's back-projected tracking cloud once per dataset, through
+:meth:`~repro.slam.dataset.SyntheticRGBDDataset.derived`, and every
+evaluation takes only its own point-budget stride of the shared cloud.
 """
 
 from __future__ import annotations
@@ -182,7 +188,7 @@ class KinectFusion:
         fidelity artifact the full-resolution pipeline does not have.  Instead
         the ratio (a) scales the nominal pixel counts in the runtime workload
         model and (b) reduces the tracking-point budget in
-        :meth:`_valid_points`, which reproduces its real accuracy effect
+        :meth:`_tracking_points`, which reproduces its real accuracy effect
         (fewer, blockier measurements).
         """
         cfg = self.config
@@ -195,7 +201,14 @@ class KinectFusion:
             cams.append(cams[-1].scaled(2))
         return pyramid, cams
 
-    def _valid_points(self, depth: np.ndarray, camera: CameraIntrinsics) -> np.ndarray:
+    @staticmethod
+    def _tracking_cloud(depth: np.ndarray, camera: CameraIntrinsics) -> np.ndarray:
+        """Camera-frame points of the pixels with depth > 0, in row order.
+
+        A read-only, C-contiguous ``(M, 3)`` array.  No configuration field
+        enters here, so :meth:`run` builds it once per dataset frame, radius
+        and pyramid level and shares it across evaluations, like the pyramid.
+        """
         depth = np.asarray(depth, dtype=np.float64)
         if depth.shape != (camera.height, camera.width):
             raise ValueError(f"depth shape {depth.shape} does not match intrinsics ({camera.height}, {camera.width})")
@@ -203,21 +216,32 @@ class KinectFusion:
         # (an infinite depth gives z = 0).
         rows, cols = np.nonzero(depth > 0)
         d = depth[rows, cols]
-        pts = camera.unproject(rows, cols, np.where(np.isfinite(d), d, 0.0))
-        # Subsample the tracking cloud: the simulation does not need every
-        # pixel to estimate a 6-DoF pose, and the runtime model accounts for
-        # the full nominal pixel count independently.  The compute-size ratio
-        # shrinks the budget the same way it shrinks the real image.
+        cloud = camera.unproject(rows, cols, np.where(np.isfinite(d), d, 0.0))
+        cloud.flags.writeable = False
+        return cloud
+
+    def _tracking_points(self, cloud: np.ndarray) -> np.ndarray:
+        """``cloud`` thinned to this configuration's point budget by a stride.
+
+        The simulation does not need every pixel to estimate a 6-DoF pose,
+        and the runtime model accounts for the full nominal pixel count
+        independently.  The compute-size ratio shrinks the budget the same
+        way it shrinks the real image.  The result is a view of ``cloud``.
+        """
         budget = None
         if self.max_tracking_points is not None:
             budget = self.max_tracking_points
         if self.config.compute_size_ratio > 1:
-            base = budget if budget is not None else pts.shape[0]
+            base = budget if budget is not None else cloud.shape[0]
             budget = max(int(base / self.config.compute_size_ratio), 60)
-        if budget is not None and pts.shape[0] > budget:
-            stride = int(np.ceil(pts.shape[0] / budget))
-            pts = pts[::stride]
-        return pts
+        if budget is not None and cloud.shape[0] > budget:
+            stride = int(np.ceil(cloud.shape[0] / budget))
+            return cloud[::stride]
+        return cloud
+
+    def _valid_points(self, depth: np.ndarray, camera: CameraIntrinsics) -> np.ndarray:
+        """Tracking points of one pyramid level: the cloud, then the stride."""
+        return self._tracking_points(self._tracking_cloud(depth, camera))
 
     # -- main loop --------------------------------------------------------------------
     def run(self, dataset: SyntheticRGBDDataset, n_frames: Optional[int] = None) -> PipelineResult:
@@ -257,7 +281,11 @@ class KinectFusion:
                 level_iters = []
                 sim_points_total = 0
                 for level in level_order:
-                    pts = self._valid_points(pyramid[level], cams[level])
+                    cloud = dataset.derived(
+                        ("kfusion-cloud", i, cfg.bilateral_radius, level),
+                        lambda: self._tracking_cloud(pyramid[level], cams[level]),
+                    )
+                    pts = self._tracking_points(cloud)
                     level_points.append(pts)
                     level_iters.append(int(cfg.pyramid_iterations[level]))
                     sim_points_total += pts.shape[0]

@@ -45,12 +45,17 @@ byte:
   fancy-index assignment, and :func:`scene_union_reference`, the union
   evaluated primitive by primitive;
 * :func:`icp_point_to_implicit_reference` — the tracking loop with
-  boolean-mask gathers, ``np.cross`` and ``np.mean`` of the inlier mask;
+  boolean-mask gathers, ``np.cross``, ``np.mean`` of the inlier mask and
+  ``np.mean(r * r)`` for the error;
 * :func:`valid_points_reference` — the whole vertex map back-projected,
-  then masked;
+  then masked, then strided: one evaluation's tracking points, built per
+  evaluation (the pipeline strides a cloud built once per dataset);
+* :func:`hole_mask_reference` — the hole mask with ``np.mean`` of the
+  4-wide field and ``np.quantile`` for its threshold;
 * :func:`sdf_query_reference` and the ``*_reference`` error-model
   properties of :class:`~repro.slam.maps.AnalyticSDFMap` — ``np.sqrt`` and
-  ``np.clip`` on scalars.
+  ``np.clip`` on scalars, and ``np.where`` over the hole mask even when it
+  is empty.
 
 Tests import it as ``oracles`` (pytest puts ``tests/`` on ``sys.path``;
 ``benchmarks/conftest.py`` does the same for the fit benchmarks).
@@ -1026,16 +1031,19 @@ def sdf_query_reference(m, points_world: np.ndarray) -> Tuple[np.ndarray, np.nda
     phases = pts @ m._wave_freq.T + m._wave_phase
     bias = np.sin(phases) @ m._wave_amp
     dist = dist + effective_sigma_reference(m) * bias
+    dist = np.where(hole_mask_reference(m, pts), np.inf, dist)
+    return dist, grad
+
+
+def hole_mask_reference(m, points: np.ndarray) -> np.ndarray:
+    """:meth:`~repro.slam.maps.AnalyticSDFMap._hole_mask` of map ``m``."""
     frac = effective_hole_fraction_reference(m)
     if frac <= 0.0:
-        holes = np.zeros(pts.shape[0], dtype=bool)
-    else:
-        phases = pts @ m._hole_freq.T + m._hole_phase
-        field = np.mean(np.sin(phases), axis=1)
-        threshold = np.quantile(field, 1.0 - frac) if pts.shape[0] > 8 else 1.0 - 2.0 * frac
-        holes = field > threshold
-    dist = np.where(holes, np.inf, dist)
-    return dist, grad
+        return np.zeros(points.shape[0], dtype=bool)
+    phases = points @ m._hole_freq.T + m._hole_phase
+    field = np.mean(np.sin(phases), axis=1)
+    threshold = np.quantile(field, 1.0 - frac) if points.shape[0] > 8 else 1.0 - 2.0 * frac
+    return field > threshold
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,17 @@ class TestCategoricalAndBoolean:
         with pytest.raises(ValueError):
             CategoricalParameter("x", ["a", "b"], default="c")
 
+    @pytest.mark.parametrize("choices", [[1, True, "z"], [0, False], [1, 1.0], [[0, 1], [0, 1]]])
+    def test_categorical_rejects_choices_that_compare_equal(self, choices):
+        # ``index_of`` matches by ``==``: equal choices would share an index.
+        with pytest.raises(ValueError, match="'c'"):
+            CategoricalParameter("c", choices)
+
+    def test_equal_choices_error_names_the_pair(self):
+        with pytest.raises(ValueError) as exc:
+            CategoricalParameter("c", ["z", 1, True])
+        assert "'c'" in str(exc.value) and "choices 1 and True" in str(exc.value)
+
     def test_boolean_parameter(self):
         p = BooleanParameter("open_loop", default=False)
         assert p.values() == [False, True]

@@ -12,6 +12,7 @@ Covers the acceptance criteria of the scenario API:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,10 @@ from repro.core.registry import (
 )
 from repro.core.scenario import SCENARIO_VERSION, Scenario, ScenarioError, validate_scenario
 from repro.core.space import DesignSpace
+from repro.core.sweep import load_spec_file
+from repro.slambench.parameters import elasticfusion_design_space, kfusion_design_space
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +373,29 @@ max_iterations = 1
         assert s.search_spec["n_random_samples"] == 6
         # JSON re-serialization of a TOML scenario is still lossless.
         assert Scenario.from_json(s.to_json()) == s
+
+    def test_categorical_choices_that_compare_equal_fail_to_load(self):
+        data = toy_scenario_dict()
+        data["space"]["parameters"].append({"type": "categorical", "name": "c", "choices": [1, True]})
+        with pytest.raises(ScenarioError) as exc:
+            Scenario.from_json(json.dumps(data))
+        assert exc.value.path == "/space/parameters/2"
+        assert "compare equal" in str(exc.value)
+
+    def test_shipped_scenarios_golden_sweep_and_spaces_still_load(self):
+        shipped = sorted((REPO / "examples" / "scenarios").glob("*.json"))
+        shipped += sorted((REPO / "examples" / "scenarios").glob("*.toml"))
+        assert len(shipped) >= 6
+        for path in shipped:
+            load_spec_file(path)
+        points = sorted((REPO / "tests" / "data" / "golden_sweep" / "points").glob("*/scenario.json"))
+        assert points
+        for path in points:
+            s = Scenario.from_file(path)
+            assert Scenario.from_dict(s.to_dict()) == s
+        for space in (kfusion_design_space(), elasticfusion_design_space()):
+            for p in space.parameters:
+                assert parameter_from_dict(p.to_dict()) == p
 
     def test_validate_scenario_normalizes_defaults(self):
         out = validate_scenario(toy_scenario_dict())

@@ -3,11 +3,14 @@ and the ElasticFusion and KinectFusion kernels (bytewise against
 ``tests/oracles.py``)."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from repro.slam import kfusion as kfusion_module
 from repro.slam import se3
 from repro.slam.camera import CameraIntrinsics
 from repro.slam.elasticfusion import ElasticFusion, ElasticFusionConfig
@@ -21,13 +24,27 @@ from repro.slam.filters import (
     vertex_map,
 )
 from repro.slam.icp import icp_point_to_implicit, icp_point_to_plane, point_to_plane_system, solve_increment
-from repro.slam.maps import AnalyticSDFMap, TSDFMap
+from repro.slam.dataset import make_icl_nuim_like_dataset
+from repro.slam.maps import AnalyticSDFMap, TSDFMap, linear_quantile
 from repro.slam.metrics import absolute_trajectory_error, relative_pose_error, umeyama_alignment
 from repro.slam.kfusion import KFusionConfig, KinectFusion
 from repro.slam.scene import Box, Cylinder, Sphere, Scene, make_living_room_scene, make_office_scene
 from repro.slam.surfel import SurfelMap
 from repro.slam.trajectory import Trajectory, make_living_room_trajectory
 from repro.slam.tsdf import TSDFVolume
+from repro.slambench.parameters import kfusion_design_space
+
+#: The exact-kernel comparisons in ``TestExactTrackingKernels`` guard
+#: rewrites whose only check is their comparison with numpy; CI reruns them
+#: with ``HYPOTHESIS_PROFILE=oracle-harness`` (1,500 derandomized examples).
+settings.register_profile(
+    "oracle-harness", max_examples=1500, deadline=None, derandomize=True, print_blob=True
+)
+ORACLE_SETTINGS = (
+    settings(settings.get_profile("oracle-harness"))
+    if os.environ.get("HYPOTHESIS_PROFILE") == "oracle-harness"
+    else settings(max_examples=150, deadline=None)
+)
 
 
 class TestFilters:
@@ -863,3 +880,249 @@ class TestKFusionKernelOracles:
                 _same_bytes(cam.backproject(d), oracles.backproject_reference(cam, d))
         with pytest.raises(ValueError):
             kf._valid_points(pyramid[0], cams[1])
+
+
+def _nan_with_bits(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+#: NaN (the default one, one with a payload and a negative one), the
+#: infinities and both zeros.
+_SPECIALS = [
+    np.nan,
+    _nan_with_bits(0x7FF8000000000123),
+    _nan_with_bits(0xFFF8000000000000),
+    np.inf,
+    -np.inf,
+    -0.0,
+    0.0,
+]
+
+
+def _reachable_quantiles():
+    """Every ``1 - effective_hole_fraction`` with holes over a grid of the
+    error model: the KFusion space's resolutions and truncation distances,
+    plus settings that reach the 0.85 and 0.9 clip bounds, each after a range
+    of camera motion since the last integration."""
+    scene = make_living_room_scene()
+    space = kfusion_design_space()
+    grid = [(r, mu, 0.004) for r in space["volume_resolution"].values() for mu in space["mu"].values()]
+    grid += [(512, 0.0005, 0.01), (16, 0.005, 0.05), (256, 0.012, 0.004)]
+    qs = set()
+    for resolution, mu, sensor_sigma in grid:
+        m = AnalyticSDFMap(scene, resolution=resolution, size_m=4.8, mu=mu, sensor_sigma=sensor_sigma)
+        for motion in (0.0, 0.01, 0.1, 0.4, 1.2, 4.0):
+            m.notify_motion(motion, 0.0)
+            if m.effective_hole_fraction > 0.0:
+                qs.add(1.0 - m.effective_hole_fraction)
+    return sorted(qs)
+
+
+_REACHABLE_Q = _reachable_quantiles()
+
+
+@st.composite
+def _quantile_cases(draw):
+    """A 1-D float64 array of 9 to 4,096 values, with ties, hole-like fields,
+    wide gaps or specials, and a ``q`` the hole mask asks for, an end point
+    or any.  Close neighbours interpolate to the same bits from either end,
+    so the ``spread`` arrays (few values, each of its own magnitude) are the
+    ones that tell numpy's two-sided lerp from a one-sided one."""
+    n = draw(st.one_of(st.integers(9, 64), st.integers(65, 4096)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "spread", "ties", "zeros", "field"]))
+    if kind == "normal":
+        a = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+    elif kind == "spread":
+        a = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    elif kind == "ties":
+        a = rng.integers(-3, 4, size=n) / 2.0
+    elif kind == "zeros":
+        a = rng.choice([-0.0, 0.0, 1.0, -1.0], size=n)
+    else:
+        phases = rng.uniform(-3.0, 3.0, size=(n, 3)) @ rng.uniform(2.0, 6.0, size=(4, 3)).T
+        a = np.mean(np.sin(phases), axis=1)
+    specials = draw(st.lists(st.sampled_from(_SPECIALS), max_size=6))
+    a[rng.integers(0, n, size=len(specials))] = specials
+    q = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0] + _REACHABLE_Q), st.floats(0.0, 1.0)))
+    return a, q
+
+
+def _layout(a):
+    """Shape, strides and whether the memory under ``a`` is C-contiguous."""
+    root = a if a.base is None else a.base
+    return a.shape, a.strides, root.flags.c_contiguous
+
+
+def _fresh_dataset(n_frames=6):
+    ds = make_icl_nuim_like_dataset(n_frames=n_frames, width=40, height=30, seed=3)
+    ds.prerender()
+    return ds
+
+
+def _same_run(got, want):
+    assert len(got.estimated) == len(want.estimated)
+    for p, q in zip(got.estimated.poses, want.estimated.poses):
+        _same_bytes(p, q)
+    assert [repr(dataclasses.astuple(f)) for f in got.frames] == [repr(dataclasses.astuple(f)) for f in want.frames]
+
+
+@pytest.fixture(scope="module")
+def cloud_dataset():
+    return _fresh_dataset()
+
+
+class TestExactTrackingKernels:
+    """The tracking kernels without numpy's Python wrappers (the hole
+    threshold, the ICP reductions) and the tracking clouds built once per
+    dataset equal the wrapped, per-evaluation originals in
+    ``tests/oracles.py`` bit for bit."""
+
+    @ORACLE_SETTINGS
+    @given(_quantile_cases())
+    def test_linear_quantile_matches_numpy(self, case):
+        a, q = case
+        before = a.tobytes()
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(a, q)
+        got = linear_quantile(a, q)
+        assert type(got) is float
+        _same_bytes(np.float64(got), want)
+        assert a.tobytes() == before
+
+    def test_linear_quantile_edges(self):
+        """NaN anywhere wins, ``-0.0``/``0.0`` ties resolve as numpy's
+        partition does, an infinite maximum at ``q = 1`` gives numpy's NaN
+        (``inf - inf`` in its lerp), and past ``t = 0.5`` the lerp runs from
+        the upper neighbour (on the first two arrays a lerp from the lower one
+        is one ulp off)."""
+        ramp = np.linspace(-1.0, 1.0, 4096)
+        cases = [
+            (10.0 ** np.arange(-4, 5), 0.85),
+            (3.0 ** np.arange(9), 0.7),
+            (np.full(9, np.nan), 0.5),
+            (np.r_[np.arange(8.0), np.nan], 0.0),
+            (np.r_[np.arange(8.0), np.inf], 1.0),
+            (np.r_[np.arange(8.0), -np.inf], 0.0),
+            (np.array([0.0, -0.0] * 6), 0.5),
+            (np.array([-0.0, 0.0] * 6), 1.0),
+            (ramp, 0.1),
+            (ramp[::-1].copy(), 0.85),
+        ]
+        # Every q of the error-model grid, whose clip bounds give 0.1 and 0.15.
+        assert 1.0 - 0.9 in _REACHABLE_Q and 1.0 - 0.85 in _REACHABLE_Q
+        cases += [(a, q) for a, _ in cases[:2] for q in _REACHABLE_Q]
+        with np.errstate(invalid="ignore"):
+            for a, q in cases:
+                _same_bytes(np.float64(linear_quantile(a, q)), np.quantile(a, q))
+
+    def test_hole_mask_matches_reference(self, rng):
+        scene = _kernel_probe_scene()
+        pts = np.concatenate([_kernel_probe_points(scene, rng), _non_finite_points()])
+        dense = rng.uniform(-3.0, 3.0, size=(1022, 3))
+        holes = 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            for m in _maps(scene):
+                for probe in (pts, dense, pts[:9], pts[:8], pts[:0]):
+                    got = m._hole_mask(probe)
+                    _same_bytes(got, oracles.hole_mask_reference(m, probe))
+                    holes += int(got.sum())
+        assert holes > 0
+
+    @ORACLE_SETTINGS
+    @given(st.integers(6, 3000), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.6]))
+    def test_icp_matches_reference_on_drawn_residuals(self, n, seed, outlier_share):
+        """The ICP error (a sum divided by the inlier count) and inlier index
+        at sizes and magnitudes the scene tests do not reach."""
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-2.0, 2.0, size=(n, 3))
+        dist = rng.normal(scale=0.05, size=n) * 10.0 ** rng.integers(-4, 1)
+        out = rng.random(n) < outlier_share
+        dist[out] = rng.choice([np.inf, -np.inf, np.nan, 1.0], size=int(out.sum()))
+        grad = rng.normal(size=(n, 3))
+        grad /= np.linalg.norm(grad, axis=1, keepdims=True)
+
+        def query(points):
+            return dist, grad
+
+        kwargs = dict(iterations=[3], termination_threshold=0.0, max_correspondence_distance=0.1)
+        with np.errstate(invalid="ignore"):
+            _same_icp(
+                icp_point_to_implicit(pts, query, np.eye(4), **kwargs),
+                oracles.icp_point_to_implicit_reference(pts, query, np.eye(4), **kwargs),
+            )
+
+    @pytest.mark.parametrize("compute_size_ratio", [1, 2, 4, 8])
+    @pytest.mark.parametrize("max_tracking_points", [1500, 100, None])
+    def test_memoized_cloud_stride_matches_reference(self, cloud_dataset, compute_size_ratio, max_tracking_points):
+        """What ICP receives in ``run`` (a stride of the shared cloud) has the
+        bytes and the layout of one evaluation's own tracking points."""
+        config = KFusionConfig(compute_size_ratio=compute_size_ratio, pyramid_iterations=(2, 1, 1))
+        kf = KinectFusion(config, max_tracking_points=max_tracking_points)
+        kf.run(cloud_dataset)
+        clouds = {k: v for k, v in cloud_dataset._derived.items() if k[0] == "kfusion-cloud"}
+        assert sorted(clouds) == [("kfusion-cloud", i, 2, level) for i in range(1, 6) for level in range(3)]
+        strided = 0
+        for (_, i, radius, level), cloud in clouds.items():
+            assert not cloud.flags.writeable and cloud.flags.c_contiguous and cloud.base is None
+            pyramid, cams = cloud_dataset._derived[("kfusion-pyramid", i, radius)]
+            got = kf._tracking_points(cloud)
+            want = oracles.valid_points_reference(kf, pyramid[level], cams[level])
+            _same_bytes(got, want)
+            assert _layout(got) == _layout(want)
+            assert got.base is (cloud if got is not cloud else None)
+            strided += got is not cloud
+        # At 40x30 only a budget of 100 or a ratio above 1 thins the clouds.
+        assert strided > 0 or (compute_size_ratio == 1 and max_tracking_points != 100)
+
+    def test_clouds_built_once_per_dataset(self, monkeypatch):
+        built = []
+        build = KinectFusion._tracking_cloud
+
+        def counted(depth, camera):
+            built.append(depth.shape)
+            return build(depth, camera)
+
+        monkeypatch.setattr(KinectFusion, "_tracking_cloud", staticmethod(counted))
+        ds = _fresh_dataset()
+        first = KinectFusion(KFusionConfig(compute_size_ratio=2)).run(ds)
+        held = {k: v for k, v in ds._derived.items() if k[0] == "kfusion-cloud"}
+        assert len(built) == len(held) == 5 * 3
+        KinectFusion(KFusionConfig(mu=0.05, tracking_rate=2)).run(ds)
+        again = {k: v for k, v in ds._derived.items() if k[0] == "kfusion-cloud"}
+        assert len(built) == 15 and all(again[k] is held[k] for k in held) and again.keys() == held.keys()
+        # An evaluation on a dataset whose memo was emptied equals the first.
+        ds.clear_cache()
+        _same_run(KinectFusion(KFusionConfig(compute_size_ratio=2)).run(ds), first)
+        assert len(built) == 30
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            KFusionConfig(),
+            KFusionConfig(volume_resolution=64, mu=0.025, compute_size_ratio=2, tracking_rate=2, integration_rate=3),
+            KFusionConfig(compute_size_ratio=8, pyramid_iterations=(4, 0, 2), icp_threshold=1e-2),
+        ],
+    )
+    def test_run_matches_reference_kernels(self, monkeypatch, config):
+        """A whole run equals one through the original map query, ICP loop and
+        per-evaluation back-projection."""
+        live = KinectFusion(config).run(_fresh_dataset(8))
+        queries = []
+
+        def reference_query(m, points):
+            queries.append((points.shape[0], m.effective_hole_fraction))
+            return oracles.sdf_query_reference(m, points)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(kfusion_module, "icp_point_to_implicit", oracles.icp_point_to_implicit_reference)
+            mp.setattr(AnalyticSDFMap, "sdf_query", reference_query)
+            mp.setattr(
+                KinectFusion,
+                "_tracking_cloud",
+                staticmethod(lambda depth, camera: oracles.backproject_reference(camera, depth)[depth > 0]),
+            )
+            reference = KinectFusion(config).run(_fresh_dataset(8))
+        _same_run(live, reference)
+        # The hole threshold took its quantile on some of these queries.
+        assert any(n > 8 and frac > 0.0 for n, frac in queries)
