@@ -101,13 +101,16 @@ class CameraIntrinsics:
             raise ValueError(
                 f"depth shape {depth.shape} does not match intrinsics ({self.height}, {self.width})"
             )
-        u, v = self.pixel_grid()
+        # A column of row indices and a row of column indices broadcast to
+        # the pixel grid's coefficients without building it.
+        cols = np.arange(self.width, dtype=np.float64)
+        rows = np.arange(self.height, dtype=np.float64)[:, None]
         valid = np.isfinite(depth) & (depth > 0)
-        return self.unproject(v, u, np.where(valid, depth, 0.0))
+        return self.unproject(rows, cols, np.where(valid, depth, 0.0))
 
     def unproject(self, rows: np.ndarray, cols: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Camera-frame points ``(..., 3)`` of pixel centres ``(rows, cols)``
-        at z-depth ``z`` (arrays of one shape)."""
+        at z-depth ``z`` (arrays that broadcast to ``z``'s shape)."""
         x = (cols - self.cx) / self.fx * z
         y = (rows - self.cy) / self.fy * z
         return np.stack([x, y, z], axis=-1)

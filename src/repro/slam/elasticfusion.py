@@ -221,12 +221,43 @@ def _jacobian(d: np.ndarray, p: np.ndarray) -> np.ndarray:
     axis=1)`` with the cross product written out in numpy's order."""
     J = np.empty((d.shape[0], 6))
     J[:, :3] = d
-    d0, d1, d2 = J[:, 0], J[:, 1], J[:, 2]
+    d0, d1, d2 = d[:, 0], d[:, 1], d[:, 2]
     p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2]
-    J[:, 3] = p1 * d2 - p2 * d1
-    J[:, 4] = p2 * d0 - p0 * d2
-    J[:, 5] = p0 * d1 - p1 * d0
+    np.subtract(p1 * d2, p2 * d1, out=J[:, 3])
+    np.subtract(p2 * d0, p0 * d2, out=J[:, 4])
+    np.subtract(p0 * d1, p1 * d0, out=J[:, 5])
     return J
+
+
+#: ``(pts_ref, z, u, v)``: points in a target's camera frame, their depth
+#: and their pixel coordinates.
+_Projection = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _project(camera: CameraIntrinsics, pts_ref: np.ndarray) -> _Projection:
+    """Pixel coordinates of ``(N, 3)`` camera-frame points, computed as
+    :meth:`CameraIntrinsics.project` computes them."""
+    z = pts_ref[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = camera.fx * pts_ref[:, 0] / z + camera.cx
+        v = camera.fy * pts_ref[:, 1] / z + camera.cy
+    return pts_ref, z, u, v
+
+
+def _associate(proj: _Projection, camera: CameraIntrinsics, valid_flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(hit, pixels)``: the points that project onto a valid pixel and
+    those pixels' flat indices, in point order.
+
+    As ``camera.project_to_indices`` and a ``valid_flat`` lookup, but only
+    the points inside the image are rounded: for ``0 <= u <= w - 1``,
+    ``round(u)`` already lies in ``[0, w - 1]``, so no clamp can bind.  The
+    bounds tests also reject NaN and infinite coordinates.
+    """
+    _, z, u, v = proj
+    inside = ((z > 1e-6) & (u >= 0) & (u <= camera.width - 1) & (v >= 0) & (v <= camera.height - 1)).nonzero()[0]
+    pixels = v.take(inside).round().astype(np.int64) * camera.width + u.take(inside).round().astype(np.int64)
+    on_view = valid_flat.take(pixels).nonzero()[0]
+    return inside.take(on_view), pixels.take(on_view)
 
 
 #: Damping of the rotation-only normal equations of the SO(3) pre-alignment.
@@ -347,7 +378,6 @@ class ElasticFusion:
         stats = {"icp_iterations": 0, "rgb_iterations": 0, "error": np.inf, "inliers": 0.0, "so3_iterations": 0}
 
         w_icp = cfg.icp_rgb_weight
-        w_rgb = 1.0
         n_levels = len(inputs.cams)
         rgb_levels = 1 if cfg.fast_odometry else n_levels
 
@@ -381,9 +411,9 @@ class ElasticFusion:
                 total_terms = 0
 
                 pts_world = se3.transform_points(T, pts_cam)
-                geo_ref = se3.transform_points(geo_target.T_wc, pts_world)
+                geo_proj = _project(geo_target.camera, se3.transform_points(geo_target.T_wc, pts_world))
                 # Geometric term: projective association into the geometric target.
-                geo_JtJ, geo_Jtr, geo_err, geo_inliers = self._geometric_terms(pts_world, geo_ref, geo_target)
+                geo_JtJ, geo_Jtr, geo_err, geo_inliers = self._geometric_terms(pts_world, geo_proj, geo_target)
                 if geo_inliers > 0:
                     JtJ += w_icp * geo_JtJ
                     Jtr += w_icp * geo_Jtr
@@ -391,19 +421,19 @@ class ElasticFusion:
                     total_terms += geo_inliers
                 stats["icp_iterations"] += 1
 
-                # Photometric term.
+                # Photometric term (its weight is 1).
                 if rgb_target is not None:
-                    rgb_ref = (
-                        geo_ref
+                    rgb_proj = (
+                        geo_proj
                         if rgb_target is geo_target
-                        else se3.transform_points(rgb_target.T_wc, pts_world)
+                        else _project(rgb_target.camera, se3.transform_points(rgb_target.T_wc, pts_world))
                     )
                     rgb_JtJ, rgb_Jtr, rgb_err, rgb_inliers = self._photometric_terms(
-                        pts_world, rgb_ref, obs_intensity, rgb_target
+                        pts_world, rgb_proj, obs_intensity, rgb_target
                     )
                     if rgb_inliers > 0:
-                        JtJ += w_rgb * rgb_JtJ
-                        Jtr += w_rgb * rgb_Jtr
+                        JtJ += rgb_JtJ
+                        Jtr += rgb_Jtr
                     stats["rgb_iterations"] += 1
 
                 if total_terms < 6:
@@ -420,55 +450,52 @@ class ElasticFusion:
         return T, stats
 
     def _geometric_terms(
-        self, pts_world: np.ndarray, pts_ref: np.ndarray, target: _TargetView
+        self, pts_world: np.ndarray, proj: _Projection, target: _TargetView
     ) -> Tuple[np.ndarray, np.ndarray, float, int]:
         """Point-to-plane normal equations against a reference view.
 
-        ``pts_ref`` is ``pts_world`` in the target's camera frame.
+        ``proj`` is :func:`_project` of ``pts_world`` in the target's camera
+        frame.
         """
-        rows, cols, in_image = target.camera.project_to_indices(pts_ref)
-        pixels = rows * target.camera.width + cols
-        hit = np.flatnonzero(in_image & target.valid_flat.take(pixels))
+        hit, pixels = _associate(proj, target.camera, target.valid_flat)
         if hit.size == 0:
             return _no_terms()
-        pixels = pixels.take(hit)
         p = pts_world.take(hit, axis=0)
         diff = p - target.vertices_flat.take(pixels, axis=0)
         d0, d1, d2 = diff[:, 0], diff[:, 1], diff[:, 2]
-        close = np.flatnonzero(np.sqrt(d0 * d0 + d1 * d1 + d2 * d2) < 0.15)
+        close = (np.sqrt(d0 * d0 + d1 * d1 + d2 * d2) < 0.15).nonzero()[0]
         if close.size == 0:
             return _no_terms()
         n = target.normals_flat.take(pixels.take(close), axis=0)
         diff = diff.take(close, axis=0)
         r = n[:, 0] * diff[:, 0] + n[:, 1] * diff[:, 1] + n[:, 2] * diff[:, 2]
         J = _jacobian(n, p.take(close, axis=0))
-        return J.T @ J, J.T @ r, float(np.mean(r * r)), int(r.size)
+        # The mean, as np.mean computes it.
+        return J.T @ J, J.T @ r, float(np.add.reduce(r * r)) / r.size, int(r.size)
 
     def _photometric_terms(
-        self, pts_world: np.ndarray, pts_ref: np.ndarray, obs_intensity: np.ndarray, target: _TargetView
+        self, pts_world: np.ndarray, proj: _Projection, obs_intensity: np.ndarray, target: _TargetView
     ) -> Tuple[np.ndarray, np.ndarray, float, int]:
         """Photometric (direct) normal equations against a reference view.
 
-        ``pts_ref`` is ``pts_world`` in the target's camera frame.
+        ``proj`` is :func:`_project` of ``pts_world`` in the target's camera
+        frame.
         """
         cam = target.camera
-        x, y, z = pts_ref[:, 0], pts_ref[:, 1], pts_ref[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = cam.fx * x / z + cam.cx
-            v = cam.fy * y / z + cam.cy
+        pts_ref, z, u, v = proj
         # The bounds tests also reject NaN and infinite coordinates.
-        hit = np.flatnonzero((z > 0.05) & (u >= 1) & (u <= cam.width - 2) & (v >= 1) & (v <= cam.height - 2))
+        hit = ((z > 0.05) & (u >= 1) & (u <= cam.width - 2) & (v >= 1) & (v <= cam.height - 2)).nonzero()[0]
         if hit.size == 0:
             return _no_terms()
         sampled = bilinear_sample(target.samples, u.take(hit), v.take(hit))
-        gx, gy = sampled[:, 1], sampled[:, 2]
+        gfx, gfy = sampled[:, 1] * cam.fx, sampled[:, 2] * cam.fy
         r = sampled[:, 0] - obs_intensity.take(hit)
-        zv, xv, yv = z.take(hit), x.take(hit), y.take(hit)
+        zv, xv, yv = z.take(hit), pts_ref[:, 0].take(hit), pts_ref[:, 1].take(hit)
         # d(residual)/d(point in reference camera frame)
         d_ref = np.empty((hit.size, 3))
-        d_ref[:, 0] = gx * cam.fx / zv
-        d_ref[:, 1] = gy * cam.fy / zv
-        d_ref[:, 2] = -(gx * cam.fx * xv + gy * cam.fy * yv) / (zv * zv)
+        d_ref[:, 0] = gfx / zv
+        d_ref[:, 1] = gfy / zv
+        d_ref[:, 2] = -(gfx * xv + gfy * yv) / (zv * zv)
         # Chain rule to world coordinates, then to the twist.
         J = _jacobian(d_ref @ target.R_wc, pts_world.take(hit, axis=0))
         # Robust weighting: downweight large photometric residuals (occlusions).
@@ -476,7 +503,7 @@ class ElasticFusion:
         abs_r = np.abs(r)
         w = np.where(abs_r < huber, 1.0, huber / np.maximum(abs_r, 1e-9))
         Jw = J * w[:, None]
-        return Jw.T @ J, Jw.T @ r, float(np.mean(w * r * r)), int(r.size)
+        return Jw.T @ J, Jw.T @ r, float(np.add.reduce(w * r * r)) / r.size, int(r.size)
 
     def _so3_prealign(
         self,
@@ -495,8 +522,8 @@ class ElasticFusion:
         n_done = 0
         for _ in range(iterations):
             pts_world = se3.transform_points(T, pts_cam)
-            pts_ref = se3.transform_points(scaled_target.T_wc, pts_world)
-            JtJ, Jtr, _, n_terms = self._photometric_terms(pts_world, pts_ref, obs, scaled_target)
+            proj = _project(scaled_target.camera, se3.transform_points(scaled_target.T_wc, pts_world))
+            JtJ, Jtr, _, n_terms = self._photometric_terms(pts_world, proj, obs, scaled_target)
             if n_terms < 6:
                 break
             # Keep only the rotational block.

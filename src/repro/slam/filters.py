@@ -181,17 +181,19 @@ def bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray, fill: float
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     valid = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
-    # Inside the image clipping only lowers the far edge; samples outside
-    # read pixel 0 and are replaced by ``fill``.
-    uc = np.minimum(np.where(valid, u, 0.0), w - 1.000001)
-    vc = np.minimum(np.where(valid, v, 0.0), h - 1.000001)
+    # Inside the image clipping only lowers the far edge, so x0 <= w - 2 and
+    # y0 <= h - 2 and their right and lower neighbours exist; samples outside
+    # read pixel 0 and are replaced by ``fill``.  A one-pixel-wide (-high)
+    # image is sampled along its single column (row): x0 = x1 = 0, fx = 0.
+    uc = np.minimum(np.where(valid, u, 0.0), w - 1.000001 if w > 1 else 0.0)
+    vc = np.minimum(np.where(valid, v, 0.0), h - 1.000001 if h > 1 else 0.0)
     x0 = np.floor(uc).astype(np.int64)
     y0 = np.floor(vc).astype(np.int64)
     fx = uc - x0
     fy = vc - y0
     top = y0 * w
-    bottom = np.minimum(y0 + 1, h - 1) * w
-    x1 = np.minimum(x0 + 1, w - 1)
+    bottom = top + w if h > 1 else top
+    x1 = x0 + 1 if w > 1 else x0
     pixels = img.reshape((h * w,) + img.shape[2:])
     if img.ndim == 3:
         fx, fy, valid = fx[:, None], fy[:, None], valid[:, None]

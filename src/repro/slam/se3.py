@@ -8,6 +8,7 @@ parameterization) and by trajectory interpolation.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -85,7 +86,8 @@ def exp_se3(xi: np.ndarray) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=np.float64).reshape(6)
     v, w = xi[:3], xi[3:]
-    theta = float(np.linalg.norm(w))
+    # np.linalg.norm(w), as numpy computes it for a 1-D float vector.
+    theta = math.sqrt(w.dot(w))
     T = _EYE4.copy()
     if theta < _EPS:
         W = hat(w)

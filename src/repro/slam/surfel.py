@@ -177,14 +177,14 @@ class SurfelMap:
             raise IndexError("surfel indices out of range")
         uniq, inverse = np.unique(idx, return_inverse=True)
         k = uniq.size
-        w_acc = np.zeros(k)
-        p_acc = np.zeros((k, 3))
-        n_acc = np.zeros((k, 3))
-        c_acc = np.zeros(k)
-        np.add.at(w_acc, inverse, weight)
-        np.add.at(p_acc, inverse, pts * weight)
-        np.add.at(n_acc, inverse, nrm * weight)
-        np.add.at(c_acc, inverse, col * weight)
+        # Per-surfel sums, added in observation order from 0.0 (as np.add.at
+        # into zeros adds them).
+        w_acc = np.bincount(inverse, np.full(idx.size, float(weight)), minlength=k)
+        c_acc = np.bincount(inverse, col * weight, minlength=k)
+        p_acc, n_acc = np.empty((k, 3)), np.empty((k, 3))
+        for acc, values in ((p_acc, pts * weight), (n_acc, nrm * weight)):
+            for c in range(3):
+                acc[:, c] = np.bincount(inverse, values[:, c], minlength=k)
         conf_old = self.confidences[uniq]
         denom = conf_old + w_acc
         self.positions[uniq] = (self.positions[uniq] * conf_old[:, None] + p_acc) / denom[:, None]

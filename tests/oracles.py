@@ -26,7 +26,10 @@ versions in :mod:`repro.slam` must match byte for byte:
   boolean-mask gathers, ``np.cross``, ``np.linalg.norm`` and three
   bilinear calls per photometric term;
 * :func:`predict_view_reference` — the surfel z-buffer that sorts all
-  ``(2 * splat_radius + 1) ** 2`` splatted copies.
+  ``(2 * splat_radius + 1) ** 2`` splatted copies;
+* :func:`update_by_index_reference` — per-surfel sums by ``np.add.at``;
+* :func:`exp_se3_reference` — the twist exponential with its angle taken
+  by ``np.linalg.norm``.
 
 The design-space and Pareto kernels keep their first forms too:
 
@@ -739,6 +742,47 @@ def photometric_terms_reference(
     return Jw.T @ J, Jw.T @ r, float(np.mean(w * r * r)), int(r.size)
 
 
+def update_by_index_reference(
+    m,
+    indices: np.ndarray,
+    points_world: np.ndarray,
+    normals_world: np.ndarray,
+    intensities: np.ndarray,
+    weight: float,
+    frame_index: int,
+) -> int:
+    """:meth:`~repro.slam.surfel.SurfelMap.update_by_index` of ``m``, with
+    its per-surfel sums taken by ``np.add.at``."""
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    pts = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
+    nrm = np.asarray(normals_world, dtype=np.float64).reshape(-1, 3)
+    col = np.asarray(intensities, dtype=np.float64).reshape(-1)
+    if idx.size == 0:
+        return 0
+    if np.any(idx < 0) or np.any(idx >= m.n_surfels):
+        raise IndexError("surfel indices out of range")
+    uniq, inverse = np.unique(idx, return_inverse=True)
+    k = uniq.size
+    w_acc = np.zeros(k)
+    p_acc = np.zeros((k, 3))
+    n_acc = np.zeros((k, 3))
+    c_acc = np.zeros(k)
+    np.add.at(w_acc, inverse, weight)
+    np.add.at(p_acc, inverse, pts * weight)
+    np.add.at(n_acc, inverse, nrm * weight)
+    np.add.at(c_acc, inverse, col * weight)
+    conf_old = m.confidences[uniq]
+    denom = conf_old + w_acc
+    m.positions[uniq] = (m.positions[uniq] * conf_old[:, None] + p_acc) / denom[:, None]
+    blended = m.normals[uniq] * conf_old[:, None] + n_acc
+    norms = np.linalg.norm(blended, axis=1, keepdims=True)
+    m.normals[uniq] = blended / np.maximum(norms, 1e-12)
+    m.intensities[uniq] = (m.intensities[uniq] * conf_old + c_acc) / denom
+    m.confidences[uniq] = denom
+    m.timestamps[uniq] = frame_index
+    return int(k)
+
+
 def predict_view_reference(
     surfels,
     camera,
@@ -975,6 +1019,27 @@ def icp_point_to_implicit_reference(
         inlier_fraction=inlier_fraction,
         error_history=history,
     )
+
+
+def exp_se3_reference(xi: np.ndarray) -> np.ndarray:
+    """:func:`repro.slam.se3.exp_se3` with the rotation angle taken by
+    ``np.linalg.norm``."""
+    xi = np.asarray(xi, dtype=np.float64).reshape(6)
+    v, w = xi[:3], xi[3:]
+    theta = float(np.linalg.norm(w))
+    T = np.eye(4)
+    if theta < 1e-12:
+        W = se3.hat(w)
+        T[:3, :3] = np.eye(3) + W
+        V = np.eye(3) + 0.5 * W
+    else:
+        K = se3.hat(w / theta)
+        KK = K @ K
+        sin, cos = np.sin(theta), np.cos(theta)
+        T[:3, :3] = np.eye(3) + sin * K + (1.0 - cos) * KK
+        V = np.eye(3) + (1.0 - cos) / theta * K + (theta - sin) / theta * KK
+    T[:3, 3] = V @ v
+    return T
 
 
 def backproject_reference(camera, depth: np.ndarray) -> np.ndarray:

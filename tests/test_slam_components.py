@@ -2,6 +2,7 @@
 and the ElasticFusion and KinectFusion kernels (bytewise against
 ``tests/oracles.py``)."""
 
+import copy
 import dataclasses
 import os
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from repro.slam import elasticfusion as elasticfusion_module
 from repro.slam import kfusion as kfusion_module
 from repro.slam import se3
 from repro.slam.camera import CameraIntrinsics
@@ -430,6 +432,129 @@ def _tied_points(cam, rng, n):
     return np.stack([(u - cam.cx) / cam.fx * z, (v - cam.cy) / cam.fy * z, z], axis=1)
 
 
+def _near_marks(extent):
+    """Pixel coordinates on and around the edges of an axis ``extent``
+    pixels long: both zeros, the last pixel and one ulp either side of the
+    two edges."""
+    last = float(extent - 1)
+    return np.array([0.0, -0.0, np.nextafter(0.0, -1.0), last, np.nextafter(last, -np.inf), np.nextafter(last, np.inf)])
+
+
+@st.composite
+def _projection_cases(draw):
+    """A camera 1 to 12 pixels a side, ``(N, 3)`` camera-frame points and a
+    valid-pixel mask.  On the unit camera (``fx = fy = 1``, ``cx`` and
+    ``cy`` 0.0 or -0.0) a point at a power-of-two depth ``z`` with ``x = u z``
+    projects to exactly ``u``, so coordinates land on 0, ``w - 1``,
+    integers, half-integers (where rounding goes to even) and one ulp beside
+    the edges; the other cameras take drawn points.  NaN, ±inf, ``z = 0``,
+    -0.0 and depths at the ``1e-6`` cut are mixed in."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 80))
+    kind = draw(st.sampled_from(["unit", "kinect", "drawn"]))
+    if kind == "unit":
+        zero = draw(st.sampled_from([0.0, -0.0]))
+        cam = CameraIntrinsics(fx=1.0, fy=1.0, cx=zero, cy=zero, width=w, height=h)
+
+        def coords(extent):
+            pool = np.concatenate(
+                [
+                    _near_marks(extent),
+                    rng.integers(-1, extent + 1, n) + 0.5,
+                    rng.integers(0, extent, n).astype(np.float64),
+                    rng.uniform(-1.0, extent, n),
+                ]
+            )
+            return rng.choice(pool, n)
+
+        u, v = coords(w), coords(h)
+        z = rng.choice([0.5, 1.0, 2.0, 4.0], n)
+        pts = np.stack([u * z, v * z, z], axis=1)
+    else:
+        if kind == "kinect":
+            cam = CameraIntrinsics.kinect_like(w, h)
+        else:
+            fx, fy = rng.uniform(0.5, 50.0, 2)
+            cam = CameraIntrinsics(fx=fx, fy=fy, cx=rng.uniform(-1.0, w), cy=rng.uniform(-1.0, h), width=w, height=h)
+        z = rng.uniform(-0.5, 3.0, n)
+        pts = np.stack([rng.uniform(-1.0, 1.0, n) * z, rng.uniform(-1.0, 1.0, n) * z, z], axis=1)
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-6, np.nextafter(1e-6, 1.0), 1e-300]
+    picks = rng.random((n, 3)) < draw(st.sampled_from([0.0, 0.03, 0.2]))
+    pts[picks] = rng.choice(specials, int(picks.sum()))
+    valid_flat = rng.random(w * h) < rng.choice([0.3, 0.9, 1.0])
+    return cam, pts, valid_flat
+
+
+def _signed_magnitudes(rng, shape):
+    """Both signs, magnitudes from 1e-300 to 1e5, and about 15% zeros of
+    either sign."""
+    a = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300.0, 5.0, shape)
+    zeros = rng.random(shape) < 0.15
+    a[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    return a
+
+
+@st.composite
+def _surfel_updates(draw):
+    """A surfel map and observations of its surfels, repeats included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_surfels, n_obs = draw(st.integers(1, 12)), int(rng.integers(1, 41))
+    m = SurfelMap(merge_distance=1e-3)
+    normals = rng.normal(size=(n_surfels, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    points = np.stack([np.arange(n_surfels) * 0.05, np.zeros(n_surfels), np.ones(n_surfels)], axis=1)
+    m.fuse(points, normals, rng.uniform(size=n_surfels), frame_index=0)
+    m.confidences[:n_surfels] = rng.choice([1.0, 4.0, 7.5, 1e-300, 3e4], n_surfels)
+    # Few distinct surfels: most observations repeat one.
+    idx = rng.integers(0, rng.integers(1, n_surfels + 1), n_obs)
+    weight = rng.choice([4.0, 1.0, 0.1, 3.7, 1e-300, 2.5e5])
+    shapes = [(n_obs, 3), (n_obs, 3), (n_obs,)]
+    return m, idx, [_signed_magnitudes(rng, shape) for shape in shapes], weight
+
+
+@st.composite
+def _depth_maps(draw):
+    """Intrinsics and a depth map 1 to 24 pixels a side with NaN, ±inf,
+    both zeros, negative, tiny and huge depths."""
+    w, h = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if rng.random() < 0.5:
+        cam = CameraIntrinsics.kinect_like(w, h)
+    else:
+        fx, fy = rng.uniform(0.1, 600.0, 2)
+        cam = CameraIntrinsics(fx=fx, fy=fy, cx=rng.uniform(-5.0, w + 5.0), cy=rng.uniform(-5.0, h + 5.0), width=w, height=h)
+    depth = rng.uniform(-0.5, 4.0, (h, w))
+    special = rng.random((h, w)) < rng.choice([0.0, 0.1, 0.5])
+    depth[special] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 1e-300, 1e300], int(special.sum()))
+    with np.errstate(over="ignore"):
+        return cam, depth.astype(np.float32) if rng.random() < 0.25 else depth
+
+
+@st.composite
+def _twists(draw):
+    """Twists whose rotation part is zero (either sign), below, at or just
+    above the ``1e-12`` cut, subnormal, near pi, or of any size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    kind = draw(st.sampled_from(["zero", "cut", "tiny", "near-pi", "any"]))
+    if kind == "zero":
+        w = rng.choice([0.0, -0.0], 3)
+    elif kind == "cut":
+        w = np.zeros(3)
+        w[rng.integers(0, 3)] = np.nextafter(1e-12, rng.choice([0.0, 1.0])) if rng.random() < 0.7 else 1e-12
+        w *= rng.choice([-1.0, 1.0], 3)
+    elif kind == "tiny":
+        w = axis * 10.0 ** rng.uniform(-320.0, -12.0)
+    elif kind == "near-pi":
+        w = axis * (np.pi + rng.choice([0.0, 1.0, -1.0]) * 10.0 ** rng.uniform(-16.0, -4.0))
+    else:
+        w = axis * 10.0 ** rng.uniform(-12.0, 1.5)
+    v = rng.normal(size=3) * 10.0 ** rng.uniform(-8.0, 1.0)
+    return np.concatenate([v, w])
+
+
 class TestElasticFusionKernelOracles:
     """The flat-index kernels equal their straightforward originals bit for bit."""
 
@@ -546,10 +671,10 @@ class TestElasticFusionKernelOracles:
                 for _ in range(4):
                     jitter = se3.exp_se3(rng.normal(scale=[0.02, 0.02, 0.02, 0.01, 0.01, 0.01]))
                     pts_world = se3.transform_points(jitter @ tiny_dataset.trajectory[1], inputs.points[level])
-                    pts_ref = se3.transform_points(view.T_wc, pts_world)
-                    geo = ef._geometric_terms(pts_world, pts_ref, view)
+                    proj = elasticfusion_module._project(view.camera, se3.transform_points(view.T_wc, pts_world))
+                    geo = ef._geometric_terms(pts_world, proj, view)
                     _same_terms(geo, oracles.geometric_terms_reference(pts_world, view))
-                    rgb = ef._photometric_terms(pts_world, pts_ref, inputs.observed[level], view)
+                    rgb = ef._photometric_terms(pts_world, proj, inputs.observed[level], view)
                     _same_terms(rgb, oracles.photometric_terms_reference(pts_world, inputs.observed[level], view))
                     n_terms += geo[3] > 0 and rgb[3] > 0
         assert n_terms > 0
@@ -557,7 +682,7 @@ class TestElasticFusionKernelOracles:
     @pytest.mark.parametrize("same_target", [True, False])
     def test_joint_tracking_terms_match_reference(self, tiny_dataset, monkeypatch, same_target):
         """Every term the tracker evaluates, with geometric and photometric
-        targets that are one object (one shared ``pts_ref``) or two."""
+        targets that are one object (one shared projection) or two."""
         ef = ElasticFusion(ElasticFusionConfig())
         frame = tiny_dataset.frame(1)
         inputs = ef._frame_inputs(frame.depth, frame.intensity, tiny_dataset.camera)
@@ -567,14 +692,14 @@ class TestElasticFusionKernelOracles:
         calls = {"geo": 0, "rgb": 0}
         geometric, photometric = ElasticFusion._geometric_terms, ElasticFusion._photometric_terms
 
-        def checked_geometric(self, pts_world, pts_ref, target):
-            got = geometric(self, pts_world, pts_ref, target)
+        def checked_geometric(self, pts_world, proj, target):
+            got = geometric(self, pts_world, proj, target)
             _same_terms(got, oracles.geometric_terms_reference(pts_world, target))
             calls["geo"] += 1
             return got
 
-        def checked_photometric(self, pts_world, pts_ref, obs, target):
-            got = photometric(self, pts_world, pts_ref, obs, target)
+        def checked_photometric(self, pts_world, proj, obs, target):
+            got = photometric(self, pts_world, proj, obs, target)
             _same_terms(got, oracles.photometric_terms_reference(pts_world, obs, target))
             calls["rgb"] += 1
             return got
@@ -585,6 +710,190 @@ class TestElasticFusionKernelOracles:
         assert calls["geo"] == stats["icp_iterations"] > 0
         assert calls["rgb"] > stats["rgb_iterations"] > 0  # the SO(3) pre-alignment adds calls
         assert np.isfinite(stats["error"])
+
+    @ORACLE_SETTINGS
+    @given(_projection_cases())
+    def test_projection_and_association_match_project_to_indices(self, case):
+        """One projection serves both terms and rounds only the points
+        inside the image: the same pixel coordinates as
+        ``CameraIntrinsics.project`` and the same hits and pixels, in the same
+        order, as rounding, clamping and looking up every point."""
+        cam, pts, valid_flat = case
+        proj = elasticfusion_module._project(cam, pts)
+        u, v, _ = cam.project(pts)
+        assert proj[0] is pts
+        _same_bytes(proj[1], pts[:, 2])
+        _same_bytes(proj[2], u)
+        _same_bytes(proj[3], v)
+        with np.errstate(invalid="ignore"):
+            rows, cols, in_image = oracles._project_to_indices_reference(cam, pts)
+        pixels = rows * cam.width + cols
+        for valid in (valid_flat, np.ones_like(valid_flat)):
+            hit, hit_pixels = elasticfusion_module._associate(proj, cam, valid)
+            want = np.flatnonzero(in_image & valid[pixels])
+            _same_bytes(hit, want)
+            _same_bytes(hit_pixels, pixels[want])
+
+    @pytest.mark.parametrize("channels", [False, True])
+    def test_bilinear_one_pixel_wide_or_high(self, channels):
+        """A 1x1, 3x1 or 1x3 image is sampled along its one column or row:
+        the neighbour across the missing axis is the pixel itself, weighted
+        0.  Hand-computed values; along the axis the far edge is clipped to
+        ``2 - 1e-6`` as on any image."""
+        line = np.array([1.0, 2.0, 3.0])
+        if channels:
+            line = np.stack([line, 10.0 * line + 0.25, 4.0 - line], axis=-1)
+        a, b, c = line
+        t = (3 - 1.000001) - 1
+        along = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+        expected = [a, a * 0.5 + b * 0.5, b, b * 0.5 + c * 0.5, b * (1 - t) + c * t]
+        outside = np.array([-0.1, np.nextafter(2.0, 3.0), 2.1, np.nan, np.inf, -np.inf])
+        fill = np.full_like(a, -7.0)
+        column, row = line[:, None], line[None, :]
+        for across in (0.0, -0.0):
+            flat = np.full(along.size, across)
+            for got in (bilinear_sample(column, flat, along, -7.0), bilinear_sample(row, along, flat, -7.0)):
+                for g, e in zip(got, expected):
+                    _same_bytes(g, e)
+            off = np.full(outside.size, across)
+            for got in (bilinear_sample(column, off, outside, -7.0), bilinear_sample(row, outside, off, -7.0)):
+                for g in got:
+                    _same_bytes(g, fill)
+        # Off the one column (row), at any point along it.
+        for got in (bilinear_sample(column, [0.5, 1e-300, -0.1], [1.0, 1.0, 1.0], -7.0), bilinear_sample(row, [1.0] * 3, [0.5, 1e-300, -0.1], -7.0)):
+            for g in got:
+                _same_bytes(g, fill)
+        pixel = line[:1, None]
+        got = bilinear_sample(pixel, [0.0, -0.0, 0.0, 0.5, 1e-300, np.nan], [0.0, -0.0, 1e-300, 0.0, 0.0, 0.0], -7.0)
+        for g, e in zip(got, [a, a, fill, fill, fill, fill]):
+            _same_bytes(g, e)
+
+    def test_bilinear_small_images_match_reference(self, rng):
+        """From 2x2 up the right and lower neighbours need no clamp: the
+        same bits as the clamped original, on and beside every edge, at
+        every size up to 6x6."""
+        for w in range(2, 7):
+            for h in range(2, 7):
+                img = rng.normal(size=(h, w, 3))
+                marks_u = np.concatenate([_near_marks(w), np.arange(-1, w + 1) + 0.5, rng.uniform(-1.0, w, 8)])
+                marks_v = np.concatenate([_near_marks(h), np.arange(-1, h + 1) + 0.5, rng.uniform(-1.0, h, 8)])
+                u, v = (grid.ravel() for grid in np.meshgrid(marks_u, marks_v))
+                got = bilinear_sample(img, u, v, fill=-3.0)
+                for ch in range(3):
+                    _same_bytes(got[:, ch], oracles.bilinear_sample_reference(img[..., ch], u, v, fill=-3.0))
+                _same_bytes(bilinear_sample(img[..., 0], u, v, fill=-3.0), got[:, 0])
+
+    @ORACLE_SETTINGS
+    @given(_surfel_updates())
+    def test_update_by_index_matches_add_at(self, case):
+        """Per-surfel sums by ``np.bincount`` add in observation order from
+        0.0, as ``np.add.at`` into zeros does."""
+        m, idx, (pts, nrm, col), weight = case
+        ref = copy.deepcopy(m)
+        with np.errstate(all="ignore"):
+            got = m.update_by_index(idx, pts, nrm, col, weight=weight, frame_index=5)
+            want = oracles.update_by_index_reference(ref, idx, pts, nrm, col, weight=weight, frame_index=5)
+        assert got == want == np.unique(idx).size
+        for name in ("positions", "normals", "intensities", "confidences", "timestamps"):
+            _same_bytes(getattr(m, name), getattr(ref, name))
+
+    def test_update_by_index_edges(self):
+        m = _surfel_map(np.array([[0.0, 0.0, 1.0], [0.1, 0.0, 1.0]]), np.array([2.0, 2.0]), np.random.default_rng(0))
+        ref = copy.deepcopy(m)
+        empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+        assert m.update_by_index(*empty, weight=4.0, frame_index=1) == 0
+        for bad in ([2], [-1]):
+            with pytest.raises(IndexError):
+                m.update_by_index(np.array(bad), np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(1), weight=4.0, frame_index=1)
+        for name in ("positions", "normals", "intensities", "confidences", "timestamps"):
+            _same_bytes(getattr(m, name), getattr(ref, name))
+
+    @ORACLE_SETTINGS
+    @given(_depth_maps())
+    def test_backproject_matches_meshgrid(self, case):
+        """Broadcast row and column coordinates give each pixel the
+        coefficients a meshgrid gives it."""
+        cam, depth = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = cam.backproject(depth)
+            want = oracles.backproject_reference(cam, depth)
+        _same_bytes(got, want)
+        assert got.strides == want.strides
+        with pytest.raises(ValueError):
+            cam.backproject(depth.T if depth.shape[0] != depth.shape[1] else depth[:, :0])
+
+    @ORACLE_SETTINGS
+    @given(_twists())
+    def test_exp_se3_matches_norm_form(self, xi):
+        """The rotation angle as ``math.sqrt(w.dot(w))``: the bits of
+        ``np.linalg.norm(w)`` for a 1-D float vector, contiguous or not."""
+        _same_bytes(se3.exp_se3(xi), oracles.exp_se3_reference(xi))
+        strided = np.repeat(xi, 2)[::2]
+        _same_bytes(se3.exp_se3(strided), oracles.exp_se3_reference(strided))
+
+    def test_seed0_evaluation_replays_against_oracles(self, monkeypatch):
+        """One evaluation on the end-to-end benchmark's seed-0 ElasticFusion
+        input (10 frames at 56x42, dataset seed 2, fusion stride 2), with
+        frame-to-frame RGB so that some tracking steps share one projection
+        and others project for each term.  Each captured term call equals its
+        oracle bytewise and its projection equals ``CameraIntrinsics.project``
+        of the oracle's reference points; a run through every oracle kernel
+        (terms, surfel sums, back-projection, twist exponential) ends on the
+        same poses and frame statistics.  (The pipeline renders the model
+        view at the previous frame's pose, so here two projections of one
+        step hold the same bits; the two-target case of
+        ``test_joint_tracking_terms_match_reference`` is the one that tells a
+        wrongly shared projection apart.)"""
+        dataset = make_icl_nuim_like_dataset(n_frames=10, width=56, height=42, seed=2)
+        config = ElasticFusionConfig(frame_to_frame_rgb=True)
+        calls = []
+        geometric, photometric = ElasticFusion._geometric_terms, ElasticFusion._photometric_terms
+
+        def captured_geometric(self, pts_world, proj, target):
+            got = geometric(self, pts_world, proj, target)
+            calls.append(("geo", pts_world, proj, None, target, got))
+            return got
+
+        def captured_photometric(self, pts_world, proj, obs, target):
+            got = photometric(self, pts_world, proj, obs, target)
+            calls.append(("rgb", pts_world, proj, obs, target, got))
+            return got
+
+        with monkeypatch.context() as mp:
+            mp.setattr(ElasticFusion, "_geometric_terms", captured_geometric)
+            mp.setattr(ElasticFusion, "_photometric_terms", captured_photometric)
+            live = ElasticFusion(config, fusion_stride=2).run(dataset)
+
+        steps = {"shared": 0, "own": 0}
+        for i, (kind, pts_world, proj, obs, target, got) in enumerate(calls):
+            pts_ref = se3.transform_points(se3.invert(target.pose), pts_world)
+            u, v, _ = target.camera.project(pts_ref)
+            for part, want in zip(proj, (pts_ref, pts_ref[:, 2], u, v)):
+                _same_bytes(part, want)
+            if kind == "geo":
+                want = oracles.geometric_terms_reference(pts_world, target)
+            else:
+                want = oracles.photometric_terms_reference(pts_world, obs, target)
+                if i > 0 and calls[i - 1][0] == "geo":
+                    steps["shared" if proj is calls[i - 1][2] else "own"] += 1
+            _same_bytes(got[0], want[0])
+            _same_bytes(got[1], want[1])
+            _same_bytes(np.float64(got[2]), np.float64(want[2]))
+            assert type(got[2]) is float and got[3] == want[3]
+        assert steps["shared"] > 20 and steps["own"] > 20 and len(calls) > 250
+
+        with monkeypatch.context() as mp:
+            mp.setattr(ElasticFusion, "_geometric_terms", lambda self, pts_world, proj, target: oracles.geometric_terms_reference(pts_world, target))
+            mp.setattr(
+                ElasticFusion,
+                "_photometric_terms",
+                lambda self, pts_world, proj, obs, target: oracles.photometric_terms_reference(pts_world, obs, target),
+            )
+            mp.setattr(SurfelMap, "update_by_index", oracles.update_by_index_reference)
+            mp.setattr(CameraIntrinsics, "backproject", oracles.backproject_reference)
+            mp.setattr(se3, "exp_se3", oracles.exp_se3_reference)
+            reference = ElasticFusion(config, fusion_stride=2).run(dataset)
+        _same_run(live, reference)
 
 
 class TestElasticFusionState:
