@@ -28,7 +28,7 @@ for _path in (os.path.join(_ROOT, "tests"), os.path.join(_ROOT, "src")):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from repro.experiments import MEDIUM, SMALL, SMOKE  # noqa: E402
+from repro.experiments.common import MEDIUM, SMALL, SMOKE  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

@@ -1,6 +1,6 @@
 """Ablation benchmark: sensitivity of the exploration to the forest size."""
 
-from repro.experiments import run_forest_size_ablation
+from repro.experiments.ablations import run_forest_size_ablation
 from repro.utils.serialization import dump_json
 from repro.utils.tables import format_table
 

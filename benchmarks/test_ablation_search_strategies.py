@@ -1,7 +1,6 @@
 """Ablation benchmark: HyperMapper vs random / evolutionary / bandit search."""
 
-from repro.experiments import run_search_strategy_ablation
-from repro.experiments.ablations import format_search_strategy_ablation
+from repro.experiments.ablations import format_search_strategy_ablation, run_search_strategy_ablation
 from repro.utils.serialization import dump_json
 
 

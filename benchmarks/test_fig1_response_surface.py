@@ -1,6 +1,6 @@
 """Benchmark regenerating Fig. 1 (KFusion runtime response surface)."""
 
-from repro.experiments import format_fig1, run_fig1
+from repro.experiments.fig1_response_surface import format_fig1, run_fig1
 from repro.utils.serialization import dump_json
 
 

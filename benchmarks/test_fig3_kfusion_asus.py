@@ -1,6 +1,6 @@
 """Benchmark regenerating Fig. 3(b): KFusion DSE on the ASUS T200TA."""
 
-from repro.experiments import format_fig3, run_fig3
+from repro.experiments.fig3_kfusion_dse import format_fig3, run_fig3
 from repro.utils.serialization import dump_json
 
 

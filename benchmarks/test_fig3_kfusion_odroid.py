@@ -1,6 +1,6 @@
 """Benchmark regenerating Fig. 3(a): KFusion DSE on the ODROID-XU3."""
 
-from repro.experiments import format_fig3, run_fig3
+from repro.experiments.fig3_kfusion_dse import format_fig3, run_fig3
 from repro.utils.serialization import dump_json
 
 

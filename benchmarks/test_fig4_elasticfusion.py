@@ -1,6 +1,6 @@
 """Benchmark regenerating Fig. 4: ElasticFusion DSE on the GTX 780 Ti."""
 
-from repro.experiments import format_fig4, run_fig4
+from repro.experiments.fig4_elasticfusion_dse import format_fig4, run_fig4
 from repro.utils.serialization import dump_json
 
 

@@ -1,6 +1,6 @@
 """Benchmark regenerating Fig. 5: crowd-sourced speedups on 83 mobile devices."""
 
-from repro.experiments import format_fig5, run_fig5
+from repro.experiments.fig5_crowdsourcing import format_fig5, run_fig5
 from repro.utils.serialization import dump_json
 
 

@@ -214,7 +214,7 @@ def test_fit_throughput(benchmark, scale, results_dir):
             assert r["r2"][f"hist_{obj}"] > r["r2"][f"exact_{obj}"] - 0.1
     # Wall-clock asserts are too noisy for shared CI runners, where only the
     # smoke scale runs; the measured numbers are always recorded.
-    from repro.experiments import SMOKE
+    from repro.experiments.common import SMOKE
 
     if scale is not SMOKE:
         assert acceptance["speedup"] >= MIN_ACCEPTED_SPEEDUP

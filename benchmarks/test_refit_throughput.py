@@ -144,7 +144,7 @@ def _check_against_baseline(baseline, results):
 
 def test_refit_throughput(benchmark, scale, results_dir):
     """Record refit throughput and gate it against the committed baseline."""
-    from repro.experiments import SMOKE
+    from repro.experiments.common import SMOKE
 
     space = _bench_space()
     objectives = ObjectiveSet([Objective("error"), Objective("runtime")])

@@ -151,7 +151,7 @@ def test_surrogate_throughput(benchmark, scale, results_dir):
     assert acceptance["pool_size"] == 20_000
     # Wall-clock speedup asserts are too noisy for shared CI runners, where
     # only the smoke scale runs; the measured numbers are always recorded.
-    from repro.experiments import SMOKE
+    from repro.experiments.common import SMOKE
 
     if scale is not SMOKE:
         assert acceptance["speedup"] >= MIN_ACCEPTED_SPEEDUP

@@ -1,6 +1,6 @@
 """Benchmark regenerating Table I: ElasticFusion Pareto points and parameters."""
 
-from repro.experiments import format_table1, run_table1
+from repro.experiments.table1_pareto import format_table1, run_table1
 from repro.utils.serialization import dump_json
 
 

@@ -9,10 +9,13 @@ cross-device runtime correlations are reported.
 Run with:  python examples/crowdsourcing_transfer.py
 """
 
-from repro.crowd import CrowdDatabase, cross_device_correlation, run_crowd_experiment, speedup_statistics
-from repro.devices import ODROID_XU3, make_mobile_fleet
-from repro.slambench import get_workload
-from repro.utils import format_table
+from repro.crowd.analysis import cross_device_correlation, speedup_statistics
+from repro.crowd.app import run_crowd_experiment
+from repro.crowd.database import CrowdDatabase
+from repro.devices.catalog import ODROID_XU3
+from repro.devices.mobile import make_mobile_fleet
+from repro.slambench.workloads import get_workload
+from repro.utils.tables import format_table
 
 
 def main() -> None:

@@ -15,18 +15,13 @@ Run with:  python examples/custom_blackbox.py
 
 import numpy as np
 
-from repro.core import (
-    BooleanParameter,
-    DesignSpace,
-    EvaluationExecutor,
-    EvaluatorBinding,
-    Objective,
-    ObjectiveSet,
-    OrdinalParameter,
-    Study,
-    hypervolume_2d,
-    register_evaluator,
-)
+from repro.core.executor import EvaluationExecutor
+from repro.core.objectives import Objective, ObjectiveSet
+from repro.core.parameters import BooleanParameter, OrdinalParameter
+from repro.core.pareto import hypervolume_2d
+from repro.core.registry import EvaluatorBinding, register_evaluator
+from repro.core.space import DesignSpace
+from repro.core.study import Study
 
 
 def make_problem():

@@ -15,11 +15,11 @@ Run with:  python examples/elasticfusion_tradeoff.py
 
 import os
 
-from repro.core import Study
-from repro.devices import NVIDIA_GTX_780TI
-from repro.slambench import get_workload
+from repro.core.study import Study
+from repro.devices.catalog import NVIDIA_GTX_780TI
 from repro.slambench.parameters import table1_flag_columns
-from repro.utils import format_table
+from repro.slambench.workloads import get_workload
+from repro.utils.tables import format_table
 
 SCENARIO = os.path.join(os.path.dirname(__file__), "scenarios", "elasticfusion.json")
 

@@ -20,8 +20,8 @@ Run with:  python examples/quickstart.py
 import os
 import tempfile
 
-from repro.core import Study, StudyResult
-from repro.utils import format_table
+from repro.core.study import Study, StudyResult
+from repro.utils.tables import format_table
 
 SCENARIO = os.path.join(os.path.dirname(__file__), "scenarios", "quickstart.json")
 

@@ -21,6 +21,10 @@ Subpackages
 ``repro.experiments``
     One harness per paper figure/table, runnable at several scales.
 
+Every name is imported from the module that defines it (``from
+repro.core.study import Study``); the package ``__init__`` modules import
+nothing, so a program loads only the modules it uses.
+
 Quickstart
 ----------
 The public API is declarative: a scenario (dict/JSON/TOML) names the
@@ -28,7 +32,7 @@ workload, device, search and budget, and the :class:`~repro.core.study.Study`
 front door runs it (see ``docs/scenarios.md``; the same files run via
 ``python -m repro run``):
 
->>> from repro.core import Study
+>>> from repro.core.study import Study
 >>> scenario = {
 ...     "schema_version": 1,
 ...     "evaluator": {"type": "slambench", "workload": "kfusion",
@@ -40,11 +44,11 @@ front door runs it (see ``docs/scenarios.md``; the same files run via
 ... }
 >>> result = Study(scenario).run()  # doctest: +SKIP
 
-The imperative facade remains fully supported:
+The imperative optimizer API works too:
 
->>> from repro.core import HyperMapper
->>> from repro.slambench import get_workload
->>> from repro.devices import ODROID_XU3
+>>> from repro.core.optimizer import HyperMapper
+>>> from repro.slambench.workloads import get_workload
+>>> from repro.devices.catalog import ODROID_XU3
 >>> workload = get_workload("kfusion")
 >>> runner = workload.make_runner(n_frames=20, width=48, height=36)
 >>> hm = HyperMapper(workload.space(), workload.objectives(),
@@ -54,5 +58,3 @@ The imperative facade remains fully supported:
 """
 
 __version__ = "1.0.0"
-
-__all__ = ["__version__"]

@@ -14,280 +14,3 @@ The core is application-agnostic: it optimizes any black-box callable that maps
 a configuration dictionary to a vector of objective values.  The SLAM-specific
 design spaces and evaluators live in :mod:`repro.slambench`.
 """
-
-from repro.core.parameters import (
-    Parameter,
-    OrdinalParameter,
-    IntegerParameter,
-    RealParameter,
-    CategoricalParameter,
-    BooleanParameter,
-)
-from repro.core.space import Configuration, DesignSpace, EnumeratedConfigs
-from repro.core.objectives import Objective, ObjectiveSet
-from repro.core.forest import RandomForestRegressor
-from repro.core.flat_forest import FlatForest, PoolIndex
-from repro.core.tree import DecisionTreeRegressor
-from repro.core.tree_builder import BinMapper
-from repro.core.pareto import (
-    pareto_mask,
-    pareto_front,
-    dominates,
-    hypervolume_2d,
-    crowding_distance,
-)
-from repro.core.surrogate import MultiObjectiveSurrogate
-from repro.core.evaluator import (
-    Evaluator,
-    FunctionEvaluator,
-    EvaluationBudgetExceeded,
-)
-from repro.core.executor import EvalFuture, EvaluationExecutor, as_executor
-from repro.core.faults import (
-    FAULT_KINDS,
-    EvaluationFault,
-    EvaluationTimeout,
-    WorkerCrash,
-    EvaluatorError,
-    InvalidResult,
-    FaultPolicy,
-    FaultInjectingEvaluator,
-    summarize_faults,
-)
-from repro.core.history import EvaluationRecord, History, HistoryWriter
-from repro.core.durable import (
-    CorruptArtifactError,
-    ChecksumMismatchError,
-    CorruptJsonlError,
-    FileLock,
-    atomic_write_json,
-    atomic_write_text,
-    read_jsonl,
-    repair_jsonl,
-    scan_jsonl,
-    write_checksummed_json,
-    read_checksummed_json,
-)
-from repro.core.leases import (
-    Lease,
-    LeaseError,
-    LeaseStore,
-    StaleLeaseError,
-)
-from repro.core.sampling import RandomSampler, LatinHypercubeSampler, GridSampler, EncodedPool
-from repro.core.constraints import Constraint, BoundConstraint, ConstraintSet
-from repro.core.acquisition import (
-    AcquisitionStrategy,
-    Proposal,
-    PredictedPareto,
-    UncertaintyWeighted,
-    EpsilonGreedy,
-    make_acquisition,
-)
-from repro.core.engine import SearchDriver, SearchState
-from repro.core.registry import (
-    Registry,
-    UnknownPluginError,
-    EvaluatorBinding,
-    SearchContext,
-    ACQUISITION_REGISTRY,
-    SEARCH_REGISTRY,
-    EVALUATOR_REGISTRY,
-    WORKLOAD_REGISTRY,
-    DEVICE_REGISTRY,
-    SCHEDULE_POLICY_REGISTRY,
-    register_acquisition,
-    register_search,
-    register_evaluator,
-    register_workload,
-    register_device,
-    register_schedule_policy,
-    registry_snapshot,
-)
-from repro.core.scenario import (
-    SCENARIO_VERSION,
-    Scenario,
-    ScenarioError,
-    set_by_path,
-    validate_scenario,
-)
-from repro.core.optimizer import HyperMapper, HyperMapperResult, ActiveLearningReport
-from repro.core.study import (
-    RUN_DIR_VERSION,
-    CompiledStudy,
-    Study,
-    StudyResult,
-    run_status,
-    run_residue,
-    clean_run_residue,
-)
-from repro.core.scheduler import MapOrderedError, map_ordered
-from repro.core.service import (
-    OptimizationService,
-    TenantQuota,
-    ServiceError,
-    ServiceConflictError,
-    ServiceUnavailableError,
-    UnknownStudyError,
-)
-from repro.core.sweep import (
-    SWEEP_VERSION,
-    SWEEP_DIR_VERSION,
-    SweepError,
-    SweepPoint,
-    SweepSpec,
-    SweepResult,
-    validate_sweep,
-    run_sweep,
-    build_comparison,
-    load_spec_file,
-    load_manifest,
-    prepare_sweep_dir,
-    settle_point,
-    sweep_lock,
-    SweepWorker,
-)
-from repro.core.doctor import DoctorFinding, DoctorReport, doctor
-from repro.core.baselines import (
-    RandomSearch,
-    GridSearch,
-    LocalSearch,
-    EvolutionarySearch,
-    BanditSearch,
-)
-
-__all__ = [
-    "Parameter",
-    "OrdinalParameter",
-    "IntegerParameter",
-    "RealParameter",
-    "CategoricalParameter",
-    "BooleanParameter",
-    "Configuration",
-    "DesignSpace",
-    "EnumeratedConfigs",
-    "Objective",
-    "ObjectiveSet",
-    "RandomForestRegressor",
-    "FlatForest",
-    "PoolIndex",
-    "DecisionTreeRegressor",
-    "BinMapper",
-    "pareto_mask",
-    "pareto_front",
-    "dominates",
-    "hypervolume_2d",
-    "crowding_distance",
-    "MultiObjectiveSurrogate",
-    "Evaluator",
-    "FunctionEvaluator",
-    "EvaluationBudgetExceeded",
-    "EvalFuture",
-    "EvaluationExecutor",
-    "as_executor",
-    "FAULT_KINDS",
-    "EvaluationFault",
-    "EvaluationTimeout",
-    "WorkerCrash",
-    "EvaluatorError",
-    "InvalidResult",
-    "FaultPolicy",
-    "FaultInjectingEvaluator",
-    "summarize_faults",
-    "EvaluationRecord",
-    "History",
-    "RandomSampler",
-    "LatinHypercubeSampler",
-    "GridSampler",
-    "EncodedPool",
-    "AcquisitionStrategy",
-    "Proposal",
-    "PredictedPareto",
-    "UncertaintyWeighted",
-    "EpsilonGreedy",
-    "make_acquisition",
-    "SearchDriver",
-    "SearchState",
-    "Registry",
-    "UnknownPluginError",
-    "EvaluatorBinding",
-    "SearchContext",
-    "ACQUISITION_REGISTRY",
-    "SEARCH_REGISTRY",
-    "EVALUATOR_REGISTRY",
-    "WORKLOAD_REGISTRY",
-    "DEVICE_REGISTRY",
-    "SCHEDULE_POLICY_REGISTRY",
-    "register_acquisition",
-    "register_search",
-    "register_evaluator",
-    "register_workload",
-    "register_device",
-    "register_schedule_policy",
-    "registry_snapshot",
-    "SCENARIO_VERSION",
-    "Scenario",
-    "ScenarioError",
-    "set_by_path",
-    "validate_scenario",
-    "RUN_DIR_VERSION",
-    "CompiledStudy",
-    "Study",
-    "StudyResult",
-    "run_status",
-    "MapOrderedError",
-    "map_ordered",
-    "OptimizationService",
-    "TenantQuota",
-    "ServiceError",
-    "ServiceConflictError",
-    "ServiceUnavailableError",
-    "UnknownStudyError",
-    "SWEEP_VERSION",
-    "SWEEP_DIR_VERSION",
-    "SweepError",
-    "SweepPoint",
-    "SweepSpec",
-    "SweepResult",
-    "validate_sweep",
-    "run_sweep",
-    "build_comparison",
-    "load_spec_file",
-    "load_manifest",
-    "prepare_sweep_dir",
-    "settle_point",
-    "sweep_lock",
-    "SweepWorker",
-    "HistoryWriter",
-    "CorruptArtifactError",
-    "ChecksumMismatchError",
-    "CorruptJsonlError",
-    "FileLock",
-    "atomic_write_json",
-    "atomic_write_text",
-    "read_jsonl",
-    "repair_jsonl",
-    "scan_jsonl",
-    "write_checksummed_json",
-    "read_checksummed_json",
-    "Lease",
-    "LeaseError",
-    "LeaseStore",
-    "StaleLeaseError",
-    "run_residue",
-    "clean_run_residue",
-    "DoctorFinding",
-    "DoctorReport",
-    "doctor",
-    "Constraint",
-    "BoundConstraint",
-    "ConstraintSet",
-    "HyperMapper",
-    "HyperMapperResult",
-    "ActiveLearningReport",
-    "RandomSearch",
-    "GridSearch",
-    "LocalSearch",
-    "EvolutionarySearch",
-    "BanditSearch",
-]

@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.acquisition import AcquisitionStrategy, Proposal
+from repro.core.acquisition import AcquisitionStrategy
 from repro.core.durable import atomic_write_json
 from repro.core.evaluator import EvaluationFunction, Evaluator
 from repro.core.executor import EvalFuture, EvaluationExecutor, as_executor

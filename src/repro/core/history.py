@@ -11,7 +11,7 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.durable import fsync_dir
 from repro.core.objectives import ObjectiveSet
-from repro.core.pareto import pareto_front, pareto_mask
+from repro.core.pareto import pareto_mask
 from repro.core.space import Configuration, DesignSpace
 from repro.utils.serialization import to_jsonable
 
@@ -163,10 +163,6 @@ class History:
             return np.empty((0, len(self.objectives)))
         values = np.array([r.objective_values(self.objectives) for r in self._records], dtype=np.float64)
         return self.objectives.to_canonical(values) if canonical else values
-
-    def metric_array(self, name: str) -> np.ndarray:
-        """Values of metric ``name`` across all records."""
-        return np.array([float(r.metrics[name]) for r in self._records], dtype=np.float64)
 
     def feasible_mask(self) -> np.ndarray:
         """Mask of records satisfying every objective limit (e.g. ATE < 5 cm)."""

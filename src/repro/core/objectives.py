@@ -9,8 +9,8 @@ so the Pareto utilities only ever deal with minimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 

@@ -4,8 +4,7 @@ The paper bootstraps HyperMapper from "a small number of randomly drawn
 samples in the parameter space" and, because exhaustive evaluation is
 impossible, also works with a finite configuration *pool* drawn from the full
 space over which the surrogate predicts.  Besides plain uniform random
-sampling we also provide Latin-hypercube sampling (a space-filling design used
-as an ablation) and grid sampling (the "expert brute-force grid search"
+sampling we also provide grid sampling (the "expert brute-force grid search"
 baseline used by the ElasticFusion developers).
 
 :class:`EncodedPool` pairs a pool with its one-time numeric encoding so the
@@ -58,37 +57,6 @@ class RandomSampler(Sampler):
 
     def sample(self, n: int, rng: RandomState = None) -> List[Configuration]:
         return self.space.sample(n, rng=rng, distinct=self.distinct)
-
-
-class LatinHypercubeSampler(Sampler):
-    """Latin-hypercube style stratified sampling over the parameter domains.
-
-    Each parameter's value list (or continuous range) is divided into ``n``
-    strata; one value is drawn per stratum and the strata are randomly paired
-    across parameters.  For discrete parameters with fewer values than strata
-    the values simply repeat as evenly as possible.
-    """
-
-    def sample(self, n: int, rng: RandomState = None) -> List[Configuration]:
-        if n <= 0:
-            return []
-        gen = as_generator(rng)
-        columns: List[List[object]] = []
-        for p in self.space.parameters:
-            if p.is_discrete:
-                values = p.values()
-                reps = int(np.ceil(n / len(values)))
-                col = (values * reps)[:n]
-            else:
-                # Stratified uniform draws over [lower, upper].
-                lows = np.linspace(0.0, 1.0, n, endpoint=False)
-                u = lows + gen.uniform(0.0, 1.0 / n, size=n)
-                col = [p.from_numeric(p.lower + x * (p.upper - p.lower)) for x in u]  # type: ignore[attr-defined]
-            order = gen.permutation(n)
-            columns.append([col[i] for i in order])
-        names = self.space.parameter_names
-        configs = [Configuration(names, [columns[j][i] for j in range(len(columns))]) for i in range(n)]
-        return configs
 
 
 class GridSampler(Sampler):
@@ -390,7 +358,6 @@ def _held_as_is(space: DesignSpace, absent: Sequence[Tuple[Configuration, Option
 __all__ = [
     "Sampler",
     "RandomSampler",
-    "LatinHypercubeSampler",
     "GridSampler",
     "build_pool",
     "EncodedPool",

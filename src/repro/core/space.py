@@ -21,7 +21,6 @@ which have no ranks, still draw configuration objects one by one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -530,15 +529,6 @@ class DesignSpace:
             for values, idx in zip(self._rank_tables().values, cols)
         ]
         return Configuration.batch(self._param_names, zip(*value_cols))
-
-    def iter_enumerate(self) -> Iterator[Configuration]:
-        """Lazily iterate over every configuration of a finite space."""
-        if not self.is_enumerable:
-            raise ValueError(f"design space {self.name!r} is not enumerable")
-        value_lists = [p.values() for p in self._parameters]
-        names = self.parameter_names
-        for combo in itertools.product(*value_lists):
-            yield Configuration(names, list(combo))
 
     def neighbors(self, config: Mapping[str, Any]) -> List[Configuration]:
         """One-parameter-away neighbors of ``config`` (used by local search)."""

@@ -57,7 +57,6 @@ from repro.core.registry import (
 from repro.core.scenario import Scenario, ScenarioError
 from repro.core.space import DesignSpace
 from repro.utils.rng import derive_seed
-from repro.utils.serialization import to_jsonable
 
 #: Version stamp of the persisted run-directory layout.
 RUN_DIR_VERSION = 1

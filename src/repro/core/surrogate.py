@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.core.flat_forest import PoolIndex
 from repro.core.forest import RandomForestRegressor
-from repro.core.history import History
 from repro.core.tree_builder import BinMapper
 from repro.core.objectives import ObjectiveSet
 from repro.core.pareto import pareto_mask
@@ -119,11 +118,6 @@ class MultiObjectiveSurrogate:
             self._forests[obj.name] = forest
         return self
 
-    def fit_history(self, history: History) -> "MultiObjectiveSurrogate":
-        """Fit from an evaluation history."""
-        records = history.records
-        return self.fit([r.config for r in records], [r.metrics for r in records])
-
     # -- prediction ------------------------------------------------------------
     def predict(self, configs: Sequence[Configuration]) -> np.ndarray:
         """Predict the ``(n, m)`` objective matrix (natural units)."""
@@ -176,11 +170,6 @@ class MultiObjectiveSurrogate:
             else:
                 std[:, j] = s
         return mean, std
-
-    def predict_dict(self, config: Configuration) -> Dict[str, float]:
-        """Predict a single configuration as an objective-name dictionary."""
-        values = self.predict([config])[0]
-        return {o.name: float(values[j]) for j, o in enumerate(self.objectives)}
 
     def predicted_pareto(
         self,

@@ -140,10 +140,6 @@ class BinMapper:
             binned[:, j] = np.searchsorted(thr, X[:, j], side="left")
         return binned[0] if one_d else binned
 
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        """:meth:`fit` then :meth:`transform` on the same matrix."""
-        return self.fit(X).transform(X)
-
     # -- introspection -------------------------------------------------------
     @property
     def n_features(self) -> int:

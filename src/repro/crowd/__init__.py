@@ -9,16 +9,3 @@ through the same workload/runtime model; the analysis reports the speedup
 distribution and the cross-device rank correlations that justify the paper's
 zero-shot transfer claim.
 """
-
-from repro.crowd.app import CrowdAppRun, run_crowd_experiment, tuned_config_from_run
-from repro.crowd.database import CrowdDatabase
-from repro.crowd.analysis import speedup_statistics, cross_device_correlation
-
-__all__ = [
-    "CrowdAppRun",
-    "run_crowd_experiment",
-    "tuned_config_from_run",
-    "CrowdDatabase",
-    "speedup_statistics",
-    "cross_device_correlation",
-]

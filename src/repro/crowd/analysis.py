@@ -8,7 +8,7 @@ device transfers to similar devices.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 from scipy import stats as scipy_stats

@@ -6,8 +6,8 @@ results to.  Records are keyed by device name and configuration label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,6 @@ class CrowdDatabase:
         seen: Dict[str, None] = {}
         for r in self._records:
             seen.setdefault(r.device_name, None)
-        return list(seen)
-
-    def config_labels(self) -> List[str]:
-        """Distinct configuration labels present in the database."""
-        seen: Dict[str, None] = {}
-        for r in self._records:
-            seen.setdefault(r.config_label, None)
         return list(seen)
 
     def runtime(self, device_name: str, config_label: str) -> Optional[float]:

@@ -10,26 +10,3 @@ The per-kernel work is an explicit function of the algorithmic parameters (see
 :mod:`repro.slambench.workload`), which is what shapes the runtime side of the
 performance/accuracy trade-off.
 """
-
-from repro.devices.model import DeviceModel, KernelCost
-from repro.devices.catalog import (
-    ODROID_XU3,
-    ASUS_T200TA,
-    NVIDIA_GTX_780TI,
-    NVIDIA_QUADRO_DESKTOP,
-    get_device,
-    list_devices,
-)
-from repro.devices.mobile import make_mobile_fleet
-
-__all__ = [
-    "DeviceModel",
-    "KernelCost",
-    "ODROID_XU3",
-    "ASUS_T200TA",
-    "NVIDIA_GTX_780TI",
-    "NVIDIA_QUADRO_DESKTOP",
-    "get_device",
-    "list_devices",
-    "make_mobile_fleet",
-]

@@ -10,7 +10,7 @@ ranges bracketing that hardware generation (Mali-400 class up to Adreno
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

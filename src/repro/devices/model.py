@@ -10,8 +10,8 @@ configurations, which is dominated by how much work each kernel does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,6 @@ class DeviceModel:
         for k in kernels:
             total += self.kernel_time_s(k)
         return total
-
-    def frame_time_breakdown(self, kernels: Iterable[KernelCost]) -> Dict[str, float]:
-        """Per-kernel time breakdown (seconds), including the frame overhead."""
-        out: Dict[str, float] = {"frame_overhead": self.frame_overhead_ms * 1e-3}
-        for k in kernels:
-            out[k.name] = out.get(k.name, 0.0) + self.kernel_time_s(k)
-        return out
 
     # -- convenience -------------------------------------------------------------
     def fps(self, frame_time_s: float) -> float:

@@ -18,31 +18,3 @@ One module per experiment:
 Every experiment takes an :class:`~repro.experiments.common.ExperimentScale`
 so the same code runs at smoke-test, benchmark and paper scale.
 """
-
-from repro.experiments.common import ExperimentScale, SMOKE, SMALL, MEDIUM, PAPER
-from repro.experiments.fig1_response_surface import run_fig1, format_fig1
-from repro.experiments.fig3_kfusion_dse import run_fig3, format_fig3
-from repro.experiments.fig4_elasticfusion_dse import run_fig4, format_fig4
-from repro.experiments.fig5_crowdsourcing import run_fig5, format_fig5
-from repro.experiments.table1_pareto import run_table1, format_table1
-from repro.experiments.ablations import run_search_strategy_ablation, run_forest_size_ablation
-
-__all__ = [
-    "ExperimentScale",
-    "SMOKE",
-    "SMALL",
-    "MEDIUM",
-    "PAPER",
-    "run_fig1",
-    "format_fig1",
-    "run_fig3",
-    "format_fig3",
-    "run_fig4",
-    "format_fig4",
-    "run_fig5",
-    "format_fig5",
-    "run_table1",
-    "format_table1",
-    "run_search_strategy_ablation",
-    "run_forest_size_ablation",
-]

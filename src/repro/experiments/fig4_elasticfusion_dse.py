@@ -12,7 +12,7 @@ Like Fig. 3, the exploration is a declarative scenario executed through the
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.core.study import Study, StudyResult
 from repro.devices.catalog import get_device
@@ -66,58 +66,6 @@ def fig4_scenario(
         "executor": executor_spec(scale, n_workers, overlap_fraction),
         "seed": derive_seed(seed, "fig4", platform),
     }
-
-
-def fig4_sweep_spec(
-    platforms: Sequence[str] = ("gtx-780ti", "quadro"),
-    scale: ExperimentScale = SMALL,
-    seed: int = 11,
-    accuracy_limit_m: float = ACCURACY_LIMIT_M,
-    max_concurrent: int = 2,
-) -> Dict[str, object]:
-    """The Fig. 4 campaign as one sweep spec over desktop GPUs.
-
-    Mirrors :func:`repro.experiments.fig3_kfusion_dse.fig3_sweep_spec`: one
-    base scenario, one explicit point per platform overriding
-    ``evaluator.device`` and ``seed`` with exactly the values the standalone
-    ``run_fig4`` calls use (per-point bit-identity).
-    """
-    return {
-        "schema_version": 1,
-        "name": "fig4-elasticfusion-sweep",
-        "scheduler": {"max_concurrent_studies": max_concurrent},
-        "base": fig4_scenario(platforms[0], scale, seed, accuracy_limit_m),
-        "points": [
-            {"evaluator.device": platform, "seed": derive_seed(seed, "fig4", platform)}
-            for platform in platforms
-        ],
-    }
-
-
-def run_fig4_device_sweep(
-    sweep_dir: str,
-    platforms: Sequence[str] = ("gtx-780ti", "quadro"),
-    scale: ExperimentScale = SMALL,
-    seed: int = 11,
-    runner: Optional[SlamBenchRunner] = None,
-    accuracy_limit_m: float = ACCURACY_LIMIT_M,
-    max_concurrent: Optional[int] = None,
-    resume: bool = False,
-):
-    """Run the ElasticFusion DSE on every platform through one sweep.
-
-    A shared runner (one simulation cache) serves all device points; the
-    cross-run comparison report lands in ``<sweep_dir>/comparison.json``.
-    """
-    from repro.core.sweep import run_sweep
-
-    runner = (
-        runner if runner is not None else make_runner("elasticfusion", scale, dataset_seed=seed)
-    )
-    spec = fig4_sweep_spec(platforms, scale, seed, accuracy_limit_m)
-    return run_sweep(
-        spec, sweep_dir, runner=runner, max_concurrent=max_concurrent, resume=resume
-    )
 
 
 def run_fig4(
@@ -250,8 +198,6 @@ def format_fig4(result: Dict[str, object]) -> str:
 
 __all__ = [
     "fig4_scenario",
-    "fig4_sweep_spec",
     "run_fig4",
-    "run_fig4_device_sweep",
     "format_fig4",
 ]

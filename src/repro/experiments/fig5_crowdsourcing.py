@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional
 
-import numpy as np
-
 from repro.crowd.analysis import cross_device_correlation, speedup_histogram, speedup_statistics
 from repro.crowd.app import run_crowd_experiment, tuned_config_from_run
 from repro.crowd.database import CrowdDatabase

@@ -11,68 +11,7 @@ SLAMBench framework:
 Everything the pipelines need is implemented here from scratch: SE(3)
 geometry, a pinhole camera model, analytic signed-distance-function scenes
 standing in for the ICL-NUIM living-room dataset, a Kinect-style depth noise
-model, bilateral filtering and image pyramids, point-to-plane ICP, a dense
-TSDF voxel volume with raycasting, a surfel map, and trajectory-error metrics.
+model, bilateral filtering and image pyramids, ICP against a signed-distance
+map, a dense TSDF voxel volume with raycasting, a surfel map, and
+trajectory-error metrics.
 """
-
-from repro.slam import se3
-from repro.slam.camera import CameraIntrinsics
-from repro.slam.scene import (
-    Scene,
-    SdfPrimitive,
-    Plane,
-    Sphere,
-    Box,
-    Cylinder,
-    make_living_room_scene,
-)
-from repro.slam.trajectory import Trajectory, make_living_room_trajectory
-from repro.slam.noise import KinectNoiseModel
-from repro.slam.dataset import RGBDFrame, SyntheticRGBDDataset, make_icl_nuim_like_dataset
-from repro.slam.filters import bilateral_filter, block_average_downsample, depth_pyramid, vertex_map, normal_map
-from repro.slam.icp import ICPResult, icp_point_to_implicit, icp_point_to_plane
-from repro.slam.tsdf import TSDFVolume
-from repro.slam.maps import AnalyticSDFMap, MapBackend
-from repro.slam.kfusion import KinectFusion, KFusionConfig
-from repro.slam.surfel import SurfelMap
-from repro.slam.elasticfusion import ElasticFusion, ElasticFusionConfig
-from repro.slam.metrics import ATEResult, absolute_trajectory_error
-from repro.slam.pipeline import PipelineResult, FrameStats
-
-__all__ = [
-    "se3",
-    "CameraIntrinsics",
-    "Scene",
-    "SdfPrimitive",
-    "Plane",
-    "Sphere",
-    "Box",
-    "Cylinder",
-    "make_living_room_scene",
-    "Trajectory",
-    "make_living_room_trajectory",
-    "KinectNoiseModel",
-    "RGBDFrame",
-    "SyntheticRGBDDataset",
-    "make_icl_nuim_like_dataset",
-    "bilateral_filter",
-    "block_average_downsample",
-    "depth_pyramid",
-    "vertex_map",
-    "normal_map",
-    "ICPResult",
-    "icp_point_to_implicit",
-    "icp_point_to_plane",
-    "TSDFVolume",
-    "AnalyticSDFMap",
-    "MapBackend",
-    "KinectFusion",
-    "KFusionConfig",
-    "SurfelMap",
-    "ElasticFusion",
-    "ElasticFusionConfig",
-    "ATEResult",
-    "absolute_trajectory_error",
-    "PipelineResult",
-    "FrameStats",
-]

@@ -13,14 +13,14 @@ the frames with :meth:`SyntheticRGBDDataset.derived`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, TypeVar
+from typing import Any, Callable, Dict, Hashable, Iterator, Optional, TypeVar
 
 import numpy as np
 
 from repro.slam.camera import CameraIntrinsics
 from repro.slam.noise import KinectNoiseModel
 from repro.slam.scene import Scene, make_living_room_scene
-from repro.slam.se3 import rotate_vectors, transform_points
+from repro.slam.se3 import rotate_vectors
 from repro.slam.trajectory import Trajectory, make_living_room_trajectory
 from repro.utils.rng import derive_seed
 

@@ -8,7 +8,7 @@ operations use shifted-array accumulation rather than per-pixel loops.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

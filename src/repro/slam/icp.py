@@ -1,20 +1,17 @@
 """Iterative closest point (ICP) pose estimation.
 
-Two flavours are provided:
+:func:`icp_point_to_implicit` is Gauss-Newton alignment of a point cloud to an
+implicit surface given by a signed-distance function (the map interface used
+by the KinectFusion pipeline; tracking directly against the TSDF is the
+approach of Bylow et al. and is equivalent in spirit to KFusion's projective
+point-to-plane ICP against the raycast model).  ElasticFusion builds its own
+joint geometric/photometric system and shares only :func:`solve_increment`.
 
-* :func:`icp_point_to_implicit` — Gauss-Newton alignment of a point cloud to an
-  implicit surface given by a signed-distance function (the map interface used
-  by the KinectFusion pipeline; tracking directly against the TSDF is the
-  approach of Bylow et al. and is equivalent in spirit to KFusion's
-  projective point-to-plane ICP against the raycast model).
-* :func:`icp_point_to_plane` — classic point-to-plane ICP between two point
-  clouds with per-iteration correspondence search, used by the ElasticFusion
-  pipeline (projective data association against the surfel model).
-
-Both use the twist parameterization from :mod:`repro.slam.se3` and support the
-``icp_threshold`` early-termination semantics exposed as an algorithmic
-parameter in the design space: iterations stop early once the error changes
-by less than the threshold, so large thresholds trade accuracy for speed.
+Tracking uses the twist parameterization from :mod:`repro.slam.se3` and
+supports the ``icp_threshold`` early-termination semantics exposed as an
+algorithmic parameter in the design space: iterations stop early once the
+error changes by less than the threshold, so large thresholds trade accuracy
+for speed.
 """
 
 from __future__ import annotations
@@ -48,32 +45,6 @@ class ICPResult:
     def rmse(self) -> float:
         """Root-mean-square residual of the final iteration."""
         return float(np.sqrt(max(self.error, 0.0)))
-
-
-def point_to_plane_system(
-    src_world: np.ndarray,
-    dst_points: np.ndarray,
-    dst_normals: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Normal equations of one point-to-plane Gauss-Newton step.
-
-    Residual per correspondence: ``r_i = n_i . (p_i - q_i)`` where ``p_i`` is
-    the (already transformed) source point, ``q_i`` the destination point and
-    ``n_i`` the destination normal.  Returns ``(JtJ, Jtr, mean squared error)``
-    for the twist ``[v, w]`` applied as a left increment.
-    """
-    p = np.asarray(src_world, dtype=np.float64).reshape(-1, 3)
-    q = np.asarray(dst_points, dtype=np.float64).reshape(-1, 3)
-    n = np.asarray(dst_normals, dtype=np.float64).reshape(-1, 3)
-    if p.shape != q.shape or p.shape != n.shape:
-        raise ValueError("source points, destination points and normals must have matching shapes")
-    if p.shape[0] == 0:
-        return np.zeros((6, 6)), np.zeros(6), float("inf")
-    r = np.sum(n * (p - q), axis=1)
-    J = np.concatenate([n, np.cross(p, n)], axis=1)  # (N, 6)
-    JtJ = J.T @ J
-    Jtr = J.T @ r
-    return JtJ, Jtr, float(np.mean(r * r))
 
 
 def _jacobian(p: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -205,63 +176,9 @@ def icp_point_to_implicit(
     )
 
 
-def icp_point_to_plane(
-    src_points_cam: np.ndarray,
-    correspondence_fn: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    initial_pose: np.ndarray,
-    max_iterations: int = 10,
-    termination_threshold: float = 1e-5,
-    damping: float = 1e-6,
-) -> ICPResult:
-    """Point-to-plane ICP with a user-supplied correspondence function.
-
-    ``correspondence_fn(points_world)`` must return
-    ``(dst_points, dst_normals, valid_mask)`` giving, for every transformed
-    source point, its associated model point/normal (projective association
-    against the surfel map in ElasticFusion) and whether the association is
-    valid.
-    """
-    pts = np.asarray(src_points_cam, dtype=np.float64).reshape(-1, 3)
-    T = np.array(initial_pose, dtype=np.float64)
-    error = float("inf")
-    history: List[float] = []
-    inlier_fraction = 0.0
-    iterations_run = 0
-    if pts.shape[0] < 6:
-        return ICPResult(pose=T, iterations=0, error=error, converged=False, inlier_fraction=0.0)
-    prev_error = None
-    for _ in range(int(max_iterations)):
-        p_world = se3.transform_points(T, pts)
-        dst, normals, valid = correspondence_fn(p_world)
-        valid = np.asarray(valid, dtype=bool).reshape(-1)
-        inlier_fraction = float(np.mean(valid)) if valid.size else 0.0
-        if np.count_nonzero(valid) < 6:
-            break
-        JtJ, Jtr, error = point_to_plane_system(p_world[valid], dst[valid], normals[valid])
-        delta = solve_increment(JtJ, Jtr, damping=damping)
-        T = se3.exp_se3(delta) @ T
-        iterations_run += 1
-        history.append(error)
-        if prev_error is not None and abs(prev_error - error) < termination_threshold:
-            prev_error = error
-            break
-        prev_error = error
-    converged = np.isfinite(error) and error < 0.05
-    return ICPResult(
-        pose=T,
-        iterations=iterations_run,
-        error=error,
-        converged=bool(converged),
-        inlier_fraction=inlier_fraction,
-        error_history=history,
-    )
-
-
 __all__ = [
     "ICPResult",
     "SdfQuery",
-    "point_to_plane_system",
     "solve_increment",
     "icp_point_to_implicit",
-    "icp_point_to_plane",
 ]

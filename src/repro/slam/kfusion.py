@@ -27,14 +27,14 @@ evaluation takes only its own point-budget stride of the shared cloud.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.slam import se3
 from repro.slam.camera import CameraIntrinsics
 from repro.slam.dataset import SyntheticRGBDDataset
-from repro.slam.filters import bilateral_filter, block_average_downsample, depth_pyramid
+from repro.slam.filters import bilateral_filter, depth_pyramid
 from repro.slam.icp import icp_point_to_implicit
 from repro.slam.maps import AnalyticSDFMap, MapBackend, TSDFMap
 from repro.slam.pipeline import FrameStats, PipelineResult

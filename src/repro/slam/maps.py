@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.slam.camera import CameraIntrinsics
 from repro.slam.scene import Scene
-from repro.slam.se3 import transform_points
 from repro.slam.tsdf import TSDFVolume
 from repro.utils.rng import as_generator, derive_seed
 

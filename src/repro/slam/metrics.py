@@ -10,7 +10,7 @@ are provided here, together with the relative pose error for completeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

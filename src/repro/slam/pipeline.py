@@ -13,9 +13,7 @@ into per-device milliseconds is the job of :mod:`repro.slambench.workload` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-
-import numpy as np
+from typing import Any, Dict, List
 
 from repro.slam.metrics import ATEResult, absolute_trajectory_error
 from repro.slam.trajectory import Trajectory

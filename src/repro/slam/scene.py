@@ -15,8 +15,7 @@ return analytic gradients (needed by the ICP Gauss-Newton step).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -341,20 +340,6 @@ class Scene:
             t = t_flat.reshape(shape)
             active = active & ~hit & (t < max_depth)
         return t, hit
-
-    def bounding_radius(self) -> float:
-        """A loose bound on the scene extent (used to cap ray marching)."""
-        radius = 1.0
-        for p in self.primitives:
-            if isinstance(p, Sphere):
-                radius = max(radius, float(np.linalg.norm(p.center)) + p.radius)
-            elif isinstance(p, Box):
-                radius = max(radius, float(np.linalg.norm(p.center)) + float(np.linalg.norm(p.half_extents)))
-            elif isinstance(p, Cylinder):
-                radius = max(radius, float(np.linalg.norm(p.center)) + p.radius + p.half_height)
-            elif isinstance(p, Plane):
-                radius = max(radius, abs(p.offset))
-        return radius
 
 
 def make_living_room_scene() -> Scene:

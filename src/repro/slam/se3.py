@@ -9,7 +9,7 @@ parameterization) and by trajectory interpolation.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -178,15 +178,6 @@ def interpolate_pose(T_a: np.ndarray, T_b: np.ndarray, alpha: float) -> np.ndarr
     return np.asarray(T_a, dtype=np.float64) @ exp_se3(alpha * delta)
 
 
-def extrapolate_pose(T_prev: np.ndarray, T_curr: np.ndarray, steps: float = 1.0) -> np.ndarray:
-    """Constant-velocity extrapolation of the motion from ``T_prev`` to ``T_curr``.
-
-    Used as the initial pose guess when the tracking rate skips frames.
-    """
-    delta = log_se3(relative_pose(T_prev, T_curr))
-    return np.asarray(T_curr, dtype=np.float64) @ exp_se3(steps * delta)
-
-
 def look_at(eye: Sequence[float], target: Sequence[float], up: Sequence[float] = (0.0, -1.0, 0.0)) -> np.ndarray:
     """Camera-to-world pose looking from ``eye`` towards ``target``.
 
@@ -251,7 +242,6 @@ __all__ = [
     "translation_distance",
     "relative_pose",
     "interpolate_pose",
-    "extrapolate_pose",
     "look_at",
     "is_rotation_matrix",
     "random_pose",

@@ -13,7 +13,7 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.slam import se3
-from repro.slam.se3 import look_at, make_pose
+from repro.slam.se3 import look_at
 
 
 @dataclass

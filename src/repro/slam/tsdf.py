@@ -274,9 +274,5 @@ class TSDFVolume:
         """Total number of voxels."""
         return self.resolution**3
 
-    def memory_bytes(self) -> int:
-        """Approximate memory footprint of the voxel data."""
-        return int(self.tsdf.nbytes + self.weight.nbytes)
-
 
 __all__ = ["TSDFVolume"]

@@ -8,40 +8,3 @@ runtime (:mod:`repro.slambench.runner`) — where the runtime comes from the
 per-kernel workload model (:mod:`repro.slambench.workload`) evaluated on a
 device model from :mod:`repro.devices`.
 """
-
-from repro.slambench.parameters import (
-    kfusion_design_space,
-    kfusion_default_config,
-    kfusion_objectives,
-    elasticfusion_design_space,
-    elasticfusion_default_config,
-    elasticfusion_objectives,
-    ACCURACY_LIMIT_M,
-)
-from repro.slambench.workload import kfusion_frame_kernels, elasticfusion_frame_kernels, sequence_runtime
-from repro.slambench.runner import SlamBenchRunner, SlamRunRecord
-from repro.slambench.workloads import (
-    SlamWorkload,
-    KFusionWorkload,
-    ElasticFusionWorkload,
-    get_workload,
-)
-
-__all__ = [
-    "SlamWorkload",
-    "KFusionWorkload",
-    "ElasticFusionWorkload",
-    "get_workload",
-    "kfusion_design_space",
-    "kfusion_default_config",
-    "kfusion_objectives",
-    "elasticfusion_design_space",
-    "elasticfusion_default_config",
-    "elasticfusion_objectives",
-    "ACCURACY_LIMIT_M",
-    "kfusion_frame_kernels",
-    "elasticfusion_frame_kernels",
-    "sequence_runtime",
-    "SlamBenchRunner",
-    "SlamRunRecord",
-]

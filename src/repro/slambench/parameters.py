@@ -9,7 +9,7 @@ hand-tuned baselines HyperMapper is compared against.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

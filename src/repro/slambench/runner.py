@@ -10,13 +10,9 @@ one simulation — accuracy is device-independent, runtime is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
-from repro.core.evaluator import FunctionEvaluator
-from repro.core.objectives import ObjectiveSet
 from repro.core.space import Configuration
 from repro.devices.model import DeviceModel
 from repro.slam.dataset import SyntheticRGBDDataset, make_icl_nuim_like_dataset
@@ -25,7 +21,6 @@ from repro.slam.kfusion import KFusionConfig, KinectFusion
 from repro.slam.metrics import ATEResult
 from repro.slam.pipeline import FrameStats, PipelineResult
 from repro.slambench.workload import sequence_runtime
-from repro.utils.rng import derive_seed
 
 
 @dataclass
@@ -135,10 +130,6 @@ class SlamBenchRunner:
     def evaluation_function(self, device: DeviceModel) -> "BoundEvaluation":
         """A ``config -> metrics`` callable bound to ``device`` (for HyperMapper)."""
         return BoundEvaluation(self, device)
-
-    def make_evaluator(self, device: DeviceModel, objectives: ObjectiveSet, max_evaluations: Optional[int] = None) -> FunctionEvaluator:
-        """A budgeted :class:`FunctionEvaluator` bound to ``device``."""
-        return FunctionEvaluator(self.evaluation_function(device), objectives, max_evaluations=max_evaluations)
 
 
 class BoundEvaluation:

@@ -16,7 +16,7 @@ ODROID-XU3 and about 45 FPS for ElasticFusion on the GTX 780 Ti).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 

@@ -3,19 +3,3 @@
 These helpers are intentionally dependency-free (NumPy only) and are used across
 every subpackage of :mod:`repro`.
 """
-
-from repro.utils.rng import RandomState, as_generator, spawn_generators
-from repro.utils.tables import format_table
-from repro.utils.timing import Timer
-from repro.utils.serialization import to_jsonable, dump_json, load_json
-
-__all__ = [
-    "RandomState",
-    "as_generator",
-    "spawn_generators",
-    "format_table",
-    "Timer",
-    "to_jsonable",
-    "dump_json",
-    "load_json",
-]

@@ -9,7 +9,7 @@ derives child generators reproducibly from a parent seed.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -100,11 +100,6 @@ def choice_without_replacement(
     return rng.choice(n, size=k, replace=False)
 
 
-def iter_seeds(seed: RandomState, labels: Iterable[Union[int, str]]) -> List[int]:
-    """Vector version of :func:`derive_seed` over ``labels``."""
-    return [derive_seed(seed, label) for label in labels]
-
-
 __all__ = [
     "RandomState",
     "as_generator",
@@ -112,5 +107,4 @@ __all__ = [
     "derive_seed",
     "check_probability",
     "choice_without_replacement",
-    "iter_seeds",
 ]

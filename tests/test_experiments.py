@@ -10,20 +10,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    SMOKE,
-    format_fig1,
-    format_fig3,
-    format_fig4,
-    format_fig5,
-    format_table1,
-    run_fig1,
-    run_fig3,
-    run_fig4,
-    run_fig5,
-    run_table1,
-)
-from repro.experiments.common import make_runner
+from repro.experiments.common import SMOKE, make_runner
+from repro.experiments.fig1_response_surface import format_fig1, run_fig1
+from repro.experiments.fig3_kfusion_dse import format_fig3, run_fig3
+from repro.experiments.fig4_elasticfusion_dse import format_fig4, run_fig4
+from repro.experiments.fig5_crowdsourcing import format_fig5, run_fig5
+from repro.experiments.table1_pareto import format_table1, run_table1
 from repro.utils.serialization import to_jsonable
 
 

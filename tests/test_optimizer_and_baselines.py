@@ -12,7 +12,7 @@ from repro.core.evaluator import EvaluationBudgetExceeded, FunctionEvaluator
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.core.optimizer import HyperMapper
 from repro.core.parameters import BooleanParameter, OrdinalParameter, RealParameter
-from repro.core.sampling import GridSampler, LatinHypercubeSampler, RandomSampler, build_pool
+from repro.core.sampling import GridSampler, RandomSampler, build_pool
 from repro.core.space import DesignSpace
 from repro.core.surrogate import MultiObjectiveSurrogate
 
@@ -61,12 +61,6 @@ class TestSamplers:
     def test_random_sampler_distinct(self, toy_space):
         configs = RandomSampler(toy_space).sample(10, rng=0)
         assert len(set(configs)) == 10
-
-    def test_latin_hypercube_covers_values(self, toy_space):
-        configs = LatinHypercubeSampler(toy_space).sample(16, rng=0)
-        assert len(configs) == 16
-        seen_a = {c["a"] for c in configs}
-        assert seen_a == {1, 2, 4, 8}  # every level appears at least once
 
     def test_grid_sampler_levels(self, toy_space):
         sampler = GridSampler(toy_space, levels=2)

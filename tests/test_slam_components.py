@@ -25,7 +25,7 @@ from repro.slam.filters import (
     normal_map,
     vertex_map,
 )
-from repro.slam.icp import icp_point_to_implicit, icp_point_to_plane, point_to_plane_system, solve_increment
+from repro.slam.icp import icp_point_to_implicit, solve_increment
 from repro.slam.dataset import make_icl_nuim_like_dataset
 from repro.slam.maps import AnalyticSDFMap, TSDFMap, linear_quantile
 from repro.slam.metrics import absolute_trajectory_error, relative_pose_error, umeyama_alignment
@@ -110,13 +110,6 @@ class TestFilters:
 
 
 class TestICP:
-    def test_point_to_plane_system_zero_residual(self):
-        pts = np.random.default_rng(0).normal(size=(20, 3))
-        normals = np.tile([0.0, 0.0, 1.0], (20, 1))
-        JtJ, Jtr, err = point_to_plane_system(pts, pts, normals)
-        assert err == pytest.approx(0.0)
-        assert np.allclose(Jtr, 0.0)
-
     def test_solve_increment_handles_singular(self):
         delta = solve_increment(np.zeros((6, 6)), np.zeros(6))
         assert delta.shape == (6,)
@@ -172,25 +165,6 @@ class TestICP:
     def test_icp_too_few_points(self):
         result = icp_point_to_implicit(np.zeros((3, 3)), lambda p: (np.zeros(len(p)), np.zeros((len(p), 3))), np.eye(4))
         assert not result.converged and result.iterations == 0
-
-    def test_icp_point_to_plane_with_projective_correspondences(self):
-        rng = np.random.default_rng(2)
-        target_pts = rng.uniform(-1, 1, size=(500, 3)) + np.array([0, 0, 2.0])
-        normals = np.tile([0.0, 0.0, -1.0], (500, 1))
-        target_pts[:, 2] = 2.0  # a plane at z=2
-        true_pose = se3.exp_se3(np.array([0.03, 0.0, 0.02, 0.0, 0.0, 0.0]))
-        src = se3.transform_points(se3.invert(true_pose), target_pts)
-
-        def correspondences(points_world):
-            # Perfect correspondence to the plane z=2 (point-to-plane only
-            # constrains the z translation here).
-            proj = points_world.copy()
-            proj[:, 2] = 2.0
-            return proj, normals[: len(points_world)], np.ones(len(points_world), dtype=bool)
-
-        result = icp_point_to_plane(src, correspondences, np.eye(4), max_iterations=10)
-        # The plane constrains translation along z only.
-        assert abs(result.pose[2, 3] - true_pose[2, 3]) < 1e-3
 
 
 class TestTSDF:
