@@ -79,19 +79,9 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.core.doctor import doctor as run_doctor
-from repro.core.registry import registry_snapshot
+from repro.core.registry import load_builtin_plugins, registry_snapshot
 from repro.core.scenario import Scenario, ScenarioError
 from repro.core.study import Study, StudyResult
-from repro.core.sweep import (
-    SweepSpec,
-    SweepWorker,
-    build_comparison,
-    load_spec_file,
-    prepare_sweep_dir,
-    run_sweep,
-)
-from repro.utils.tables import format_table
 
 #: Exit codes (see module docstring).
 EXIT_OK = 0
@@ -106,6 +96,8 @@ def _safe_dir_name(name: str) -> str:
 
 
 def _print_report(result: StudyResult, out=None) -> None:
+    from repro.utils.tables import format_table
+
     report = result.report()
     lines: List[str] = []
     lines.append(
@@ -206,6 +198,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.core.sweep import SweepSpec, run_sweep
+
     spec_path = Path(args.spec)
     try:
         spec = SweepSpec.from_file(spec_path)
@@ -256,6 +250,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_report(args: argparse.Namespace) -> int:
+    from repro.core.sweep import build_comparison
+
     try:
         comparison = build_comparison(args.sweep_dir, write=not args.no_write)
     except (FileNotFoundError, ValueError, ScenarioError) as exc:
@@ -269,6 +265,8 @@ def _cmd_sweep_report(args: argparse.Namespace) -> int:
 
 
 def _print_sweep(comparison: Dict, sweep_dir: Path, out=None) -> None:
+    from repro.utils.tables import format_table
+
     objectives = comparison.get("objectives") or []
     lines: List[str] = [
         f"sweep {comparison['sweep']!r}: {comparison['n_complete']}/{comparison['n_points']} "
@@ -306,6 +304,8 @@ def _print_sweep(comparison: Dict, sweep_dir: Path, out=None) -> None:
 
 
 def _cmd_sweep_worker(args: argparse.Namespace) -> int:
+    from repro.core.sweep import SweepSpec, SweepWorker, prepare_sweep_dir
+
     sweep_dir = Path(args.sweep_dir)
     try:
         if args.spec is not None:
@@ -369,8 +369,10 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
+    from repro.core.doctor import doctor
+
     try:
-        report = run_doctor(args.path, repair=not args.dry_run)
+        report = doctor(args.path, repair=not args.dry_run)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -385,6 +387,8 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.core.sweep import SweepSpec, load_spec_file
+
     failures = 0
     for path in args.scenarios:
         try:
@@ -603,6 +607,9 @@ def _cmd_eval_worker(args: argparse.Namespace) -> int:
     if args.max_tasks is not None and args.max_tasks < 1:
         print("error: --max-tasks must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    # Import the evaluators before joining: a spec that arrives mid-study
+    # then builds without compiling a module.
+    load_builtin_plugins()
     worker = EvalWorker(
         host,
         port,

@@ -425,6 +425,9 @@ class EvaluationBroker:
 
     def _handshake_then_serve(self, sock: socket.socket) -> None:
         try:
+            # A ``spec`` frame is followed at once by its ``task`` frame;
+            # with Nagle on, the second waits for the worker's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(_HANDSHAKE_TIMEOUT_S)
             hello = recv_frame(sock)
             if (

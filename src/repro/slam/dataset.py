@@ -3,11 +3,16 @@
 Frames are rendered lazily by sphere tracing the analytic scene SDF from the
 ground-truth pose, converting ray lengths to z-depth, sampling the procedural
 intensity at the hit points, and corrupting the result with the Kinect noise
-model.  Rendered frames are cached on the dataset object so that the many
-configuration evaluations of a design-space exploration re-use the same
-frames.  Products derived from a frame that do not depend on the evaluated
-configuration (KinectFusion's filtered depth pyramid) are memoized next to
-the frames with :meth:`SyntheticRGBDDataset.derived`.
+model.  The trace (:meth:`~repro.slam.scene.Scene.raycast`) steps only the
+rays still live: a ray leaves the live set when it hits, passes the maximum
+render depth or runs out of steps.  At 64x48, fewer than half of a frame's
+rays are live after 11 of its ~48 steps, and the later steps no longer
+gather and scatter all of them.  Rendered frames are cached on the dataset
+object so that the many configuration evaluations of a design-space
+exploration re-use the same frames.  Products derived from a frame that do
+not depend on the evaluated configuration (KinectFusion's filtered depth
+pyramid) are memoized next to the frames with
+:meth:`SyntheticRGBDDataset.derived`.
 """
 
 from __future__ import annotations

@@ -5,8 +5,11 @@ The paper evaluates on the ICL-NUIM synthetic living-room dataset (trajectory
 living-room model, so we substitute an analytic constructive-solid-geometry
 scene: a room (floor, ceiling, walls) furnished with boxes, spheres and
 cylinders.  Depth frames are rendered by sphere tracing the scene SDF
-(:mod:`repro.slam.dataset`), and a procedural albedo/texture function provides
-the intensity channel needed by ElasticFusion's photometric tracking.
+(:meth:`Scene.raycast`, called by :mod:`repro.slam.dataset`), and a
+procedural albedo/texture function provides the intensity channel needed by
+ElasticFusion's photometric tracking.  The tracer steps only the rays still
+live, with the per-ray operations of a tracer that steps every ray under a
+mask.
 
 All SDF evaluations are vectorized over ``(..., 3)`` point arrays and also
 return analytic gradients (needed by the ICP Gauss-Newton step).
@@ -113,9 +116,11 @@ class Box(SdfPrimitive):
             raise ValueError("half extents must be positive")
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
+        # One leading axis more, so that even a single point's temporaries
+        # are arrays ``_box_sdf`` can write into.
+        pts = np.asarray(points, dtype=np.float64)[None]
         lead = (1,) * (pts.ndim - 1)
-        return _box_sdf(np.moveaxis(pts, -1, 0), self.center.reshape(3, *lead), self.half_extents.reshape(3, *lead))
+        return _box_sdf(np.moveaxis(pts, -1, 0), self.center.reshape(3, *lead), self.half_extents.reshape(3, *lead))[0]
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         return _box_gradient(np.asarray(points, dtype=np.float64), self.center, self.half_extents)
@@ -127,14 +132,22 @@ def _box_sdf(p: np.ndarray, center: np.ndarray, half_extents: np.ndarray) -> np.
 
     The operations of ``q = |p - c| - h``, ``norm(max(q, 0)) + min(max(q), 0)``
     in the same order, on one ``(k, N)`` block per axis: the norm and the max
-    over the three axes are written out instead of 3-wide reductions.
+    over the three axes are written out instead of 3-wide reductions, and
+    each step writes into a temporary it no longer needs.
     """
-    q = np.abs(p - center) - half_extents
-    m = np.maximum(q, 0.0)
-    m *= m
-    outside = np.sqrt(m[0] + m[1] + m[2])
-    inside = np.minimum(np.maximum(np.maximum(q[0], q[1]), q[2]), 0.0)
-    return outside + inside
+    q = np.subtract(p, center)
+    np.abs(q, out=q)
+    q -= half_extents
+    inside = np.maximum(q[0], q[1])
+    np.maximum(inside, q[2], out=inside)
+    np.minimum(inside, 0.0, out=inside)
+    np.maximum(q, 0.0, out=q)
+    q *= q
+    out = np.add(q[0], q[1])
+    out += q[2]
+    np.sqrt(out, out=out)
+    out += inside
+    return out
 
 
 def _box_gradient(pts: np.ndarray, center: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
@@ -241,23 +254,49 @@ class Scene:
         self._half_extents = np.zeros((len(prims), 3))
         self._half_extents[self._box_rows] = box_half_extents
         self._is_box = kind == _BOX
+        # Where each primitive's SDF row comes from, in primitive order: a
+        # row of the plane block, of the box block, or the primitive itself.
+        block_row = np.zeros(len(prims), dtype=np.intp)
+        block_row[self._plane_rows] = np.arange(self._plane_rows.size)
+        block_row[self._box_rows] = np.arange(self._box_rows.size)
+        block_row[self._other_rows] = self._other_rows
+        self._row_sources = [(int(k), int(i)) for k, i in zip(kind, block_row)]
         self._albedo = np.array([p.albedo for p in prims])
         self._texture_scale = np.array([p.texture_scale for p in prims])
+
+    def _packed(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(n_planes, N)`` and ``(n_boxes, N)`` SDF values of ``(N, 3)`` points."""
+        planes = _plane_sdf(pts, self._plane_normals[:, None, :], self._plane_offsets[:, None])
+        return planes, _box_sdf(pts.T[:, None, :], self._box_centers, self._box_half_extents)
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
         """``(n_primitives, N)`` SDF values of ``(N, 3)`` points, rows in primitive order."""
         values = np.empty((len(self.primitives), pts.shape[0]))
-        values[self._plane_rows] = _plane_sdf(pts, self._plane_normals[:, None, :], self._plane_offsets[:, None])
-        values[self._box_rows] = _box_sdf(pts.T[:, None, :], self._box_centers, self._box_half_extents)
+        values[self._plane_rows], values[self._box_rows] = self._packed(pts)
         for row in self._other_rows:
             values[row] = self.primitives[row].sdf(pts)
         return values
 
     # -- SDF queries -----------------------------------------------------------
     def sdf(self, points: np.ndarray) -> np.ndarray:
-        """Signed distance of the union at ``(..., 3)`` points."""
+        """Signed distance of the union at ``(..., 3)`` points.
+
+        A running ``np.minimum`` over the primitives' rows in primitive
+        order.  numpy takes ``min(axis=0)`` of an ``(n_primitives, N)``
+        value matrix one row at a time in that order, so this is the same
+        reduction bit for bit (±0.0 ties and NaN payloads included), without
+        the matrix.  A single point's column is one contiguous run, which
+        numpy reduces in SIMD lanes instead, so it keeps the matrix.
+        """
         pts, shape = _flatten(points)
-        return self._values(pts).min(axis=0).reshape(shape)
+        if pts.shape[0] == 1:
+            return self._values(pts).min(axis=0).reshape(shape)
+        blocks = self._packed(pts)
+        rows = (self.primitives[i].sdf(pts) if kind == _OTHER else blocks[kind][i] for kind, i in self._row_sources)
+        out = np.array(next(rows), dtype=np.float64)
+        for row in rows:
+            np.minimum(out, row, out=out)
+        return out.reshape(shape)
 
     def sdf_and_gradient(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Signed distance and (unit) gradient of the union."""
@@ -316,30 +355,39 @@ class Scene:
 
         ``origins`` and ``directions`` are broadcast-compatible ``(..., 3)``
         arrays; directions must be unit length.
+
+        Each step evaluates the scene at ``o + t * d`` of every live ray and
+        advances it by ``max(dist, tolerance / 2)``.  A ray is hit when that
+        distance is below ``tolerance`` (its ``t`` keeps the step it took
+        there) and stops being live when it is hit, when ``t`` reaches
+        ``max_depth`` (or is NaN), or after ``max_steps`` steps.  Only the live
+        rays are stepped: they are compacted after every step that retires
+        one, so late steps cost what their few remaining rays cost.
         """
         o = np.asarray(origins, dtype=np.float64)
         d = np.asarray(directions, dtype=np.float64)
         o, d = np.broadcast_arrays(o, d)
         shape = o.shape[:-1]
-        t = np.zeros(shape, dtype=np.float64)
-        active = np.ones(shape, dtype=bool)
-        hit = np.zeros(shape, dtype=bool)
+        # Axis first, ``(3, n)``: the scene reads one coordinate at a time.
+        o, d = o.reshape(-1, 3).T, np.ascontiguousarray(d.reshape(-1, 3).T)
+        n = d.shape[1]
+        t = np.zeros(n)
+        hit = np.zeros(n, dtype=bool)
+        live, live_t = np.arange(n), np.zeros(n)
         for _ in range(max_steps):
-            if not np.any(active):
+            if live.size == 0:
                 break
-            pts = o[active] + t[active, None] * d[active]
-            dist = self.sdf(pts)
+            dist = self.sdf((o + live_t * d).T)
+            live_t += np.maximum(dist, tolerance * 0.5)
             hit_now = dist < tolerance
-            idx = np.flatnonzero(active.ravel())
-            flat_hit = np.zeros(active.size, dtype=bool)
-            flat_hit[idx[hit_now]] = True
-            hit |= flat_hit.reshape(shape)
-            # Advance the remaining active rays.
-            t_flat = t.ravel()
-            t_flat[idx] += np.maximum(dist, tolerance * 0.5)
-            t = t_flat.reshape(shape)
-            active = active & ~hit & (t < max_depth)
-        return t, hit
+            hit[live[hit_now]] = True
+            keep = ~hit_now & (live_t < max_depth)
+            if not keep.all():
+                done = ~keep
+                t[live[done]] = live_t[done]
+                live, o, d, live_t = live[keep], o[:, keep], d[:, keep], live_t[keep]
+        t[live] = live_t
+        return t.reshape(shape), hit.reshape(shape)
 
 
 def make_living_room_scene() -> Scene:

@@ -47,6 +47,9 @@ byte:
   — every scene primitive through ``np.linalg.norm``, ``np.max`` and
   fancy-index assignment, and :func:`scene_union_reference`, the union
   evaluated primitive by primitive;
+* :func:`scene_sdf_reference` — the union's SDF as ``min(axis=0)`` of the
+  packed value matrix, and :func:`raycast_reference`, the sphere tracer
+  that steps every ray through full-size boolean masks;
 * :func:`icp_point_to_implicit_reference` — the tracking loop with
   boolean-mask gathers, ``np.cross``, ``np.mean`` of the inlier mask and
   ``np.mean(r * r)`` for the error;
@@ -950,6 +953,47 @@ def scene_union_reference(scene, points: np.ndarray) -> Tuple[np.ndarray, np.nda
         )
         intensity[mask] = np.clip(prim.albedo * tex, 0.0, 1.0)
     return values.min(axis=0), dist, grad, intensity
+
+
+def scene_sdf_reference(scene, points: np.ndarray) -> np.ndarray:
+    """``Scene.sdf`` as ``min(axis=0)`` of the packed ``(n_primitives, N)`` value matrix."""
+    pts = np.asarray(points, dtype=np.float64)
+    return scene._values(pts.reshape(-1, 3)).min(axis=0).reshape(pts.shape[:-1])
+
+
+def raycast_reference(
+    scene,
+    origins: np.ndarray,
+    directions: np.ndarray,
+    max_depth: float = 10.0,
+    max_steps: int = 64,
+    tolerance: float = 1e-3,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``Scene.raycast`` over full-size masks: every step gathers the active
+    rays by a boolean mask and scatters their hits and distances back."""
+    o = np.asarray(origins, dtype=np.float64)
+    d = np.asarray(directions, dtype=np.float64)
+    o, d = np.broadcast_arrays(o, d)
+    shape = o.shape[:-1]
+    t = np.zeros(shape, dtype=np.float64)
+    active = np.ones(shape, dtype=bool)
+    hit = np.zeros(shape, dtype=bool)
+    for _ in range(max_steps):
+        if not np.any(active):
+            break
+        pts = o[active] + t[active, None] * d[active]
+        dist = scene_sdf_reference(scene, pts)
+        hit_now = dist < tolerance
+        idx = np.flatnonzero(active.ravel())
+        flat_hit = np.zeros(active.size, dtype=bool)
+        flat_hit[idx[hit_now]] = True
+        hit |= flat_hit.reshape(shape)
+        # Advance the remaining active rays.
+        t_flat = t.ravel()
+        t_flat[idx] += np.maximum(dist, tolerance * 0.5)
+        t = t_flat.reshape(shape)
+        active = active & ~hit & (t < max_depth)
+    return t, hit
 
 
 def icp_point_to_implicit_reference(

@@ -182,7 +182,7 @@ class TestMultiWorkerBitIdentity:
         # The golden spec's "function" evaluator needs a host callable,
         # which the CLI worker cannot rebind on its own.
         monkeypatch.setattr(
-            "repro.cli.SweepWorker", functools.partial(SweepWorker, evaluate=counting)
+            "repro.core.sweep.SweepWorker", functools.partial(SweepWorker, evaluate=counting)
         )
         argv = ["sweep-worker", str(sweep_dir), "--spec", str(spec_path), "--owner", "joiner"]
         assert cli_main(argv) == 0

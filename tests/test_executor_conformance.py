@@ -151,6 +151,22 @@ class TestHandshake:
             finally:
                 worker.close()
 
+    def test_both_ends_disable_nagle(self):
+        """A ``spec`` frame is followed at once by its ``task`` frame; with
+        Nagle's algorithm on the broker's end, the task would wait for the
+        worker's delayed ACK."""
+        with EvaluationBroker() as broker:
+            host, port = broker.address
+            worker = EvalWorker(host, port)
+            try:
+                worker.connect()
+                assert broker.wait_for_workers(1, timeout=DEADLINE_S)
+                (conn,) = broker._conns.values()
+                assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                assert worker._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            finally:
+                worker.close()
+
     def test_connect_to_dead_broker_raises(self):
         from repro.core.transport import TransportError
 

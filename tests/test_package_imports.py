@@ -44,19 +44,42 @@ NOT_LOADED = (
 )
 
 
-def test_study_loads_only_what_it_runs():
+#: Layers an eval-worker never runs: ``repro.cli`` imports them in the
+#: subcommands that use them.
+CLI_NOT_LOADED = (
+    "repro.core.sweep",
+    "repro.core.doctor",
+    "repro.core.leases",
+    "repro.core.service",
+    "repro.core.server",
+    "repro.core.client",
+)
+
+
+def _modules_loaded_by(code):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", STUDY_IMPORTS],
+        [sys.executable, "-c", code],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    loaded = set(json.loads(out))
+    return set(json.loads(out))
+
+
+def test_study_loads_only_what_it_runs():
+    loaded = _modules_loaded_by(STUDY_IMPORTS)
     assert "repro.core.study" in loaded
     stray = sorted(m for m in loaded if m.startswith(NOT_LOADED))
+    assert not stray, stray
+
+
+def test_cli_loads_no_subcommand_layers():
+    loaded = _modules_loaded_by("import json, sys, repro.cli; print(json.dumps(sorted(sys.modules)))")
+    assert "repro.cli" in loaded
+    stray = sorted(m for m in loaded if m in CLI_NOT_LOADED)
     assert not stray, stray
 
 

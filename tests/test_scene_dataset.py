@@ -1,5 +1,6 @@
 """Tests for analytic scenes, trajectories, the noise model and the dataset."""
 
+import os
 import pickle
 import sys
 import threading
@@ -20,6 +21,17 @@ from repro.slam.trajectory import (
     make_living_room_trajectory,
     make_orbit_trajectory,
     make_static_trajectory,
+)
+
+#: CI's "Exact-kernel oracle harness" reruns ``TestLiveRayTrace`` with
+#: ``HYPOTHESIS_PROFILE=oracle-harness`` (1,500 derandomized examples).
+settings.register_profile(
+    "oracle-harness", max_examples=1500, deadline=None, derandomize=True, print_blob=True
+)
+ORACLE_SETTINGS = (
+    settings(settings.get_profile("oracle-harness"))
+    if os.environ.get("HYPOTHESIS_PROFILE") == "oracle-harness"
+    else settings(max_examples=150, deadline=None)
 )
 
 
@@ -311,6 +323,198 @@ class TestPackedUnion:
         clone = pickle.loads(pickle.dumps(scene))
         assert clone.sdf(pts).tobytes() == scene.sdf(pts).tobytes()
         assert clone.sdf_and_gradient(pts)[1].tobytes() == scene.sdf_and_gradient(pts)[1].tobytes()
+
+
+def _zero_ties_scene():
+    """Planes through the origin in both orientations, between other
+    primitive types: at points with zero coordinates several rows hold +0.0
+    or -0.0, and which zero wins depends on the order the rows are folded
+    in.  Ten rows, so one point's column spans a full SIMD register."""
+    return Scene(
+        [
+            Plane((1.0, 0.0, 0.0), 0.0),
+            Plane((-1.0, 0.0, 0.0), 0.0),
+            Plane((0.0, 1.0, 0.0), 0.0),
+            Box((3.0, 3.0, 3.0), (0.5, 0.5, 0.5)),
+            Plane((0.0, -1.0, 0.0), 0.0),
+            Sphere((4.0, 0.0, 0.0), 0.5),
+            Cylinder((0.0, 0.0, 5.0), 0.3, 0.5),
+            Plane((0.0, 0.0, 1.0), 0.0),
+            Plane((0.0, 0.0, -1.0), 0.0),
+            Box((-3.0, 0.0, 0.0), (0.5, 0.5, 0.5)),
+        ],
+        name="zero-ties",
+    )
+
+
+def _open_scene():
+    """A sphere and a box with nothing around them, so rays can miss."""
+    return Scene([Sphere((0.0, 0.0, 2.0), 0.5), Box((1.0, 0.0, 3.0), (0.3, 0.3, 0.3))], name="open")
+
+
+_TRACE_SCENES = {
+    "living-room": make_living_room_scene(),
+    "office": make_office_scene(),
+    "zero-ties": _zero_ties_scene(),
+    "open": _open_scene(),
+}
+
+#: A quiet NaN with a payload, next to numpy's own NaN and the default NaN
+#: that ``inf * 0`` makes: the union must keep the payload numpy keeps.
+_PAYLOAD_NAN = float(np.array(0x7FF8000000000123, dtype=np.uint64).view(np.float64))
+_SPECIAL_COORDS = [0.0, -0.0, 0.5, -0.5, np.nan, _PAYLOAD_NAN, np.inf, -np.inf]
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _layouts(pts, rows, cols):
+    """``(N, 3)`` points as ``(N, 3)``, ``(rows, cols, 3)`` and axis-first
+    ``(3, N)`` memory seen as ``(N, 3)``."""
+    return [pts, pts.reshape(rows, cols, 3), np.ascontiguousarray(pts.T).T]
+
+
+@st.composite
+def _sdf_cases(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    coord = st.one_of(st.floats(-3.5, 3.5), st.sampled_from(_SPECIAL_COORDS))
+    flat = draw(st.lists(coord, min_size=3 * rows * cols, max_size=3 * rows * cols))
+    return draw(st.sampled_from(sorted(_TRACE_SCENES))), np.array(flat).reshape(-1, 3), rows, cols
+
+
+@st.composite
+def _ray_cases(draw):
+    """Rays from inside the rooms (or near the open scene), some starting on
+    a surface, some with NaN or infinite direction components."""
+    name = draw(st.sampled_from(["living-room", "office", "open"]))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    n = rows * cols
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    directions = rng.normal(size=(n, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    for _ in range(draw(st.integers(0, 3))):
+        directions[draw(st.integers(0, n - 1)), draw(st.integers(0, 2))] = draw(
+            st.sampled_from([np.nan, _PAYLOAD_NAN, np.inf, -np.inf, 0.0, -0.0])
+        )
+    if draw(st.booleans()):
+        # One origin for every ray, broadcast from ``(1, 1, 3)``.
+        origins = rng.uniform(-1.2, 1.2, size=(1, 1, 3))
+        directions = directions.reshape(rows, cols, 3)
+    else:
+        origins = rng.uniform(-1.2, 1.2, size=(n, 3))
+        # Rays that start on the floor of the rooms or the open scene's sphere.
+        on_surface = rng.random(n) < draw(st.sampled_from([0.0, 0.3]))
+        origins[on_surface] = (0.0, 1.3, 0.0) if name != "open" else (0.0, 0.0, 1.5)
+    max_depth = draw(st.sampled_from([0.0, 0.4, 1.5, 12.0]))
+    max_steps = draw(st.sampled_from([0, 1, 2, 5, 96]))
+    tolerance = draw(st.sampled_from([1e-3, 0.05, 0.6]))
+    return _TRACE_SCENES[name], origins, directions, (max_depth, max_steps, tolerance)
+
+
+class TestLiveRayTrace:
+    """``Scene.raycast`` steps only live rays and ``Scene.sdf`` folds the
+    primitive rows with a running minimum; both equal the full-mask tracer
+    and the matrix ``min(axis=0)`` kept in ``tests/oracles.py`` byte for
+    byte."""
+
+    @ORACLE_SETTINGS
+    @given(_sdf_cases())
+    def test_sdf_matches_matrix_min(self, case):
+        name, pts, rows, cols = case
+        scene = _TRACE_SCENES[name]
+        with np.errstate(invalid="ignore"):
+            for layout in _layouts(pts, rows, cols) + [pts[:1]]:
+                _same_bytes(scene.sdf(layout), oracles.scene_sdf_reference(scene, layout))
+
+    def test_sdf_at_signed_zero_ties(self):
+        scene = _TRACE_SCENES["zero-ties"]
+        zeros = np.array([0.0, -0.0])
+        pts = np.stack(np.meshgrid(zeros, zeros, zeros, indexing="ij"), axis=-1).reshape(-1, 3)
+        want = oracles.scene_sdf_reference(scene, pts)
+        assert np.all(want == 0.0) and 0 < np.signbit(want).sum() < len(want)
+        # Folding with the operands swapped moves the -0.0: the ties are
+        # sensitive to the order of the fold.
+        values = scene._values(pts)
+        swapped = values[0].copy()
+        for row in values[1:]:
+            swapped = np.minimum(row, swapped)
+        assert swapped.tobytes() != want.tobytes()
+        _same_bytes(scene.sdf(pts), want)
+        _same_bytes(scene.sdf(pts.reshape(2, 4, 3)), want.reshape(2, 4))
+        for point in pts:  # one point: numpy reduces its column in SIMD lanes
+            _same_bytes(scene.sdf(point), oracles.scene_sdf_reference(scene, point))
+            _same_bytes(scene.sdf(point[None]), oracles.scene_sdf_reference(scene, point[None]))
+
+    def test_sdf_at_nan_and_infinite_points(self):
+        """At an infinite coordinate a plane along another axis gives the NaN
+        of ``inf * 0`` and the others ±inf: the union is NaN, where a
+        NaN-skipping fold is not."""
+        pts = np.array(
+            [[np.inf, 0.5, 0.5], [0.5, -np.inf, 0.2], [np.nan, 0.1, 0.1], [0.2, _PAYLOAD_NAN, np.inf]]
+        )
+        with np.errstate(invalid="ignore"):
+            for name, scene in _TRACE_SCENES.items():
+                want = oracles.scene_sdf_reference(scene, pts)
+                if name != "open":
+                    assert np.isnan(want).all()
+                    assert not np.isnan(np.fmin.reduce(scene._values(pts), axis=0)).all()
+                _same_bytes(scene.sdf(pts), want)
+
+    @ORACLE_SETTINGS
+    @given(_ray_cases())
+    def test_raycast_matches_full_mask_tracer(self, case):
+        scene, origins, directions, (max_depth, max_steps, tolerance) = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = scene.raycast(origins, directions, max_depth, max_steps, tolerance)
+            want = oracles.raycast_reference(scene, origins, directions, max_depth, max_steps, tolerance)
+        for g, w in zip(got, want):
+            _same_bytes(g, w)
+
+    def test_each_kind_of_ray(self):
+        """One batch: a hit, a miss, a hit on the first step, a grazing ray
+        that runs out of ``max_steps``, a ray that crosses ``max_depth`` on
+        its way to a surface, and NaN and infinite directions."""
+        scene = _TRACE_SCENES["open"]
+        origins = np.array(
+            [[0, 0, 0], [0, 0, 0], [0, 0, 1.5], [0.51, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            dtype=np.float64,
+        )
+        directions = np.array(
+            [[0, 0, 1], [0, 0, -1], [0, 0, 1], [0, 0, 1], [0, 0, 1], [np.nan, 0, 1], [0, 0, np.inf], [np.inf, 0, 0]],
+            dtype=np.float64,
+        )
+        max_depth, max_steps, tolerance = 2.2, 8, 1e-3
+        with np.errstate(invalid="ignore"):
+            t, hit = oracles.raycast_reference(scene, origins, directions, max_depth, max_steps, tolerance)
+            one_step, _ = oracles.raycast_reference(scene, origins, directions, max_depth, 1, tolerance)
+            assert hit.tolist() == [True, False, True, False, False, False, False, False]
+            assert t[2] == one_step[2] == tolerance / 2  # hit where it started
+            assert t[1] >= max_depth and t[4] >= max_depth and scene.sdf(origins[4] + t[4] * directions[4]) > 0.05
+            assert t[3] < max_depth  # still live after max_steps
+            assert np.isnan(t[5:]).all()
+            for shape in [(8, 3), (2, 4, 3)]:
+                got = scene.raycast(origins.reshape(shape), directions.reshape(shape), max_depth, max_steps, tolerance)
+                _same_bytes(got[0], t.reshape(shape[:-1]))
+                _same_bytes(got[1], hit.reshape(shape[:-1]))
+            _same_bytes(scene.raycast(origins[0], directions[0], max_depth, max_steps, tolerance)[0], t[0])
+            empty = scene.raycast(np.zeros((1, 1, 3)), np.zeros((0, 4, 3)), max_depth, max_steps, tolerance)
+            assert empty[0].shape == empty[1].shape == (0, 4)
+
+    @pytest.mark.parametrize("scene_name", ["living-room", "office"])
+    def test_render_matches_oracle_patched_render(self, scene_name, monkeypatch):
+        def frames():
+            ds = make_icl_nuim_like_dataset(n_frames=4, width=40, height=30, seed=7, scene=_TRACE_SCENES[scene_name])
+            return [ds._render(i) for i in range(len(ds))]
+
+        live = frames()
+        monkeypatch.setattr(Scene, "raycast", oracles.raycast_reference)
+        monkeypatch.setattr(Scene, "sdf", oracles.scene_sdf_reference)
+        for got, want in zip(live, frames()):
+            for name in ("depth", "intensity", "clean_depth"):
+                _same_bytes(getattr(got, name), getattr(want, name))
 
 
 class TestFrameMemo:
